@@ -21,28 +21,7 @@ oracle         Simulation harness for calibration and bias studies.
 cli            CSV-in, CSV-out command-line interface.
 """
 
-from .adapters import (
-    ContingencyTable,
-    RegressionSummary,
-    contingency,
-    contingency_regression,
-    one_sample,
-    paired,
-    phi_coefficient,
-    regression,
-    regression_experiment_summary,
-    regression_statistic,
-    slope_between_variance,
-    statistic_from_summary,
-    unpaired,
-    unpaired_summary,
-)
-from .distributions import (
-    DEFAULT_QUADRATURE,
-    PROB_FLOOR,
-    QuadratureSpec,
-    clamp_probability,
-)
+from .distributions import PROB_FLOOR
 from .errors import (
     ConfigurationError,
     DegeneratePredictorError,
@@ -55,13 +34,9 @@ from .errors import (
     PreconditionError,
 )
 from .estimators import (
-    BetweenVariance,
     ExperimentSummary,
     TaskSet,
     between_variance,
-    pooled_variance,
-    pooled_variance_ratio,
-    standardize_means,
     summarize,
     variance_ratio,
 )
@@ -73,8 +48,6 @@ from .power import (
     required_sample_size,
 )
 from .replication import (
-    BmaxResult,
-    ReplicationForecast,
     ReplicationQuery,
     b_max,
     killeen_p_rep,
@@ -85,27 +58,18 @@ from .replication import (
     p_rep_integral,
 )
 from .significance import (
-    TestReport,
     TestStatistic,
-    direction_of,
-    effect_significance,
     p_point,
     p_sig_bound,
     p_sig_closed,
     p_sig_given_b,
     p_sig_integral,
-    report,
-    t0_statistic,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetweenVariance",
-    "BmaxResult",
     "ConfigurationError",
-    "ContingencyTable",
-    "DEFAULT_QUADRATURE",
     "DegeneratePredictorError",
     "DegenerateVarianceError",
     "DistnullError",
@@ -117,24 +81,14 @@ __all__ = [
     "ParseError",
     "PowerQuery",
     "PreconditionError",
-    "QuadratureSpec",
-    "RegressionSummary",
-    "ReplicationForecast",
     "ReplicationQuery",
     "TaskSet",
-    "TestReport",
     "TestStatistic",
     "b_max",
     "beta_distributional",
     "beta_point",
     "between_variance",
-    "clamp_probability",
-    "contingency",
-    "contingency_regression",
-    "direction_of",
-    "effect_significance",
     "killeen_p_rep",
-    "one_sample",
     "p_point",
     "p_rep_bound",
     "p_rep_closed",
@@ -145,23 +99,9 @@ __all__ = [
     "p_sig_closed",
     "p_sig_given_b",
     "p_sig_integral",
-    "paired",
-    "phi_coefficient",
-    "pooled_variance",
-    "pooled_variance_ratio",
     "power_ceiling",
-    "regression",
-    "regression_experiment_summary",
-    "regression_statistic",
-    "report",
     "required_sample_size",
-    "slope_between_variance",
-    "standardize_means",
-    "statistic_from_summary",
     "summarize",
-    "t0_statistic",
-    "unpaired",
-    "unpaired_summary",
     "variance_ratio",
     "__version__",
 ]

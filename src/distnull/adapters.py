@@ -21,14 +21,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
 )
-from .estimators import (
-    BetweenVariance,
-    ExperimentSummary,
-    TaskSet,
-    VarianceMode,
-    between_variance,
-    summarize,
-)
+from .estimators import ExperimentSummary, summarize
 from .significance import TestStatistic
 
 __all__ = [
@@ -45,7 +38,6 @@ __all__ = [
     "contingency_regression",
     "contingency",
     "phi_coefficient",
-    "slope_between_variance",
 ]
 
 
@@ -252,13 +244,3 @@ def phi_coefficient(table: ContingencyTable) -> float:
             "phi undefined: a margin of the table is zero"
         )
     return (table.n11 * table.n00 - table.n10 * table.n01) / math.sqrt(denom)
-
-
-def slope_between_variance(
-    task: Sequence[RegressionSummary],
-    mode: VarianceMode = "as_published",
-    task_id: str = "slopes",
-) -> BetweenVariance:
-    """Between-experiment variance of slopes: (M̄ᵢ, Qᵢ) replace (X̄ᵢ, Nᵢ)."""
-    experiments = tuple(regression_experiment_summary(s) for s in task)
-    return between_variance(TaskSet(task_id, experiments), mode)

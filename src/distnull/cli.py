@@ -18,7 +18,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from .adapters import (
@@ -33,7 +33,7 @@ from .adapters import (
     unpaired,
     unpaired_summary,
 )
-from .distributions import PROB_FLOOR
+from .distributions import PROB_FLOOR, _check_alpha, _check_df, _check_nu0
 from .errors import (
     ConfigurationError,
     DistnullError,
@@ -49,7 +49,15 @@ from .estimators import (
     summarize,
     variance_ratio,
 )
-from .oracle import SimConfig, bin_pairs, simulate_raw_task, task_pair_records
+from .oracle import (
+    MIN_BIN_PAIRS,
+    SimConfig,
+    bin_pairs,
+    calibration_gap,
+    gap_direction,
+    simulate_raw_task,
+    task_pair_records,
+)
 from .power import (
     PowerQuery,
     beta_distributional,
@@ -214,6 +222,14 @@ def load_sites(path: str, family: str | None) -> tuple[str, list[SiteData]]:
     return shape, sites
 
 
+def _by_task(sites: list[SiteData]) -> list[tuple[str, list[SiteData]]]:
+    """Sites grouped by task, in task order."""
+    groups: dict[str, list[SiteData]] = {}
+    for s in sites:
+        groups.setdefault(s.task, []).append(s)
+    return sorted(groups.items())
+
+
 def _build_site(
     shape: str, task: str, site: str, members: list[tuple[int, dict[str, str]]]
 ) -> SiteData:
@@ -331,8 +347,10 @@ def _load_b_from(path: str) -> dict[tuple[str, str], tuple[float, float]]:
         nu0 = _parse_real(row["nu0"], "nu0", line)
         if b_hat < 0:
             raise ParseError(f"b_hat must be >= 0, got {b_hat}", line=line)
-        if nu0 < 1:
-            raise ParseError(f"nu0 must be >= 1, got {nu0}", line=line)
+        try:
+            _check_nu0(nu0)
+        except DomainError as exc:
+            raise ParseError(str(exc), line=line) from None
         table[(task, site)] = (b_hat, nu0)
     return table
 
@@ -352,10 +370,9 @@ def resolve_variance(args: argparse.Namespace) -> VarianceSource:
         if has_b:
             if not has_nu0:
                 raise ConfigurationError("--b requires --nu0")
-            if args.b < 0:
-                raise ConfigurationError(f"--b must be >= 0, got {args.b}")
-            if args.nu0 < 1:
-                raise ConfigurationError(f"--nu0 must be >= 1, got {args.nu0}")
+            if not (math.isfinite(args.b) and args.b >= 0):
+                raise ConfigurationError(f"--b must be finite and >= 0, got {args.b}")
+            _check_flag("--nu0", _check_nu0, args.nu0)
             return VarianceSource(constant=(args.b, args.nu0))
         if has_from:
             if has_nu0:
@@ -370,8 +387,10 @@ def resolve_variance(args: argparse.Namespace) -> VarianceSource:
             raise ConfigurationError("--variant bound uses --bound only")
         if not has_bound:
             raise ConfigurationError("--variant bound requires --bound")
-        if args.bound <= 0:
-            raise ConfigurationError(f"--bound must be > 0, got {args.bound}")
+        if not (math.isfinite(args.bound) and args.bound > 0):
+            raise ConfigurationError(
+                f"--bound must be finite and > 0, got {args.bound}"
+            )
         return VarianceSource(bound=args.bound)
 
     # point
@@ -391,12 +410,8 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         "task", "site", "n", "mean", "variance", "df", "k", "grand_mean",
         "s0_sq", "nu0", "b_hat", "z", "mode", "note",
     ]
-    by_task: dict[str, list[SiteData]] = {}
-    for s in sites:
-        by_task.setdefault(s.task, []).append(s)
-
     out: list[list[str]] = []
-    for task, group in sorted(by_task.items()):
+    for task, group in _by_task(sites):
         base = [
             [s.site, _real(s.summary.n), _real(s.summary.mean),
              _real(s.summary.sample_variance), _real(s.summary.df)]
@@ -419,17 +434,19 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
             zs = [""] * len(group)
             note = "degenerate_variance"
         for s, cols, z in zip(group, base, zs):
-            try:
-                b_hat = _real(variance_ratio(b0, s.summary))
-            except DomainError as exc:
-                raise _wrap_domain(task, s.site, exc) from exc
+            b_hat = ""  # a degenerate task carries no estimate
+            if not note:
+                try:
+                    b_hat = _real(variance_ratio(b0, s.summary))
+                except DomainError as exc:
+                    raise _wrap_domain(task, s.site, exc) from exc
             out.append([task, *cols, _real(task_set.k), _real(b0.grand_mean),
                         _real(b0.s0_sq), _real(b0.nu0), b_hat, z, mode, note])
     return header, out
 
 
 def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    _validate_alpha(args.alpha)
+    _check_flag("--alpha", _check_alpha, args.alpha)
     _validate_scale(args.scale_e)
     source = resolve_variance(args)
     _, sites = load_sites(args.input, args.family)
@@ -497,13 +514,23 @@ def _replication_design(
     return n_r, df_r
 
 
+def _bmax_cells(stat: TestStatistic, alpha: float) -> list[str]:
+    """tau, z_max and b_max cells; empty when t = 0, where b_max is undefined."""
+    if stat.t == 0.0:
+        return ["", "", ""]
+    diag = b_max(stat, alpha)
+    return [_real(diag.tau), _real(diag.z_max), _real(diag.b_max)]
+
+
 def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    _validate_alpha(args.alpha)
+    _check_flag("--alpha", _check_bmax_alpha, args.alpha)
     _validate_scale(args.scale_e)
     if args.nr is None:
         raise ConfigurationError("predict requires --nr")
-    if not (math.isfinite(args.nr) and args.nr > 0):
-        raise ConfigurationError(f"--nr must be > 0, got {args.nr}")
+    if not (math.isfinite(args.nr) and args.nr >= 2):
+        raise ConfigurationError(f"--nr must be finite and >= 2, got {args.nr}")
+    if args.df_r is not None:
+        _check_flag("--df-r", lambda v: _check_df(v, "df_r"), args.df_r)
     source = resolve_variance(args)
     shape, sites = load_sites(args.input, args.family)
     header = [
@@ -530,21 +557,14 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
                     forecast = p_rep_integral(query, b_used, nu0)
                 b_text = _real(b_used)
                 nu0_text = _real(nu0)
-            if stat.t == 0.0:
-                tau_text = zmax_text = bmax_text = ""
-            else:
-                diag = b_max(stat, args.alpha)
-                tau_text = _real(diag.tau)
-                zmax_text = _real(diag.z_max)
-                bmax_text = _real(diag.b_max)
+            diag = _bmax_cells(stat, args.alpha)
         except DomainError as exc:
             raise _wrap_domain(s.task, s.site, exc) from exc
         out.append([
             s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t),
             _real(n_r), _real(df_r), _real(args.alpha), args.variant,
             b_text, nu0_text, bound_text, _real(args.scale_e),
-            _prob(forecast), _log10(forecast),
-            tau_text, zmax_text, bmax_text,
+            _prob(forecast), _log10(forecast), *diag,
         ])
     return header, out
 
@@ -554,12 +574,8 @@ def cmd_calibrate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]
     alphas = _parse_alphas(args.alphas)
     mode = _MODES[args.mode]
     _, sites = load_sites(args.input, args.family)
-    by_task: dict[str, list[SiteData]] = {}
-    for s in sites:
-        by_task.setdefault(s.task, []).append(s)
-
     records = []
-    for task, group in sorted(by_task.items()):
+    for task, group in _by_task(sites):
         if len(group) < 2:
             print(
                 f"warning: task {task!r} has a single site; skipped",
@@ -580,18 +596,8 @@ def cmd_calibrate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]
         raise DomainError("no task with >= 2 sites; nothing to calibrate")
 
     bins = bin_pairs(records)
-    included = [b for b in bins if b.pair_count >= 40]
-    direction = ""
-    if included:
-        weight = sum(b.pair_count for b in included)
-        gap = sum(
-            b.pair_count * (b.observed_rate - b.mean_forecast) for b in included
-        ) / weight
-        direction = (
-            "underestimation" if gap > 0
-            else "overestimation" if gap < 0
-            else "balanced"
-        )
+    gap = calibration_gap(bins)
+    direction = "" if gap is None else gap_direction(gap)
     header = [
         "predictor_significant", "lower", "upper", "pairs", "mean_forecast",
         "observed_rate", "included", "scale_e", "direction",
@@ -600,7 +606,7 @@ def cmd_calibrate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]
         [
             _bool(b.predictor_significant), _real(b.lower), _real(b.upper),
             _real(b.pair_count), _real(b.mean_forecast), _real(b.observed_rate),
-            _bool(b.pair_count >= 40), _real(args.scale_e), direction,
+            _bool(b.pair_count >= MIN_BIN_PAIRS), _real(args.scale_e), direction,
         ]
         for b in bins
     ]
@@ -608,7 +614,7 @@ def cmd_calibrate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]
 
 
 def cmd_power(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    _validate_alpha(args.alpha)
+    _check_flag("--alpha", _check_alpha, args.alpha)
     if args.n is None:
         raise ConfigurationError("power requires --n")
     df = args.df if args.df is not None else args.n - 1
@@ -701,26 +707,19 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 
 
 def cmd_bmax(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    _validate_alpha(args.alpha)
+    _check_flag("--alpha", _check_bmax_alpha, args.alpha)
     _, sites = load_sites(args.input, args.family)
     header = ["task", "site", "n", "df", "t", "effect", "alpha", "tau", "z_max", "b_max"]
     out = []
     for s in sites:
         stat = s.statistic
-        if stat.t == 0.0:
-            tau_text = zmax_text = bmax_text = ""
-        else:
-            try:
-                diag = b_max(stat, args.alpha)
-            except DomainError as exc:
-                raise _wrap_domain(s.task, s.site, exc) from exc
-            tau_text = _real(diag.tau)
-            zmax_text = _real(diag.z_max)
-            bmax_text = _real(diag.b_max)
+        try:
+            diag = _bmax_cells(stat, args.alpha)
+        except DomainError as exc:
+            raise _wrap_domain(s.task, s.site, exc) from exc
         out.append([
             s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t),
-            _real(stat.effect), _real(args.alpha),
-            tau_text, zmax_text, bmax_text,
+            _real(stat.effect), _real(args.alpha), *diag,
         ])
     return header, out
 
@@ -729,9 +728,16 @@ def cmd_bmax(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 # plumbing
 
 
-def _validate_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise ConfigurationError(f"--alpha must lie in (0, 1), got {alpha}")
+def _check_flag(flag: str, check: Callable[[float], float], value: float) -> float:
+    """Apply a domain check to a flag value; a failure names the flag."""
+    try:
+        return check(value)
+    except DomainError as exc:
+        raise ConfigurationError(f"{flag}: {exc}") from None
+
+
+def _check_bmax_alpha(alpha: float) -> float:
+    return _check_alpha(alpha, upper=0.5)  # the b_max diagnostic needs alpha < 0.5
 
 
 def _validate_scale(scale_e: float) -> None:
@@ -749,8 +755,7 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
             value = float(part)
         except ValueError:
             raise ConfigurationError(f"--alphas entry {part!r} is not a number") from None
-        if not (0.0 < value < 1.0):
-            raise ConfigurationError(f"alpha {value} must lie in (0, 1)")
+        _check_flag("--alphas", _check_alpha, value)
         if value in levels:
             raise ConfigurationError(f"duplicate alpha {value}")
         levels.append(value)
@@ -815,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=tuple(_MODES), default="as-published")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("test", help="significance report per experiment")
+    p = sub.add_parser("test", help="significance per experiment")
     _add_io(p)
     _add_family(p)
     p.add_argument("--alpha", type=float, default=0.05)

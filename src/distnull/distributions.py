@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from scipy import integrate as _sci_integrate
 from scipy import special as _sp
 
-from .errors import DomainError, NumericError, PreconditionError
+from .errors import (
+    DegenerateVarianceError,
+    DomainError,
+    NumericError,
+    PreconditionError,
+)
 
 __all__ = [
     "PROB_FLOOR",
@@ -68,6 +73,31 @@ def _check_df(nu: float, name: str = "nu") -> float:
     if not (math.isfinite(nu) and nu > 0):
         raise DomainError(f"{name} must be finite and > 0, got {nu!r}")
     return nu
+
+
+def _check_alpha(alpha: float, name: str = "alpha", upper: float = 1.0) -> float:
+    alpha = float(alpha)
+    if not (0.0 < alpha < upper):
+        raise DomainError(f"{name} must lie in (0, {upper:g}), got {alpha!r}")
+    return alpha
+
+
+def _check_b_hat(b_hat: float) -> float:
+    b_hat = float(b_hat)
+    if not (math.isfinite(b_hat) and b_hat > 0.0):
+        raise DegenerateVarianceError(
+            f"b_hat must be finite and > 0, got {b_hat!r}; the distributional "
+            "forms are undefined at zero between-experiment variance (use the "
+            "point form)"
+        )
+    return b_hat
+
+
+def _check_nu0(nu0: float) -> float:
+    nu0 = float(nu0)
+    if not (math.isfinite(nu0) and nu0 >= 1.0):
+        raise DomainError(f"nu0 must be finite and >= 1, got {nu0!r}")
+    return nu0
 
 
 def _check_finite(x: float, name: str) -> float:
@@ -257,7 +287,7 @@ def find_positive_root(coeffs: Sequence[float], bracket_hint: float) -> float:
     Requires exactly one sign change in the nonzero coefficient sequence,
     which (Descartes) guarantees exactly one positive root. The bracket is
     grown geometrically from ``bracket_hint`` and the root isolated by
-    bisection to relative width ~1e-15.
+    bisection to relative width 1e-15.
     """
     coeffs = [float(c) for c in coeffs]
     if not coeffs or any(not math.isfinite(c) for c in coeffs):
@@ -297,7 +327,7 @@ def find_positive_root(coeffs: Sequence[float], bracket_hint: float) -> float:
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * max(1.0, hi):
+        if hi - lo <= 1e-15 * hi:
             break
         f_mid = _polynomial(coeffs, mid)
         if f_mid == 0.0:

@@ -15,6 +15,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .distributions import _check_nu0
 from .errors import (
     DegenerateVarianceError,
     DomainError,
@@ -28,8 +29,6 @@ __all__ = [
     "summarize",
     "between_variance",
     "variance_ratio",
-    "pooled_variance",
-    "pooled_variance_ratio",
     "standardize_means",
 ]
 
@@ -101,8 +100,7 @@ class BetweenVariance:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.s0_sq) and self.s0_sq >= 0):
             raise DomainError(f"s0_sq must be finite and >= 0, got {self.s0_sq!r}")
-        if not (math.isfinite(self.nu0) and self.nu0 >= 1):
-            raise DomainError(f"nu0 must be >= 1, got {self.nu0!r}")
+        _check_nu0(self.nu0)
         if not math.isfinite(self.grand_mean):
             raise DomainError(f"grand_mean must be finite, got {self.grand_mean!r}")
         if self.mode not in ("as_published", "moment_corrected"):
@@ -174,34 +172,8 @@ def variance_ratio(b0: BetweenVariance, experiment: ExperimentSummary) -> float:
     return b0.s0_sq / experiment.sample_variance
 
 
-def pooled_variance(task: TaskSet) -> float:
-    """df-weighted pooled within-experiment variance of a task."""
-    num = sum(e.df * e.sample_variance for e in task.experiments)
-    den = sum(e.df for e in task.experiments)
-    return num / den
-
-
-def pooled_variance_ratio(b0: BetweenVariance, task: TaskSet) -> float:
-    """b-hat = S0^2 / pooled S^2, sharing one denominator across the task."""
-    pooled = pooled_variance(task)
-    if pooled <= 0.0:
-        raise DegenerateVarianceError(
-            f"task {task.task_id!r}: pooled variance is zero"
-        )
-    return b0.s0_sq / pooled
-
-
-def standardize_means(
-    task: TaskSet,
-    b0: BetweenVariance | None = None,
-    mode: VarianceMode = "as_published",
-) -> tuple[float, ...]:
-    """Per-experiment z_i = (mean_i - grand_mean) / S0.
-
-    Uses ``b0`` when supplied, otherwise estimates it with ``mode``.
-    """
-    if b0 is None:
-        b0 = between_variance(task, mode)
+def standardize_means(task: TaskSet, b0: BetweenVariance) -> tuple[float, ...]:
+    """Per-experiment z_i = (mean_i - grand_mean) / S0 against the fit ``b0``."""
     if b0.s0_sq <= 0.0:
         raise DegenerateVarianceError(
             f"task {task.task_id!r}: S0^2 is zero; standardized means undefined"

@@ -17,7 +17,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .distributions import QuadratureSpec
+from .distributions import _check_alpha
 from .errors import DomainError
 from .estimators import (
     ExperimentSummary,
@@ -25,7 +25,6 @@ from .estimators import (
     VarianceMode,
     between_variance,
     variance_ratio,
-    standardize_means,
 )
 from .adapters import statistic_from_summary
 from .significance import p_point, p_sig_closed, p_sig_given_b, p_sig_integral
@@ -39,10 +38,9 @@ __all__ = [
     "ScaleCalibration",
     "BiasRow",
     "DESK_ALPHA_LEVELS",
-    "desk_config",
+    "MIN_BIN_PAIRS",
     "desk_tasks",
     "sensitivity_tasks",
-    "qq_normal_deviation",
     "simulate_raw_task",
     "simulate_task",
     "simulate_tasks",
@@ -51,13 +49,15 @@ __all__ = [
     "bin_pairs",
     "replication_calibration",
     "calibration_correlation",
+    "calibration_gap",
+    "gap_direction",
     "sensitivity_sweep",
     "estimator_bias",
-    "df_ordering_check",
-    "standardized_means_sample",
 ]
 
 DESK_ALPHA_LEVELS = (0.1, 0.05, 0.01, 0.005, 0.001)
+# Bins with fewer pairs are reported but left out of calibration summaries.
+MIN_BIN_PAIRS = 40
 
 ForecastVariant = Literal["closed", "integral"]
 
@@ -96,8 +96,7 @@ class SimConfig:
         if self.n_tasks < 1:
             raise DomainError("n_tasks must be >= 1")
         for a in self.alpha_levels:
-            if not (0.0 < a < 1.0):
-                raise DomainError(f"alpha level {a!r} outside (0, 1)")
+            _check_alpha(a, "alpha level")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise DomainError("seed must be a 64-bit unsigned integer")
         if not (math.isfinite(self.variance_scale_e) and self.variance_scale_e > 0):
@@ -118,6 +117,11 @@ class CalibrationBin:
     mean_forecast: float
     observed_rate: float
     predictor_significant: bool
+
+    @property
+    def gap(self) -> float:
+        """observed_rate − mean_forecast."""
+        return self.observed_rate - self.mean_forecast
 
     @property
     def standard_error(self) -> float:
@@ -155,8 +159,8 @@ class Type1Row:
 class ScaleCalibration:
     """Calibration table at one variance-scale e, with directional summary.
 
-    ``mean_gap`` is the pair-weighted mean of (observed − forecast) over
-    included bins: positive means forecasts underestimated replication.
+    ``mean_gap`` is calibration_gap over the bins: positive means forecasts
+    underestimated replication.
     """
 
     scale: float
@@ -167,7 +171,7 @@ class ScaleCalibration:
 
     @property
     def direction(self) -> str:
-        return "underestimation" if self.mean_gap > 0 else "overestimation"
+        return gap_direction(self.mean_gap)
 
 
 @dataclass(frozen=True)
@@ -177,11 +181,6 @@ class BiasRow:
     true_sigma0_sq: float
     relative_bias: float
     reps: int
-
-
-def desk_config(**overrides) -> SimConfig:
-    """Desk-scale default config (K=25, N=190, 16 tasks)."""
-    return SimConfig(**overrides)
 
 
 def _ladder(
@@ -352,7 +351,6 @@ def task_pair_records(
     mode: VarianceMode = "as_published",
     scale_e: float = 1.0,
     variant: ForecastVariant = "closed",
-    spec: QuadratureSpec | None = None,
 ) -> list[PairRecord]:
     """Ordered predictor-target pair forecasts and outcomes for one task.
 
@@ -373,9 +371,7 @@ def task_pair_records(
     if variant == "closed":
         p_sigs = [p_sig_closed(s, bh, b0.nu0) for s, bh in zip(stats, b_hats)]
     elif variant == "integral":
-        p_sigs = [
-            p_sig_integral(s, bh, b0.nu0, spec) for s, bh in zip(stats, b_hats)
-        ]
+        p_sigs = [p_sig_integral(s, bh, b0.nu0) for s, bh in zip(stats, b_hats)]
     else:
         raise DomainError(f"unknown forecast variant {variant!r}")
     signs = [_sign(s.t) for s in stats]
@@ -403,7 +399,7 @@ def task_pair_records(
                     if variant == "closed":
                         forecast = p_rep_closed(query, b_hats[i], b0.nu0)
                     else:
-                        forecast = p_rep_integral(query, b_hats[i], b0.nu0, spec)
+                        forecast = p_rep_integral(query, b_hats[i], b0.nu0)
                     forecast_cache[key] = forecast
                 records.append(
                     PairRecord(
@@ -451,7 +447,6 @@ def replication_calibration(
     mode: VarianceMode = "as_published",
     variant: ForecastVariant = "closed",
     scale_e: float | None = None,
-    spec: QuadratureSpec | None = None,
 ) -> list[CalibrationBin]:
     """Predictor-target calibration bins over simulated tasks.
 
@@ -465,13 +460,13 @@ def replication_calibration(
         e = scale_e if scale_e is not None else config.variance_scale_e
         task = simulate_task(config, stream)
         records.extend(
-            task_pair_records(task, alphas, mode=mode, scale_e=e, variant=variant, spec=spec)
+            task_pair_records(task, alphas, mode=mode, scale_e=e, variant=variant)
         )
     return bin_pairs(records)
 
 
 def calibration_correlation(
-    bins: Sequence[CalibrationBin], min_pairs: int = 40
+    bins: Sequence[CalibrationBin], min_pairs: int = MIN_BIN_PAIRS
 ) -> float:
     """Pearson correlation of mean forecast vs observed rate over included bins."""
     included = [b for b in bins if b.pair_count >= min_pairs]
@@ -486,12 +481,36 @@ def calibration_correlation(
     return float(np.corrcoef(x, y)[0, 1])
 
 
+def calibration_gap(
+    bins: Sequence[CalibrationBin], min_pairs: int = MIN_BIN_PAIRS
+) -> float | None:
+    """Pair-weighted mean gap over bins with >= ``min_pairs`` pairs.
+
+    Positive means forecasts underestimated replication; None when no bin
+    has enough pairs.
+    """
+    included = [b for b in bins if b.pair_count >= min_pairs]
+    if not included:
+        return None
+    weight = sum(b.pair_count for b in included)
+    return sum(b.pair_count * b.gap for b in included) / weight
+
+
+def gap_direction(gap: float) -> str:
+    """Direction named by the sign of a mean calibration gap."""
+    if gap > 0:
+        return "underestimation"
+    if gap < 0:
+        return "overestimation"
+    return "balanced"
+
+
 def sensitivity_sweep(
     configs: SimConfig | Sequence[SimConfig],
     scales: Sequence[float] = (0.5, 0.75, 1.25, 1.5),
     alpha_levels: Sequence[float] | None = None,
     mode: VarianceMode = "as_published",
-    min_pairs: int = 40,
+    min_pairs: int = MIN_BIN_PAIRS,
 ) -> list[ScaleCalibration]:
     """Re-run the calibration with the S0² estimate scaled by each e.
 
@@ -505,18 +524,17 @@ def sensitivity_sweep(
         bins = replication_calibration(
             configs, alpha_levels=alpha_levels, mode=mode, scale_e=scale
         )
-        included = [b for b in bins if b.pair_count >= min_pairs]
-        if not included:
+        mean_gap = calibration_gap(bins, min_pairs)
+        if mean_gap is None:
             raise DomainError(f"no bins with >= {min_pairs} pairs at e={scale}")
-        weights = np.array([b.pair_count for b in included], dtype=float)
-        gaps = np.array([b.observed_rate - b.mean_forecast for b in included])
+        gaps = [b.gap for b in bins if b.pair_count >= min_pairs]
         out.append(
             ScaleCalibration(
                 scale=scale,
                 bins=tuple(bins),
-                mean_gap=float(np.average(gaps, weights=weights)),
-                bins_under=int(np.count_nonzero(gaps > 0)),
-                bins_over=int(np.count_nonzero(gaps < 0)),
+                mean_gap=mean_gap,
+                bins_under=sum(g > 0 for g in gaps),
+                bins_over=sum(g < 0 for g in gaps),
             )
         )
     return out
@@ -546,69 +564,3 @@ def estimator_bias(config: SimConfig, reps: int) -> list[BiasRow]:
             )
         )
     return rows
-
-
-def df_ordering_check(
-    config: SimConfig, alpha: float = 0.05, mode: VarianceMode = "as_published"
-) -> dict[str, float]:
-    """Null rejection rates of the mixture form under both df orderings.
-
-    Diagnostic for the F-density parameter order: simulates the
-    distributional null and reports how far each ordering's rejection
-    rate sits from alpha.
-    """
-    if config.mu0 != 0.0:
-        raise DomainError("df ordering check requires mu0 = 0")
-    rates = {"printed": 0, "swapped": 0}
-    trials = 0
-    for stream in range(config.n_tasks):
-        task = simulate_task(config, stream)
-        b0 = between_variance(task, mode)
-        for exp in task.experiments:
-            stat = statistic_from_summary(exp)
-            b_hat = variance_ratio(b0, exp)
-            trials += 1
-            if p_sig_integral(stat, b_hat, b0.nu0) <= alpha:
-                rates["printed"] += 1
-            if p_sig_integral(stat, b_hat, b0.nu0, swap_df_order=True) <= alpha:
-                rates["swapped"] += 1
-    return {
-        "alpha": alpha,
-        "trials": float(trials),
-        "printed": rates["printed"] / trials,
-        "swapped": rates["swapped"] / trials,
-    }
-
-
-def standardized_means_sample(
-    configs: SimConfig | Sequence[SimConfig],
-    mode: VarianceMode = "as_published",
-) -> np.ndarray:
-    """Pooled standardized means z_i = (mean_i − grand mean)/S0 across tasks."""
-    zs: list[float] = []
-    for config, stream in _expand_configs(configs):
-        task = simulate_task(config, stream)
-        zs.extend(standardize_means(task, mode=mode))
-    return np.array(zs)
-
-
-def qq_normal_deviation(
-    values: np.ndarray, probabilities: Sequence[float] | None = None
-) -> float:
-    """Max |empirical quantile − Normal quantile| on an interior grid.
-
-    The grid stays inside [0.005, 0.995]: extreme order statistics are
-    too noisy for a straightness check at any feasible sample size.
-    """
-    from scipy.special import ndtri
-
-    if probabilities is None:
-        probabilities = np.linspace(0.005, 0.995, 199)
-    values = np.asarray(values, dtype=float)
-    if values.size < 100:
-        raise DomainError("QQ check needs at least 100 values")
-    probs = np.asarray(probabilities, dtype=float)
-    if np.any(probs <= 0.0) or np.any(probs >= 1.0):
-        raise DomainError("QQ probabilities must lie strictly inside (0, 1)")
-    empirical = np.quantile(values, probs)
-    return float(np.max(np.abs(empirical - ndtri(probs))))

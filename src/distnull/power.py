@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import noncentral_t_cdf, t_quantile
+from .distributions import _check_alpha, noncentral_t_cdf, t_quantile
 from .errors import DomainError
 
 __all__ = [
@@ -45,8 +45,7 @@ class PowerQuery:
             raise DomainError(f"n must be finite and >= 2, got {self.n!r}")
         if not (math.isfinite(self.df) and self.df > 0):
             raise DomainError(f"df must be finite and > 0, got {self.df!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if self.b is not None and not (math.isfinite(self.b) and self.b > 0):
             raise DomainError(f"b must be finite and > 0 when given, got {self.b!r}")
 
@@ -85,9 +84,7 @@ def power_ceiling(effect: float, df: float, alpha: float) -> float:
     effect = float(effect)
     if not math.isfinite(effect):
         raise DomainError(f"effect must be finite, got {effect!r}")
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    alpha = _check_alpha(alpha)
     t_crit = t_quantile(1.0 - alpha / 2.0, df)
     theta = abs(effect)
     value = (
@@ -108,12 +105,8 @@ def required_sample_size(effect: float, alpha: float, target_power: float) -> in
     effect = float(effect)
     if not math.isfinite(effect):
         raise DomainError(f"effect must be finite, got {effect!r}")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not (0.0 < target_power < 1.0):
-        raise DomainError(
-            f"target_power must lie in (0, 1), got {target_power!r}"
-        )
+    _check_alpha(alpha)
+    _check_alpha(target_power, "target_power")
 
     def power_at(n: int) -> float:
         return 1.0 - beta_point(

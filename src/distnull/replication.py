@@ -17,19 +17,20 @@ import numpy as np
 from scipy import special as _sp
 
 from .distributions import (
-    QuadratureSpec,
+    _check_alpha,
+    _check_b_hat,
+    _check_nu0,
     f_density,
     find_positive_root,
     integrate,
     t_cdf,
     t_quantile,
 )
-from .errors import DegenerateVarianceError, DomainError
+from .errors import DomainError
 from .significance import TestStatistic
 
 __all__ = [
     "ReplicationQuery",
-    "ReplicationForecast",
     "BmaxResult",
     "p_rep_given_b",
     "p_rep_curve",
@@ -62,29 +63,9 @@ class ReplicationQuery:
             raise DomainError(f"n_r must be finite and >= 2, got {self.n_r!r}")
         if not (math.isfinite(self.df_r) and self.df_r > 0):
             raise DomainError(f"df_r must be finite and > 0, got {self.df_r!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if not (math.isfinite(self.c) and self.c > 0):
             raise DomainError(f"c must be finite and > 0, got {self.c!r}")
-
-
-@dataclass(frozen=True)
-class ReplicationForecast:
-    """Forecast variants for one query; absent variants are None."""
-
-    p_rep_closed: float | None
-    p_rep_integral: float | None
-    p_rep_bound: float | None
-    b_used: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        for name in ("p_rep_closed", "p_rep_integral", "p_rep_bound"):
-            v = getattr(self, name)
-            if v is not None and not (0.0 <= v <= 1.0):
-                raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
-        if not (math.isfinite(self.b_used) and self.b_used >= 0):
-            raise DomainError(f"b_used must be >= 0, got {self.b_used!r}")
 
 
 @dataclass(frozen=True)
@@ -159,13 +140,7 @@ def p_rep_bound(q: ReplicationQuery, bound: float) -> float:
     return p_rep_given_b(q, bound)
 
 
-def p_rep_integral(
-    q: ReplicationQuery,
-    b_hat: float,
-    nu0: float,
-    spec: QuadratureSpec | None = None,
-    literal_printed: bool = False,
-) -> float:
+def p_rep_integral(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
     """Replication probability integrated over uncertainty in b and c.
 
     The true ratio b is modeled as b_hat times an F(nu, nu0) factor and
@@ -173,20 +148,9 @@ def p_rep_integral(
     both are integrated against the general-c kernel:
 
         integral integral K(b*b_hat, c_q*c) f(b; nu, nu0) f(c; nu, nu_r) db dc.
-
-    ``literal_printed=True`` instead evaluates a transcription that keeps
-    |t|√(N·N_r) unscaled by b*b_hat and leaves c out of the kernel (its
-    density then integrates to one), kept only for comparison against the
-    consistently substituted default.
     """
-    b_hat = float(b_hat)
-    if not (math.isfinite(b_hat) and b_hat > 0.0):
-        raise DegenerateVarianceError(
-            f"b_hat must be > 0 for the mixture form, got {b_hat!r}"
-        )
-    nu0 = float(nu0)
-    if not (math.isfinite(nu0) and nu0 >= 1.0):
-        raise DomainError(f"nu0 must be >= 1, got {nu0!r}")
+    b_hat = _check_b_hat(b_hat)
+    nu0 = _check_nu0(nu0)
 
     t_abs = abs(q.stat.t)
     n = q.stat.n
@@ -194,23 +158,6 @@ def p_rep_integral(
     n_r = q.n_r
     df_r = q.df_r
     t_crit = _critical(q.alpha, df_r)
-
-    if literal_printed:
-
-        def integrand(b: float) -> float:
-            density = f_density(b, nu, nu0)
-            if density == 0.0:
-                return 0.0
-            bb = b * b_hat
-            one_plus_bn = 1.0 + bb * n
-            num = t_abs * math.sqrt(n * n_r) - t_crit * one_plus_bn * math.sqrt(
-                1.0 + bb * n_r
-            )
-            den = math.sqrt((one_plus_bn + bb * n_r) * one_plus_bn)
-            return t_cdf(num / den, df_r) * density
-
-        value = integrate(integrand, 0.0, math.inf, spec)
-        return min(1.0, max(0.0, value))
 
     def outer(b: float) -> float:
         density_b = f_density(b, nu, nu0)
@@ -225,9 +172,9 @@ def p_rep_integral(
             arg = _kernel_argument(t_abs, b_eff, n, n_r, t_crit, q.c * c)
             return t_cdf(float(arg), df_r) * density_c
 
-        return integrate(inner, 0.0, math.inf, spec) * density_b
+        return integrate(inner, 0.0, math.inf) * density_b
 
-    value = integrate(outer, 0.0, math.inf, spec)
+    value = integrate(outer, 0.0, math.inf)
     return min(1.0, max(0.0, value))
 
 
@@ -240,16 +187,10 @@ def p_rep_closed(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
     Requires nu0 > 2 (the nu0/(nu0−2) term is the mean of the inverse
     chi-square factor absorbing the uncertainty in b̂).
     """
-    b_hat = float(b_hat)
-    nu0 = float(nu0)
-    if not (math.isfinite(nu0) and nu0 > 2.0):
-        raise DomainError(
-            f"nu0 must be > 2 for the closed form, got {nu0!r}"
-        )
-    if not (math.isfinite(b_hat) and b_hat > 0.0):
-        raise DegenerateVarianceError(
-            f"b_hat must be > 0 for the closed form, got {b_hat!r}"
-        )
+    nu0 = _check_nu0(nu0)
+    if nu0 <= 2.0:
+        raise DomainError(f"nu0 must be > 2 for the closed form, got {nu0!r}")
+    b_hat = _check_b_hat(b_hat)
     n = q.stat.n
     n_r = q.n_r
     t_crit = _critical(q.alpha, q.df_r)
@@ -274,9 +215,7 @@ def b_max(stat: TestStatistic, alpha: float) -> BmaxResult:
     z_max <= tau. Assumes N_r = N and c = 1 (the regime in which the
     stationary condition is derived).
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 0.5):
-        raise DomainError(f"alpha must lie in (0, 0.5), got {alpha!r}")
+    alpha = _check_alpha(alpha, upper=0.5)
     if stat.t == 0.0:
         raise DomainError("b_max is undefined at t = 0")
     t_crit = t_quantile(1.0 - alpha / 2.0, stat.df)

@@ -13,17 +13,17 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .distributions import (
-    QuadratureSpec,
+    _check_b_hat,
+    _check_nu0,
     clamp_probability,
     f_density,
     integrate,
     t_cdf,
 )
-from .errors import DegenerateVarianceError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "TestStatistic",
-    "TestReport",
     "direction_of",
     "p_point",
     "p_sig_given_b",
@@ -31,8 +31,6 @@ __all__ = [
     "p_sig_integral",
     "p_sig_closed",
     "t0_statistic",
-    "effect_significance",
-    "report",
 ]
 
 Direction = Literal["negative", "positive"]
@@ -85,20 +83,6 @@ def direction_of(stat: TestStatistic) -> Direction:
     return "negative" if stat.t < 0 else "positive"
 
 
-@dataclass(frozen=True)
-class TestReport:
-    """Assembled significance decision for one experiment."""
-
-    statistic: TestStatistic
-    p_point: float
-    p_sig_closed: float | None
-    p_sig_integral: float | None
-    t0: float | None
-    direction: Direction
-    alpha: float
-    significant: bool
-
-
 def p_point(stat: TestStatistic) -> float:
     """Two-sided point-form significance 2T_nu(-|t|)."""
     return clamp_probability(2.0 * t_cdf(-abs(stat.t), stat.df))
@@ -130,55 +114,32 @@ def p_sig_bound(stat: TestStatistic, bound: float) -> float:
     return p_sig_given_b(stat, bound)
 
 
-def p_sig_integral(
-    stat: TestStatistic,
-    b_hat: float,
-    nu0: float,
-    spec: QuadratureSpec | None = None,
-    swap_df_order: bool = False,
-) -> float:
+def p_sig_integral(stat: TestStatistic, b_hat: float, nu0: float) -> float:
     """Distributional significance integrated over the uncertainty in b-hat.
 
     The true ratio b is modeled as b_hat times an F-distributed factor with
     (nu, nu0) degrees of freedom; the significance is the mixture
 
         integral_0^inf 2 T_nu(-|t| / sqrt(1 + b * b_hat * N)) f(b; nu, nu0) db.
-
-    ``swap_df_order=True`` uses f(b; nu0, nu) instead, for checking how
-    sensitive results are to the mixture's df ordering.
     """
-    b_hat = float(b_hat)
-    if not (math.isfinite(b_hat) and b_hat > 0.0):
-        raise DegenerateVarianceError(
-            f"b_hat must be > 0 for the mixture form (got {b_hat!r}); "
-            "use p_point when the between-experiment variance is zero"
-        )
-    nu0 = float(nu0)
-    if not (math.isfinite(nu0) and nu0 >= 1.0):
-        raise DomainError(f"nu0 must be >= 1, got {nu0!r}")
-    d1, d2 = (nu0, stat.df) if swap_df_order else (stat.df, nu0)
+    b_hat = _check_b_hat(b_hat)
+    nu0 = _check_nu0(nu0)
     t_abs = abs(stat.t)
     n = stat.n
     nu = stat.df
 
     def integrand(b: float) -> float:
-        density = f_density(b, d1, d2)
+        density = f_density(b, nu, nu0)
         if density == 0.0:
             return 0.0
         return 2.0 * t_cdf(-t_abs / math.sqrt(1.0 + b * b_hat * n), nu) * density
 
-    return clamp_probability(integrate(integrand, 0.0, math.inf, spec))
+    return clamp_probability(integrate(integrand, 0.0, math.inf))
 
 
 def t0_statistic(stat: TestStatistic, b_hat: float) -> float:
     """Distributional t-statistic t0 = t / sqrt(b_hat * N) = X̄ / S0."""
-    b_hat = float(b_hat)
-    if not (math.isfinite(b_hat) and b_hat > 0.0):
-        raise DegenerateVarianceError(
-            f"b_hat must be > 0 (got {b_hat!r}); t0 is undefined at zero "
-            "between-experiment variance — use the point form instead"
-        )
-    return stat.t / math.sqrt(b_hat * stat.n)
+    return stat.t / math.sqrt(_check_b_hat(b_hat) * stat.n)
 
 
 def p_sig_closed(stat: TestStatistic, b_hat: float, nu0: float) -> float:
@@ -188,62 +149,6 @@ def p_sig_closed(stat: TestStatistic, b_hat: float, nu0: float) -> float:
     from the within-experiment nu to the between-experiment nu0, since S0
     rather than S now carries the estimation noise.
     """
-    nu0 = float(nu0)
-    if not (math.isfinite(nu0) and nu0 >= 1.0):
-        raise DomainError(f"nu0 must be >= 1, got {nu0!r}")
+    nu0 = _check_nu0(nu0)
     t0 = t0_statistic(stat, b_hat)
     return clamp_probability(2.0 * t_cdf(-abs(t0), nu0))
-
-
-def effect_significance(effect: float, b: float, nu: float) -> float:
-    """Large-N distributional significance from the effect size alone.
-
-    2T_nu(-|d| / sqrt(b)): for bN >> 1 the sample size cancels and the
-    effect-to-spread ratio d/sqrt(b) determines significance directly.
-    """
-    effect = float(effect)
-    b = float(b)
-    if not math.isfinite(effect):
-        raise DomainError(f"effect must be finite, got {effect!r}")
-    if not (math.isfinite(b) and b > 0.0):
-        raise DomainError(f"b must be finite and > 0, got {b!r}")
-    return clamp_probability(2.0 * t_cdf(-abs(effect) / math.sqrt(b), nu))
-
-
-def report(
-    stat: TestStatistic,
-    alpha: float,
-    p_closed: float | None = None,
-    p_integral: float | None = None,
-    t0: float | None = None,
-    reference_direction: Direction | None = None,
-) -> TestReport:
-    """Assemble a TestReport and its significance decision.
-
-    The decision applies to the preferred available variant (integral,
-    else closed, else point) at level ``alpha``; when a reference
-    direction is supplied the observed direction must also match, which
-    makes the two-sided criterion equivalent to a one-sided test at
-    alpha/2.
-    """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    pp = p_point(stat)
-    chosen = p_integral if p_integral is not None else p_closed
-    if chosen is None:
-        chosen = pp
-    direction = direction_of(stat)
-    significant = chosen <= alpha
-    if reference_direction is not None and direction != reference_direction:
-        significant = False
-    return TestReport(
-        statistic=stat,
-        p_point=pp,
-        p_sig_closed=p_closed,
-        p_sig_integral=p_integral,
-        t0=t0,
-        direction=direction,
-        alpha=alpha,
-        significant=significant,
-    )

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from distnull import cli
-from distnull.significance import TestReport, TestStatistic
+from distnull.significance import TestStatistic
 
-# library classes, not test containers
-TestReport.__test__ = False
+# a library class, not a test container
 TestStatistic.__test__ = False
 
 

@@ -18,7 +18,6 @@ from distnull.adapters import (
     regression,
     regression_experiment_summary,
     regression_statistic,
-    slope_between_variance,
     statistic_from_summary,
     unpaired,
     unpaired_summary,
@@ -218,7 +217,13 @@ class TestSlopeBetweenVariance:
             x = rng.uniform(-2, 2, size=30)
             y = 0.5 * x + rng.normal(0, 1.0, size=30)
             summaries.append(regression(x, y))
-        got = slope_between_variance(summaries, "moment_corrected")
+        got = between_variance(
+            TaskSet(
+                "slopes",
+                tuple(regression_experiment_summary(s) for s in summaries),
+            ),
+            "moment_corrected",
+        )
         manual = between_variance(
             TaskSet(
                 "slopes",

@@ -86,6 +86,31 @@ class TestEstimate:
         assert keys == sorted(keys)
 
 
+    def test_degenerate_task_carries_no_estimate(self, tmp_path):
+        # moment mode clamps S0^2 at zero when the site means barely differ
+        path = write_csv(
+            tmp_path / "flat.csv",
+            SUMMARY_HEADER,
+            [
+                ["a", "s1", "30", "0.52", "1.1", "29"],
+                ["a", "s2", "28", "0.61", "0.9", "27"],
+                ["a", "s3", "33", "0.38", "1.3", "32"],
+            ],
+        )
+        est = str(tmp_path / "est.csv")
+        code, _, _ = run_cli(
+            ["estimate", "--input", path, "--mode", "moment", "--output", est]
+        )
+        assert code == 0
+        with open(est, encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert all(r["note"] == "degenerate_variance" for r in rows)
+        assert all(r["s0_sq"] == "0" and r["b_hat"] == "" for r in rows)
+        code, _, err = run_cli(["test", "--input", path, "--b-from", est])
+        assert code == 3
+        assert "--b-from has no estimate" in err
+
+
 class TestInputValidation:
     def test_missing_file(self, tmp_path):
         code, _, err = run_cli(["estimate", "--input", str(tmp_path / "nope.csv")])
@@ -265,6 +290,32 @@ class TestFamilies:
         row = parse(out)[0]
         assert float(row["n_r"]) == pytest.approx(80 * 0.4 * 0.6, rel=1e-12)
         assert row["df_r"] == "78"
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["test", "--b", "nan", "--nu0", "7"], "--b"),
+            (["test", "--b", "inf", "--nu0", "7"], "--b"),
+            (["test", "--b", "0.1", "--nu0", "inf"], "--nu0"),
+            (["test", "--variant", "bound", "--bound", "inf"], "--bound"),
+            (["test", "--b", "0.1", "--nu0", "7", "--alpha", "nan"], "--alpha"),
+            (["predict", "--nr", "40", "--variant", "bound", "--bound", "nan"],
+             "--bound"),
+            (["predict", "--nr", "1.5", "--b", "0.1", "--nu0", "7"], "--nr"),
+            (["predict", "--nr", "40", "--df-r", "0", "--b", "0.1", "--nu0", "7"],
+             "--df-r"),
+            (["bmax", "--alpha", "0.6"], "--alpha"),
+        ],
+    )
+    def test_rejected_before_input_is_read(self, tmp_path, argv, flag):
+        # the input file does not exist: a flag check that ran after
+        # reading would exit 2, one that ran per site would exit 4
+        missing = str(tmp_path / "missing.csv")
+        code, _, err = run_cli(argv + ["--input", missing])
+        assert code == 3
+        assert flag in err and "task" not in err
 
 
 class TestTest:

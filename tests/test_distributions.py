@@ -9,6 +9,7 @@ suite never depends on mpmath at run time.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -179,6 +180,32 @@ class TestFindPositiveRoot:
         coeffs = [1.0, 0.0, -4.0]
         assert find_positive_root(coeffs, 1e6) == pytest.approx(2.0, rel=1e-12)
         assert find_positive_root(coeffs, 1e-6) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [6e-8, 1e-4, 2.5])
+    def test_quintic_root_to_relative_precision(self, tau):
+        # the b_max quintic, solved exactly in rationals for the same
+        # float coefficients, must agree to relative 1e-14 even when the
+        # root is far below 1
+        coeffs = [1.0, 3.0, 3.0, 1.0 - 2.25 * tau * tau, -3.0 * tau * tau, -tau * tau]
+        exact = [Fraction(c) for c in coeffs]
+
+        def sign(z: Fraction) -> bool:
+            acc = Fraction(0)
+            for c in exact:
+                acc = acc * z + c
+            return acc > 0
+
+        lo, hi = Fraction(0), Fraction(tau)
+        assert not sign(lo) and sign(hi)
+        while hi - lo > hi * Fraction(1, 10**20):
+            mid = (lo + hi) / 2
+            if sign(mid):
+                hi = mid
+            else:
+                lo = mid
+        root = find_positive_root(coeffs, tau)
+        assert abs(Fraction(root) - lo) <= lo * Fraction(1, 10**14)
+        assert f"{root:.12g}" == f"{float(lo):.12g}"
 
     def test_two_sign_changes_rejected(self):
         # z^2 - 3z + 2 has two positive roots

@@ -17,8 +17,6 @@ from distnull.estimators import (
     ExperimentSummary,
     TaskSet,
     between_variance,
-    pooled_variance,
-    pooled_variance_ratio,
     standardize_means,
     summarize,
     variance_ratio,
@@ -145,15 +143,6 @@ class TestVarianceRatio:
         with pytest.raises(DegenerateVarianceError):
             variance_ratio(b0, degenerate)
 
-    def test_pooled_variants(self):
-        task = three_site_task()
-        b0 = between_variance(task)
-        pooled = pooled_variance(task)
-        assert pooled == pytest.approx(
-            (9 * 2.0 + 19 * 1.0 + 29 * 1.5) / (9 + 19 + 29)
-        )
-        assert pooled_variance_ratio(b0, task) == pytest.approx(b0.s0_sq / pooled)
-
 
 class TestStandardizeMeans:
     def test_hand_values(self):
@@ -172,7 +161,7 @@ class TestStandardizeMeans:
                 for _ in range(12)
             ),
         )
-        zs = standardize_means(task)
+        zs = standardize_means(task, between_variance(task))
         assert sum(zs) == pytest.approx(0.0, abs=1e-12)
 
     def test_scale_invariance(self):
@@ -181,8 +170,8 @@ class TestStandardizeMeans:
         samples = [rng.normal(rng.normal(0, 0.4), 1.0, size=25) for _ in range(8)]
         base = TaskSet("base", tuple(summarize(s) for s in samples))
         scaled = TaskSet("scaled", tuple(summarize(7.5 * s) for s in samples))
-        assert standardize_means(base) == pytest.approx(
-            standardize_means(scaled), rel=1e-12
+        assert standardize_means(base, between_variance(base)) == pytest.approx(
+            standardize_means(scaled, between_variance(scaled)), rel=1e-12
         )
 
     def test_degenerate_spread_rejected(self):
@@ -200,9 +189,14 @@ class TestStandardizeMeans:
             standardize_means(task, b0)
 
     def test_mode_passthrough(self):
+        # the z scale is the S0 of whichever fit is passed in
         task = three_site_task()
-        via_mode = standardize_means(task, mode="moment_corrected")
-        explicit = standardize_means(
-            task, between_variance(task, "moment_corrected")
+        b0 = between_variance(task, "moment_corrected")
+        s0 = math.sqrt(b0.s0_sq)
+        assert standardize_means(task, b0) == pytest.approx(
+            tuple((e.mean - b0.grand_mean) / s0 for e in task.experiments),
+            rel=1e-15,
         )
-        assert via_mode == explicit
+        assert standardize_means(task, b0) != pytest.approx(
+            standardize_means(task, between_variance(task, "as_published"))
+        )

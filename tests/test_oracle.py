@@ -15,10 +15,10 @@ from distnull.oracle import (
     SimConfig,
     bin_pairs,
     calibration_correlation,
-    desk_config,
+    calibration_gap,
     desk_tasks,
-    df_ordering_check,
     estimator_bias,
+    gap_direction,
     replication_calibration,
     sensitivity_sweep,
     sensitivity_tasks,
@@ -281,6 +281,26 @@ def synthetic_bin(mean_forecast, observed_rate, pair_count=40):
     )
 
 
+class TestCalibrationGap:
+    def test_pair_weighted_over_included_bins(self):
+        bins = [
+            synthetic_bin(0.10, 0.15, pair_count=40),
+            synthetic_bin(0.50, 0.45, pair_count=120),
+            synthetic_bin(0.90, 0.10, pair_count=39),  # too few pairs
+        ]
+        assert calibration_gap(bins) == pytest.approx(
+            (40 * 0.05 - 120 * 0.05) / 160, rel=1e-12
+        )
+
+    def test_no_included_bin(self):
+        assert calibration_gap([synthetic_bin(0.5, 0.6, pair_count=39)]) is None
+
+    def test_direction_names_the_sign(self):
+        assert gap_direction(0.01) == "underestimation"
+        assert gap_direction(-0.01) == "overestimation"
+        assert gap_direction(0.0) == "balanced"
+
+
 class TestCalibrationCorrelation:
     def test_linear_bins(self):
         bins = [
@@ -362,22 +382,6 @@ class TestEstimatorBias:
         assert published.mean_estimate > moment.mean_estimate > 0.0
 
 
-class TestDfOrderingCheck:
-    def test_requires_null(self):
-        with pytest.raises(DomainError):
-            df_ordering_check(small_config(mu0=0.5))
-
-    def test_smoke(self):
-        config = small_config(
-            mu0=0.0, k_experiments=4, n_tasks=2, n_per_experiment=20, seed=5
-        )
-        out = df_ordering_check(config)
-        assert set(out) == {"alpha", "trials", "printed", "swapped"}
-        assert out["trials"] == 8.0
-        assert 0.0 <= out["printed"] <= 1.0
-        assert 0.0 <= out["swapped"] <= 1.0
-
-
 class TestPresets:
     def test_desk_tasks_structure(self):
         configs = desk_tasks()
@@ -395,7 +399,8 @@ class TestPresets:
         assert desk_tasks(seed=7)[0].seed == 7
 
     def test_desk_config_overrides(self):
-        config = desk_config(n_tasks=2, seed=42)
+        # SimConfig's defaults are the desk scale (K=25, N=190)
+        config = SimConfig(n_tasks=2, seed=42)
         assert config.n_tasks == 2
         assert config.seed == 42
         assert config.k_experiments == 25
@@ -419,8 +424,8 @@ class TestStandardizedMeans:
         # Dividing the means by sqrt(S0^2 + S^2/N) should leave roughly
         # unit spread when the generative model matches.
         for stream in range(4):
-            task = simulate_task(desk_config(seed=20250801), stream)
-            z = standardize_means(task, mode="as_published")
+            task = simulate_task(SimConfig(seed=20250801), stream)
+            z = standardize_means(task, between_variance(task, "as_published"))
             assert 0.5 <= float(np.var(z, ddof=1)) <= 1.5
 
 

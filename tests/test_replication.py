@@ -217,12 +217,6 @@ class TestIntegralForm:
         integral = p_rep_integral(q, 0.15, 500)
         assert integral == pytest.approx(closed, rel=5e-2)
 
-    def test_literal_transcription_differs(self):
-        q = query(5.0, 100, 100, 99)
-        consistent = p_rep_integral(q, 0.1, 20)
-        literal = p_rep_integral(q, 0.1, 20, literal_printed=True)
-        assert abs(literal - consistent) > 0.1
-
     def test_valid_probability(self):
         q = query(1.5, 25, 25, 24)
         assert 0.0 <= p_rep_integral(q, 0.2, 8) <= 1.0
