@@ -16,7 +16,7 @@ estimators     Per-experiment summaries and between-experiment variance.
 significance   Two-sided tests against point and distributional nulls.
 replication    Replication-probability forecasts and the b_max diagnostic.
 power          Power, its ceiling, and sample-size search.
-adapters       One-sample, paired, two-sample, regression, contingency.
+adapters       Two-sample, slope and 2x2-table data as canonical summaries.
 oracle         Simulation harness for calibration and bias studies.
 cli            CSV-in, CSV-out command-line interface.
 """

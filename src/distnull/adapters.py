@@ -1,10 +1,16 @@
-"""Adapters mapping concrete test families onto the canonical interface.
+"""Adapters mapping concrete test families onto the canonical summary.
 
-One-sample, paired, and unpaired t-tests; least-squares slope tests; and
-2x2 contingency tables all reduce to (t, N-or-Q, df, effect) plus an
-ExperimentSummary whose (n, mean, variance) slots feed the between-
-experiment estimators. For slope families the predictor sum-of-squares Q
-plays the role of the sample size.
+Every family reduces to one one-sample-shaped ExperimentSummary
+(n, mean, variance, df) with Var(mean) = sigma^2/n, and its statistic is
+always t = mean/sqrt(variance/n) from ``statistic_from_summary``:
+
+- one-sample and paired: ``summarize`` of the values or the differences;
+- two-sample: ``unpaired_summary``, the mean difference with the pooled
+  variance and the effective size n1*n2/(n1+n2), df = n1+n2-2;
+- least-squares slope: ``regression_experiment_summary``, with the
+  predictor sum-of-squares Q in the sample-size slot;
+- 2x2 contingency table: the slope mapping of its 0/1 expansion,
+  ``contingency_regression``, by exact count arithmetic.
 """
 
 from __future__ import annotations
@@ -21,22 +27,18 @@ from .errors import (
     DomainError,
     InsufficientDataError,
 )
-from .estimators import ExperimentSummary, summarize
+from .estimators import ExperimentSummary
 from .significance import TestStatistic
 
 __all__ = [
     "RegressionSummary",
     "ContingencyTable",
     "statistic_from_summary",
-    "one_sample",
-    "paired",
-    "unpaired",
     "unpaired_summary",
     "regression",
     "regression_statistic",
     "regression_experiment_summary",
     "contingency_regression",
-    "contingency",
     "phi_coefficient",
 ]
 
@@ -95,9 +97,9 @@ class ContingencyTable:
 def statistic_from_summary(summary: ExperimentSummary) -> TestStatistic:
     """Canonical statistic t = (mean/S)·√n from an ExperimentSummary.
 
-    Valid whenever the summary's (n, mean, variance) triple follows the
-    one-sample convention — which includes the slope mapping, where n is
-    Q, mean the slope, and variance the MSE.
+    The one statistic formula: every family's summary follows the
+    one-sample convention, including the slope mapping, where n is Q,
+    mean the slope, and variance the MSE.
     """
     if summary.sample_variance <= 0.0:
         raise DegenerateVarianceError(
@@ -107,53 +109,30 @@ def statistic_from_summary(summary: ExperimentSummary) -> TestStatistic:
     return TestStatistic.from_effect(effect, summary.n, summary.df)
 
 
-def one_sample(values: Sequence[float]) -> TestStatistic:
-    """One-sample t: t = (X̄/S)√N with df = N−1."""
-    return statistic_from_summary(summarize(values))
-
-
-def paired(pairs: Sequence[tuple[float, float]]) -> TestStatistic:
-    """Paired t: the one-sample statistic of the within-pair differences."""
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise DomainError("pairs must be a sequence of (x, y) pairs")
-    return one_sample(arr[:, 0] - arr[:, 1])
-
-
-def _pooled(group_a: np.ndarray, group_b: np.ndarray) -> tuple[float, float, int]:
-    na, nb = group_a.size, group_b.size
-    if na < 2 or nb < 2:
-        raise InsufficientDataError("each group needs at least 2 values")
-    sse = float(np.sum((group_a - group_a.mean()) ** 2)) + float(
-        np.sum((group_b - group_b.mean()) ** 2)
-    )
-    df = na + nb - 2
-    return sse / df, float(group_a.mean() - group_b.mean()), na + nb
-
-
-def unpaired(group_a: Sequence[float], group_b: Sequence[float]) -> TestStatistic:
-    """Classical equal-variance two-sample t with N = total, df = N−2."""
-    a = np.asarray(group_a, dtype=float)
-    b = np.asarray(group_b, dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DomainError("group values must all be finite")
-    pooled, mean_diff, n = _pooled(a, b)
-    if pooled <= 0.0:
-        raise DegenerateVarianceError("pooled variance is zero")
-    t = mean_diff / math.sqrt(pooled * (1.0 / a.size + 1.0 / b.size))
-    return TestStatistic.from_t(t, n, n - 2)
-
-
 def unpaired_summary(
     group_a: Sequence[float], group_b: Sequence[float]
 ) -> ExperimentSummary:
-    """Two-sample experiment as (mean difference, pooled S², N total, df=N−2)."""
+    """Equal-variance two-sample experiment in one-sample slots.
+
+    mean = X̄a − X̄b, variance = pooled S², df = na+nb−2, and n the
+    effective size na·nb/(na+nb), so that Var(mean) = σ²/n: the slope
+    mapping of a regression on a 0/1 group indicator.
+    """
     a = np.asarray(group_a, dtype=float)
     b = np.asarray(group_b, dtype=float)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("group values must all be finite")
-    pooled, mean_diff, n = _pooled(a, b)
-    return ExperimentSummary(n=n, mean=mean_diff, sample_variance=pooled, df=n - 2)
+    na, nb = a.size, b.size
+    if na < 2 or nb < 2:
+        raise InsufficientDataError("each group needs at least 2 values")
+    sse = float(np.sum((a - a.mean()) ** 2)) + float(np.sum((b - b.mean()) ** 2))
+    df = na + nb - 2
+    return ExperimentSummary(
+        n=na * nb / (na + nb),
+        mean=float(a.mean() - b.mean()),
+        sample_variance=sse / df,
+        df=df,
+    )
 
 
 def regression(xs: Sequence[float], ys: Sequence[float]) -> RegressionSummary:
@@ -179,12 +158,7 @@ def regression(xs: Sequence[float], ys: Sequence[float]) -> RegressionSummary:
 
 def regression_statistic(summary: RegressionSummary) -> TestStatistic:
     """Slope t-statistic t = (M̄/S)√Q, with Q in the sample-size slot."""
-    if summary.mse <= 0.0:
-        raise DegenerateVarianceError(
-            "residual variance is zero; slope t-statistic undefined"
-        )
-    effect = summary.slope / math.sqrt(summary.mse)
-    return TestStatistic.from_effect(effect, summary.q, summary.df)
+    return statistic_from_summary(regression_experiment_summary(summary))
 
 
 def regression_experiment_summary(summary: RegressionSummary) -> ExperimentSummary:
@@ -222,11 +196,6 @@ def contingency_regression(table: ContingencyTable) -> RegressionSummary:
     syy = n1y * n0y / n
     sse = max(syy - slope * slope * q, 0.0)
     return RegressionSummary(slope=slope, q=q, mse=sse / (n - 2), df=n - 2, n=n)
-
-
-def contingency(table: ContingencyTable) -> TestStatistic:
-    """Slope t-statistic of the 0/1 expansion of a 2x2 table."""
-    return regression_statistic(contingency_regression(table))
 
 
 def phi_coefficient(table: ContingencyTable) -> float:

@@ -23,14 +23,10 @@ from dataclasses import dataclass
 
 from .adapters import (
     ContingencyTable,
-    contingency,
     contingency_regression,
-    paired,
     regression,
     regression_experiment_summary,
-    regression_statistic,
     statistic_from_summary,
-    unpaired,
     unpaired_summary,
 )
 from .distributions import PROB_FLOOR, _check_alpha, _check_df, _check_nu0
@@ -110,13 +106,17 @@ def _bool(flag: bool) -> str:
 
 @dataclass(frozen=True)
 class SiteData:
-    """One experiment, reduced to family-correct summary and statistic."""
+    """One experiment: its canonical summary and the statistic derived from it.
+
+    ``share`` is the first group's share of the N units in two-group
+    families (two-sample, contingency), and None elsewhere.
+    """
 
     task: str
     site: str
     summary: ExperimentSummary
     statistic: TestStatistic
-    predictor_share: float | None = None
+    share: float | None = None
 
 
 def _check_identifier(value: str | None, column: str, line: int) -> str:
@@ -216,7 +216,10 @@ def load_sites(path: str, family: str | None) -> tuple[str, list[SiteData]]:
     sites = []
     for (task, site), members in sorted(grouped.items()):
         try:
-            sites.append(_build_site(shape, task, site, members))
+            summary, share = _build_summary(shape, task, site, members)
+            sites.append(
+                SiteData(task, site, summary, statistic_from_summary(summary), share)
+            )
         except DomainError as exc:
             raise _wrap_domain(task, site, exc) from exc
     return shape, sites
@@ -230,9 +233,10 @@ def _by_task(sites: list[SiteData]) -> list[tuple[str, list[SiteData]]]:
     return sorted(groups.items())
 
 
-def _build_site(
+def _build_summary(
     shape: str, task: str, site: str, members: list[tuple[int, dict[str, str]]]
-) -> SiteData:
+) -> tuple[ExperimentSummary, float | None]:
+    """One site's rows as its canonical summary, with its two-group share."""
     if shape == "summary":
         if len(members) > 1:
             raise ParseError(
@@ -249,12 +253,11 @@ def _build_site(
             )
         except DomainError as exc:
             raise ParseError(str(exc), line=line) from exc
-        return SiteData(task, site, summary, statistic_from_summary(summary))
+        return summary, None
 
     if shape == "one_sample":
         values = [_parse_real(r["value"], "value", ln) for ln, r in members]
-        summary = summarize(values)
-        return SiteData(task, site, summary, statistic_from_summary(summary))
+        return summarize(values), None
 
     if shape == "two_sample":
         groups: dict[str, list[float]] = {}
@@ -266,23 +269,19 @@ def _build_site(
                 f"task {task!r} site {site!r} has {len(groups)} groups; need exactly 2"
             )
         first, second = sorted(groups)
-        summary = unpaired_summary(groups[first], groups[second])
-        return SiteData(task, site, summary, unpaired(groups[first], groups[second]))
+        share = len(groups[first]) / (len(groups[first]) + len(groups[second]))
+        return unpaired_summary(groups[first], groups[second]), share
 
     xy = [
         (_parse_real(r["x"], "x", ln), _parse_real(r["y"], "y", ln))
         for ln, r in members
     ]
     if shape == "paired":
-        stat = paired(xy)
-        summary = summarize([x - y for x, y in xy])
-        return SiteData(task, site, summary, stat)
+        return summarize([x - y for x, y in xy]), None
 
     if shape == "regression":
         rs = regression([x for x, _ in xy], [y for _, y in xy])
-        return SiteData(
-            task, site, regression_experiment_summary(rs), regression_statistic(rs)
-        )
+        return regression_experiment_summary(rs), None
 
     # contingency: 0/1 pairs aggregated to a 2x2 table
     counts = {(1, 1): 0, (1, 0): 0, (0, 1): 0, (0, 0): 0}
@@ -293,15 +292,8 @@ def _build_site(
     table = ContingencyTable(
         n11=counts[(1, 1)], n10=counts[(1, 0)], n01=counts[(0, 1)], n00=counts[(0, 0)]
     )
-    rs = contingency_regression(table)
     share = (table.n11 + table.n10) / table.total
-    return SiteData(
-        task,
-        site,
-        regression_experiment_summary(rs),
-        contingency(table),
-        predictor_share=share,
-    )
+    return regression_experiment_summary(contingency_regression(table)), share
 
 
 # ---------------------------------------------------------------------------
@@ -493,24 +485,33 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 
 
 def _replication_design(
-    args: argparse.Namespace, shape_family: str, s: SiteData
+    args: argparse.Namespace, shape: str, s: SiteData
 ) -> tuple[float, float]:
     """Per-family (n_r, df_r) from --nr / --df-r, per the documented map."""
-    n_r = args.nr
-    if shape_family == "two_sample":
-        df_r = args.df_r if args.df_r is not None else n_r - 2
-    elif shape_family == "regression":
-        if args.df_r is None:
+    n_r, df_r = args.nr, args.df_r
+    if shape == "regression":
+        if df_r is None:
             raise ConfigurationError(
                 "--family regression needs an explicit --df-r for prediction"
             )
-        df_r = args.df_r
-    elif shape_family == "contingency":
-        share = s.predictor_share if s.predictor_share is not None else 0.5
-        df_r = args.df_r if args.df_r is not None else n_r - 2
-        n_r = n_r * share * (1.0 - share)
-    else:
-        df_r = args.df_r if args.df_r is not None else n_r - 1
+    elif shape in ("two_sample", "contingency"):
+        # N_r units split at the observed share: effective size N_r*p*(1-p)
+        if df_r is None:
+            if n_r <= 2:
+                raise ConfigurationError(
+                    f"--nr {n_r:g} leaves no df_r = N_r - 2 for a {shape} "
+                    "replication; pass --nr > 2 or an explicit --df-r"
+                )
+            df_r = n_r - 2
+        n_r = n_r * s.share * (1.0 - s.share)
+        if n_r < 2:
+            raise ConfigurationError(
+                f"--nr {args.nr:g} at task {s.task!r} site {s.site!r} (share "
+                f"{s.share:.6g}) gives an effective replication size "
+                f"N_r*share*(1-share) = {n_r:.6g} < 2; pass a larger --nr"
+            )
+    elif df_r is None:
+        df_r = n_r - 1
     return n_r, df_r
 
 
@@ -615,8 +616,18 @@ def cmd_calibrate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]
 
 def cmd_power(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     _check_flag("--alpha", _check_alpha, args.alpha)
-    if args.n is None:
-        raise ConfigurationError("power requires --n")
+    if not math.isfinite(args.effect):
+        raise ConfigurationError(f"--effect must be finite, got {args.effect}")
+    if not (math.isfinite(args.n) and args.n >= 2):
+        raise ConfigurationError(f"--n must be finite and >= 2, got {args.n}")
+    if args.df is not None:
+        _check_flag("--df", lambda v: _check_df(v, "df"), args.df)
+    if args.b is not None and not (math.isfinite(args.b) and args.b > 0):
+        raise ConfigurationError(f"--b must be finite and > 0, got {args.b}")
+    if args.target_power is not None and not (0.0 < args.target_power < 1.0):
+        raise ConfigurationError(
+            f"--target-power must lie in (0, 1), got {args.target_power}"
+        )
     df = args.df if args.df is not None else args.n - 1
     header = [
         "effect", "n", "df", "alpha", "b", "beta_point", "power_point",
@@ -636,10 +647,6 @@ def cmd_power(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 
     target_text = feasible_text = required_text = ""
     if args.target_power is not None:
-        if not (0.0 < args.target_power < 1.0):
-            raise ConfigurationError(
-                f"--target-power must lie in (0, 1), got {args.target_power}"
-            )
         target_text = _real(args.target_power)
         if args.b is not None and args.target_power > ceiling:
             feasible_text = "false"

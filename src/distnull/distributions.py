@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
 from scipy import integrate as _sci_integrate
 from scipy import special as _sp
@@ -24,8 +23,6 @@ from .errors import (
 
 __all__ = [
     "PROB_FLOOR",
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
     "clamp_probability",
     "t_cdf",
     "t_density",
@@ -48,24 +45,10 @@ def clamp_probability(p: float) -> float:
     return min(1.0, max(PROB_FLOOR, p))
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budget for adaptive quadrature."""
-
-    absolute_tolerance: float = 1e-9
-    relative_tolerance: float = 1e-7
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.absolute_tolerance > 0 and math.isfinite(self.absolute_tolerance)):
-            raise DomainError("absolute_tolerance must be finite and > 0")
-        if not (self.relative_tolerance > 0 and math.isfinite(self.relative_tolerance)):
-            raise DomainError("relative_tolerance must be finite and > 0")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# Tolerances and subdivision budget of adaptive quadrature.
+QUAD_ABS_TOL = 1e-9
+QUAD_REL_TOL = 1e-7
+QUAD_LIMIT = 200
 
 
 def _check_df(nu: float, name: str = "nu") -> float:
@@ -208,12 +191,7 @@ def f_density(x: float, d1: float, d2: float) -> float:
     return float(math.exp(log_pdf))
 
 
-def integrate(
-    f: Callable[[float], float],
-    lower: float,
-    upper: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def integrate(f: Callable[[float], float], lower: float, upper: float) -> float:
     """Adaptive quadrature of ``f`` over [lower, upper]; upper may be inf.
 
     Semi-infinite ranges are mapped onto [0, 1) through x = lower + u/(1-u)
@@ -221,8 +199,6 @@ def integrate(
     its error bound) when the requested tolerance cannot be certified
     within the subdivision budget.
     """
-    if spec is None:
-        spec = DEFAULT_QUADRATURE
     lower = float(lower)
     upper = float(upper)
     if math.isnan(lower) or math.isnan(upper):
@@ -242,19 +218,14 @@ def integrate(
                 return 0.0
             return f(lower + u / w) / (w * w)
 
-        return _adaptive(transformed, 0.0, 1.0, spec)
+        return _adaptive(transformed, 0.0, 1.0)
 
-    return _adaptive(f, lower, upper, spec)
+    return _adaptive(f, lower, upper)
 
 
-def _adaptive(f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec) -> float:
+def _adaptive(f: Callable[[float], float], a: float, b: float) -> float:
     result = _sci_integrate.quad(
-        f,
-        a,
-        b,
-        epsabs=spec.absolute_tolerance,
-        epsrel=spec.relative_tolerance,
-        limit=spec.max_subdivisions,
+        f, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT,
         full_output=True,
     )
     value, abserr = float(result[0]), float(result[1])
@@ -262,9 +233,7 @@ def _adaptive(f: Callable[[float], float], a: float, b: float, spec: QuadratureS
     if not converged:
         # Budget exhausted or roundoff-limited: accept only if the
         # reported bound still certifies the requested tolerance.
-        tolerance = max(
-            spec.absolute_tolerance, spec.relative_tolerance * abs(value)
-        )
+        tolerance = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value))
         if not (abserr <= tolerance):
             raise NumericError(
                 "quadrature did not reach requested tolerance",

@@ -6,20 +6,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from distnull.adapters import (
     ContingencyTable,
-    contingency,
     contingency_regression,
-    one_sample,
-    paired,
     phi_coefficient,
     regression,
     regression_experiment_summary,
     regression_statistic,
     statistic_from_summary,
-    unpaired,
     unpaired_summary,
 )
 from distnull.errors import (
@@ -34,13 +32,14 @@ from distnull.estimators import (
     between_variance,
     summarize,
 )
+from distnull.significance import p_point
 
 
 class TestOneSample:
     def test_matches_scipy(self):
         rng = np.random.default_rng(1)
         values = rng.normal(0.3, 1.2, size=40)
-        stat = one_sample(values)
+        stat = statistic_from_summary(summarize(values))
         t_ref, _ = sstats.ttest_1samp(values, 0.0)
         assert stat.t == pytest.approx(float(t_ref), rel=1e-12)
         assert stat.n == 40
@@ -48,15 +47,19 @@ class TestOneSample:
         assert stat.effect == pytest.approx(stat.t / math.sqrt(40))
 
     def test_from_summary_equivalent(self):
+        # a hand-built summary row gives the statistic of the raw values
         rng = np.random.default_rng(2)
         values = rng.normal(0.0, 1.0, size=25)
-        direct = one_sample(values)
-        via_summary = statistic_from_summary(summarize(values))
-        assert via_summary.t == pytest.approx(direct.t, rel=1e-14)
+        direct = statistic_from_summary(summarize(values))
+        row = ExperimentSummary(
+            n=25, mean=float(np.mean(values)),
+            sample_variance=float(np.var(values, ddof=1)), df=24,
+        )
+        assert statistic_from_summary(row).t == pytest.approx(direct.t, rel=1e-14)
 
     def test_degenerate_variance(self):
         with pytest.raises(DegenerateVarianceError):
-            one_sample([1.0, 1.0, 1.0])
+            statistic_from_summary(summarize([1.0, 1.0, 1.0]))
 
 
 class TestPaired:
@@ -64,7 +67,7 @@ class TestPaired:
         rng = np.random.default_rng(3)
         x = rng.normal(0.5, 1.0, size=30)
         y = rng.normal(0.0, 1.0, size=30)
-        stat = paired(list(zip(x, y)))
+        stat = statistic_from_summary(summarize(x - y))
         t_ref, _ = sstats.ttest_rel(x, y)
         assert stat.t == pytest.approx(float(t_ref), rel=1e-12)
         assert stat.n == 30
@@ -72,7 +75,7 @@ class TestPaired:
 
     def test_too_few_pairs(self):
         with pytest.raises(InsufficientDataError):
-            paired([(1.0, 0.5)])
+            summarize([1.0 - 0.5])
 
 
 class TestUnpaired:
@@ -80,25 +83,43 @@ class TestUnpaired:
         rng = np.random.default_rng(4)
         a = rng.normal(0.4, 1.0, size=18)
         b = rng.normal(0.0, 1.3, size=26)
-        stat = unpaired(a, b)
+        stat = statistic_from_summary(unpaired_summary(a, b))
         t_ref, _ = sstats.ttest_ind(a, b, equal_var=True)
         assert stat.t == pytest.approx(float(t_ref), rel=1e-12)
-        assert stat.n == 44
+        assert stat.n == pytest.approx(18 * 26 / 44, rel=1e-15)
         assert stat.df == 42
-        assert stat.effect == pytest.approx(stat.t / math.sqrt(44))
+        assert stat.effect == pytest.approx(stat.t / math.sqrt(18 * 26 / 44))
 
     def test_summary_slots(self):
         rng = np.random.default_rng(5)
         a = rng.normal(0.4, 1.0, size=18)
         b = rng.normal(0.0, 1.0, size=26)
         summary = unpaired_summary(a, b)
-        assert summary.n == 44
+        assert summary.n == pytest.approx(18 * 26 / 44, rel=1e-15)
         assert summary.df == 42
         assert summary.mean == pytest.approx(float(np.mean(a) - np.mean(b)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        na=st.integers(2, 40),
+        nb=st.integers(2, 40),
+        shift=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_scipy(self, na, nb, shift, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(shift, 1.0, size=na)
+        b = rng.normal(0.0, 1.5, size=nb)
+        stat = statistic_from_summary(unpaired_summary(a, b))
+        ref = sstats.ttest_ind(a, b, equal_var=True)
+        assert stat.t == pytest.approx(float(ref.statistic), rel=1e-9, abs=1e-12)
+        assert p_point(stat) == pytest.approx(float(ref.pvalue), rel=1e-9)
+        assert stat.n == pytest.approx(na * nb / (na + nb), rel=1e-15)
+        assert stat.df == na + nb - 2
+
     def test_each_group_needs_two(self):
         with pytest.raises(InsufficientDataError):
-            unpaired([1.0], [0.0, 0.5, 1.5])
+            unpaired_summary([1.0], [0.0, 0.5, 1.5])
 
 
 class TestRegression:
@@ -189,7 +210,7 @@ class TestContingency:
 
     def test_statistic_is_slope_t(self):
         table = ContingencyTable(n11=21, n10=9, n01=8, n00=22)
-        stat = contingency(table)
+        stat = regression_statistic(contingency_regression(table))
         xs, ys = self.expand(table)
         ref = sstats.linregress(xs, ys)
         assert stat.t == pytest.approx(ref.slope / ref.stderr, rel=1e-10)

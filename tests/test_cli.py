@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 import scipy.stats
 
@@ -318,6 +319,120 @@ class TestNumericFlags:
         assert flag in err and "task" not in err
 
 
+class TestPowerFlags:
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--b", "nan"], "--b"),
+            (["--b", "0"], "--b"),
+            (["--df", "0"], "--df"),
+            (["--df", "nan"], "--df"),
+            (["--effect", "nan"], "--effect"),
+            (["--n", "nan"], "--n"),
+            (["--n", "1"], "--n"),
+            (["--target-power", "nan"], "--target-power"),
+        ],
+    )
+    def test_rejected_with_flag_name(self, extra, flag):
+        # power takes no --input; later flags override the base values
+        argv = ["power", "--effect", "0.5", "--n", "30"] + extra
+        code, out, err = run_cli(argv)
+        assert code == 3
+        assert out == ""
+        assert err.split()[1].rstrip(":") == flag
+
+
+def _regression_slots(x, y):
+    """Least-squares (Q, slope, SSE/(N-2), N-2) by the textbook formulas."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    dx = x - x.mean()
+    q = float(np.sum(dx * dx))
+    slope = float(np.sum(dx * y)) / q
+    residuals = y - y.mean() - slope * dx
+    return q, slope, float(np.sum(residuals * residuals)) / (x.size - 2), x.size - 2
+
+
+def _raw_and_summary(family, rng):
+    """Three sites of one task as raw rows and as README summary rows."""
+    raw, summary = [], []
+    for j, shift in enumerate((0.2, 0.5, 0.9)):
+        site = f"s{j}"
+        if family == "one_sample":
+            v = rng.normal(shift, 1.0, size=14 + j)
+            raw += [["a", site, repr(float(x))] for x in v]
+            slots = (v.size, v.mean(), v.var(ddof=1), v.size - 1)
+        elif family == "two_sample":
+            g1 = rng.normal(shift, 1.0, size=9 + 3 * j)
+            g2 = rng.normal(0.0, 1.2, size=16 - j)
+            raw += [["a", site, "g1", repr(float(x))] for x in g1]
+            raw += [["a", site, "g2", repr(float(x))] for x in g2]
+            df = g1.size + g2.size - 2
+            pooled = (np.sum((g1 - g1.mean()) ** 2) + np.sum((g2 - g2.mean()) ** 2)) / df
+            n_eff = g1.size * g2.size / (g1.size + g2.size)
+            slots = (n_eff, g1.mean() - g2.mean(), pooled, df)
+        elif family == "paired":
+            x = rng.normal(shift, 1.0, size=12 + j)
+            y = rng.normal(0.0, 1.0, size=12 + j)
+            raw += [["a", site, repr(float(p)), repr(float(q))] for p, q in zip(x, y)]
+            d = x - y
+            slots = (d.size, d.mean(), d.var(ddof=1), d.size - 1)
+        elif family == "regression":
+            x = rng.uniform(-2.0, 2.0, size=15 + j)
+            y = shift * x + rng.normal(0.0, 1.0, size=x.size)
+            raw += [["a", site, repr(float(p)), repr(float(q))] for p, q in zip(x, y)]
+            slots = _regression_slots(x, y)
+        else:  # contingency: the slope slots of the 0/1 pairs
+            x = rng.integers(0, 2, size=40 + 5 * j).astype(float)
+            y = (rng.uniform(size=x.size) < 0.3 + 0.2 * shift * x).astype(float)
+            raw += [["a", site, str(int(p)), str(int(q))] for p, q in zip(x, y)]
+            slots = _regression_slots(x, y)
+        summary.append(["a", site, *(repr(float(v)) for v in slots)])
+    return raw, summary
+
+
+class TestRawSummaryDifferential:
+    """Raw rows and their README summary encoding give the same report."""
+
+    HEADERS = {
+        "one_sample": ["task", "site", "value"],
+        "two_sample": ["task", "site", "group", "value"],
+        "paired": ["task", "site", "x", "y"],
+        "regression": ["task", "site", "x", "y"],
+        "contingency": ["task", "site", "x", "y"],
+    }
+    COMMANDS = [
+        ["estimate"],
+        ["test", "--b", "0.05", "--nu0", "5"],
+        ["test", "--b", "0.05", "--nu0", "5", "--variant", "integral"],
+        ["bmax"],
+    ]
+
+    @pytest.mark.parametrize("family", list(HEADERS))
+    def test_same_report(self, tmp_path, family):
+        raw_rows, summary_rows = _raw_and_summary(family, np.random.default_rng(31))
+        raw = write_csv(tmp_path / "raw.csv", self.HEADERS[family], raw_rows)
+        summary = write_csv(tmp_path / "summary.csv", SUMMARY_HEADER, summary_rows)
+        flag = [] if family in ("one_sample", "two_sample") else ["--family", family]
+        for command in self.COMMANDS:
+            code, out_raw, err = run_cli(command + ["--input", raw] + flag)
+            assert code == 0, err
+            code, out_summary, err = run_cli(command + ["--input", summary])
+            assert code == 0, err
+            rows_raw, rows_summary = parse(out_raw), parse(out_summary)
+            assert len(rows_raw) == len(rows_summary) == 3
+            for got, want in zip(rows_raw, rows_summary):
+                assert got.keys() == want.keys()
+                for column, text in want.items():
+                    try:
+                        expected = float(text)
+                    except ValueError:
+                        assert got[column] == text, (command, column)
+                        continue
+                    assert float(got[column]) == pytest.approx(
+                        expected, rel=1e-12
+                    ), (command, column)
+
+
 class TestTest:
     def test_closed_requires_variance_source(self, summary_file):
         code, _, err = run_cli(["test", "--input", summary_file])
@@ -480,6 +595,32 @@ class TestPredict:
         assert "--df-r" in err
         code, out, _ = run_cli(args + ["--df-r", "23"])
         assert code == 0
+
+    @pytest.mark.parametrize("family", ["two_sample", "contingency"])
+    def test_two_group_small_nr_is_configuration_error(self, tmp_path, family):
+        # balanced halves: the effective replication size is nr/4
+        if family == "two_sample":
+            rows = [["a", "l1", g, v] for g, v in
+                    (("g1", "0.1"), ("g1", "0.9"), ("g2", "0.4"), ("g2", "1.6"))]
+            path = write_csv(tmp_path / "two.csv", ["task", "site", "group", "value"],
+                             rows)
+            flags = []
+        else:
+            rows = [["a", "l1", x, y] for x, y in
+                    (("1", "1"), ("1", "0"), ("0", "0"), ("0", "1"))]
+            path = write_csv(tmp_path / "cont.csv", ["task", "site", "x", "y"], rows)
+            flags = ["--family", "contingency"]
+        args = ["predict", "--input", path, *flags, "--b", "0.1", "--nu0", "5"]
+        code, _, err = run_cli(args + ["--nr", "2"])
+        assert code == 3
+        assert "--nr" in err and "--df-r" in err and "site" not in err
+        code, _, err = run_cli(args + ["--nr", "6"])
+        assert code == 3
+        assert "--nr" in err and "1.5 < 2" in err
+        code, out, _ = run_cli(args + ["--nr", "8", "--df-r", "3"])
+        assert code == 0
+        row = parse(out)[0]
+        assert row["n_r"] == "2" and row["df_r"] == "3"
 
     def test_zero_t_leaves_diagnostics_empty(self, tmp_path):
         path = write_csv(

@@ -14,9 +14,7 @@ from fractions import Fraction
 import pytest
 
 from distnull.distributions import (
-    DEFAULT_QUADRATURE,
     PROB_FLOOR,
-    QuadratureSpec,
     clamp_probability,
     f_density,
     find_positive_root,
@@ -150,18 +148,8 @@ class TestIntegrate:
 
     def test_budget_exhaustion_raises_numeric(self):
         spiky = lambda x: math.sin(50.0 / (x + 1e-9))
-        tight = QuadratureSpec(
-            absolute_tolerance=1e-300,
-            relative_tolerance=1e-15,
-            max_subdivisions=4,
-        )
         with pytest.raises(NumericError):
-            integrate(spiky, 0.0, 1.0, tight)
-
-    def test_default_spec_is_reusable(self):
-        a = integrate(lambda x: t_density(x, 6), -8.0, 8.0, DEFAULT_QUADRATURE)
-        b = integrate(lambda x: t_density(x, 6), -8.0, 8.0)
-        assert a == b
+            integrate(spiky, 0.0, 1.0)
 
 
 class TestFindPositiveRoot:
