@@ -7,7 +7,8 @@ printed with 12 significant digits, probabilities below 1e-320 as
 repeated runs are byte-identical.
 
 Exit codes: 0 success, 2 parse (malformed input file or I/O), 3
-configuration (inconsistent flags or config file), 4 domain, 5 numeric.
+configuration (missing, unknown, malformed or inconsistent flags, or a bad
+config file), 4 domain, 5 numeric.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from typing import NoReturn
+
+import numpy as np
 
 from .adapters import (
     ContingencyTable,
@@ -119,18 +123,17 @@ class SiteData:
     share: float | None = None
 
 
-def _check_identifier(value: str | None, column: str, line: int) -> str:
-    if value is None or value == "":
+def _check_identifier(value: str, column: str, line: int) -> None:
+    if value == "":
         raise ParseError(f"missing {column}", line=line)
     if not IDENTIFIER.match(value):
         raise ParseError(
             f"{column} {value!r} must match [A-Za-z0-9_-]+", line=line
         )
-    return value
 
 
-def _parse_real(text: str | None, column: str, line: int) -> float:
-    if text is None or text == "":
+def _parse_real(text: str, column: str, line: int) -> float:
+    if text == "":
         raise ParseError(f"missing {column}", line=line)
     try:
         value = float(text)
@@ -141,28 +144,40 @@ def _parse_real(text: str | None, column: str, line: int) -> float:
     return value
 
 
-def _read_csv(path: str) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
+def _read_csv(path: str) -> tuple[list[str], list[int], dict[str, list[str]]]:
+    """The header, each row's line number, and each column's cells.
+
+    Rows stream straight into per-column lists; blank lines are skipped. A
+    row's line is the physical line it ends on. A repeated header name
+    maps to its last column.
+    """
     try:
         handle = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        fields = next(reader, None)
+        if fields is None:
             raise ParseError(f"{path} is empty", line=1)
-        fields = list(reader.fieldnames)
-        rows = []
+        width = len(fields)
+        cells: list[list[str]] = [[] for _ in fields]
+        appends = [column.append for column in cells]
+        lines: list[int] = []
         for row in reader:
-            line = reader.line_num
-            if row.get(None):
-                raise ParseError("row has more fields than the header", line=line)
-            for key in fields:
-                if row.get(key) is None:
-                    raise ParseError("row has fewer fields than the header", line=line)
-            rows.append((line, row))
-    if not rows:
+            if not row:
+                continue
+            if len(row) != width:
+                side = "more" if len(row) > width else "fewer"
+                raise ParseError(
+                    f"row has {side} fields than the header", line=reader.line_num
+                )
+            lines.append(reader.line_num)
+            for append, cell in zip(appends, row):
+                append(cell)
+    if not lines:
         raise ParseError(f"{path} has a header but no rows", line=1)
-    return fields, rows
+    return fields, lines, dict(zip(fields, cells))
 
 
 SUMMARY_COLUMNS = ("task", "site", "n", "mean", "variance", "df")
@@ -195,28 +210,110 @@ def _wrap_domain(task: str, site: str, exc: DomainError) -> DomainError:
     return type(exc)(f"task {task!r} site {site!r}: {exc}")
 
 
+# The cells each row of a shape is checked for, in the order they are checked.
+_ROW_CHECKS = {
+    "summary": (
+        ("n", _parse_real), ("mean", _parse_real),
+        ("variance", _parse_real), ("df", _parse_real),
+    ),
+    "one_sample": (("value", _parse_real),),
+    "two_sample": (("group", _check_identifier), ("value", _parse_real)),
+}
+_XY_CHECKS = (("x", _parse_real), ("y", _parse_real))
+
+
+def _floats(cells: list[str]) -> np.ndarray:
+    """A column parsed by ``float``, with NaN where a cell is not a number."""
+    try:
+        return np.array(list(map(float, cells)))
+    except ValueError:
+        return np.array([_float_or_nan(cell) for cell in cells])
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _invalid(values: list[str]) -> set[str]:
+    """The distinct values in ``values`` that are not identifiers."""
+    return {v for v in set(values) if not IDENTIFIER.match(v)}
+
+
+class _Table:
+    """An input file in columns: cells as read, numeric columns as floats.
+
+    Every cell is checked in bulk; ``faulty`` marks the rows holding one
+    that fails its check, or is None when no row does.
+    """
+
+    def __init__(self, shape: str, lines: list[int], cells: dict[str, list[str]]):
+        self.lines = lines
+        self.cells = cells
+        self.checks = _ROW_CHECKS.get(shape, _XY_CHECKS)
+        self.reals: dict[str, np.ndarray] = {}
+        faulty = np.zeros(len(lines), dtype=bool)
+        for column, check in self.checks:
+            if check is _parse_real:
+                self.reals[column] = _floats(cells[column])
+                faulty |= ~np.isfinite(self.reals[column])
+            else:
+                bad = _invalid(cells[column])
+                if bad:
+                    faulty |= np.array([cell in bad for cell in cells[column]])
+        self.faulty = faulty if faulty.any() else None
+
+    def check(self, rows: np.ndarray) -> None:
+        """Raise the first error the row-by-row checks meet in ``rows``, if any."""
+        if self.faulty is None or not self.faulty[rows].any():
+            return
+        for i in rows:
+            for column, check in self.checks:
+                check(self.cells[column][i], column, self.lines[i])
+
+
+def _site_rows(tasks: list[str], sites: list[str]) -> list[tuple[str, str, np.ndarray]]:
+    """Each (task, site) with its row indices in file order, sorted (task, site)."""
+    task_ids, site_ids = sorted(set(tasks)), sorted(set(sites))
+    task_rank = {t: i for i, t in enumerate(task_ids)}
+    site_rank = {s: i for i, s in enumerate(site_ids)}
+    task_codes = np.fromiter(map(task_rank.__getitem__, tasks), np.intp, len(tasks))
+    site_codes = np.fromiter(map(site_rank.__getitem__, sites), np.intp, len(sites))
+    key = task_codes * len(site_ids) + site_codes
+    order = np.argsort(key, kind="stable")  # stable: file order within a site
+    ordered = key[order]
+    bounds = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), len(order)]
+    groups = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        task, site = divmod(int(ordered[lo]), len(site_ids))
+        groups.append((task_ids[task], site_ids[site], order[lo:hi]))
+    return groups
+
+
 def load_sites(path: str, family: str | None) -> tuple[str, list[SiteData]]:
     """Ingest a CSV into per-site summaries and statistics, sorted (task, site).
 
     Returns the detected shape name alongside the sites.
     """
-    fields, rows = _read_csv(path)
+    fields, lines, cells = _read_csv(path)
     shape = _detect_shape(fields, family)
     if family is not None and shape != family:
         raise ConfigurationError(
             f"--family {family} does not apply to a {shape}-shaped file"
         )
+    tasks, site_names = cells["task"], cells["site"]
+    if _invalid(tasks) or _invalid(site_names):
+        for line, task, site in zip(lines, tasks, site_names):
+            _check_identifier(task, "task", line)
+            _check_identifier(site, "site", line)
 
-    grouped: dict[tuple[str, str], list[tuple[int, dict[str, str]]]] = {}
-    for line, row in rows:
-        task = _check_identifier(row.get("task"), "task", line)
-        site = _check_identifier(row.get("site"), "site", line)
-        grouped.setdefault((task, site), []).append((line, row))
-
+    table = _Table(shape, lines, cells)
     sites = []
-    for (task, site), members in sorted(grouped.items()):
+    for task, site, rows in _site_rows(tasks, site_names):
         try:
-            summary, share = _build_summary(shape, task, site, members)
+            summary, share = _build_summary(shape, task, site, table, rows)
             sites.append(
                 SiteData(task, site, summary, statistic_from_summary(summary), share)
             )
@@ -234,66 +331,67 @@ def _by_task(sites: list[SiteData]) -> list[tuple[str, list[SiteData]]]:
 
 
 def _build_summary(
-    shape: str, task: str, site: str, members: list[tuple[int, dict[str, str]]]
+    shape: str, task: str, site: str, table: _Table, rows: np.ndarray
 ) -> tuple[ExperimentSummary, float | None]:
     """One site's rows as its canonical summary, with its two-group share."""
     if shape == "summary":
-        if len(members) > 1:
+        if len(rows) > 1:
             raise ParseError(
                 f"duplicate summary row for task {task!r} site {site!r}",
-                line=members[1][0],
+                line=table.lines[rows[1]],
             )
-        line, row = members[0]
+        table.check(rows)
+        (row,) = rows
+        reals = table.reals
         try:
             summary = ExperimentSummary(
-                n=_parse_real(row["n"], "n", line),
-                mean=_parse_real(row["mean"], "mean", line),
-                sample_variance=_parse_real(row["variance"], "variance", line),
-                df=_parse_real(row["df"], "df", line),
+                n=float(reals["n"][row]),
+                mean=float(reals["mean"][row]),
+                sample_variance=float(reals["variance"][row]),
+                df=float(reals["df"][row]),
             )
         except DomainError as exc:
-            raise ParseError(str(exc), line=line) from exc
+            raise ParseError(str(exc), line=table.lines[row]) from exc
         return summary, None
 
+    table.check(rows)
     if shape == "one_sample":
-        values = [_parse_real(r["value"], "value", ln) for ln, r in members]
-        return summarize(values), None
+        return summarize(table.reals["value"][rows]), None
 
     if shape == "two_sample":
-        groups: dict[str, list[float]] = {}
-        for ln, r in members:
-            gid = _check_identifier(r.get("group"), "group", ln)
-            groups.setdefault(gid, []).append(_parse_real(r["value"], "value", ln))
-        if len(groups) != 2:
+        groups = [table.cells["group"][i] for i in rows]
+        ids = sorted(set(groups))
+        if len(ids) != 2:
             raise ParseError(
-                f"task {task!r} site {site!r} has {len(groups)} groups; need exactly 2"
+                f"task {task!r} site {site!r} has {len(ids)} groups; need exactly 2"
             )
-        first, second = sorted(groups)
-        share = len(groups[first]) / (len(groups[first]) + len(groups[second]))
-        return unpaired_summary(groups[first], groups[second]), share
+        values = table.reals["value"][rows]
+        in_first = np.array([g == ids[0] for g in groups])
+        first, second = values[in_first], values[~in_first]
+        share = first.size / (first.size + second.size)
+        return unpaired_summary(first, second), share
 
-    xy = [
-        (_parse_real(r["x"], "x", ln), _parse_real(r["y"], "y", ln))
-        for ln, r in members
-    ]
+    x, y = table.reals["x"][rows], table.reals["y"][rows]
     if shape == "paired":
-        return summarize([x - y for x, y in xy]), None
+        return summarize(x - y), None
 
     if shape == "regression":
-        rs = regression([x for x, _ in xy], [y for _, y in xy])
-        return regression_experiment_summary(rs), None
+        return regression_experiment_summary(regression(x, y)), None
 
     # contingency: 0/1 pairs aggregated to a 2x2 table
-    counts = {(1, 1): 0, (1, 0): 0, (0, 1): 0, (0, 0): 0}
-    for (ln, _), (x, y) in zip(members, xy):
-        if x not in (0.0, 1.0) or y not in (0.0, 1.0):
-            raise ParseError("contingency x and y must be 0 or 1", line=ln)
-        counts[(int(x), int(y))] += 1
-    table = ContingencyTable(
-        n11=counts[(1, 1)], n10=counts[(1, 0)], n01=counts[(0, 1)], n00=counts[(0, 0)]
+    binary = ((x == 0.0) | (x == 1.0)) & ((y == 0.0) | (y == 1.0))
+    if not binary.all():
+        raise ParseError(
+            "contingency x and y must be 0 or 1", line=table.lines[rows[binary.argmin()]]
+        )
+    counts = ContingencyTable(
+        n11=int(np.count_nonzero((x == 1.0) & (y == 1.0))),
+        n10=int(np.count_nonzero((x == 1.0) & (y == 0.0))),
+        n01=int(np.count_nonzero((x == 0.0) & (y == 1.0))),
+        n00=int(np.count_nonzero((x == 0.0) & (y == 0.0))),
     )
-    share = (table.n11 + table.n10) / table.total
-    return regression_experiment_summary(contingency_regression(table)), share
+    share = (counts.n11 + counts.n10) / counts.total
+    return regression_experiment_summary(contingency_regression(counts)), share
 
 
 # ---------------------------------------------------------------------------
@@ -321,22 +419,24 @@ class VarianceSource:
 
 
 def _load_b_from(path: str) -> dict[tuple[str, str], tuple[float, float]]:
-    fields, rows = _read_csv(path)
+    fields, lines, cells = _read_csv(path)
     needed = {"task", "site", "b_hat", "nu0"}
     if not needed <= set(fields):
         raise ParseError(f"{path} lacks columns task,site,b_hat,nu0", line=1)
     table: dict[tuple[str, str], tuple[float, float]] = {}
-    for line, row in rows:
-        task = _check_identifier(row.get("task"), "task", line)
-        site = _check_identifier(row.get("site"), "site", line)
-        if row["b_hat"] == "" or row["nu0"] == "":
+    for line, task, site, b_text, nu0_text in zip(
+        lines, cells["task"], cells["site"], cells["b_hat"], cells["nu0"]
+    ):
+        _check_identifier(task, "task", line)
+        _check_identifier(site, "site", line)
+        if b_text == "" or nu0_text == "":
             continue  # skipped or degenerate rows carry no estimate
         if (task, site) in table:
             raise ParseError(
                 f"duplicate estimate for task {task!r} site {site!r}", line=line
             )
-        b_hat = _parse_real(row["b_hat"], "b_hat", line)
-        nu0 = _parse_real(row["nu0"], "nu0", line)
+        b_hat = _parse_real(b_text, "b_hat", line)
+        nu0 = _parse_real(nu0_text, "nu0", line)
         if b_hat < 0:
             raise ParseError(f"b_hat must be >= 0, got {b_hat}", line=line)
         try:
@@ -504,12 +604,6 @@ def _replication_design(
                 )
             df_r = n_r - 2
         n_r = n_r * s.share * (1.0 - s.share)
-        if n_r < 2:
-            raise ConfigurationError(
-                f"--nr {args.nr:g} at task {s.task!r} site {s.site!r} (share "
-                f"{s.share:.6g}) gives an effective replication size "
-                f"N_r*share*(1-share) = {n_r:.6g} < 2; pass a larger --nr"
-            )
     elif df_r is None:
         df_r = n_r - 1
     return n_r, df_r
@@ -811,8 +905,19 @@ def _add_variance_source(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 3, the configuration code.
+
+    Subparsers are built from the same class, so every subcommand agrees.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="distnull",
         description=(
             "Significance and replication-probability analysis under a "

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 
-from scipy import integrate as _sci_integrate
 from scipy import special as _sp
 
 from .errors import (
@@ -224,7 +223,11 @@ def integrate(f: Callable[[float], float], lower: float, upper: float) -> float:
 
 
 def _adaptive(f: Callable[[float], float], a: float, b: float) -> float:
-    result = _sci_integrate.quad(
+    # Imported on first use: scipy.integrate adds about a quarter second to
+    # every start, and most commands never integrate.
+    from scipy.integrate import quad
+
+    result = quad(
         f, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT,
         full_output=True,
     )

@@ -46,8 +46,9 @@ __all__ = [
 class ReplicationQuery:
     """Original result plus the anticipated replication design.
 
-    ``n_r`` is the replication sample size N_r (or its continuous analog
-    for slope families), ``df_r`` its degrees of freedom, ``alpha`` the
+    ``n_r`` is the replication sample size N_r (an effective size for
+    two-group families, or its continuous analog for slope families, so
+    only n_r > 0 is required), ``df_r`` its degrees of freedom, ``alpha`` the
     significance level defining success, and ``c`` the anticipated ratio
     of replication to original within-experiment variance.
     """
@@ -59,8 +60,8 @@ class ReplicationQuery:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.n_r) and self.n_r >= 2):
-            raise DomainError(f"n_r must be finite and >= 2, got {self.n_r!r}")
+        if not (math.isfinite(self.n_r) and self.n_r > 0):
+            raise DomainError(f"n_r must be finite and > 0, got {self.n_r!r}")
         if not (math.isfinite(self.df_r) and self.df_r > 0):
             raise DomainError(f"df_r must be finite and > 0, got {self.df_r!r}")
         _check_alpha(self.alpha)

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -188,7 +191,20 @@ class TestInputValidation:
 
     def test_unknown_flag(self, summary_file):
         code, _, _ = run_cli(["estimate", "--input", summary_file, "--nope"])
-        assert code == 2
+        assert code == 3
+
+    def test_missing_input_flag(self):
+        code, out, err = run_cli(["estimate"])
+        assert (code, out) == (3, "")
+        assert err.startswith("usage: distnull estimate")
+        assert err.endswith(
+            "distnull estimate: error: the following arguments are required: --input\n"
+        )
+
+    def test_non_numeric_flag_value(self, summary_file):
+        code, _, err = run_cli(["test", "--input", summary_file, "--alpha", "abc"])
+        assert code == 3
+        assert "argument --alpha: invalid float value: 'abc'" in err
 
     def test_zero_variance_names_site(self, tmp_path):
         path = write_csv(
@@ -614,9 +630,11 @@ class TestPredict:
         code, _, err = run_cli(args + ["--nr", "2"])
         assert code == 3
         assert "--nr" in err and "--df-r" in err and "site" not in err
-        code, _, err = run_cli(args + ["--nr", "6"])
-        assert code == 3
-        assert "--nr" in err and "1.5 < 2" in err
+        # an effective replication size below 2 is valid: only n_r > 0 is required
+        code, out, err = run_cli(args + ["--nr", "6"])
+        assert (code, err) == (0, "")
+        row = parse(out)[0]
+        assert row["n_r"] == "1.5" and row["df_r"] == "4"
         code, out, _ = run_cli(args + ["--nr", "8", "--df-r", "3"])
         assert code == 0
         row = parse(out)[0]
@@ -695,6 +713,35 @@ class TestCalibrate:
         for row in parse(out):
             assert row["included"] == "false"
             assert row["direction"] == ""
+
+    def test_two_sample_effective_size_below_two(self, tmp_path):
+        # 3+3 values per site: each site's n, and so each n_r, is 1.5
+        rng = np.random.default_rng(3)
+        rows = [
+            ["a", f"l{s}", g, repr(float(v))]
+            for s in range(4)
+            for g, shift in (("g1", 0.8), ("g2", 0.0))
+            for v in rng.normal(shift, 1.0, size=3)
+        ]
+        path = write_csv(tmp_path / "two.csv", ["task", "site", "group", "value"], rows)
+        code, out, err = run_cli(["calibrate", "--input", path, "--alphas", "0.05"])
+        assert (code, err) == (0, "")
+        assert sum(int(r["pairs"]) for r in parse(out)) == 12
+
+    def test_regression_slope_size_below_two(self, tmp_path):
+        # x in 0..0.5: each site's Q, and so each n_r, is 0.175
+        rng = np.random.default_rng(4)
+        rows = [
+            ["a", f"l{s}", f"{x:.1f}", repr(float(2.0 * x + rng.normal(0.0, 0.3)))]
+            for s in range(4)
+            for x in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+        ]
+        path = write_csv(tmp_path / "reg.csv", ["task", "site", "x", "y"], rows)
+        code, out, err = run_cli([
+            "calibrate", "--input", path, "--family", "regression", "--alphas", "0.05",
+        ])
+        assert (code, err) == (0, "")
+        assert sum(int(r["pairs"]) for r in parse(out)) == 12
 
     def test_alpha_list_validation(self, summary_file):
         # alphas are parsed before any data is read
@@ -871,3 +918,43 @@ class TestDeterminism:
         out = run_cli(["estimate", "--input", summary_file])[1]
         assert out.endswith("\n") and not out.endswith("\n\n")
         assert "\r" not in out
+
+
+class TestLazyIntegrate:
+    SCRIPT = (
+        "import sys\n"
+        "import distnull.cli\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "sys.stdout.flush()\n"
+        "code = distnull.cli.main(sys.argv[1:])\n"
+        "print('scipy.integrate' in sys.modules, code)\n"
+    )
+
+    def test_integral_variant_imports_quadrature_on_use(self, raw_one_sample):
+        # a fresh interpreter: this one has scipy.integrate loaded by the tests
+        import distnull
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(distnull.__file__)),
+             *filter(None, [env.get("PYTHONPATH")])]
+        )
+        argv = ["test", "--input", raw_one_sample, "--variant", "integral",
+                "--b", "0.05", "--nu0", "5"]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.stderr == ""
+        before, *table, after = proc.stdout.splitlines(keepends=True)
+        assert before == "False\n"
+        assert after == "True 0\n"
+        got = [(r["task"], r["site"], r["t"], r["p_sig"]) for r in parse("".join(table))]
+        assert got == [
+            ("t0", "s0", "-0.0445207828457", "0.976488888186"),
+            ("t0", "s1", "0.0819539378163", "0.956738676623"),
+            ("t0", "s2", "2.47361836251", "0.131256589446"),
+            ("t1", "s0", "1.25017889594", "0.41837244746"),
+            ("t1", "s1", "1.18429813217", "0.442293370212"),
+            ("t1", "s2", "1.01452683818", "0.508185641013"),
+        ]

@@ -38,8 +38,13 @@ def query(t: float, n: float, n_r: float, df_r: float, alpha: float = 0.05):
 
 class TestQueryValidation:
     def test_small_replication_rejected(self):
-        with pytest.raises(DomainError):
-            query(2.0, 25, 1.5, 10)
+        for n_r in (0.0, -1.0):
+            with pytest.raises(DomainError, match="n_r must be finite and > 0"):
+                query(2.0, 25, n_r, 10)
+
+    def test_fractional_replication_size_accepted(self):
+        # effective sizes and slope Q_r may fall below 2; only n_r > 0 is required
+        assert 0.0 < p_rep_closed(query(2.0, 25, 1.5, 10), 0.1, 12) < 1.0
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(DomainError):
