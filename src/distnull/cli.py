@@ -8,19 +8,21 @@ repeated runs are byte-identical.
 
 Exit codes: 0 success, 2 parse (malformed input file or I/O), 3
 configuration (missing, unknown, malformed or inconsistent flags, or a bad
-config file), 4 domain, 5 numeric.
+config file), 4 domain, 5 numeric; each error class carries its code.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import re
 import sys
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
+from functools import partial
 from typing import NoReturn
 
 import numpy as np
@@ -33,7 +35,9 @@ from .adapters import (
     statistic_from_summary,
     unpaired_summary,
 )
-from .distributions import PROB_FLOOR, _check_alpha, _check_df, _check_nu0
+from .distributions import (
+    PROB_FLOOR, _check_alpha, _check_df, _check_finite, _check_nu0,
+)
 from .errors import (
     ConfigurationError,
     DistnullError,
@@ -108,7 +112,7 @@ def _bool(flag: bool) -> str:
 # input loading
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SiteData:
     """One experiment: its canonical summary and the statistic derived from it.
 
@@ -157,27 +161,37 @@ def _read_csv(path: str) -> tuple[list[str], list[int], dict[str, list[str]]]:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
-        fields = next(reader, None)
-        if fields is None:
-            raise ParseError(f"{path} is empty", line=1)
-        width = len(fields)
-        cells: list[list[str]] = [[] for _ in fields]
-        appends = [column.append for column in cells]
-        lines: list[int] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                side = "more" if len(row) > width else "fewer"
-                raise ParseError(
-                    f"row has {side} fields than the header", line=reader.line_num
-                )
-            lines.append(reader.line_num)
-            for append, cell in zip(appends, row):
-                append(cell)
+        try:
+            fields = next(reader, None)
+            if fields is None:
+                raise ParseError(f"{path} is empty", line=1)
+            width = len(fields)
+            cells: list[list[str]] = [[] for _ in fields]
+            appends = [column.append for column in cells]
+            lines: list[int] = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    side = "more" if len(row) > width else "fewer"
+                    raise ParseError(
+                        f"row has {side} fields than the header", line=reader.line_num
+                    )
+                lines.append(reader.line_num)
+                for append, cell in zip(appends, row):
+                    append(cell)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
+        except csv.Error as exc:  # e.g. a cell over the csv module's field limit
+            raise ParseError(f"{path}: {exc}", line=reader.line_num) from exc
     if not lines:
         raise ParseError(f"{path} has a header but no rows", line=1)
     return fields, lines, dict(zip(fields, cells))
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
+    # the text reader decodes in blocks, so the bad byte's line is unknown
+    return ParseError(f"{path} is not UTF-8 text ({exc.reason})")
 
 
 SUMMARY_COLUMNS = ("task", "site", "n", "mean", "variance", "df")
@@ -206,8 +220,19 @@ def _detect_shape(fields: Sequence[str], family: str | None) -> str:
     )
 
 
-def _wrap_domain(task: str, site: str, exc: DomainError) -> DomainError:
-    return type(exc)(f"task {task!r} site {site!r}: {exc}")
+@contextmanager
+def _located(where: Callable[[], str]) -> Iterator[None]:
+    """Prefix a domain or numeric error raised inside with ``where()``.
+
+    Wrapped around a whole loop, ``where`` reads the loop's variables only
+    when an error arrives, so the loop pays nothing per item. The error
+    keeps its class and attributes, such as a NumericError's estimate.
+    """
+    try:
+        yield
+    except (DomainError, NumericError) as exc:
+        exc.args = (f"{where()}: {exc}",)
+        raise
 
 
 # The cells each row of a shape is checked for, in the order they are checked.
@@ -311,14 +336,12 @@ def load_sites(path: str, family: str | None) -> tuple[str, list[SiteData]]:
 
     table = _Table(shape, lines, cells)
     sites = []
-    for task, site, rows in _site_rows(tasks, site_names):
-        try:
+    with _located(lambda: f"task {task!r} site {site!r}"):
+        for task, site, rows in _site_rows(tasks, site_names):
             summary, share = _build_summary(shape, task, site, table, rows)
             sites.append(
                 SiteData(task, site, summary, statistic_from_summary(summary), share)
             )
-        except DomainError as exc:
-            raise _wrap_domain(task, site, exc) from exc
     return shape, sites
 
 
@@ -398,27 +421,10 @@ def _build_summary(
 # variance-source resolution
 
 
-@dataclass(frozen=True)
-class VarianceSource:
-    """Resolved (b_hat, nu0) per experiment, or a global bound."""
-
-    constant: tuple[float, float] | None = None
-    table: dict[tuple[str, str], tuple[float, float]] | None = None
-    bound: float | None = None
-
-    def lookup(self, task: str, site: str) -> tuple[float, float]:
-        if self.constant is not None:
-            return self.constant
-        assert self.table is not None
-        try:
-            return self.table[(task, site)]
-        except KeyError:
-            raise ConfigurationError(
-                f"--b-from has no estimate for task {task!r} site {site!r}"
-            ) from None
+VarianceLookup = Callable[[str, str], tuple[float, float]]
 
 
-def _load_b_from(path: str) -> dict[tuple[str, str], tuple[float, float]]:
+def _load_b_from(path: str) -> VarianceLookup:
     fields, lines, cells = _read_csv(path)
     needed = {"task", "site", "b_hat", "nu0"}
     if not needed <= set(fields):
@@ -444,10 +450,20 @@ def _load_b_from(path: str) -> dict[tuple[str, str], tuple[float, float]]:
         except DomainError as exc:
             raise ParseError(str(exc), line=line) from None
         table[(task, site)] = (b_hat, nu0)
-    return table
+
+    def lookup(task: str, site: str) -> tuple[float, float]:
+        try:
+            return table[(task, site)]
+        except KeyError:
+            raise ConfigurationError(
+                f"--b-from has no estimate for task {task!r} site {site!r}"
+            ) from None
+
+    return lookup
 
 
-def resolve_variance(args: argparse.Namespace) -> VarianceSource:
+def resolve_variance(args: argparse.Namespace) -> VarianceLookup | None:
+    """Each site's (b_hat, nu0) lookup; None for the point and bound variants."""
     variant = args.variant
     has_b = args.b is not None
     has_from = args.b_from is not None
@@ -462,14 +478,11 @@ def resolve_variance(args: argparse.Namespace) -> VarianceSource:
         if has_b:
             if not has_nu0:
                 raise ConfigurationError("--b requires --nu0")
-            if not (math.isfinite(args.b) and args.b >= 0):
-                raise ConfigurationError(f"--b must be finite and >= 0, got {args.b}")
-            _check_flag("--nu0", _check_nu0, args.nu0)
-            return VarianceSource(constant=(args.b, args.nu0))
+            return lambda task, site: (args.b, args.nu0)
         if has_from:
             if has_nu0:
                 raise ConfigurationError("--nu0 conflicts with --b-from")
-            return VarianceSource(table=_load_b_from(args.b_from))
+            return _load_b_from(args.b_from)
         raise ConfigurationError(
             f"--variant {variant} needs a variance source: --b with --nu0, or --b-from"
         )
@@ -479,16 +492,9 @@ def resolve_variance(args: argparse.Namespace) -> VarianceSource:
             raise ConfigurationError("--variant bound uses --bound only")
         if not has_bound:
             raise ConfigurationError("--variant bound requires --bound")
-        if not (math.isfinite(args.bound) and args.bound > 0):
-            raise ConfigurationError(
-                f"--bound must be finite and > 0, got {args.bound}"
-            )
-        return VarianceSource(bound=args.bound)
-
-    # point
-    if has_b or has_from or has_bound or has_nu0:
+    elif has_b or has_from or has_bound or has_nu0:  # point
         raise ConfigurationError("--variant point takes no variance source flags")
-    return VarianceSource()
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -503,44 +509,37 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         "s0_sq", "nu0", "b_hat", "z", "mode", "note",
     ]
     out: list[list[str]] = []
-    for task, group in _by_task(sites):
-        base = [
-            [s.site, _real(s.summary.n), _real(s.summary.mean),
-             _real(s.summary.sample_variance), _real(s.summary.df)]
-            for s in group
-        ]
-        if len(group) < 2:
-            for cols in base:
-                out.append([task, *cols, "", "", "", "", "", "",
-                            mode, "skipped_single_site"])
-            continue
-        task_set = TaskSet(task, tuple(s.summary for s in group))
-        try:
+    with _located(lambda: f"task {task!r}"):
+        for task, group in _by_task(sites):
+            base = [
+                [s.site, _real(s.summary.n), _real(s.summary.mean),
+                 _real(s.summary.sample_variance), _real(s.summary.df)]
+                for s in group
+            ]
+            if len(group) < 2:
+                for cols in base:
+                    out.append([task, *cols, "", "", "", "", "", "",
+                                mode, "skipped_single_site"])
+                continue
+            task_set = TaskSet(task, tuple(s.summary for s in group))
             b0 = between_variance(task_set, mode)
-        except DomainError as exc:
-            raise type(exc)(f"task {task!r}: {exc}") from exc
-        if b0.s0_sq > 0.0:
-            zs = [_real(z) for z in standardize_means(task_set, b0)]
-            note = ""
-        else:
-            zs = [""] * len(group)
-            note = "degenerate_variance"
-        for s, cols, z in zip(group, base, zs):
-            b_hat = ""  # a degenerate task carries no estimate
-            if not note:
-                try:
-                    b_hat = _real(variance_ratio(b0, s.summary))
-                except DomainError as exc:
-                    raise _wrap_domain(task, s.site, exc) from exc
-            out.append([task, *cols, _real(task_set.k), _real(b0.grand_mean),
-                        _real(b0.s0_sq), _real(b0.nu0), b_hat, z, mode, note])
+            if b0.s0_sq > 0.0:
+                zs = [_real(z) for z in standardize_means(task_set, b0)]
+                note = ""
+            else:
+                zs = [""] * len(group)
+                note = "degenerate_variance"
+            for s, cols, z in zip(group, base, zs):
+                # a degenerate task carries no estimate; every loaded site
+                # has a positive variance, so the ratio is defined
+                b_hat = "" if note else _real(variance_ratio(b0, s.summary))
+                out.append([task, *cols, _real(task_set.k), _real(b0.grand_mean),
+                            _real(b0.s0_sq), _real(b0.nu0), b_hat, z, mode, note])
     return header, out
 
 
 def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    _check_flag("--alpha", _check_alpha, args.alpha)
-    _validate_scale(args.scale_e)
-    source = resolve_variance(args)
+    lookup = resolve_variance(args)
     _, sites = load_sites(args.input, args.family)
     header = [
         "task", "site", "n", "df", "t", "effect", "t0", "alpha", "variant",
@@ -548,18 +547,18 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         "p_sig", "log10_p_sig", "direction", "significant",
     ]
     out = []
-    for s in sites:
-        stat = s.statistic
-        pp = p_point(stat)
-        t0_text = b_text = nu0_text = bound_text = ""
-        try:
+    with _located(lambda: f"task {s.task!r} site {s.site!r}"):
+        for s in sites:
+            stat = s.statistic
+            pp = p_point(stat)
+            t0_text = b_text = nu0_text = bound_text = ""
             if args.variant == "point":
                 p_sig = pp
             elif args.variant == "bound":
-                p_sig = p_sig_bound(stat, source.bound)
-                bound_text = _real(source.bound)
+                p_sig = p_sig_bound(stat, args.bound)
+                bound_text = _real(args.bound)
             else:
-                b_hat, nu0 = source.lookup(s.task, s.site)
+                b_hat, nu0 = lookup(s.task, s.site)
                 b_used = b_hat * args.scale_e
                 if args.variant == "closed":
                     p_sig = p_sig_closed(stat, b_used, nu0)
@@ -568,19 +567,17 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
                 t0_text = _real(t0_statistic(stat, b_used))
                 b_text = _real(b_used)
                 nu0_text = _real(nu0)
-        except DomainError as exc:
-            raise _wrap_domain(s.task, s.site, exc) from exc
-        direction = direction_of(stat)
-        significant = p_sig <= args.alpha
-        if args.direction is not None and direction != args.direction:
-            significant = False
-        out.append([
-            s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t),
-            _real(stat.effect), t0_text, _real(args.alpha), args.variant,
-            b_text, nu0_text, bound_text, _real(args.scale_e),
-            _prob(pp), _log10(pp), _prob(p_sig), _log10(p_sig),
-            direction, _bool(significant),
-        ])
+            direction = direction_of(stat)
+            significant = p_sig <= args.alpha
+            if args.direction is not None and direction != args.direction:
+                significant = False
+            out.append([
+                s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t),
+                _real(stat.effect), t0_text, _real(args.alpha), args.variant,
+                b_text, nu0_text, bound_text, _real(args.scale_e),
+                _prob(pp), _log10(pp), _prob(p_sig), _log10(p_sig),
+                direction, _bool(significant),
+            ])
     return header, out
 
 
@@ -618,15 +615,7 @@ def _bmax_cells(stat: TestStatistic, alpha: float) -> list[str]:
 
 
 def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    _check_flag("--alpha", _check_bmax_alpha, args.alpha)
-    _validate_scale(args.scale_e)
-    if args.nr is None:
-        raise ConfigurationError("predict requires --nr")
-    if not (math.isfinite(args.nr) and args.nr >= 2):
-        raise ConfigurationError(f"--nr must be finite and >= 2, got {args.nr}")
-    if args.df_r is not None:
-        _check_flag("--df-r", lambda v: _check_df(v, "df_r"), args.df_r)
-    source = resolve_variance(args)
+    lookup = resolve_variance(args)
     shape, sites = load_sites(args.input, args.family)
     header = [
         "task", "site", "n", "df", "t", "n_r", "df_r", "alpha", "variant",
@@ -634,17 +623,17 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         "tau", "z_max", "b_max",
     ]
     out = []
-    for s in sites:
-        stat = s.statistic
-        n_r, df_r = _replication_design(args, shape, s)
-        b_text = nu0_text = bound_text = ""
-        try:
+    with _located(lambda: f"task {s.task!r} site {s.site!r}"):
+        for s in sites:
+            stat = s.statistic
+            n_r, df_r = _replication_design(args, shape, s)
+            b_text = nu0_text = bound_text = ""
             query = ReplicationQuery(stat=stat, n_r=n_r, df_r=df_r, alpha=args.alpha)
             if args.variant == "bound":
-                forecast = p_rep_bound(query, source.bound)
-                bound_text = _real(source.bound)
+                forecast = p_rep_bound(query, args.bound)
+                bound_text = _real(args.bound)
             else:
-                b_hat, nu0 = source.lookup(s.task, s.site)
+                b_hat, nu0 = lookup(s.task, s.site)
                 b_used = b_hat * args.scale_e
                 if args.variant == "closed":
                     forecast = p_rep_closed(query, b_used, nu0)
@@ -652,41 +641,34 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
                     forecast = p_rep_integral(query, b_used, nu0)
                 b_text = _real(b_used)
                 nu0_text = _real(nu0)
-            diag = _bmax_cells(stat, args.alpha)
-        except DomainError as exc:
-            raise _wrap_domain(s.task, s.site, exc) from exc
-        out.append([
-            s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t),
-            _real(n_r), _real(df_r), _real(args.alpha), args.variant,
-            b_text, nu0_text, bound_text, _real(args.scale_e),
-            _prob(forecast), _log10(forecast), *diag,
-        ])
+            out.append([
+                s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t),
+                _real(n_r), _real(df_r), _real(args.alpha), args.variant,
+                b_text, nu0_text, bound_text, _real(args.scale_e),
+                _prob(forecast), _log10(forecast), *_bmax_cells(stat, args.alpha),
+            ])
     return header, out
 
 
 def cmd_calibrate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    _validate_scale(args.scale_e)
-    alphas = _parse_alphas(args.alphas)
     mode = _MODES[args.mode]
     _, sites = load_sites(args.input, args.family)
     records = []
-    for task, group in _by_task(sites):
-        if len(group) < 2:
-            print(
-                f"warning: task {task!r} has a single site; skipped",
-                file=sys.stderr,
-            )
-            continue
-        task_set = TaskSet(task, tuple(s.summary for s in group))
-        try:
+    with _located(lambda: f"task {task!r}"):
+        for task, group in _by_task(sites):
+            if len(group) < 2:
+                print(
+                    f"warning: task {task!r} has a single site; skipped",
+                    file=sys.stderr,
+                )
+                continue
+            task_set = TaskSet(task, tuple(s.summary for s in group))
             records.extend(
                 task_pair_records(
-                    task_set, alphas, mode=mode,
+                    task_set, args.alphas, mode=mode,
                     scale_e=args.scale_e, variant=args.variant,
                 )
             )
-        except DomainError as exc:
-            raise type(exc)(f"task {task!r}: {exc}") from exc
     if not records:
         raise DomainError("no task with >= 2 sites; nothing to calibrate")
 
@@ -709,19 +691,6 @@ def cmd_calibrate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]
 
 
 def cmd_power(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    _check_flag("--alpha", _check_alpha, args.alpha)
-    if not math.isfinite(args.effect):
-        raise ConfigurationError(f"--effect must be finite, got {args.effect}")
-    if not (math.isfinite(args.n) and args.n >= 2):
-        raise ConfigurationError(f"--n must be finite and >= 2, got {args.n}")
-    if args.df is not None:
-        _check_flag("--df", lambda v: _check_df(v, "df"), args.df)
-    if args.b is not None and not (math.isfinite(args.b) and args.b > 0):
-        raise ConfigurationError(f"--b must be finite and > 0, got {args.b}")
-    if args.target_power is not None and not (0.0 < args.target_power < 1.0):
-        raise ConfigurationError(
-            f"--target-power must lie in (0, 1), got {args.target_power}"
-        )
     df = args.df if args.df is not None else args.n - 1
     header = [
         "effect", "n", "df", "alpha", "b", "beta_point", "power_point",
@@ -766,15 +735,13 @@ def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: config must be a JSON object")
-    allowed = {
-        "mu0", "sigma0", "sigma", "n_per_experiment", "k_experiments",
-        "n_tasks", "alpha_levels", "seed", "variance_scale_e",
-    }
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {field.name for field in dataclasses.fields(SimConfig)}
     if unknown:
         raise ConfigurationError(
             "unknown config keys: " + ",".join(sorted(unknown))
@@ -788,9 +755,7 @@ def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
         raw["seed"] = seed_override
     try:
         return SimConfig(**raw)
-    except DomainError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
-    except TypeError as exc:
+    except (DomainError, TypeError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
@@ -808,20 +773,16 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 
 
 def cmd_bmax(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    _check_flag("--alpha", _check_bmax_alpha, args.alpha)
     _, sites = load_sites(args.input, args.family)
     header = ["task", "site", "n", "df", "t", "effect", "alpha", "tau", "z_max", "b_max"]
     out = []
-    for s in sites:
-        stat = s.statistic
-        try:
-            diag = _bmax_cells(stat, args.alpha)
-        except DomainError as exc:
-            raise _wrap_domain(s.task, s.site, exc) from exc
-        out.append([
-            s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t),
-            _real(stat.effect), _real(args.alpha), *diag,
-        ])
+    with _located(lambda: f"task {s.task!r} site {s.site!r}"):
+        for s in sites:
+            stat = s.statistic
+            out.append([
+                s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t),
+                _real(stat.effect), _real(args.alpha), *_bmax_cells(stat, args.alpha),
+            ])
     return header, out
 
 
@@ -829,21 +790,12 @@ def cmd_bmax(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 # plumbing
 
 
-def _check_flag(flag: str, check: Callable[[float], float], value: float) -> float:
-    """Apply a domain check to a flag value; a failure names the flag."""
+def _check_flag(flag: str, check: Callable, value: object) -> object:
+    """Apply a check to a flag value; a domain failure names the flag."""
     try:
         return check(value)
     except DomainError as exc:
         raise ConfigurationError(f"{flag}: {exc}") from None
-
-
-def _check_bmax_alpha(alpha: float) -> float:
-    return _check_alpha(alpha, upper=0.5)  # the b_max diagnostic needs alpha < 0.5
-
-
-def _validate_scale(scale_e: float) -> None:
-    if not (math.isfinite(scale_e) and scale_e > 0.0):
-        raise ConfigurationError(f"--scale-e must be > 0, got {scale_e}")
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
@@ -861,6 +813,43 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
             raise ConfigurationError(f"duplicate alpha {value}")
         levels.append(value)
     return tuple(levels)
+
+
+def _check_at_least(value: float, low: float, name: str) -> float:
+    if not (math.isfinite(value) and value >= low):
+        raise DomainError(f"{name} must be finite and >= {low:g}, got {value!r}")
+    return value
+
+
+_SCALE_E = partial(_check_df, name="scale_e")
+_BMAX_ALPHA = partial(_check_alpha, upper=0.5)  # the b_max cells need alpha < 0.5
+_VARIANCE_SOURCE = {
+    "--b": partial(_check_at_least, low=0.0, name="b"),
+    "--nu0": _check_nu0,
+    "--bound": partial(_check_df, name="bound"),
+}
+
+# Each subcommand's flag checks, in the order they run. main runs them
+# before the command reads any input, skips absent flags, and passes on
+# the value each check returns; a failure names its flag (exit 3).
+_FLAG_CHECKS: dict[str, dict[str, Callable]] = {
+    "test": {"--alpha": _check_alpha, "--scale-e": _SCALE_E, **_VARIANCE_SOURCE},
+    "predict": {
+        "--alpha": _BMAX_ALPHA, "--scale-e": _SCALE_E,
+        "--nr": partial(_check_at_least, low=2.0, name="n_r"),
+        "--df-r": partial(_check_df, name="df_r"), **_VARIANCE_SOURCE,
+    },
+    "calibrate": {"--scale-e": _SCALE_E, "--alphas": _parse_alphas},
+    "power": {
+        "--alpha": _check_alpha,
+        "--effect": partial(_check_finite, name="effect"),
+        "--n": partial(_check_at_least, low=2.0, name="n"),
+        "--df": partial(_check_df, name="df"),
+        "--b": partial(_check_df, name="b"),
+        "--target-power": partial(_check_alpha, name="target_power"),
+    },
+    "bmax": {"--alpha": _BMAX_ALPHA},
+}
 
 
 def _write(path: str | None, header: list[str], rows: Iterable[list[str]]) -> None:
@@ -952,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant", choices=("closed", "integral", "bound"), default="closed"
     )
     p.add_argument(
-        "--nr", "--n-rep", dest="nr", type=float,
+        "--nr", "--n-rep", dest="nr", type=float, required=True,
         help="replication size: N_r (count families) or Q_r (regression)",
     )
     p.add_argument(
@@ -997,26 +986,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        for flag, check in _FLAG_CHECKS.get(args.command, {}).items():
+            dest = flag[2:].replace("-", "_")
+            value = getattr(args, dest)
+            if value is not None:
+                setattr(args, dest, _check_flag(flag, check, value))
         header, rows = args.func(args)
         _write(getattr(args, "output", None), header, rows)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except DistnullError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
     return 0
 
 

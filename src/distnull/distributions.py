@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
+from functools import lru_cache
 
 from scipy import special as _sp
 
@@ -116,6 +117,12 @@ def t_quantile(p: float, nu: float) -> float:
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile level must lie strictly in (0, 1), got {p!r}")
     return float(_sp.stdtrit(nu, p))
+
+
+@lru_cache(maxsize=4096)
+def _critical(alpha: float, df: float) -> float:
+    """Two-sided critical value T⁻¹_df(1 − alpha/2) of a level-alpha t test."""
+    return t_quantile(1.0 - alpha / 2.0, df)
 
 
 def _chi2_log_pdf(v: float, nu: float) -> float:

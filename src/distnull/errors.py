@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 Every failure mode named by an operation contract maps onto one of these
-classes so that callers (and the CLI's exit-code mapping) can dispatch on
-type rather than on message text.
+classes so that callers can dispatch on type rather than on message text.
+Each class carries the exit code the CLI returns for it.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 class DistnullError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 4
+
 
 class ParseError(DistnullError):
     """Malformed input file or record.
@@ -18,6 +20,8 @@ class ParseError(DistnullError):
     Carries the 1-based line number when known so CLI messages can point
     at the offending row.
     """
+
+    exit_code = 2
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -28,6 +32,8 @@ class ParseError(DistnullError):
 
 class ConfigurationError(DistnullError):
     """Invalid or inconsistent command/run configuration."""
+
+    exit_code = 3
 
 
 class DomainError(DistnullError):
@@ -56,6 +62,8 @@ class NumericError(DistnullError):
     ``best_estimate`` and ``error_bound`` carry the last iterate and its
     estimated error so callers can decide whether to accept it anyway.
     """
+
+    exit_code = 5
 
     def __init__(
         self,

@@ -27,7 +27,9 @@ from .estimators import (
     variance_ratio,
 )
 from .adapters import statistic_from_summary
-from .significance import p_point, p_sig_closed, p_sig_given_b, p_sig_integral
+from .significance import (
+    direction_of, p_point, p_sig_closed, p_sig_given_b, p_sig_integral,
+)
 from .replication import ReplicationQuery, p_rep_closed, p_rep_integral
 
 __all__ = [
@@ -341,10 +343,6 @@ def type1_calibration(
     return rows
 
 
-def _sign(x: float) -> int:
-    return -1 if x < 0 else 1
-
-
 def task_pair_records(
     task: TaskSet,
     alphas: Sequence[float],
@@ -374,7 +372,7 @@ def task_pair_records(
         p_sigs = [p_sig_integral(s, bh, b0.nu0) for s, bh in zip(stats, b_hats)]
     else:
         raise DomainError(f"unknown forecast variant {variant!r}")
-    signs = [_sign(s.t) for s in stats]
+    signs = [direction_of(s) for s in stats]
 
     records: list[PairRecord] = []
     k = len(experiments)

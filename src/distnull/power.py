@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import _check_alpha, noncentral_t_cdf, t_quantile
+from .distributions import _check_alpha, _critical, noncentral_t_cdf
 from .errors import DomainError
 
 __all__ = [
@@ -51,7 +51,7 @@ class PowerQuery:
 
 
 def _beta_at_noncentrality(theta: float, df: float, alpha: float) -> float:
-    t_crit = t_quantile(1.0 - alpha / 2.0, df)
+    t_crit = _critical(alpha, df)
     beta = noncentral_t_cdf(t_crit, df, theta) - noncentral_t_cdf(-t_crit, df, theta)
     return min(1.0, max(0.0, beta))
 
@@ -84,8 +84,7 @@ def power_ceiling(effect: float, df: float, alpha: float) -> float:
     effect = float(effect)
     if not math.isfinite(effect):
         raise DomainError(f"effect must be finite, got {effect!r}")
-    alpha = _check_alpha(alpha)
-    t_crit = t_quantile(1.0 - alpha / 2.0, df)
+    t_crit = _critical(_check_alpha(alpha), df)
     theta = abs(effect)
     value = (
         1.0

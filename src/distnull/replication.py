@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -20,11 +19,11 @@ from .distributions import (
     _check_alpha,
     _check_b_hat,
     _check_nu0,
+    _critical,
     f_density,
     find_positive_root,
     integrate,
     t_cdf,
-    t_quantile,
 )
 from .errors import DomainError
 from .significance import TestStatistic
@@ -84,11 +83,6 @@ class BmaxResult:
             raise DomainError(
                 f"z_max={self.z_max!r} exceeds tau={self.tau!r}"
             )
-
-
-@lru_cache(maxsize=4096)
-def _critical(alpha: float, df: float) -> float:
-    return t_quantile(1.0 - alpha / 2.0, df)
 
 
 def _kernel_argument(t_abs, b, n, n_r, t_crit, c):
@@ -219,8 +213,7 @@ def b_max(stat: TestStatistic, alpha: float) -> BmaxResult:
     alpha = _check_alpha(alpha, upper=0.5)
     if stat.t == 0.0:
         raise DomainError("b_max is undefined at t = 0")
-    t_crit = t_quantile(1.0 - alpha / 2.0, stat.df)
-    tau = abs(stat.t) / t_crit
+    tau = abs(stat.t) / _critical(alpha, stat.df)
     tau_sq = tau * tau
     coeffs = [1.0, 3.0, 3.0, 1.0 - 2.25 * tau_sq, -3.0 * tau_sq, -tau_sq]
     z_max = find_positive_root(coeffs, bracket_hint=tau)

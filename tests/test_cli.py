@@ -13,6 +13,8 @@ import pytest
 import scipy.stats
 
 from conftest import run_cli, write_csv
+from distnull import cli
+from distnull.errors import NumericError
 
 SUMMARY_HEADER = ["task", "site", "n", "mean", "variance", "df"]
 
@@ -309,46 +311,64 @@ class TestFamilies:
         assert row["df_r"] == "78"
 
 
+NUMERIC_FLAG_CASES = [
+    (["test", "--b", "nan", "--nu0", "7"], "--b"),
+    (["test", "--b", "inf", "--nu0", "7"], "--b"),
+    (["test", "--b", "0.1", "--nu0", "inf"], "--nu0"),
+    (["test", "--variant", "bound", "--bound", "inf"], "--bound"),
+    (["test", "--b", "0.1", "--nu0", "7", "--alpha", "nan"], "--alpha"),
+    (["predict", "--nr", "40", "--variant", "bound", "--bound", "nan"], "--bound"),
+    (["predict", "--nr", "1.5", "--b", "0.1", "--nu0", "7"], "--nr"),
+    (["predict", "--nr", "40", "--df-r", "0", "--b", "0.1", "--nu0", "7"], "--df-r"),
+    (["bmax", "--alpha", "0.6"], "--alpha"),
+    (["test", "--variant", "point", "--scale-e", "0"], "--scale-e"),
+    (["predict", "--nr", "inf", "--b", "0.1", "--nu0", "7"], "--nr"),
+    (["predict", "--nr", "40", "--df-r", "nan", "--b", "0.1", "--nu0", "7"],
+     "--df-r"),
+    (["predict", "--nr", "40", "--b", "-1", "--nu0", "7"], "--b"),
+    (["predict", "--nr", "40", "--b", "0.1", "--nu0", "0.5"], "--nu0"),
+    (["predict", "--nr", "40", "--b", "0.1", "--nu0", "7", "--alpha", "0.5"],
+     "--alpha"),
+    (["predict", "--nr", "40", "--b", "0.1", "--nu0", "7", "--scale-e", "inf"],
+     "--scale-e"),
+    (["calibrate", "--scale-e", "-1"], "--scale-e"),
+    (["calibrate", "--alphas", "0.05,2"], "--alphas"),
+    # power reads no input; TestPowerFlags holds its other flags
+    (["power", "--effect", "0.5", "--n", "30", "--alpha", "1"], "--alpha"),
+]
+
+
 class TestNumericFlags:
-    @pytest.mark.parametrize(
-        "argv, flag",
-        [
-            (["test", "--b", "nan", "--nu0", "7"], "--b"),
-            (["test", "--b", "inf", "--nu0", "7"], "--b"),
-            (["test", "--b", "0.1", "--nu0", "inf"], "--nu0"),
-            (["test", "--variant", "bound", "--bound", "inf"], "--bound"),
-            (["test", "--b", "0.1", "--nu0", "7", "--alpha", "nan"], "--alpha"),
-            (["predict", "--nr", "40", "--variant", "bound", "--bound", "nan"],
-             "--bound"),
-            (["predict", "--nr", "1.5", "--b", "0.1", "--nu0", "7"], "--nr"),
-            (["predict", "--nr", "40", "--df-r", "0", "--b", "0.1", "--nu0", "7"],
-             "--df-r"),
-            (["bmax", "--alpha", "0.6"], "--alpha"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, flag", NUMERIC_FLAG_CASES)
     def test_rejected_before_input_is_read(self, tmp_path, argv, flag):
         # the input file does not exist: a flag check that ran after
         # reading would exit 2, one that ran per site would exit 4
-        missing = str(tmp_path / "missing.csv")
-        code, _, err = run_cli(argv + ["--input", missing])
-        assert code == 3
-        assert flag in err and "task" not in err
+        missing = ["--input", str(tmp_path / "missing.csv")]
+        code, out, err = run_cli(argv + (missing if argv[0] != "power" else []))
+        assert (code, out) == (3, "")
+        assert err.split()[1].rstrip(":") == flag and "task" not in err
+
+    def test_every_checked_flag_has_a_case(self):
+        power = [(["power"], flag) for _, flag in TestPowerFlags.CASES]
+        covered = {(argv[0], flag) for argv, flag in NUMERIC_FLAG_CASES + power}
+        checked = {(command, flag) for command, checks in cli._FLAG_CHECKS.items()
+                   for flag in checks}
+        assert checked == covered
 
 
 class TestPowerFlags:
-    @pytest.mark.parametrize(
-        "extra, flag",
-        [
-            (["--b", "nan"], "--b"),
-            (["--b", "0"], "--b"),
-            (["--df", "0"], "--df"),
-            (["--df", "nan"], "--df"),
-            (["--effect", "nan"], "--effect"),
-            (["--n", "nan"], "--n"),
-            (["--n", "1"], "--n"),
-            (["--target-power", "nan"], "--target-power"),
-        ],
-    )
+    CASES = [
+        (["--b", "nan"], "--b"),
+        (["--b", "0"], "--b"),
+        (["--df", "0"], "--df"),
+        (["--df", "nan"], "--df"),
+        (["--effect", "nan"], "--effect"),
+        (["--n", "nan"], "--n"),
+        (["--n", "1"], "--n"),
+        (["--target-power", "nan"], "--target-power"),
+    ]
+
+    @pytest.mark.parametrize("extra, flag", CASES)
     def test_rejected_with_flag_name(self, extra, flag):
         # power takes no --input; later flags override the base values
         argv = ["power", "--effect", "0.5", "--n", "30"] + extra
@@ -536,6 +556,24 @@ class TestTest:
              "--scale-e", "-1"]
         )
         assert code == 3
+
+    def test_quadrature_failure_names_its_site(self, tmp_path):
+        path = write_csv(tmp_path / "quad.csv", SUMMARY_HEADER, [
+            ["a", "s0", "50", "0.1", "1", "30"],
+            ["a", "s1", "50", "0.7071067811865476", "1", "30"],
+        ])
+        argv = ["test", "--input", path, "--variant", "integral",
+                "--b", "1e-6", "--nu0", "1"]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (5, "")
+        assert err.startswith(
+            "error: task 'a' site 's1': quadrature did not reach requested tolerance"
+            " (best estimate "
+        )
+        with pytest.raises(NumericError) as raised:
+            cli.cmd_test(cli.build_parser().parse_args(argv))
+        assert str(raised.value).startswith("task 'a' site 's1': ")
+        assert raised.value.best_estimate > 0 and raised.value.error_bound > 0
 
     def test_probability_floor_strings(self, tmp_path):
         path = write_csv(
@@ -867,6 +905,13 @@ class TestSimulate:
         path.write_text("{nope")
         code, _, err = run_cli(["simulate", "--config", str(path)])
         assert code == 2
+
+    def test_non_utf8_config(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"seed": 5, "mu0": 1.0} \xff')
+        code, out, err = run_cli(["simulate", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} is not UTF-8 text (invalid start byte)\n"
 
     def test_invalid_config_value(self, tmp_path):
         config = self.write_config(tmp_path, sigma0=-1.0)

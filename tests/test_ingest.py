@@ -27,7 +27,7 @@ TWO = "task,site,group,value\n"
 SUMMARY = "task,site,n,mean,variance,df\n"
 B_FROM = "task,site,b_hat,nu0\n"
 
-# name -> (file text, extra flags, exit code, stderr; "{path}" is the input)
+# name -> (file text or bytes, extra flags, exit code, stderr; "{path}" is the input)
 CASES = {
     "blank_first_line": (
         "\n" + RAW + "a,l1,0.5\n", [], 2,
@@ -196,14 +196,30 @@ CASES = {
         RAW + "a,l1,1\na,l1,1\na,l2,zz\n", [], 4,
         "error: task 'a' site 'l1': sample variance is zero; t-statistic undefined\n",
     ),
+    "not_utf8": (
+        (RAW + "a,l1,0.5\na,l1,").encode() + b"\xff1\n", [], 2,
+        "error: {path} is not UTF-8 text (invalid start byte)\n",
+    ),
+    "cell_over_field_limit": (
+        RAW + "a,l1,0.5\na,l1," + "1" * 131_073 + "\n", [], 2,
+        "error: line 3: {path}: field larger than field limit (131072)\n",
+    ),
 }
+
+
+def _write_input(path, text):
+    """Write a case's file: text as UTF-8, or bytes as they are."""
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8", newline="")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_input_error(tmp_path, name):
     text, flags, code, stderr = CASES[name]
     path = tmp_path / "input.csv"
-    path.write_text(text, encoding="utf-8", newline="")
+    _write_input(path, text)
     got_code, out, err = run_cli(["estimate", "--input", str(path), *flags])
     assert (got_code, err) == (code, stderr.format(path=path))
     assert out == ""
@@ -256,6 +272,10 @@ B_FROM_CASES = {
     "short_row": (
         B_FROM + "a,l1,0.1\n", "error: line 2: row has fewer fields than the header\n",
     ),
+    "not_utf8": (
+        B_FROM.encode() + b"a,l1,0.1,\xe92\n",
+        "error: {path} is not UTF-8 text (invalid continuation byte)\n",
+    ),
 }
 
 
@@ -265,7 +285,7 @@ def test_b_from_error(tmp_path, name):
     data = tmp_path / "raw.csv"
     data.write_text(RAW + "a,l1,0.5\na,l1,0.7\n", encoding="utf-8")
     path = tmp_path / "b.csv"
-    path.write_text(text, encoding="utf-8", newline="")
+    _write_input(path, text)
     code, out, err = run_cli(["test", "--input", str(data), "--b-from", str(path)])
     assert (code, err, out) == (2, stderr.format(path=path), "")
 
