@@ -443,8 +443,8 @@ def _load_b_from(path: str) -> VarianceLookup:
             )
         b_hat = _parse_real(b_text, "b_hat", line)
         nu0 = _parse_real(nu0_text, "nu0", line)
-        if b_hat < 0:
-            raise ParseError(f"b_hat must be >= 0, got {b_hat}", line=line)
+        if b_hat <= 0:
+            raise ParseError(f"b_hat must be > 0, got {b_hat}", line=line)
         try:
             _check_nu0(nu0)
         except DomainError as exc:
@@ -824,7 +824,7 @@ def _check_at_least(value: float, low: float, name: str) -> float:
 _SCALE_E = partial(_check_df, name="scale_e")
 _BMAX_ALPHA = partial(_check_alpha, upper=0.5)  # the b_max cells need alpha < 0.5
 _VARIANCE_SOURCE = {
-    "--b": partial(_check_at_least, low=0.0, name="b"),
+    "--b": partial(_check_df, name="b"),
     "--nu0": _check_nu0,
     "--bound": partial(_check_df, name="bound"),
 }

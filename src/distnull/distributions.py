@@ -1,9 +1,10 @@
 """Distribution kernels and numerical utilities.
 
-Student t CDF/quantile/density, noncentral t CDF, the F density used as a
-mixture weight, adaptive quadrature (finite and semi-infinite), and the
-bracketed polynomial root finder. Everything downstream builds on these
-surfaces, so their domains are checked strictly here.
+Student t CDF/quantile/density, noncentral t CDF, the certified fixed-node
+rule for expectations over F-distributed ratios, adaptive quadrature (the
+noncentral t fallback), and the bracketed polynomial root finder.
+Everything downstream builds on these surfaces, so their domains are
+checked strictly here.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from collections.abc import Callable, Sequence
 from functools import lru_cache
 
+import numpy as np
 from scipy import special as _sp
 
 from .errors import (
@@ -28,7 +30,7 @@ __all__ = [
     "t_density",
     "t_quantile",
     "noncentral_t_cdf",
-    "f_density",
+    "f_expectation",
     "integrate",
     "find_positive_root",
 ]
@@ -170,31 +172,172 @@ def noncentral_t_cdf(x: float, nu: float, theta: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def f_density(x: float, d1: float, d2: float) -> float:
-    """F distribution density with (``d1``, ``d2``) degrees of freedom at ``x >= 0``.
+# The fixed-node rule of f_expectation: the relative tolerance it certifies,
+# the step halvings allowed per axis, its coarsest step in z = log(b)/sigma,
+# the cap on |log b| that keeps b, 1/b and their squares finite, and the
+# number of kernel values evaluated at once (256 KiB of float64).
+RULE_RTOL = 1e-10
+RULE_LEVELS = 10
+_RULE_STEP = 0.5
+_RULE_LOG_MAX = 354.0
+_RULE_BLOCK = 1 << 15
 
-    Evaluated in log space so extreme df pairs neither overflow nor
-    underflow prematurely; this sits in quadrature hot loops, hence the
-    direct formula rather than a distribution object.
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# Coefficients of Stirling's series for log Gamma, in powers of 1/x^2.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _stirling_remainder(x: float) -> float:
+    """log Gamma(x) - (x - 1/2) log x + x - log(2 pi)/2, free of cancellation."""
+    if x < 10.0:
+        return float(_sp.gammaln(x)) - (x - 0.5) * math.log(x) + x - _HALF_LOG_2PI
+    inv_sq = 1.0 / (x * x)
+    acc = 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * inv_sq + c
+    return acc / x
+
+
+@lru_cache(maxsize=64)
+def _f_rule(d1: float, d2: float, level: int):
+    """Trapezoid nodes and weights for b ~ F(d1, d2) at step _RULE_STEP/2**level.
+
+    In y = log b the F law has the log-concave density exp(log_mode -
+    d1/2 * log1p((1 - s)*expm1(-y)) - d2/2 * log1p(s*expm1(y))), s = d1/(d1 +
+    d2), whose mode is y = 0 and whose curvature scale there is sigma =
+    sqrt(2/d1 + 2/d2); in this form no two large terms cancel. Nodes sit
+    at y = sigma*z on the grid z = k*h, over the z-range where a weight can
+    be represented and |y| stays under the cap; every level holds the one
+    before at its even positions, and y = 0 is at index mode * 2**level.
+    Returns (nodes, weights, mode, (below, above)), the last pair bounding
+    the mass beyond the range's ends, which lie within one coarsest step
+    of the outermost nodes, by the linear tail bounds of the log density.
     """
-    x = float(x)
-    d1 = _check_df(d1, "d1")
-    d2 = _check_df(d2, "d2")
-    if not (x >= 0.0) or math.isinf(x):
-        raise DomainError(f"x must be finite and >= 0, got {x!r}")
-    if x == 0.0:
-        if d1 > 2.0:
-            return 0.0
-        if d1 == 2.0:
-            return 1.0
-        return math.inf
-    log_pdf = (
-        (d1 / 2.0) * math.log(d1 / d2)
-        + (d1 / 2.0 - 1.0) * math.log(x)
-        - ((d1 + d2) / 2.0) * math.log1p(d1 * x / d2)
-        - _sp.betaln(d1 / 2.0, d2 / 2.0)
+    sigma = math.sqrt(2.0 / d1 + 2.0 / d2)
+    a, c = 0.5 * d1, 0.5 * d2
+    s = d1 / (d1 + d2)
+    # log of the density at y = 0; Stirling's series cancels the O(d) terms
+    # of the beta normaliser analytically
+    log_mode = (
+        _stirling_remainder(a + c) - _stirling_remainder(a) - _stirling_remainder(c)
+        - math.log(sigma) - _HALF_LOG_2PI
     )
-    return float(math.exp(log_pdf))
+    # log density <= upper - c*y for y > 0 and <= lower + a*y for y < 0
+    upper = log_mode - (a + c) * math.log(s)
+    lower = log_mode - (a + c) * math.log1p(-s)
+    y_hi = min(_RULE_LOG_MAX, (upper + 740.0) / c)
+    y_lo = max(-_RULE_LOG_MAX, -(lower + 740.0) / a)
+    k_lo = math.ceil(y_lo / (sigma * _RULE_STEP))
+    k_hi = math.floor(y_hi / (sigma * _RULE_STEP))
+    outside = (math.exp(lower + a * y_lo) / a, math.exp(upper - c * y_hi) / c)
+    h = _RULE_STEP / 2**level
+    y = sigma * h * np.arange(k_lo << level, (k_hi << level) + 1)
+    weights = h * sigma * np.exp(
+        log_mode - a * np.log1p((1.0 - s) * np.expm1(-y)) - c * np.log1p(s * np.expm1(y))
+    )
+    return np.exp(y), weights, -k_lo, outside
+
+
+@lru_cache(maxsize=64)
+def _f_tails(d1: float, d2: float):
+    """Level-0 weight mass at or beyond each node, from the left and the right."""
+    _, weights, mode, (below, above) = _f_rule(d1, d2, 0)
+    return below + np.cumsum(weights), above + np.cumsum(weights[::-1])[::-1], mode
+
+
+def _f_span(d1: float, d2: float, eps: float) -> tuple[int, int, float]:
+    """Level-0 node range [lo, hi] whose outside mass is at most ``eps`` if it can be.
+
+    The density is increasing left of the mode and decreasing right of it,
+    so at every level the weights of the nodes left of node lo sum to at
+    most the level-0 mass at or left of it; likewise on the right. Returns
+    lo, hi and that bound on the mass left out.
+    """
+    left, right, mode = _f_tails(d1, d2)
+    lo = min(mode, max(0, int(np.searchsorted(left, eps, side="right")) - 1))
+    cut = int(np.searchsorted(right[::-1], eps, side="right"))
+    hi = max(mode, min(len(right) - 1, len(right) - cut))
+    return lo, hi, float(left[lo] + right[hi])
+
+
+def _f_grid(dfs: tuple[float, float], span, level: int):
+    nodes, weights, _, _ = _f_rule(*dfs, level)
+    window = slice(span[0] << level, (span[1] << level) + 1)
+    return nodes[window], weights[window]
+
+
+def _weighted_sum(kernel, grids) -> float:
+    """Sum of kernel values times weights over the tensor grid, in row blocks."""
+    (first, first_weights), *rest = grids
+    rows = max(1, _RULE_BLOCK // max(1, math.prod(len(nodes) for nodes, _ in rest)))
+    total = 0.0
+    for start in range(0, len(first), rows):
+        block = slice(start, start + rows)
+        values = kernel(*np.ix_(first[block], *(nodes for nodes, _ in rest)))
+        for _, weights in reversed(rest):
+            values = values @ weights
+        total += float(values @ first_weights[block])
+    return total
+
+
+def f_expectation(kernel: Callable[..., np.ndarray], *dfs: tuple[float, float]) -> float:
+    """E[kernel(b_1, ..., b_k)] for independent b_i ~ F(d1_i, d2_i); dfs holds the (d1_i, d2_i).
+
+    ``kernel`` takes one broadcastable node array per axis and returns
+    values in [0, 1]. The rule is the trapezoid rule in z_i = log(b_i)/sigma_i
+    (Trefethen & Weideman 2014), which converges geometrically because the
+    F law is smooth and log-concave in log b. Each z-range is cut where the
+    weight mass left outside, which bounds the dropped terms because the
+    kernel is at most 1, is below RULE_RTOL/64 of the value. Then one axis
+    at a time has its step halved, reusing the nodes it had, until the
+    change in the value is below that axis's share of RULE_RTOL/2 of the
+    value. The result is certified to RULE_RTOL relative (absolute below
+    PROB_FLOOR). NumericError, with the best estimate and its error bound,
+    is raised when an axis would need more than RULE_LEVELS halvings, or
+    when the mass beyond |log b| = 354, which is below 1e-76 and below
+    1e-300 for d2 >= 5, exceeds the tolerance of a smaller value.
+    """
+    dfs = [(_check_df(d1, "d1"), _check_df(d2, "d2")) for d1, d2 in dfs]
+    k = len(dfs)
+    scale, spans = 1.0, None
+    while True:
+        # cut the z-ranges for values near scale; start over if a cut moves
+        wanted = [_f_span(d1, d2, RULE_RTOL * scale / (64 * k)) for d1, d2 in dfs]
+        if wanted != spans:
+            spans = wanted
+            truncation = sum(span[2] for span in spans)
+            grids = [_f_grid(d, span, 0) for d, span in zip(dfs, spans)]
+            levels, changes = [0] * k, [math.inf] * k
+            value = _weighted_sum(kernel, grids)
+        if scale > PROB_FLOOR and value < 0.5 * scale:
+            scale = max(value, PROB_FLOOR)
+            continue
+        tolerance = max(RULE_RTOL * value, PROB_FLOOR)
+        axis = next((i for i in range(k) if not changes[i] <= 0.5 * tolerance / k), None)
+        # refining cannot help a kernel that is not finite, nor, once the
+        # value is known to 10%, a tolerance below the mass beyond the cap
+        hopeless = math.isnan(value) or (
+            truncation > tolerance and max(changes) <= 0.1 * value
+        )
+        if axis is None or levels[axis] == RULE_LEVELS or hopeless:
+            break
+        levels[axis] += 1
+        finer = _f_grid(dfs[axis], spans[axis], levels[axis])
+        # halving an axis's step halves the weights of the nodes it keeps
+        added = list(grids)
+        added[axis] = (finer[0][1::2], finer[1][1::2])
+        previous = value
+        value = 0.5 * previous + _weighted_sum(kernel, added)
+        grids[axis] = finer
+        changes[axis] = abs(value - previous)
+    error = truncation + sum(changes)
+    if not error <= max(RULE_RTOL * value, PROB_FLOOR):
+        raise NumericError(
+            "quadrature did not reach requested tolerance",
+            best_estimate=value,
+            error_bound=error,
+        )
+    return value
 
 
 def integrate(f: Callable[[float], float], lower: float, upper: float) -> float:

@@ -3,7 +3,7 @@
 A replication succeeds when it reaches significance at the same level in
 the same direction as the original. The kernel below is the probability
 of that event given the original's t, conditional on the variance ratio
-b; on top of it sit the generic bound, the F-mixture double integral, the
+b; on top of it sit the generic bound, the F-mixture expectation, the
 closed form, the most-favorable-b diagnostic, and the Killeen baseline.
 """
 
@@ -20,9 +20,8 @@ from .distributions import (
     _check_b_hat,
     _check_nu0,
     _critical,
-    f_density,
+    f_expectation,
     find_positive_root,
-    integrate,
     t_cdf,
 )
 from .errors import DomainError
@@ -140,36 +139,23 @@ def p_rep_integral(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
 
     The true ratio b is modeled as b_hat times an F(nu, nu0) factor and
     the variance ratio c as the query's c times an F(nu, df_r) factor;
-    both are integrated against the general-c kernel:
+    the kernel is averaged over both on the tensor grid of the certified
+    fixed-node rule of ``f_expectation``:
 
-        integral integral K(b*b_hat, c_q*c) f(b; nu, nu0) f(c; nu, nu_r) db dc.
+        E[ K(b*b_hat, c_q*c) ],   b ~ F(nu, nu0),  c ~ F(nu, nu_r).
     """
     b_hat = _check_b_hat(b_hat)
     nu0 = _check_nu0(nu0)
-
     t_abs = abs(q.stat.t)
     n = q.stat.n
-    nu = q.stat.df
     n_r = q.n_r
     df_r = q.df_r
     t_crit = _critical(q.alpha, df_r)
 
-    def outer(b: float) -> float:
-        density_b = f_density(b, nu, nu0)
-        if density_b == 0.0:
-            return 0.0
-        b_eff = b * b_hat
+    def kernel(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return _sp.stdtr(df_r, _kernel_argument(t_abs, b * b_hat, n, n_r, t_crit, q.c * c))
 
-        def inner(c: float) -> float:
-            density_c = f_density(c, nu, df_r)
-            if density_c == 0.0:
-                return 0.0
-            arg = _kernel_argument(t_abs, b_eff, n, n_r, t_crit, q.c * c)
-            return t_cdf(float(arg), df_r) * density_c
-
-        return integrate(inner, 0.0, math.inf) * density_b
-
-    value = integrate(outer, 0.0, math.inf)
+    value = f_expectation(kernel, (q.stat.df, nu0), (q.stat.df, df_r))
     return min(1.0, max(0.0, value))
 
 

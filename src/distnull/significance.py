@@ -12,12 +12,14 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+from scipy import special as _sp
+
 from .distributions import (
     _check_b_hat,
     _check_nu0,
     clamp_probability,
-    f_density,
-    integrate,
+    f_expectation,
     t_cdf,
 )
 from .errors import DomainError
@@ -120,21 +122,20 @@ def p_sig_integral(stat: TestStatistic, b_hat: float, nu0: float) -> float:
     The true ratio b is modeled as b_hat times an F-distributed factor with
     (nu, nu0) degrees of freedom; the significance is the mixture
 
-        integral_0^inf 2 T_nu(-|t| / sqrt(1 + b * b_hat * N)) f(b; nu, nu0) db.
+        E[ 2 T_nu(-|t| / sqrt(1 + b * b_hat * N)) ],   b ~ F(nu, nu0),
+
+    evaluated by the certified fixed-node rule of ``f_expectation``.
     """
     b_hat = _check_b_hat(b_hat)
     nu0 = _check_nu0(nu0)
     t_abs = abs(stat.t)
-    n = stat.n
+    spread = b_hat * stat.n
     nu = stat.df
 
-    def integrand(b: float) -> float:
-        density = f_density(b, nu, nu0)
-        if density == 0.0:
-            return 0.0
-        return 2.0 * t_cdf(-t_abs / math.sqrt(1.0 + b * b_hat * n), nu) * density
+    def kernel(b: np.ndarray) -> np.ndarray:
+        return 2.0 * _sp.stdtr(nu, -t_abs / np.sqrt(1.0 + b * spread))
 
-    return clamp_probability(integrate(integrand, 0.0, math.inf))
+    return clamp_probability(f_expectation(kernel, (nu, nu0)))
 
 
 def t0_statistic(stat: TestStatistic, b_hat: float) -> float:

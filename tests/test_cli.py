@@ -13,7 +13,7 @@ import pytest
 import scipy.stats
 
 from conftest import run_cli, write_csv
-from distnull import cli
+from distnull import cli, distributions
 from distnull.errors import NumericError
 
 SUMMARY_HEADER = ["task", "site", "n", "mean", "variance", "df"]
@@ -335,6 +335,9 @@ NUMERIC_FLAG_CASES = [
     (["calibrate", "--alphas", "0.05,2"], "--alphas"),
     # power reads no input; TestPowerFlags holds its other flags
     (["power", "--effect", "0.5", "--n", "30", "--alpha", "1"], "--alpha"),
+    # b = 0 is the point form, which the distributional variants reject
+    (["test", "--b", "0", "--nu0", "7"], "--b"),
+    (["predict", "--nr", "40", "--b", "0", "--nu0", "7"], "--b"),
 ]
 
 
@@ -557,13 +560,17 @@ class TestTest:
         )
         assert code == 3
 
-    def test_quadrature_failure_names_its_site(self, tmp_path):
+    def test_quadrature_failure_names_its_site(self, tmp_path, monkeypatch):
+        # No natural input exhausts the rule's budget, so allow one step
+        # halving: F(30, 3) is narrow enough in log b to be certified
+        # with it, F(1, 3) is not.
+        monkeypatch.setattr(distributions, "RULE_LEVELS", 1)
         path = write_csv(tmp_path / "quad.csv", SUMMARY_HEADER, [
             ["a", "s0", "50", "0.1", "1", "30"],
-            ["a", "s1", "50", "0.7071067811865476", "1", "30"],
+            ["a", "s1", "50", "0.7071067811865476", "1", "1"],
         ])
         argv = ["test", "--input", path, "--variant", "integral",
-                "--b", "1e-6", "--nu0", "1"]
+                "--b", "1e-6", "--nu0", "3"]
         code, out, err = run_cli(argv)
         assert (code, out) == (5, "")
         assert err.startswith(
@@ -976,7 +983,9 @@ class TestLazyIntegrate:
     )
 
     def test_integral_variant_imports_quadrature_on_use(self, raw_one_sample):
-        # a fresh interpreter: this one has scipy.integrate loaded by the tests
+        # The integral variant runs on the package's own fixed-node rule, so
+        # scipy.integrate is never loaded. A fresh interpreter: this one has
+        # it loaded by the tests.
         import distnull
 
         env = dict(os.environ)
@@ -993,13 +1002,13 @@ class TestLazyIntegrate:
         assert proc.stderr == ""
         before, *table, after = proc.stdout.splitlines(keepends=True)
         assert before == "False\n"
-        assert after == "True 0\n"
+        assert after == "False 0\n"
         got = [(r["task"], r["site"], r["t"], r["p_sig"]) for r in parse("".join(table))]
         assert got == [
-            ("t0", "s0", "-0.0445207828457", "0.976488888186"),
-            ("t0", "s1", "0.0819539378163", "0.956738676623"),
-            ("t0", "s2", "2.47361836251", "0.131256589446"),
-            ("t1", "s0", "1.25017889594", "0.41837244746"),
-            ("t1", "s1", "1.18429813217", "0.442293370212"),
-            ("t1", "s2", "1.01452683818", "0.508185641013"),
+            ("t0", "s0", "-0.0445207828457", "0.97648888821"),
+            ("t0", "s1", "0.0819539378163", "0.956738676647"),
+            ("t0", "s2", "2.47361836251", "0.13125658945"),
+            ("t1", "s0", "1.25017889594", "0.418372447484"),
+            ("t1", "s1", "1.18429813217", "0.442293370237"),
+            ("t1", "s2", "1.01452683818", "0.508185641038"),
         ]

@@ -11,12 +11,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from distnull.distributions import (
     PROB_FLOOR,
+    RULE_RTOL,
+    _f_rule,
     clamp_probability,
-    f_density,
+    f_expectation,
     find_positive_root,
     integrate,
     noncentral_t_cdf,
@@ -96,32 +99,47 @@ class TestNoncentralT:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
-class TestFDensity:
-    def test_frozen_value(self):
-        assert f_density(0.5, 10, 24) == pytest.approx(
-            0.68691276598812595557, rel=1e-12
-        )
+class TestFRule:
+    """The trapezoid nodes and weights that f_expectation sums over, in full range."""
 
-    def test_normalizes(self):
-        for d1, d2 in ((10, 24), (3, 7), (99, 99)):
-            total = integrate(lambda x: f_density(x, d1, d2), 0.0, math.inf)
-            assert total == pytest.approx(1.0, abs=1e-8)
+    @pytest.mark.parametrize("d1", [1.0, 39.0, 1e3, 1e5])
+    @pytest.mark.parametrize("d2", [3.0, 10.0, 60.0, 1e5])
+    def test_weights_sum_to_one_and_reproduce_the_mean(self, d1, d2):
+        nodes, weights, mode, _ = _f_rule(d1, d2, 2)
+        assert nodes[4 * mode] == 1.0
+        assert math.fsum(weights) == pytest.approx(1.0, rel=1e-12)
+        assert math.fsum(nodes * weights) == pytest.approx(d2 / (d2 - 2.0), rel=1e-11)
 
-    def test_mode_location(self):
-        # mode of F(d1, d2) is (1 - 2/d1) * d2/(d2 + 2) for d1 > 2
-        mode = 0.73846153846153846154
-        at_mode = f_density(mode, 10, 24)
-        assert at_mode > f_density(mode * 0.9, 10, 24)
-        assert at_mode > f_density(mode * 1.1, 10, 24)
+    def test_levels_nest(self):
+        coarse, _, mode, _ = _f_rule(10.0, 24.0, 0)
+        fine, _, fine_mode, _ = _f_rule(10.0, 24.0, 2)
+        assert fine_mode == mode
+        assert (fine[::4] == coarse).all()
 
-    def test_boundary_behavior(self):
-        assert f_density(0.0, 10, 24) == 0.0
-        assert f_density(0.0, 2, 5) == 1.0
-        assert f_density(0.0, 1, 5) == math.inf
+    def test_mass_beyond_the_nodes_is_negligible(self):
+        for d1, d2 in ((1.0, 1.0), (10.0, 24.0), (1e5, 3.0)):
+            _, weights, _, (below, above) = _f_rule(d1, d2, 0)
+            assert 0.0 <= below < 1e-60 and 0.0 <= above < 1e-60
+            assert weights.min() >= 0.0
 
-    def test_rejects_negative_x(self):
-        with pytest.raises(DomainError):
-            f_density(-0.1, 4, 4)
+
+class TestFExpectation:
+    def test_constant_kernels(self):
+        assert f_expectation(np.ones_like, (7.0, 3.0)) == pytest.approx(1.0, rel=RULE_RTOL)
+        both = f_expectation(lambda b, c: np.full(np.broadcast(b, c).shape, 0.25),
+                             (2.0, 60.0), (1e5, 1.0))
+        assert both == pytest.approx(0.25, rel=RULE_RTOL)
+
+    def test_value_below_the_mass_beyond_the_cap_is_not_certified(self):
+        # F(10, 1) puts about 1e-77 beyond log b = 354, where no node sits
+        with pytest.raises(NumericError) as raised:
+            f_expectation(lambda b: np.full_like(b, 1e-90), (10.0, 1.0))
+        assert raised.value.best_estimate == pytest.approx(1e-90, rel=1e-6)
+        assert raised.value.error_bound > 1e-80
+
+    def test_non_finite_kernel_raises(self):
+        with pytest.raises(NumericError):
+            f_expectation(lambda b: np.full_like(b, np.nan), (10.0, 10.0))
 
 
 class TestIntegrate:

@@ -244,7 +244,10 @@ B_FROM_CASES = {
         B_FROM + "a,l1,inf,2\n", "error: line 2: b_hat must be finite, got 'inf'\n",
     ),
     "b_hat_negative": (
-        B_FROM + "a,l1,-1,2\n", "error: line 2: b_hat must be >= 0, got -1.0\n",
+        B_FROM + "a,l1,-1,2\n", "error: line 2: b_hat must be > 0, got -1.0\n",
+    ),
+    "b_hat_zero": (
+        B_FROM + "a,l1,0,2\n", "error: line 2: b_hat must be > 0, got 0.0\n",
     ),
     "nu0_out_of_range": (
         B_FROM + "a,l1,0.1,0.5\n",
