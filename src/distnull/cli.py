@@ -40,6 +40,7 @@ from .distributions import (
 )
 from .errors import (
     ConfigurationError,
+    DegenerateVarianceError,
     DistnullError,
     DomainError,
     NumericError,
@@ -653,7 +654,7 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 def cmd_calibrate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     mode = _MODES[args.mode]
     _, sites = load_sites(args.input, args.family)
-    records = []
+    tables = []
     with _located(lambda: f"task {task!r}"):
         for task, group in _by_task(sites):
             if len(group) < 2:
@@ -663,16 +664,17 @@ def cmd_calibrate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]
                 )
                 continue
             task_set = TaskSet(task, tuple(s.summary for s in group))
-            records.extend(
-                task_pair_records(
+            try:
+                tables.append(task_pair_records(
                     task_set, args.alphas, mode=mode,
                     scale_e=args.scale_e, variant=args.variant,
-                )
-            )
-    if not records:
-        raise DomainError("no task with >= 2 sites; nothing to calibrate")
+                ))
+            except DegenerateVarianceError:
+                print(f"warning: task {task!r} has S0^2 = 0; skipped", file=sys.stderr)
+    if not tables:
+        raise DomainError("no task with >= 2 sites and S0^2 > 0; nothing to calibrate")
 
-    bins = bin_pairs(records)
+    bins = bin_pairs(np.concatenate(tables))
     gap = calibration_gap(bins)
     direction = "" if gap is None else gap_direction(gap)
     header = [

@@ -35,7 +35,6 @@ from .replication import ReplicationQuery, p_rep_closed, p_rep_integral
 __all__ = [
     "SimConfig",
     "CalibrationBin",
-    "PairRecord",
     "Type1Row",
     "ScaleCalibration",
     "BiasRow",
@@ -62,6 +61,16 @@ DESK_ALPHA_LEVELS = (0.1, 0.05, 0.01, 0.005, 0.001)
 MIN_BIN_PAIRS = 40
 
 ForecastVariant = Literal["closed", "integral"]
+
+# One ordered predictor-target site pair at one alpha level.
+PAIR_DTYPE = np.dtype([
+    ("predictor", np.intp),
+    ("target", np.intp),
+    ("alpha", float),
+    ("forecast", float),
+    ("predictor_significant", bool),
+    ("success", bool),
+])
 
 
 @dataclass(frozen=True)
@@ -130,19 +139,6 @@ class CalibrationBin:
         """Binomial standard error of the observed rate."""
         p = self.observed_rate
         return math.sqrt(p * (1.0 - p) / self.pair_count)
-
-
-@dataclass(frozen=True)
-class PairRecord:
-    """One ordered predictor-target pair at one alpha level."""
-
-    task_id: str
-    predictor: int
-    target: int
-    alpha: float
-    forecast: float
-    predictor_significant: bool
-    success: bool
 
 
 @dataclass(frozen=True)
@@ -349,91 +345,88 @@ def task_pair_records(
     mode: VarianceMode = "as_published",
     scale_e: float = 1.0,
     variant: ForecastVariant = "closed",
-) -> list[PairRecord]:
+) -> np.ndarray:
     """Ordered predictor-target pair forecasts and outcomes for one task.
 
-    The between-variance estimate (scaled by ``scale_e``) drives the whole
-    analysis: the predictor's forecast, the predictor-significance split,
-    and the target's observed significance. The forecast uses the
-    predictor's S² and N plus the target's N as N_r; the target's own
-    variance is never consulted for the forecast. Success means the
-    target reaches significance at the same alpha with matching sign.
+    Returns one row of ``PAIR_DTYPE`` per (alpha, predictor, target) with
+    target != predictor, in that order. The between-variance estimate
+    (scaled by ``scale_e``) drives the whole analysis: the predictor's
+    forecast, the predictor-significance split, and the target's observed
+    significance. The forecast uses the predictor's S² and N plus the
+    target's N as N_r; the target's own variance is never consulted for the
+    forecast. Success means the target reaches significance at the same
+    alpha with matching sign. A task whose S0² estimate is zero has no
+    b-hat and raises DegenerateVarianceError.
     """
     if not (math.isfinite(scale_e) and scale_e > 0):
         raise DomainError(f"scale_e must be > 0, got {scale_e!r}")
+    if variant == "closed":
+        p_sig, p_rep = p_sig_closed, p_rep_closed
+    elif variant == "integral":
+        p_sig, p_rep = p_sig_integral, p_rep_integral
+    else:
+        raise DomainError(f"unknown forecast variant {variant!r}")
     b0 = between_variance(task, mode)
     b0 = replace(b0, s0_sq=scale_e * b0.s0_sq)
     experiments = task.experiments
     stats = [statistic_from_summary(e) for e in experiments]
     b_hats = [variance_ratio(b0, e) for e in experiments]
-    if variant == "closed":
-        p_sigs = [p_sig_closed(s, bh, b0.nu0) for s, bh in zip(stats, b_hats)]
-    elif variant == "integral":
-        p_sigs = [p_sig_integral(s, bh, b0.nu0) for s, bh in zip(stats, b_hats)]
-    else:
-        raise DomainError(f"unknown forecast variant {variant!r}")
-    signs = [direction_of(s) for s in stats]
+    p_sigs = np.array([p_sig(s, bh, b0.nu0) for s, bh in zip(stats, b_hats)])
+    signs = np.array([direction_of(s) for s in stats])
 
-    records: list[PairRecord] = []
     k = len(experiments)
-    # Forecasts depend on the target only through (N_r, df_r); computing
-    # once per predictor and target shape keeps the pair loop cheap.
-    for alpha in alphas:
-        significant = [p <= alpha for p in p_sigs]
-        forecast_cache: dict[tuple[int, float, float], float] = {}
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                key = (i, experiments[j].n, experiments[j].df)
-                forecast = forecast_cache.get(key)
-                if forecast is None:
-                    query = ReplicationQuery(
-                        stat=stats[i],
-                        n_r=experiments[j].n,
-                        df_r=experiments[j].df,
-                        alpha=alpha,
-                    )
-                    if variant == "closed":
-                        forecast = p_rep_closed(query, b_hats[i], b0.nu0)
-                    else:
-                        forecast = p_rep_integral(query, b_hats[i], b0.nu0)
-                    forecast_cache[key] = forecast
-                records.append(
-                    PairRecord(
-                        task_id=task.task_id,
-                        predictor=i,
-                        target=j,
-                        alpha=alpha,
-                        forecast=forecast,
-                        predictor_significant=significant[i],
-                        success=significant[j] and signs[j] == signs[i],
-                    )
-                )
-    return records
+    predictor, target = np.nonzero(~np.eye(k, dtype=bool))
+    # A forecast depends on the target only through its (N_r, df_r), so it
+    # is computed once per distinct (predictor, N_r, df_r), in pair order.
+    designs = np.array([(e.n, e.df) for e in experiments], dtype=float)
+    keys = np.column_stack([predictor, designs[target]])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    computed = list(zip(predictor[first[order]].tolist(), target[first[order]].tolist()))
+    same_sign = signs[predictor] == signs[target]
+    table = np.empty((len(alphas), predictor.size), dtype=PAIR_DTYPE)
+    for rows, alpha in zip(table, alphas):
+        forecasts = np.empty(first.size)
+        forecasts[order] = [
+            p_rep(
+                ReplicationQuery(stats[i], experiments[j].n, experiments[j].df, alpha),
+                b_hats[i], b0.nu0,
+            )
+            for i, j in computed
+        ]
+        significant = p_sigs <= alpha
+        rows["predictor"] = predictor
+        rows["target"] = target
+        rows["alpha"] = alpha
+        rows["forecast"] = forecasts[inverse.reshape(-1)]
+        rows["predictor_significant"] = significant[predictor]
+        rows["success"] = significant[target] & same_sign
+    return table.reshape(-1)
 
 
-def bin_pairs(
-    records: Sequence[PairRecord], bin_width: float = 1.0 / 40.0
-) -> list[CalibrationBin]:
-    """Group pair records into forecast bins per predictor-significance group."""
+def bin_pairs(records: np.ndarray, bin_width: float = 1.0 / 40.0) -> list[CalibrationBin]:
+    """Group a pair table into forecast bins per predictor-significance group.
+
+    Each bin's forecasts are summed in record order.
+    """
     n_bins = int(round(1.0 / bin_width))
-    groups: dict[tuple[bool, int], list[PairRecord]] = {}
-    for r in records:
-        index = min(int(r.forecast / bin_width), n_bins - 1)
-        groups.setdefault((r.predictor_significant, index), []).append(r)
+    forecast = records["forecast"]
+    index = np.minimum((forecast / bin_width).astype(np.int64), n_bins - 1)
+    key = records["predictor_significant"] * n_bins + index
+    counts = np.bincount(key)
+    sums = np.bincount(key, weights=forecast)
+    successes = np.bincount(key, weights=records["success"])
     bins = []
-    for (sig, index), members in sorted(groups.items()):
-        forecasts = [m.forecast for m in members]
-        successes = sum(1 for m in members if m.success)
+    for k in np.flatnonzero(counts):
+        sig, index = divmod(int(k), n_bins)
         bins.append(
             CalibrationBin(
                 lower=index * bin_width,
                 upper=(index + 1) * bin_width,
-                pair_count=len(members),
-                mean_forecast=sum(forecasts) / len(forecasts),
-                observed_rate=successes / len(members),
-                predictor_significant=sig,
+                pair_count=int(counts[k]),
+                mean_forecast=float(sums[k] / counts[k]),
+                observed_rate=float(successes[k] / counts[k]),
+                predictor_significant=bool(sig),
             )
         )
     return bins
@@ -451,16 +444,15 @@ def replication_calibration(
     ``configs`` is a single config (its n_tasks tasks) or one config per
     task; pairs are pooled across tasks and alpha levels before binning.
     """
-    expanded = _expand_configs(configs)
-    records: list[PairRecord] = []
-    for config, stream in expanded:
+    tables = []
+    for config, stream in _expand_configs(configs):
         alphas = alpha_levels if alpha_levels is not None else config.alpha_levels
         e = scale_e if scale_e is not None else config.variance_scale_e
         task = simulate_task(config, stream)
-        records.extend(
+        tables.append(
             task_pair_records(task, alphas, mode=mode, scale_e=e, variant=variant)
         )
-    return bin_pairs(records)
+    return bin_pairs(np.concatenate(tables))
 
 
 def calibration_correlation(

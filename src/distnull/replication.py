@@ -84,18 +84,21 @@ class BmaxResult:
             )
 
 
+@np.errstate(over="ignore", divide="ignore")
 def _kernel_argument(t_abs, b, n, n_r, t_crit, c):
     """General-c argument of the replication kernel; elementwise-safe.
 
     (|t|·b·√(N·N_r)/(1+bN) − t_crit·√(c(1+bN_r))) / √(c + bN_r/(1+bN));
     at c=1 this is algebraically the single-ratio form
     (|t|·b·√(N·N_r) − t_crit(1+bN)√(1+bN_r)) / √((1+bN+bN_r)(1+bN)).
+    b/(1+bN) is computed as 1/(1/b + N), which stays finite where b·N
+    overflows; the argument then tends to −inf, its limit as b grows.
     """
-    one_plus_bn = 1.0 + b * n
-    num = t_abs * b * np.sqrt(n * n_r) / one_plus_bn - t_crit * np.sqrt(
+    inv_b_plus_n = np.divide(1.0, b) + n
+    num = t_abs * np.sqrt(n * n_r) / inv_b_plus_n - t_crit * np.sqrt(
         c * (1.0 + b * n_r)
     )
-    den = np.sqrt(c + b * n_r / one_plus_bn)
+    den = np.sqrt(c + n_r / inv_b_plus_n)
     return num / den
 
 
@@ -152,6 +155,7 @@ def p_rep_integral(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
     df_r = q.df_r
     t_crit = _critical(q.alpha, df_r)
 
+    @np.errstate(over="ignore")  # b * b_hat may overflow to its limit inf
     def kernel(b: np.ndarray, c: np.ndarray) -> np.ndarray:
         return _sp.stdtr(df_r, _kernel_argument(t_abs, b * b_hat, n, n_r, t_crit, q.c * c))
 

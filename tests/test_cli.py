@@ -703,6 +703,21 @@ class TestPredict:
         assert flat["tau"] == "" and flat["z_max"] == "" and flat["b_max"] == ""
         assert nonflat["b_max"] != ""
 
+    def test_integral_overflowing_b_reaches_the_limit(self, tmp_path):
+        # b*N overflows: the forecast is the b -> inf limit 0, as in the
+        # closed form, not a NaN quadrature failure
+        path = write_csv(tmp_path / "two.csv", SUMMARY_HEADER, [
+            ["a", "s1", "40", "0.5", "1.0", "39"],
+            ["a", "s2", "35", "0.3", "1.2", "34"],
+        ])
+        for variant in ("closed", "integral"):
+            code, out, err = run_cli([
+                "predict", "--input", path, "--variant", variant,
+                "--b", "1e280", "--nu0", "5", "--nr", "30",
+            ])
+            assert (code, err) == (0, "")
+            assert {r["p_rep"] for r in parse(out)} == {"<1e-320"}
+
 
 class TestCalibrate:
     def test_single_site_task_warns_and_skips(self, tmp_path):
@@ -718,6 +733,28 @@ class TestCalibrate:
         code, out, err = run_cli(["calibrate", "--input", path])
         assert code == 0
         assert "lonely" in err and "skipped" in err
+
+    def test_zero_between_variance_task_warns_and_skips(self, tmp_path):
+        # task b's means spread less than its noise explains, so the moment
+        # S0^2 clamps to 0 and b carries no forecast
+        sites = [("l1", "30", "1.0"), ("l2", "35", "1.2"),
+                 ("l3", "40", "1.5"), ("l4", "32", "1.1")]
+        a = [["a", site, n, mean, var, str(int(n) - 1)]
+             for (site, n, var), mean in zip(sites, ("0.5", "0.2", "0.9", "0.7"))]
+        b = [["b", site, n, mean, var, str(int(n) - 1)]
+             for (site, n, var), mean in zip(sites, ("0.10", "0.11", "0.12", "0.12"))]
+
+        def calibrate(name, rows):
+            path = write_csv(tmp_path / name, SUMMARY_HEADER, rows)
+            return run_cli(["calibrate", "--mode", "moment", "--input", path])
+
+        code, out, err = calibrate("ab.csv", a + b)
+        assert code == 0
+        assert err == "warning: task 'b' has S0^2 = 0; skipped\n"
+        assert (code, out, "") == calibrate("a.csv", a)
+        code, out, err = calibrate("b.csv", b)
+        assert (code, out) == (4, "")
+        assert "skipped" in err and "nothing to calibrate" in err
 
     def test_all_single_site_is_domain_error(self, tmp_path):
         path = write_csv(

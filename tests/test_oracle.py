@@ -7,11 +7,17 @@ import numpy as np
 import pytest
 
 from distnull.errors import DomainError
-from distnull.estimators import between_variance, standardize_means, variance_ratio
+from distnull.estimators import (
+    ExperimentSummary,
+    TaskSet,
+    between_variance,
+    standardize_means,
+    variance_ratio,
+)
 from distnull.oracle import (
     DESK_ALPHA_LEVELS,
+    PAIR_DTYPE,
     CalibrationBin,
-    PairRecord,
     SimConfig,
     bin_pairs,
     calibration_correlation,
@@ -151,50 +157,75 @@ class TestType1Calibration:
         assert rates["estimated_b"].rate < rates["point"].rate
 
 
+def mixed_task() -> TaskSet:
+    """Six sites whose (n, df) designs repeat, two of them with equal n only."""
+    return TaskSet("mixed", tuple(
+        ExperimentSummary(n=n, mean=mean, sample_variance=var, df=df)
+        for n, df, mean, var in [
+            (20, 19, 0.9, 1.0), (35, 34, 0.4, 1.3), (20, 19, 0.7, 0.8),
+            (50, 49, 0.2, 1.1), (35, 33, 0.6, 0.9), (20, 19, 1.2, 1.2),
+        ]
+    ))
+
+
+def assert_matches_pair_loop(task: TaskSet) -> None:
+    """task_pair_records equals a per-pair recomputation, bit for bit."""
+    alphas = (0.05, 0.01)
+    records = task_pair_records(task, alphas)
+    k = len(task.experiments)
+    assert len(records) == len(alphas) * k * (k - 1)
+
+    b0 = between_variance(task, "as_published")
+    stats = [statistic_from_summary(e) for e in task.experiments]
+    expected = []
+    for alpha in alphas:
+        for i, predictor in enumerate(task.experiments):
+            b_hat = variance_ratio(b0, predictor)
+            p_i = p_sig_closed(stats[i], b_hat, b0.nu0)
+            for j, target in enumerate(task.experiments):
+                if i == j:
+                    continue
+                query = ReplicationQuery(
+                    stat=stats[i], n_r=target.n, df_r=target.df, alpha=alpha
+                )
+                p_j = p_sig_closed(stats[j], variance_ratio(b0, target), b0.nu0)
+                same_sign = (stats[i].t >= 0) == (stats[j].t >= 0)
+                expected.append((
+                    alpha, i, j,
+                    p_rep_closed(query, b_hat, b0.nu0),
+                    p_i <= alpha,
+                    p_j <= alpha and same_sign,
+                ))
+    assert [
+        (r["alpha"], r["predictor"], r["target"], r["forecast"],
+         r["predictor_significant"], r["success"])
+        for r in records
+    ] == expected
+    assert np.all((0.0 <= records["forecast"]) & (records["forecast"] <= 1.0))
+
+
 class TestPairRecords:
     def test_matches_direct_recomputation(self):
-        task = simulate_task(small_config(), 0)
-        alphas = (0.05, 0.01)
-        records = task_pair_records(task, alphas)
-        k = len(task.experiments)
-        assert len(records) == len(alphas) * k * (k - 1)
+        for task in (simulate_task(small_config(), 0), mixed_task()):
+            assert_matches_pair_loop(task)
 
-        b0 = between_variance(task, "as_published")
-        stats = [statistic_from_summary(e) for e in task.experiments]
-        expected = {}
-        for alpha in alphas:
-            for i, predictor in enumerate(task.experiments):
-                b_hat = variance_ratio(b0, predictor)
-                p_i = p_sig_closed(stats[i], b_hat, b0.nu0)
-                for j, target in enumerate(task.experiments):
-                    if i == j:
-                        continue
-                    query = ReplicationQuery(
-                        stat=stats[i], n_r=target.n, df_r=target.df, alpha=alpha
-                    )
-                    p_j = p_sig_closed(stats[j], variance_ratio(b0, target), b0.nu0)
-                    same_sign = (stats[i].t >= 0) == (stats[j].t >= 0)
-                    expected[(alpha, i, j)] = (
-                        p_rep_closed(query, b_hat, b0.nu0),
-                        p_i <= alpha,
-                        p_j <= alpha and same_sign,
-                    )
-        for record in records:
-            key = (record.alpha, record.predictor, record.target)
-            forecast, significant, success = expected[key]
-            assert record.task_id == task.task_id
-            assert record.forecast == pytest.approx(forecast, rel=1e-12)
-            assert record.predictor_significant is significant
-            assert record.success is success
-            assert 0.0 <= record.forecast <= 1.0
+    def test_success_needs_the_predictors_sign(self):
+        # every site is significant, but the last one in the other direction
+        task = TaskSet("signs", tuple(
+            ExperimentSummary(n=1000, mean=mean, sample_variance=1.0, df=999)
+            for mean in [1.0] * 19 + [-1.0]
+        ))
+        records = task_pair_records(task, (0.05,))
+        assert records["predictor_significant"].all()
+        mixed = (records["predictor"] == 19) | (records["target"] == 19)
+        assert not records["success"][mixed].any()
+        assert records["success"][~mixed].all()
 
     def test_scale_e_shifts_forecasts(self):
         task = simulate_task(small_config(), 1)
         base = task_pair_records(task, (0.05,))
         scaled = task_pair_records(task, (0.05,), scale_e=1.5)
-        assert any(
-            a.forecast != b.forecast for a, b in zip(base, scaled)
-        )
+        assert np.any(base["forecast"] != scaled["forecast"])
         # The scale multiplies the S0^2 estimate before everything else.
         b0 = replace(
             between_variance(task, "as_published"),
@@ -204,7 +235,7 @@ class TestPairRecords:
         target = task.experiments[1]
         query = ReplicationQuery(stat=stat, n_r=target.n, df_r=target.df, alpha=0.05)
         direct = p_rep_closed(query, variance_ratio(b0, task.experiments[0]), b0.nu0)
-        assert scaled[0].forecast == pytest.approx(direct, rel=1e-12)
+        assert scaled[0]["forecast"] == pytest.approx(direct, rel=1e-12)
 
     def test_scale_e_validation(self):
         task = simulate_task(small_config(), 0)
@@ -217,27 +248,25 @@ class TestPairRecords:
             task_pair_records(task, (0.05,), variant="bogus")
 
 
-def record(forecast, significant, success):
-    return PairRecord(
-        task_id="task0000",
-        predictor=0,
-        target=1,
-        alpha=0.05,
-        forecast=forecast,
-        predictor_significant=significant,
-        success=success,
-    )
+def pairs(*rows):
+    """A pair table with the given (forecast, significant, success) rows."""
+    table = np.zeros(len(rows), dtype=PAIR_DTYPE)
+    for record, (forecast, significant, success) in zip(table, rows):
+        record["forecast"] = forecast
+        record["predictor_significant"] = significant
+        record["success"] = success
+    return table
 
 
 class TestBinning:
     def test_synthetic_grouping(self):
-        records = [
-            record(0.0, False, False),
-            record(0.0124, False, True),
-            record(0.025, False, True),
-            record(0.999, True, True),
-            record(1.0, True, False),
-        ]
+        records = pairs(
+            (0.0, False, False),
+            (0.0124, False, True),
+            (0.025, False, True),
+            (0.999, True, True),
+            (1.0, True, False),
+        )
         bins = bin_pairs(records)
         assert [b.predictor_significant for b in bins] == [False, False, True]
         assert [b.lower for b in bins] == pytest.approx([0.0, 0.025, 0.975])
@@ -265,7 +294,7 @@ class TestBinning:
         assert b.standard_error == pytest.approx(math.sqrt(0.25 / 2), rel=1e-12)
 
     def test_custom_width(self):
-        bins = bin_pairs([record(0.3, False, True)], bin_width=0.25)
+        bins = bin_pairs(pairs((0.3, False, True)), bin_width=0.25)
         assert bins[0].lower == 0.25
         assert bins[0].upper == 0.5
 

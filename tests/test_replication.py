@@ -129,6 +129,11 @@ class TestKernelShape:
         with pytest.raises(DomainError):
             p_rep_given_b(query(2.0, 30, 30, 29), 0.0)
 
+    def test_overflowing_b_reaches_the_limit(self):
+        # b*N and b*N_r overflow to inf; the kernel tends to 0 as b grows
+        curve = p_rep_curve(query(3.0, 40, 30, 29), [1e300, 1e308, np.inf])
+        assert curve.tolist() == [0.0, 0.0, 0.0]
+
 
 class TestClosedForm:
     def test_frozen_value(self):
@@ -225,6 +230,10 @@ class TestIntegralForm:
     def test_valid_probability(self):
         q = query(1.5, 25, 25, 24)
         assert 0.0 <= p_rep_integral(q, 0.2, 8) <= 1.0
+
+    def test_overflowing_b_hat_reaches_the_limit(self):
+        # b * b_hat overflows on most nodes of the F rule
+        assert p_rep_integral(query(3.16, 40, 30, 29), 1e280, 5) == 0.0
 
     def test_recovers_kernel_when_estimation_noise_vanishes(self):
         # with every df large the F mixing factors concentrate at 1 and
