@@ -70,15 +70,17 @@ from .power import (
     power_ceiling,
     required_sample_size,
 )
-from .replication import ReplicationQuery, b_max, p_rep_bound, p_rep_closed, p_rep_integral
+from .replication import (
+    ReplicationQuery, _b_max, _p_rep_closed, p_rep_bound, p_rep_integral,
+)
 from .significance import (
     TestStatistic,
+    _p_point,
+    _p_sig_closed,
+    _t0,
     direction_of,
-    p_point,
     p_sig_bound,
-    p_sig_closed,
     p_sig_integral,
-    t0_statistic,
 )
 
 IDENTIFIER = re.compile(r"^[A-Za-z0-9_-]+$")
@@ -539,6 +541,59 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     return header, out
 
 
+@np.errstate(over="ignore")  # a b_used of inf is reported by the kernels
+def _site_variances(
+    lookup: VarianceLookup, sites: list[SiteData], scale_e: float
+) -> tuple[np.ndarray, np.ndarray, ConfigurationError | None]:
+    """Each site's b_used and nu0, NaN where no estimate exists, and the first such error."""
+    pairs, missing = [], None
+    for i, s in enumerate(sites):
+        try:
+            pairs.append(lookup(s.task, s.site))
+        except ConfigurationError as exc:
+            pairs.append((math.nan, math.nan))
+            if missing is None:
+                exc.row, missing = i, exc
+    b_hat, nu0 = np.array(pairs).T
+    return b_hat * scale_e, nu0, missing
+
+
+def _each_site(value: Callable[[int], float], count: int) -> np.ndarray:
+    """value(i) for ``count`` sites as a column; an error carries its row."""
+    values = []
+    try:
+        for i in range(count):
+            values.append(value(i))
+    except DistnullError as exc:
+        exc.row = i
+        raise
+    return np.array(values, dtype=float)
+
+
+def _site_columns(
+    sites: list[SiteData], missing: DistnullError | None, *stages: Callable[[], np.ndarray]
+) -> list[np.ndarray]:
+    """Each stage's column over all sites, or the error a site-by-site pass meets first.
+
+    The stages are in the order one site's values are computed, and each
+    one's error carries the row it first fails at; ``missing`` is met
+    before them, at its row. The earliest row wins, then the earliest
+    stage. A domain or numeric error is prefixed with its task and site.
+    """
+    columns, errors = [], [] if missing is None else [(missing.row, -1, missing)]
+    for rank, stage in enumerate(stages):
+        try:
+            columns.append(stage())
+        except DistnullError as exc:
+            errors.append((exc.row or 0, rank, exc))
+    if not errors:
+        return columns
+    row, _, error = min(errors, key=lambda e: e[:2])
+    if isinstance(error, (DomainError, NumericError)):
+        error.args = (f"task {sites[row].task!r} site {sites[row].site!r}: {error}",)
+    raise error
+
+
 def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     lookup = resolve_variance(args)
     _, sites = load_sites(args.input, args.family)
@@ -547,38 +602,45 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         "b_used", "nu0_used", "bound", "scale_e", "p_point", "log10_p_point",
         "p_sig", "log10_p_sig", "direction", "significant",
     ]
-    out = []
-    with _located(lambda: f"task {s.task!r} site {s.site!r}"):
-        for s in sites:
-            stat = s.statistic
-            pp = p_point(stat)
-            t0_text = b_text = nu0_text = bound_text = ""
-            if args.variant == "point":
-                p_sig = pp
-            elif args.variant == "bound":
-                p_sig = p_sig_bound(stat, args.bound)
-                bound_text = _real(args.bound)
-            else:
-                b_hat, nu0 = lookup(s.task, s.site)
-                b_used = b_hat * args.scale_e
-                if args.variant == "closed":
-                    p_sig = p_sig_closed(stat, b_used, nu0)
-                else:
-                    p_sig = p_sig_integral(stat, b_used, nu0)
-                t0_text = _real(t0_statistic(stat, b_used))
-                b_text = _real(b_used)
-                nu0_text = _real(nu0)
-            direction = direction_of(stat)
-            significant = p_sig <= args.alpha
-            if args.direction is not None and direction != args.direction:
-                significant = False
-            out.append([
-                s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t),
-                _real(stat.effect), t0_text, _real(args.alpha), args.variant,
-                b_text, nu0_text, bound_text, _real(args.scale_e),
-                _prob(pp), _log10(pp), _prob(p_sig), _log10(p_sig),
-                direction, _bool(significant),
-            ])
+    stats = [s.statistic for s in sites]
+    t, n, df = np.array([(s.t, s.n, s.df) for s in stats]).T
+    pp = _p_point(t, df)
+    missing = None
+    if lookup is not None:
+        b_used, nu0, missing = _site_variances(lookup, sites, args.scale_e)
+
+    def significance() -> np.ndarray:
+        if args.variant == "point":
+            return pp
+        if args.variant == "bound":
+            return _each_site(lambda i: p_sig_bound(stats[i], args.bound), len(sites))
+        if args.variant == "closed":
+            return _p_sig_closed(t, n, b_used, nu0)
+        b_list, nu0_list = b_used.tolist(), nu0.tolist()
+        return _each_site(lambda i: p_sig_integral(stats[i], b_list[i], nu0_list[i]), len(sites))
+
+    (p_sig,) = _site_columns(sites, missing, significance)
+    directions = [direction_of(stat) for stat in stats]
+    significant = p_sig <= args.alpha
+    if args.direction is not None:
+        significant &= np.array(directions) == args.direction
+    if lookup is None:
+        t0_text = b_text = nu0_text = [""] * len(sites)
+    else:
+        t0_text, b_text, nu0_text = (
+            [_real(x) for x in column.tolist()] for column in (_t0(t, n, b_used), b_used, nu0)
+        )
+    fixed = [_real(args.alpha), args.variant]
+    scale = [_real(args.bound) if args.variant == "bound" else "", _real(args.scale_e)]
+    out = [
+        [s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t), _real(stat.effect),
+         t0, *fixed, b, v0, *scale, _prob(p), _log10(p), _prob(q), _log10(q),
+         direction, _bool(flag)]
+        for s, stat, t0, b, v0, p, q, direction, flag in zip(
+            sites, stats, t0_text, b_text, nu0_text, pp.tolist(), p_sig.tolist(),
+            directions, significant.tolist(),
+        )
+    ]
     return header, out
 
 
@@ -607,12 +669,9 @@ def _replication_design(
     return n_r, df_r
 
 
-def _bmax_cells(stat: TestStatistic, alpha: float) -> list[str]:
-    """tau, z_max and b_max cells; empty when t = 0, where b_max is undefined."""
-    if stat.t == 0.0:
-        return ["", "", ""]
-    diag = b_max(stat, alpha)
-    return [_real(diag.tau), _real(diag.z_max), _real(diag.b_max)]
+def _bmax_cells(columns: np.ndarray) -> list[list[str]]:
+    """Each site's tau, z_max and b_max cells, empty where t = 0 leaves them undefined."""
+    return [["" if math.isnan(x) else _real(x) for x in row] for row in columns.T.tolist()]
 
 
 def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
@@ -623,31 +682,44 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         "b_used", "nu0_used", "bound", "scale_e", "p_rep", "log10_p_rep",
         "tau", "z_max", "b_max",
     ]
-    out = []
-    with _located(lambda: f"task {s.task!r} site {s.site!r}"):
-        for s in sites:
-            stat = s.statistic
-            n_r, df_r = _replication_design(args, shape, s)
-            b_text = nu0_text = bound_text = ""
-            query = ReplicationQuery(stat=stat, n_r=n_r, df_r=df_r, alpha=args.alpha)
+    stats = [s.statistic for s in sites]
+    t, n, df = np.array([(s.t, s.n, s.df) for s in stats]).T
+    designs = [_replication_design(args, shape, s) for s in sites]
+    n_r, df_r = np.array(designs).T
+    missing = None
+    if lookup is not None:
+        b_used, nu0, missing = _site_variances(lookup, sites, args.scale_e)
+
+    def forecast() -> np.ndarray:
+        if args.variant == "closed":
+            return _p_rep_closed(t, n, b_used, nu0, args.alpha, n_r, df_r)
+        b_list, nu0_list = (b_used.tolist(), nu0.tolist()) if lookup else ((), ())
+
+        def one(i: int) -> float:
+            query = ReplicationQuery(stats[i], *designs[i], alpha=args.alpha)
             if args.variant == "bound":
-                forecast = p_rep_bound(query, args.bound)
-                bound_text = _real(args.bound)
-            else:
-                b_hat, nu0 = lookup(s.task, s.site)
-                b_used = b_hat * args.scale_e
-                if args.variant == "closed":
-                    forecast = p_rep_closed(query, b_used, nu0)
-                else:
-                    forecast = p_rep_integral(query, b_used, nu0)
-                b_text = _real(b_used)
-                nu0_text = _real(nu0)
-            out.append([
-                s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t),
-                _real(n_r), _real(df_r), _real(args.alpha), args.variant,
-                b_text, nu0_text, bound_text, _real(args.scale_e),
-                _prob(forecast), _log10(forecast), *_bmax_cells(stat, args.alpha),
-            ])
+                return p_rep_bound(query, args.bound)
+            return p_rep_integral(query, b_list[i], nu0_list[i])
+
+        return _each_site(one, len(sites))
+
+    forecasts, diagnostics = _site_columns(
+        sites, missing, forecast, lambda: np.array(_b_max(t, n, df, args.alpha))
+    )
+    if lookup is None:
+        b_text = nu0_text = [""] * len(sites)
+    else:
+        b_text, nu0_text = ([_real(x) for x in c.tolist()] for c in (b_used, nu0))
+    fixed = [_real(args.alpha), args.variant]
+    scale = [_real(args.bound) if args.variant == "bound" else "", _real(args.scale_e)]
+    out = [
+        [s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t), _real(nr), _real(dr),
+         *fixed, b, v0, *scale, _prob(p), _log10(p), *cells]
+        for s, stat, (nr, dr), b, v0, p, cells in zip(
+            sites, stats, designs, b_text, nu0_text, forecasts.tolist(),
+            _bmax_cells(diagnostics),
+        )
+    ]
     return header, out
 
 
@@ -777,14 +849,15 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 def cmd_bmax(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     _, sites = load_sites(args.input, args.family)
     header = ["task", "site", "n", "df", "t", "effect", "alpha", "tau", "z_max", "b_max"]
-    out = []
-    with _located(lambda: f"task {s.task!r} site {s.site!r}"):
-        for s in sites:
-            stat = s.statistic
-            out.append([
-                s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t),
-                _real(stat.effect), _real(args.alpha), *_bmax_cells(stat, args.alpha),
-            ])
+    stats = [s.statistic for s in sites]
+    t, n, df = np.array([(s.t, s.n, s.df) for s in stats]).T
+    (diagnostics,) = _site_columns(sites, None, lambda: np.array(_b_max(t, n, df, args.alpha)))
+    alpha = _real(args.alpha)
+    out = [
+        [s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t),
+         _real(stat.effect), alpha, *cells]
+        for s, stat, cells in zip(sites, stats, _bmax_cells(diagnostics))
+    ]
     return header, out
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import (
     DegenerateVarianceError,
+    DistnullError,
     DomainError,
     NumericError,
     PreconditionError,
@@ -34,6 +34,33 @@ __all__ = [
     "integrate",
     "find_positive_root",
 ]
+
+
+@cache
+def _special():
+    """scipy.special, imported on first use: estimate and simulate never need it."""
+    from scipy import special
+
+    return special
+
+
+def _raise_first(bad, replay: Callable[..., None], *columns) -> None:
+    """Raise the error of the first row flagged ``bad``, tagged with its row.
+
+    ``replay(i, *values)`` gets row i and its values in ``columns`` (or the
+    scalar a column broadcasts from), and runs the row's checks in the
+    order one row is checked, so a column kernel raises the error a
+    row-by-row pass would have met first.
+    """
+    if bad.any():
+        row = int(np.argmax(bad))
+        try:
+            replay(row, *(float(c[row] if np.ndim(c) else c) for c in columns))
+        except DistnullError as exc:
+            exc.row = row
+            raise
+        raise AssertionError(f"row {row} is flagged but passes its checks")
+
 
 # Reported probabilities are clamped to [PROB_FLOOR, 1] so that log10
 # columns stay finite; anything at the floor is formatted as "<1e-320".
@@ -96,7 +123,7 @@ def t_cdf(x: float, nu: float) -> float:
     """Student t CDF with ``nu`` degrees of freedom at ``x``."""
     x = _check_finite(x, "x")
     nu = _check_df(nu)
-    return float(_sp.stdtr(nu, x))
+    return float(_special().stdtr(nu, x))
 
 
 def t_density(x: float, nu: float) -> float:
@@ -104,8 +131,8 @@ def t_density(x: float, nu: float) -> float:
     x = _check_finite(x, "x")
     nu = _check_df(nu)
     log_pdf = (
-        _sp.gammaln((nu + 1.0) / 2.0)
-        - _sp.gammaln(nu / 2.0)
+        _special().gammaln((nu + 1.0) / 2.0)
+        - _special().gammaln(nu / 2.0)
         - 0.5 * math.log(nu * math.pi)
         - ((nu + 1.0) / 2.0) * math.log1p(x * x / nu)
     )
@@ -118,7 +145,7 @@ def t_quantile(p: float, nu: float) -> float:
     nu = _check_df(nu)
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile level must lie strictly in (0, 1), got {p!r}")
-    return float(_sp.stdtrit(nu, p))
+    return float(_special().stdtrit(nu, p))
 
 
 @lru_cache(maxsize=4096)
@@ -127,12 +154,18 @@ def _critical(alpha: float, df: float) -> float:
     return t_quantile(1.0 - alpha / 2.0, df)
 
 
+def _critical_values(alpha: float, df) -> np.ndarray:
+    """_critical over an array of df; the cache computes each distinct df once."""
+    df = np.asarray(df, dtype=float)
+    return np.reshape([_critical(alpha, d) for d in df.ravel().tolist()], df.shape)
+
+
 def _chi2_log_pdf(v: float, nu: float) -> float:
     return (
         (nu / 2.0 - 1.0) * math.log(v)
         - v / 2.0
         - (nu / 2.0) * math.log(2.0)
-        - _sp.gammaln(nu / 2.0)
+        - _special().gammaln(nu / 2.0)
     )
 
 
@@ -150,14 +183,15 @@ def noncentral_t_cdf(x: float, nu: float, theta: float) -> float:
     nu = _check_df(nu)
     theta = _check_finite(theta, "theta")
 
-    value = float(_sp.nctdtr(nu, theta, x))
+    value = float(_special().nctdtr(nu, theta, x))
     if math.isfinite(value):
         return min(1.0, max(0.0, value))
+    ndtr = _special().ndtr
 
     def mixture(v: float) -> float:
         if v <= 0.0:
             return 0.0
-        return float(_sp.ndtr(x * math.sqrt(v / nu) - theta)) * math.exp(
+        return float(ndtr(x * math.sqrt(v / nu) - theta)) * math.exp(
             _chi2_log_pdf(v, nu)
         )
 
@@ -190,7 +224,7 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 /
 def _stirling_remainder(x: float) -> float:
     """log Gamma(x) - (x - 1/2) log x + x - log(2 pi)/2, free of cancellation."""
     if x < 10.0:
-        return float(_sp.gammaln(x)) - (x - 0.5) * math.log(x) + x - _HALF_LOG_2PI
+        return float(_special().gammaln(x)) - (x - 0.5) * math.log(x) + x - _HALF_LOG_2PI
     inv_sq = 1.0 / (x * x)
     acc = 0.0
     for c in reversed(_STIRLING):
@@ -294,8 +328,10 @@ def f_expectation(kernel: Callable[..., np.ndarray], *dfs: tuple[float, float]) 
     value. The result is certified to RULE_RTOL relative (absolute below
     PROB_FLOOR). NumericError, with the best estimate and its error bound,
     is raised when an axis would need more than RULE_LEVELS halvings, or
-    when the mass beyond |log b| = 354, which is below 1e-76 and below
-    1e-300 for d2 >= 5, exceeds the tolerance of a smaller value.
+    when the F mass outside the nodes exceeds the value's tolerance: the
+    mass beyond |log b| = 354, below 1e-76 and, for d2 >= 5, below 1e-300,
+    plus for every (d1, d2) the mass where the weights underflow, up to
+    about 1e-320 per axis, so a value near 0 can fail at any d2.
     """
     dfs = [(_check_df(d1, "d1"), _check_df(d2, "d2")) for d1, d2 in dfs]
     k = len(dfs)
@@ -396,11 +432,87 @@ def _adaptive(f: Callable[[float], float], a: float, b: float) -> float:
     return value
 
 
-def _polynomial(coeffs: Sequence[float], z: float) -> float:
-    acc = 0.0
-    for c in coeffs:
+def _horner(columns: list[np.ndarray], z: np.ndarray) -> np.ndarray:
+    acc = columns[0]
+    for c in columns[1:]:
         acc = acc * z + c
     return acc
+
+
+@np.errstate(all="ignore")  # rows that fail are computed too, then discarded
+def _positive_roots(coeffs, hints) -> tuple[np.ndarray, Callable[[int], DistnullError]]:
+    """Each row's unique positive root, found as find_positive_root finds it.
+
+    ``coeffs`` holds one row of descending coefficients per polynomial and
+    ``hints`` a bracket hint each. All rows are bracketed and bisected at
+    once with the arithmetic of one row alone, so each root keeps its bits.
+    Returns the roots, NaN in rows that fail, and a failed row's error.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    hints = np.asarray(hints, dtype=float)
+    rows, width = coeffs.shape
+    nonzero = coeffs != 0.0
+    finite = np.isfinite(coeffs).all(axis=1) & (width > 0)
+    count = nonzero.sum(axis=1)
+    # sign changes between each nonzero coefficient and the nonzero one before it
+    sign = np.sign(coeffs)
+    last = np.maximum.accumulate(np.where(nonzero, np.arange(width), 0), axis=1)
+    before = np.take_along_axis(sign, last, axis=1)[:, :-1]
+    changes = (nonzero[:, 1:] & (before != 0.0) & (sign[:, 1:] != before)).sum(axis=1)
+    valid = finite & (count >= 2) & (changes == 1) & np.isfinite(hints) & (hints > 0.0)
+    # Trailing zero coefficients only contribute roots at z = 0, so shift
+    # them out; the leading zeros this leaves add exactly 0 under Horner.
+    trailing = np.argmax(nonzero[:, ::-1], axis=1) if width else np.zeros(rows, int)
+    shift = np.arange(width) - trailing[:, None]
+    poly = np.where(shift >= 0, np.take_along_axis(coeffs, np.maximum(shift, 0), axis=1), 0.0)
+    columns = list(poly.T) if width else [np.zeros(rows)]
+
+    lo, f_lo = np.zeros(rows), columns[-1]
+    hi = np.where(valid, hints, 1.0)
+    f_hi = _horner(columns, hi)
+    grow = valid & ((f_hi > 0.0) == (f_lo > 0.0)) & (f_hi != 0.0)
+    failed = np.zeros(rows, dtype=bool)
+    while grow.any():
+        lo, f_lo = np.where(grow, hi, lo), np.where(grow, f_hi, f_lo)
+        hi = np.where(grow, 2.0 * hi, hi)
+        failed |= grow & (hi > 1e9)
+        grow &= ~failed
+        f_hi = np.where(grow, _horner(columns, hi), f_hi)
+        grow &= ((f_hi > 0.0) == (f_lo > 0.0)) & (f_hi != 0.0)
+
+    # Bisection keeps the sign of f at lo, so only that sign is tracked; a
+    # row's root is the midpoint at which it first stops.
+    positive_at_lo, bracketed = f_lo > 0.0, lo
+    roots = np.where(valid & ~failed & (f_hi == 0.0), hi, np.nan)
+    pending = valid & ~failed & (f_hi != 0.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = _horner(columns, mid)
+        stop = pending & ((hi - lo <= 1e-15 * hi) | (f_mid == 0.0))
+        roots = np.where(stop, mid, roots)
+        pending &= ~stop
+        if not pending.any():
+            break
+        right = (f_mid > 0.0) == positive_at_lo
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    roots = np.where(pending, 0.5 * (lo + hi), roots)
+
+    def error(i: int) -> DistnullError:
+        if not finite[i]:
+            return DomainError("coefficients must be a nonempty finite sequence")
+        if count[i] < 2:
+            return PreconditionError("polynomial is constant after stripping zeros")
+        if changes[i] != 1:
+            return PreconditionError(
+                f"expected exactly one coefficient sign change, found {changes[i]}"
+            )
+        if not valid[i]:
+            return DomainError(f"bracket_hint must be finite and > 0, got {float(hints[i])!r}")
+        return NumericError(
+            "failed to bracket the positive root", best_estimate=float(bracketed[i])
+        )
+
+    return roots, error
 
 
 def find_positive_root(coeffs: Sequence[float], bracket_hint: float) -> float:
@@ -411,51 +523,7 @@ def find_positive_root(coeffs: Sequence[float], bracket_hint: float) -> float:
     grown geometrically from ``bracket_hint`` and the root isolated by
     bisection to relative width 1e-15.
     """
-    coeffs = [float(c) for c in coeffs]
-    if not coeffs or any(not math.isfinite(c) for c in coeffs):
-        raise DomainError("coefficients must be a nonempty finite sequence")
-    while coeffs and coeffs[0] == 0.0:
-        coeffs = coeffs[1:]
-    # Trailing zero coefficients only contribute roots at z = 0.
-    while coeffs and coeffs[-1] == 0.0:
-        coeffs = coeffs[:-1]
-    if len(coeffs) < 2:
-        raise PreconditionError("polynomial is constant after stripping zeros")
-
-    signs = [c > 0.0 for c in coeffs if c != 0.0]
-    changes = sum(1 for prev, cur in zip(signs, signs[1:]) if prev != cur)
-    if changes != 1:
-        raise PreconditionError(
-            f"expected exactly one coefficient sign change, found {changes}"
-        )
-
-    hint = float(bracket_hint)
-    if not (math.isfinite(hint) and hint > 0):
-        raise DomainError(f"bracket_hint must be finite and > 0, got {hint!r}")
-
-    lo, f_lo = 0.0, coeffs[-1]
-    hi = hint
-    f_hi = _polynomial(coeffs, hi)
-    while (f_hi > 0.0) == (f_lo > 0.0) and f_hi != 0.0:
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        if hi > 1e9:
-            raise NumericError(
-                "failed to bracket the positive root", best_estimate=lo
-            )
-        f_hi = _polynomial(coeffs, hi)
-    if f_hi == 0.0:
-        return hi
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * hi:
-            break
-        f_mid = _polynomial(coeffs, mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    roots, error = _positive_roots([[float(c) for c in coeffs]], [float(bracket_hint)])
+    if math.isnan(roots[0]):
+        raise error(0)
+    return float(roots[0])

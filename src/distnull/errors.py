@@ -9,9 +9,13 @@ from __future__ import annotations
 
 
 class DistnullError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``row`` is the index of the faulty row when a column kernel raised it.
+    """
 
     exit_code = 4
+    row: int | None = None
 
 
 class ParseError(DistnullError):

@@ -28,9 +28,9 @@ from .estimators import (
 )
 from .adapters import statistic_from_summary
 from .significance import (
-    direction_of, p_point, p_sig_closed, p_sig_given_b, p_sig_integral,
+    _p_point, _p_sig_closed, direction_of, p_sig_given_b, p_sig_integral,
 )
-from .replication import ReplicationQuery, p_rep_closed, p_rep_integral
+from .replication import ReplicationQuery, _p_rep_closed, p_rep_integral
 
 __all__ = [
     "SimConfig",
@@ -309,22 +309,17 @@ def type1_calibration(
     if config.mu0 != 0.0:
         raise DomainError("type-1 calibration requires mu0 = 0")
     b_true = config.b_true
-    p_pt: list[float] = []
-    p_tb: list[float] = []
-    p_est: list[float] = []
+    columns: dict[str, list] = {"point": [], "true_b": [], "estimated_b": []}
     for stream in range(config.n_tasks):
         task = simulate_task(config, stream)
         b0 = between_variance(task, mode)
-        for exp in task.experiments:
-            stat = statistic_from_summary(exp)
-            p_pt.append(p_point(stat))
-            p_tb.append(p_sig_given_b(stat, b_true))
-            p_est.append(p_sig_closed(stat, variance_ratio(b0, exp), b0.nu0))
-    arrays = {
-        "point": np.array(p_pt),
-        "true_b": np.array(p_tb),
-        "estimated_b": np.array(p_est),
-    }
+        stats = [statistic_from_summary(e) for e in task.experiments]
+        t, n, df = np.array([(s.t, s.n, s.df) for s in stats]).T
+        b_hats = [variance_ratio(b0, e) for e in task.experiments]
+        columns["point"].append(_p_point(t, df))
+        columns["true_b"].append([p_sig_given_b(s, b_true) for s in stats])
+        columns["estimated_b"].append(_p_sig_closed(t, n, b_hats, b0.nu0))
+    arrays = {variant: np.concatenate(values) for variant, values in columns.items()}
     rows = []
     for alpha in config.alpha_levels:
         for variant, values in arrays.items():
@@ -360,18 +355,18 @@ def task_pair_records(
     """
     if not (math.isfinite(scale_e) and scale_e > 0):
         raise DomainError(f"scale_e must be > 0, got {scale_e!r}")
-    if variant == "closed":
-        p_sig, p_rep = p_sig_closed, p_rep_closed
-    elif variant == "integral":
-        p_sig, p_rep = p_sig_integral, p_rep_integral
-    else:
+    if variant not in ("closed", "integral"):
         raise DomainError(f"unknown forecast variant {variant!r}")
     b0 = between_variance(task, mode)
     b0 = replace(b0, s0_sq=scale_e * b0.s0_sq)
     experiments = task.experiments
     stats = [statistic_from_summary(e) for e in experiments]
-    b_hats = [variance_ratio(b0, e) for e in experiments]
-    p_sigs = np.array([p_sig(s, bh, b0.nu0) for s, bh in zip(stats, b_hats)])
+    b_hats = np.array([variance_ratio(b0, e) for e in experiments])
+    if variant == "closed":
+        t, n = np.array([(s.t, s.n) for s in stats]).T
+        p_sigs = _p_sig_closed(t, n, b_hats, b0.nu0)
+    else:
+        p_sigs = np.array([p_sig_integral(s, bh, b0.nu0) for s, bh in zip(stats, b_hats)])
     signs = np.array([direction_of(s) for s in stats])
 
     k = len(experiments)
@@ -382,18 +377,23 @@ def task_pair_records(
     keys = np.column_stack([predictor, designs[target]])
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    computed = list(zip(predictor[first[order]].tolist(), target[first[order]].tolist()))
+    i, j = predictor[first[order]], target[first[order]]
     same_sign = signs[predictor] == signs[target]
     table = np.empty((len(alphas), predictor.size), dtype=PAIR_DTYPE)
     for rows, alpha in zip(table, alphas):
         forecasts = np.empty(first.size)
-        forecasts[order] = [
-            p_rep(
-                ReplicationQuery(stats[i], experiments[j].n, experiments[j].df, alpha),
-                b_hats[i], b0.nu0,
+        if variant == "closed":
+            forecasts[order] = _p_rep_closed(
+                t[i], n[i], b_hats[i], b0.nu0, alpha, *designs[j].T
             )
-            for i, j in computed
-        ]
+        else:
+            forecasts[order] = [
+                p_rep_integral(
+                    ReplicationQuery(stats[a], experiments[b].n, experiments[b].df, alpha),
+                    b_hats[a], b0.nu0,
+                )
+                for a, b in zip(i.tolist(), j.tolist())
+            ]
         significant = p_sigs <= alpha
         rows["predictor"] = predictor
         rows["target"] = target

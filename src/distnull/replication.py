@@ -13,15 +13,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .distributions import (
     _check_alpha,
     _check_b_hat,
+    _check_finite,
     _check_nu0,
     _critical,
+    _critical_values,
+    _positive_roots,
+    _raise_first,
+    _special,
     f_expectation,
-    find_positive_root,
     t_cdf,
 )
 from .errors import DomainError
@@ -122,7 +125,7 @@ def p_rep_curve(q: ReplicationQuery, b_values) -> np.ndarray:
         raise DomainError("all b values must be > 0")
     t_crit = _critical(q.alpha, q.df_r)
     arg = _kernel_argument(abs(q.stat.t), bs, q.stat.n, q.n_r, t_crit, q.c)
-    return np.clip(_sp.stdtr(q.df_r, arg), 0.0, 1.0)
+    return np.clip(_special().stdtr(q.df_r, arg), 0.0, 1.0)
 
 
 def p_rep_bound(q: ReplicationQuery, bound: float) -> float:
@@ -154,13 +157,36 @@ def p_rep_integral(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
     n_r = q.n_r
     df_r = q.df_r
     t_crit = _critical(q.alpha, df_r)
+    stdtr = _special().stdtr
 
     @np.errstate(over="ignore")  # b * b_hat may overflow to its limit inf
     def kernel(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return _sp.stdtr(df_r, _kernel_argument(t_abs, b * b_hat, n, n_r, t_crit, q.c * c))
+        return stdtr(df_r, _kernel_argument(t_abs, b * b_hat, n, n_r, t_crit, q.c * c))
 
     value = f_expectation(kernel, (q.stat.df, nu0), (q.stat.df, df_r))
     return min(1.0, max(0.0, value))
+
+
+@np.errstate(all="ignore")  # rows that fail
+def _p_rep_closed(t, n, b_hat, nu0, alpha: float, n_r, df_r) -> np.ndarray:
+    """p_rep_closed over columns of originals and replication designs at one alpha."""
+    t, n, b_hat, nu0, n_r = (np.asarray(x, dtype=float) for x in (t, n, b_hat, nu0, n_r))
+    bn = b_hat * n
+    scale = np.sqrt(bn * n_r / (n + n_r))
+    arg = scale * (
+        np.abs(t) / np.sqrt(bn)
+        - _critical_values(alpha, df_r) * np.sqrt(1.0 / bn + nu0 / (nu0 - 2.0))
+    )
+    valid = np.isfinite(nu0) & (nu0 > 2.0) & np.isfinite(b_hat) & (b_hat > 0.0)
+
+    def replay(_, nu0: float, b_hat: float, arg: float) -> None:
+        if _check_nu0(nu0) <= 2.0:
+            raise DomainError(f"nu0 must be > 2 for the closed form, got {nu0!r}")
+        _check_b_hat(b_hat)
+        _check_finite(arg, "x")
+
+    _raise_first(~(valid & np.isfinite(arg)), replay, nu0, b_hat, arg)
+    return np.clip(_special().stdtr(df_r, arg), 0.0, 1.0)
 
 
 def p_rep_closed(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
@@ -172,20 +198,35 @@ def p_rep_closed(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
     Requires nu0 > 2 (the nu0/(nu0−2) term is the mean of the inverse
     chi-square factor absorbing the uncertainty in b̂).
     """
-    nu0 = _check_nu0(nu0)
-    if nu0 <= 2.0:
-        raise DomainError(f"nu0 must be > 2 for the closed form, got {nu0!r}")
-    b_hat = _check_b_hat(b_hat)
-    n = q.stat.n
-    n_r = q.n_r
-    t_crit = _critical(q.alpha, q.df_r)
-    bn = b_hat * n
-    scale = math.sqrt(bn * n_r / (n + n_r))
-    arg = scale * (
-        abs(q.stat.t) / math.sqrt(bn)
-        - t_crit * math.sqrt(1.0 / bn + nu0 / (nu0 - 2.0))
-    )
-    return min(1.0, max(0.0, t_cdf(arg, q.df_r)))
+    stat = q.stat
+    return float(_p_rep_closed(stat.t, stat.n, b_hat, nu0, q.alpha, q.n_r, q.df_r))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # rows that fail
+def _b_max(t, n, df, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """b_max's tau, z_max and b_max over columns of t, N and df; NaN where t = 0.
+
+    The quintics of all rows are solved together by _positive_roots.
+    """
+    alpha = _check_alpha(alpha, upper=0.5)
+    t, n = np.asarray(t, dtype=float), np.asarray(n, dtype=float)
+    tau = np.abs(t) / _critical_values(alpha, df)
+    tau_sq = tau * tau
+    ones = np.ones_like(tau)
+    coeffs = [ones, 3.0 * ones, 3.0 * ones, 1.0 - 2.25 * tau_sq, -3.0 * tau_sq, -tau_sq]
+    z_max, root_error = _positive_roots(np.column_stack(coeffs), tau.ravel())
+    z_max = z_max.reshape(tau.shape)
+    b = z_max / n
+    valid = (tau > 0.0) & (z_max > 0.0) & (b > 0.0) & (z_max <= tau * (1.0 + 1e-12))
+
+    def replay(i: int, tau: float, z_max: float, b: float) -> None:
+        if math.isnan(z_max):
+            raise root_error(i)
+        BmaxResult(tau=tau, z_max=z_max, b_max=b)
+
+    undefined = t == 0.0
+    _raise_first(~(valid | undefined), replay, tau, z_max, b)
+    return tuple(np.where(undefined, np.nan, column) for column in (tau, z_max, b))
 
 
 def b_max(stat: TestStatistic, alpha: float) -> BmaxResult:
@@ -200,14 +241,10 @@ def b_max(stat: TestStatistic, alpha: float) -> BmaxResult:
     z_max <= tau. Assumes N_r = N and c = 1 (the regime in which the
     stationary condition is derived).
     """
-    alpha = _check_alpha(alpha, upper=0.5)
+    tau, z_max, b = _b_max(stat.t, stat.n, stat.df, alpha)
     if stat.t == 0.0:
         raise DomainError("b_max is undefined at t = 0")
-    tau = abs(stat.t) / _critical(alpha, stat.df)
-    tau_sq = tau * tau
-    coeffs = [1.0, 3.0, 3.0, 1.0 - 2.25 * tau_sq, -3.0 * tau_sq, -tau_sq]
-    z_max = find_positive_root(coeffs, bracket_hint=tau)
-    return BmaxResult(tau=tau, z_max=z_max, b_max=z_max / stat.n)
+    return BmaxResult(tau=float(tau), z_max=float(z_max), b_max=float(b))
 
 
 def killeen_p_rep(effect: float, n: float) -> float:
@@ -225,4 +262,4 @@ def killeen_p_rep(effect: float, n: float) -> float:
     bracket = 1.0 - 4.0 / n
     if bracket <= 0.0:
         return 0.5
-    return float(_sp.ndtr(abs(effect) / math.sqrt(2.0) * bracket))
+    return float(_special().ndtr(abs(effect) / math.sqrt(2.0) * bracket))

@@ -13,11 +13,13 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy import special as _sp
 
 from .distributions import (
+    PROB_FLOOR,
     _check_b_hat,
     _check_nu0,
+    _raise_first,
+    _special,
     clamp_probability,
     f_expectation,
     t_cdf,
@@ -85,9 +87,17 @@ def direction_of(stat: TestStatistic) -> Direction:
     return "negative" if stat.t < 0 else "positive"
 
 
+def _p_point(t, df) -> np.ndarray:
+    """p_point over columns of t and df."""
+    t, df = np.asarray(t, dtype=float), np.asarray(df, dtype=float)
+    p = 2.0 * _special().stdtr(df, -np.abs(t))
+    _raise_first(np.isnan(p), lambda _, p: clamp_probability(p), p)
+    return np.clip(p, PROB_FLOOR, 1.0)
+
+
 def p_point(stat: TestStatistic) -> float:
     """Two-sided point-form significance 2T_nu(-|t|)."""
-    return clamp_probability(2.0 * t_cdf(-abs(stat.t), stat.df))
+    return float(_p_point(stat.t, stat.df))
 
 
 def p_sig_given_b(stat: TestStatistic, b: float) -> float:
@@ -131,16 +141,39 @@ def p_sig_integral(stat: TestStatistic, b_hat: float, nu0: float) -> float:
     t_abs = abs(stat.t)
     spread = b_hat * stat.n
     nu = stat.df
+    stdtr = _special().stdtr
 
     def kernel(b: np.ndarray) -> np.ndarray:
-        return 2.0 * _sp.stdtr(nu, -t_abs / np.sqrt(1.0 + b * spread))
+        return 2.0 * stdtr(nu, -t_abs / np.sqrt(1.0 + b * spread))
 
     return clamp_probability(f_expectation(kernel, (nu, nu0)))
 
 
+@np.errstate(all="ignore")  # b_hat * N may overflow (t0 -> 0) or underflow to 0
+def _t0(t, n, b_hat) -> np.ndarray:
+    """t0 = t / sqrt(b_hat * N) over columns whose b_hat is checked."""
+    return t / np.sqrt(b_hat * n)
+
+
 def t0_statistic(stat: TestStatistic, b_hat: float) -> float:
     """Distributional t-statistic t0 = t / sqrt(b_hat * N) = X̄ / S0."""
-    return stat.t / math.sqrt(_check_b_hat(b_hat) * stat.n)
+    return float(_t0(stat.t, stat.n, _check_b_hat(b_hat)))
+
+
+def _p_sig_closed(t, n, b_hat, nu0) -> np.ndarray:
+    """p_sig_closed over columns of t, N, b_hat and nu0."""
+    t, n, b_hat, nu0 = (np.asarray(x, dtype=float) for x in (t, n, b_hat, nu0))
+    with np.errstate(all="ignore"):  # rows that fail
+        p = 2.0 * _special().stdtr(nu0, -np.abs(_t0(t, n, b_hat)))
+    valid = np.isfinite(nu0) & (nu0 >= 1.0) & np.isfinite(b_hat) & (b_hat > 0.0)
+
+    def replay(_, nu0: float, b_hat: float, p: float) -> None:
+        _check_nu0(nu0)
+        _check_b_hat(b_hat)
+        clamp_probability(p)
+
+    _raise_first(~valid | np.isnan(p), replay, nu0, b_hat, p)
+    return np.clip(p, PROB_FLOOR, 1.0)
 
 
 def p_sig_closed(stat: TestStatistic, b_hat: float, nu0: float) -> float:
@@ -150,6 +183,4 @@ def p_sig_closed(stat: TestStatistic, b_hat: float, nu0: float) -> float:
     from the within-experiment nu to the between-experiment nu0, since S0
     rather than S now carries the estimation noise.
     """
-    nu0 = _check_nu0(nu0)
-    t0 = t0_statistic(stat, b_hat)
-    return clamp_probability(2.0 * t_cdf(-abs(t0), nu0))
+    return float(_p_sig_closed(stat.t, stat.n, b_hat, nu0))

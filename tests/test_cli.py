@@ -719,6 +719,20 @@ class TestPredict:
             assert {r["p_rep"] for r in parse(out)} == {"<1e-320"}
 
 
+    def test_integral_value_near_zero_is_uncertified_at_nu0_5(self, summary_file):
+        # the F(25, 5) and F(25, 29) weights that underflow outside the
+        # rule's nodes hold 1.16e-320, above the 1e-320 tolerance of 0
+        code, out, err = run_cli([
+            "predict", "--input", summary_file, "--variant", "integral",
+            "--b", "1e280", "--nu0", "5", "--nr", "30",
+        ])
+        assert (code, out) == (5, "")
+        assert err == (
+            "error: task 'beta' site 'lab2': quadrature did not reach requested"
+            " tolerance (best estimate 0.0, error bound 1.1625e-320)\n"
+        )
+
+
 class TestCalibrate:
     def test_single_site_task_warns_and_skips(self, tmp_path):
         # four sites keep nu0 = 3 above the replication-form floor
@@ -991,6 +1005,124 @@ class TestBmax:
             assert float(tight["tau"]) < float(wide["tau"])
 
 
+class TestErrorPrecedence:
+    """Multi-fault inputs: the first faulty site in (task, site) order is named.
+
+    Within a site the checks run in the order a site is computed: its
+    variance lookup, then its forecast or significance, then its b_max
+    cells. Closed-form columns are computed for all sites at once, so
+    these pin the exit code and the whole stderr of each case.
+    """
+
+    SITES = [
+        ["a", "s1", "30", "0.5", "1.0", "29"],
+        ["a", "s2", "28", "0.4", "1.1", "27"],
+        ["a", "s3", "33", "0.3", "1.2", "32"],
+        ["b", "s1", "25", "0.2", "1.0", "24"],
+    ]
+    # s1 has t = 0 (empty b_max cells), s2 and s3 tiny and huge t, whose
+    # b_max quintics fail: tau^2 underflows to 0, or overflows to inf
+    TINY, HUGE = ["30", "1e-170", "1.0", "29"], ["30", "1e160", "1.0", "29"]
+    ZERO_T = ["a", "s1", "30", "0.0", "1.0", "29"]
+    B_HAT_INF = (
+        "b_hat must be finite and > 0, got inf; the distributional forms are "
+        "undefined at zero between-experiment variance (use the point form)"
+    )
+
+    CASES = {
+        # (command and flags, estimate rows for a/s1, a/s2, a/s3; None = missing)
+        "nu0_2_before_missing": (
+            ["predict", "--variant", "closed", "--nr", "30"],
+            [("0.1", "5"), ("0.1", "2"), None], "sites",
+            4, "error: task 'a' site 's2': nu0 must be > 2 for the closed form, got 2.0\n",
+        ),
+        "missing_before_nu0_2": (
+            ["predict", "--variant", "closed", "--nr", "30"],
+            [("0.1", "5"), None, ("0.1", "2")], "sites",
+            3, "error: --b-from has no estimate for task 'a' site 's2'\n",
+        ),
+        "test_overflow_before_missing": (
+            ["test", "--variant", "closed", "--scale-e", "1e300"],
+            [("1e-3", "5"), ("1e10", "5"), None], "sites",
+            4, "error: task 'a' site 's2': " + B_HAT_INF + "\n",
+        ),
+        "test_missing_before_overflow": (
+            ["test", "--variant", "closed", "--scale-e", "1e300"],
+            [("1e-3", "5"), None, ("1e10", "5")], "sites",
+            3, "error: --b-from has no estimate for task 'a' site 's2'\n",
+        ),
+        "predict_overflow_before_missing": (
+            ["predict", "--variant", "closed", "--scale-e", "1e300", "--nr", "30"],
+            [("1e-3", "5"), ("1e10", "5"), None], "sites",
+            4, "error: task 'a' site 's2': " + B_HAT_INF + "\n",
+        ),
+        "integral_overflow_before_missing": (
+            ["test", "--variant", "integral", "--scale-e", "1e300"],
+            [("1e-3", "5"), ("1e10", "5"), None], "sites",
+            4, "error: task 'a' site 's2': " + B_HAT_INF + "\n",
+        ),
+        "infinite_argument_before_nu0_2": (
+            ["predict", "--variant", "closed", "--nr", "30"],
+            [("0.1", "5"), ("1e306", "5"), ("0.1", "2")], "sites",
+            4, "error: task 'a' site 's2': x must be finite, got -inf\n",
+        ),
+        "bmax_tiny_t_before_huge_t": (
+            ["bmax"], None, "tiny_huge",
+            4, "error: task 'a' site 's2': expected exactly one coefficient sign change,"
+            " found 0\n",
+        ),
+        "bmax_huge_t_before_tiny_t": (
+            ["bmax"], None, "huge_tiny",
+            4, "error: task 'a' site 's2': coefficients must be a nonempty finite sequence\n",
+        ),
+        "predict_b_max_cells_before_next_forecast": (
+            ["predict", "--variant", "closed", "--nr", "30"],
+            [("0.1", "5"), ("0.1", "5"), ("0.1", "2")], "huge_mid",
+            4, "error: task 'a' site 's2': coefficients must be a nonempty finite sequence\n",
+        ),
+        "predict_forecast_before_own_b_max_cells": (
+            ["predict", "--variant", "closed", "--nr", "30"],
+            [("0.1", "5"), ("0.1", "2"), ("0.1", "5")], "huge_mid",
+            4, "error: task 'a' site 's2': nu0 must be > 2 for the closed form, got 2.0\n",
+        ),
+    }
+
+    def sites(self, tmp_path, layout):
+        rows = [list(r) for r in self.SITES]
+        if layout == "tiny_huge":
+            rows[:3] = [self.ZERO_T, ["a", "s2", *self.TINY], ["a", "s3", *self.HUGE]]
+        elif layout == "huge_tiny":
+            rows[:3] = [self.ZERO_T, ["a", "s2", *self.HUGE], ["a", "s3", *self.TINY]]
+        elif layout == "huge_mid":
+            rows[:2] = [self.ZERO_T, ["a", "s2", *self.HUGE]]
+        return write_csv(tmp_path / "sites.csv", SUMMARY_HEADER, rows)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_first_faulty_site_is_named(self, tmp_path, case):
+        argv, estimates, layout, code, err = self.CASES[case]
+        argv = [*argv, "--input", self.sites(tmp_path, layout)]
+        if estimates is not None:
+            rows = [["a", f"s{i}", *e] for i, e in enumerate(estimates, 1) if e]
+            est = write_csv(tmp_path / "est.csv", ["task", "site", "b_hat", "nu0"],
+                            [*rows, ["b", "s1", "0.1", "5"]])
+            argv += ["--b-from", est]
+        assert run_cli(argv) == (code, "", err)
+
+    def test_t_zero_cells_stay_empty_before_a_later_fault(self, tmp_path):
+        argv = ["predict", "--input", self.sites(tmp_path, "tiny_huge"),
+                "--variant", "closed", "--b", "0.1", "--nu0", "5", "--nr", "30"]
+        assert run_cli(argv) == (
+            4, "", "error: task 'a' site 's2': expected exactly one coefficient sign"
+            " change, found 0\n",
+        )
+        path = write_csv(tmp_path / "zero.csv", SUMMARY_HEADER, [self.ZERO_T, *self.SITES[1:]])
+        for argv in (["bmax"], ["predict", "--b", "0.1", "--nu0", "5", "--nr", "30"]):
+            code, out, err = run_cli([*argv, "--input", path])
+            assert (code, err) == (0, "")
+            cells = [(r["tau"], r["z_max"], r["b_max"]) for r in parse(out)]
+            assert cells[0] == ("", "", "") and all(all(c) for c in cells[1:])
+
+
 class TestDeterminism:
     def test_estimate_and_test_are_byte_stable(self, summary_file, tmp_path):
         est = str(tmp_path / "est.csv")
@@ -1010,19 +1142,20 @@ class TestDeterminism:
 
 
 class TestLazyIntegrate:
+    # Prints whether scipy.integrate and scipy.special are loaded after
+    # `import distnull.cli`, and again after running the command.
     SCRIPT = (
         "import sys\n"
         "import distnull.cli\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "loaded = lambda: [m in sys.modules for m in ('scipy.integrate', 'scipy.special')]\n"
+        "print(*loaded())\n"
         "sys.stdout.flush()\n"
         "code = distnull.cli.main(sys.argv[1:])\n"
-        "print('scipy.integrate' in sys.modules, code)\n"
+        "print(*loaded(), code)\n"
     )
 
-    def test_integral_variant_imports_quadrature_on_use(self, raw_one_sample):
-        # The integral variant runs on the package's own fixed-node rule, so
-        # scipy.integrate is never loaded. A fresh interpreter: this one has
-        # it loaded by the tests.
+    def run_fresh(self, argv):
+        # A fresh interpreter: this one has both modules loaded by the tests.
         import distnull
 
         env = dict(os.environ)
@@ -1030,16 +1163,30 @@ class TestLazyIntegrate:
             [os.path.dirname(os.path.dirname(distnull.__file__)),
              *filter(None, [env.get("PYTHONPATH")])]
         )
-        argv = ["test", "--input", raw_one_sample, "--variant", "integral",
-                "--b", "0.05", "--nu0", "5"]
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", self.SCRIPT, *argv],
             env=env, capture_output=True, text=True, timeout=120,
         )
+
+    def test_estimate_and_simulate_never_load_scipy_special(self, raw_one_sample, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TestSimulate.CONFIG))
+        out = str(tmp_path / "out.csv")
+        for argv in (["estimate", "--input", raw_one_sample],
+                     ["simulate", "--config", str(config)]):
+            proc = self.run_fresh([*argv, "--output", out])
+            assert (proc.stdout, proc.stderr) == ("False False\nFalse False 0\n", "")
+
+    def test_integral_variant_imports_quadrature_on_use(self, raw_one_sample):
+        # The integral variant runs on the package's own fixed-node rule, so
+        # scipy.integrate is never loaded; scipy.special is, on first use.
+        argv = ["test", "--input", raw_one_sample, "--variant", "integral",
+                "--b", "0.05", "--nu0", "5"]
+        proc = self.run_fresh(argv)
         assert proc.stderr == ""
         before, *table, after = proc.stdout.splitlines(keepends=True)
-        assert before == "False\n"
-        assert after == "False 0\n"
+        assert before == "False False\n"
+        assert after == "False True 0\n"
         got = [(r["task"], r["site"], r["t"], r["p_sig"]) for r in parse("".join(table))]
         assert got == [
             ("t0", "s0", "-0.0445207828457", "0.97648888821"),

@@ -6,7 +6,9 @@ density in y = log b with the Student t CDF from the regularized incomplete
 beta function; the double integral of `p_rep_integral` takes minutes there,
 so none of them is recomputed here. The property tests compare against
 `scipy.integrate.quad` over the same log-b integrands, at the tolerance the
-benchmark's own output check allows.
+benchmark's own output check allows. The convergence properties check
+that both integral variants tend to their closed forms as the degrees of
+freedom and b_hat N grow.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from scipy import integrate, special
 
 from distnull.distributions import RULE_RTOL
 from distnull.errors import NumericError
-from distnull.replication import ReplicationQuery, p_rep_integral
-from distnull.significance import TestStatistic, p_sig_integral
+from distnull.replication import ReplicationQuery, p_rep_closed, p_rep_integral
+from distnull.significance import TestStatistic, p_sig_closed, p_sig_integral
 
 # (t, n, nu, b_hat, nu0) -> mpmath value of p_sig_integral
 P_SIG_REFERENCE = [
@@ -148,3 +150,35 @@ def test_p_rep_integral_properties(t, n, b_hat, nu0):
     assert p_rep_integral(flipped, b_hat, nu0) == p
     ref = _p_rep_quad(t, n, n - 1, b_hat, nu0, 0.05, n, n - 1)
     assert _close_to_quad(p, ref), (p, ref)
+
+
+# --- integral -> closed convergence -------------------------------------------
+# The closed forms are the limits of the integral variants as the F factors
+# concentrate at 1 (nu, nu0 and df_r growing) and 1/(b_hat N) vanishes.
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(t0=st.floats(-5.0, 5.0), b_hat=st.floats(-1.3, 1.0).map(lambda e: 10.0**e))
+def test_p_sig_integral_approaches_the_closed_form(t0, b_hat):
+    # t0 = t / sqrt(b_hat N) held fixed at N = nu + 1 and nu0 = nu / 6
+    gaps = []
+    for nu in (30.0, 30000.0):
+        stat = TestStatistic.from_t(t0 * math.sqrt(b_hat * (nu + 1.0)), nu + 1.0, nu)
+        gaps.append(abs(p_sig_integral(stat, b_hat, nu / 6.0)
+                        - p_sig_closed(stat, b_hat, nu / 6.0)))
+    assert gaps[1] <= min(gaps[0], 1e-3), gaps
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(z=st.floats(-2.0, 2.0))
+def test_p_rep_integral_approaches_the_closed_form(z):
+    # a same-size replication at N = nu + 1 with nu0 = df_r = nu, t placed so
+    # that the closed form's argument tends to z; the gap shrinks as both
+    # sqrt(b_hat N / nu0) and 1 / sqrt(b_hat N) do
+    gaps = []
+    for spread, nu in ((100.0, 300.0), (1e4, 3e6)):
+        t = math.sqrt(2.0) * z + special.stdtrit(nu, 0.975) * math.sqrt(1.0 + spread)
+        q = ReplicationQuery(TestStatistic.from_t(t, nu + 1.0, nu), nu + 1.0, nu, 0.05)
+        b_hat = spread / (nu + 1.0)
+        gaps.append(abs(p_rep_integral(q, b_hat, nu) - p_rep_closed(q, b_hat, nu)))
+    assert gaps[1] <= min(gaps[0], 0.01), gaps
