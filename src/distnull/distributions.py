@@ -155,9 +155,9 @@ def _critical(alpha: float, df: float) -> float:
 
 
 def _critical_values(alpha: float, df) -> np.ndarray:
-    """_critical over an array of df; the cache computes each distinct df once."""
-    df = np.asarray(df, dtype=float)
-    return np.reshape([_critical(alpha, d) for d in df.ravel().tolist()], df.shape)
+    """_critical over an array of df, one lookup per distinct df."""
+    distinct, inverse = np.unique(df, return_inverse=True)
+    return np.array([_critical(alpha, d) for d in distinct.tolist()])[inverse]
 
 
 def _chi2_log_pdf(v: float, nu: float) -> float:

@@ -374,8 +374,9 @@ def task_pair_records(
     # A forecast depends on the target only through its (N_r, df_r), so it
     # is computed once per distinct (predictor, N_r, df_r), in pair order.
     designs = np.array([(e.n, e.df) for e in experiments], dtype=float)
-    keys = np.column_stack([predictor, designs[target]])
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    design = np.unique(designs, axis=0, return_inverse=True)[1].reshape(-1)
+    keys = predictor * k + design[target]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     i, j = predictor[first[order]], target[first[order]]
     same_sign = signs[predictor] == signs[target]
@@ -398,7 +399,7 @@ def task_pair_records(
         rows["predictor"] = predictor
         rows["target"] = target
         rows["alpha"] = alpha
-        rows["forecast"] = forecasts[inverse.reshape(-1)]
+        rows["forecast"] = forecasts[inverse]
         rows["predictor_significant"] = significant[predictor]
         rows["success"] = significant[target] & same_sign
     return table.reshape(-1)
