@@ -616,8 +616,7 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
             return _each_site(lambda i: p_sig_bound(stats[i], args.bound), len(sites))
         if args.variant == "closed":
             return _p_sig_closed(t, n, b_used, nu0)
-        b_list, nu0_list = b_used.tolist(), nu0.tolist()
-        return _each_site(lambda i: p_sig_integral(stats[i], b_list[i], nu0_list[i]), len(sites))
+        return _each_site(lambda i: p_sig_integral(stats[i], b_used[i], nu0[i]), len(sites))
 
     (p_sig,) = _site_columns(sites, missing, significance)
     directions = [direction_of(stat) for stat in stats]
@@ -693,13 +692,12 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     def forecast() -> np.ndarray:
         if args.variant == "closed":
             return _p_rep_closed(t, n, b_used, nu0, args.alpha, n_r, df_r)
-        b_list, nu0_list = (b_used.tolist(), nu0.tolist()) if lookup else ((), ())
 
         def one(i: int) -> float:
             query = ReplicationQuery(stats[i], *designs[i], alpha=args.alpha)
             if args.variant == "bound":
                 return p_rep_bound(query, args.bound)
-            return p_rep_integral(query, b_list[i], nu0_list[i])
+            return p_rep_integral(query, b_used[i], nu0[i])
 
         return _each_site(one, len(sites))
 
