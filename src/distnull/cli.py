@@ -71,7 +71,8 @@ from .power import (
     required_sample_size,
 )
 from .replication import (
-    ReplicationQuery, _b_max, _p_rep_closed, p_rep_bound, p_rep_integral,
+    ReplicationQuery, _b_max, _p_rep_closed, b_max, p_rep_bound, p_rep_closed,
+    p_rep_integral,
 )
 from .significance import (
     TestStatistic,
@@ -79,7 +80,9 @@ from .significance import (
     _p_sig_closed,
     _t0,
     direction_of,
+    p_point,
     p_sig_bound,
+    p_sig_closed,
     p_sig_integral,
 )
 
@@ -541,57 +544,31 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     return header, out
 
 
-@np.errstate(over="ignore")  # a b_used of inf is reported by the kernels
-def _site_variances(
-    lookup: VarianceLookup, sites: list[SiteData], scale_e: float
-) -> tuple[np.ndarray, np.ndarray, ConfigurationError | None]:
-    """Each site's b_used and nu0, NaN where no estimate exists, and the first such error."""
-    pairs, missing = [], None
-    for i, s in enumerate(sites):
+def _variance_columns(
+    lookup: VarianceLookup | None, sites: list[SiteData], scale_e: float
+) -> np.ndarray:
+    """Each site's b_used and nu0, NaN where there is no lookup or it fails."""
+    pairs = []
+    for s in sites:
         try:
-            pairs.append(lookup(s.task, s.site))
-        except ConfigurationError as exc:
-            pairs.append((math.nan, math.nan))
-            if missing is None:
-                exc.row, missing = i, exc
-    b_hat, nu0 = np.array(pairs).T
-    return b_hat * scale_e, nu0, missing
+            b_hat, nu0 = lookup(s.task, s.site) if lookup else (math.nan, math.nan)
+        except ConfigurationError:
+            b_hat = nu0 = math.nan
+        pairs.append((b_hat * scale_e, nu0))
+    return np.array(pairs).T
 
 
-def _each_site(value: Callable[[int], float], count: int) -> np.ndarray:
-    """value(i) for ``count`` sites as a column; an error carries its row."""
-    values = []
-    try:
-        for i in range(count):
-            values.append(value(i))
-    except DistnullError as exc:
-        exc.row = i
-        raise
-    return np.array(values, dtype=float)
+def _per_site(sites: list[SiteData], value: Callable[[SiteData], Sequence]) -> np.ndarray:
+    """value(site) for every site, as columns, or the first error a site meets.
 
-
-def _site_columns(
-    sites: list[SiteData], missing: DistnullError | None, *stages: Callable[[], np.ndarray]
-) -> list[np.ndarray]:
-    """Each stage's column over all sites, or the error a site-by-site pass meets first.
-
-    The stages are in the order one site's values are computed, and each
-    one's error carries the row it first fails at; ``missing`` is met
-    before them, at its row. The earliest row wins, then the earliest
-    stage. A domain or numeric error is prefixed with its task and site.
+    The bound and integral variants run on this pass; a closed-form column
+    holding a NaN, where its scalar function raises, reruns it.
     """
-    columns, errors = [], [] if missing is None else [(missing.row, -1, missing)]
-    for rank, stage in enumerate(stages):
-        try:
-            columns.append(stage())
-        except DistnullError as exc:
-            errors.append((exc.row or 0, rank, exc))
-    if not errors:
-        return columns
-    row, _, error = min(errors, key=lambda e: e[:2])
-    if isinstance(error, (DomainError, NumericError)):
-        error.args = (f"task {sites[row].task!r} site {sites[row].site!r}: {error}",)
-    raise error
+    values = []
+    with _located(lambda: f"task {s.task!r} site {s.site!r}"):
+        for s in sites:
+            values.append(value(s))
+    return np.array(values, dtype=float).T
 
 
 def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
@@ -604,40 +581,36 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     ]
     stats = [s.statistic for s in sites]
     t, n, df = np.array([(s.t, s.n, s.df) for s in stats]).T
-    pp = _p_point(t, df)
-    missing = None
-    if lookup is not None:
-        b_used, nu0, missing = _site_variances(lookup, sites, args.scale_e)
+    b_used, nu0 = _variance_columns(lookup, sites, args.scale_e)
 
-    def significance() -> np.ndarray:
-        if args.variant == "point":
-            return pp
-        if args.variant == "bound":
-            return _each_site(lambda i: p_sig_bound(stats[i], args.bound), len(sites))
-        if args.variant == "closed":
-            return _p_sig_closed(t, n, b_used, nu0)
-        return _each_site(lambda i: p_sig_integral(stats[i], b_used[i], nu0[i]), len(sites))
+    def site_values(s: SiteData) -> tuple[float, float]:
+        p = p_point(s.statistic)
+        if lookup is None:
+            return p, (p if args.variant == "point" else p_sig_bound(s.statistic, args.bound))
+        b_hat, v0 = lookup(s.task, s.site)
+        p_sig = p_sig_closed if args.variant == "closed" else p_sig_integral
+        return p, p_sig(s.statistic, b_hat * args.scale_e, v0)
 
-    (p_sig,) = _site_columns(sites, missing, significance)
+    columns = None
+    if args.variant in ("point", "closed"):
+        pp = _p_point(t, df)
+        columns = np.array([pp, pp if lookup is None else _p_sig_closed(t, n, b_used, nu0)])
+    if columns is None or np.isnan(columns).any():
+        columns = _per_site(sites, site_values)
+    pp, p_sig = columns
     directions = [direction_of(stat) for stat in stats]
     significant = p_sig <= args.alpha
     if args.direction is not None:
         significant &= np.array(directions) == args.direction
-    if lookup is None:
-        t0_text = b_text = nu0_text = [""] * len(sites)
-    else:
-        t0_text, b_text, nu0_text = (
-            [_real(x) for x in column.tolist()] for column in (_t0(t, n, b_used), b_used, nu0)
-        )
     fixed = [_real(args.alpha), args.variant]
     scale = [_real(args.bound) if args.variant == "bound" else "", _real(args.scale_e)]
     out = [
         [s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t), _real(stat.effect),
          t0, *fixed, b, v0, *scale, _prob(p), _log10(p), _prob(q), _log10(q),
          direction, _bool(flag)]
-        for s, stat, t0, b, v0, p, q, direction, flag in zip(
-            sites, stats, t0_text, b_text, nu0_text, pp.tolist(), p_sig.tolist(),
-            directions, significant.tolist(),
+        for s, stat, (t0, b, v0), p, q, direction, flag in zip(
+            sites, stats, _cells(_t0(t, n, b_used), b_used, nu0), pp.tolist(),
+            p_sig.tolist(), directions, significant.tolist(),
         )
     ]
     return header, out
@@ -668,9 +641,15 @@ def _replication_design(
     return n_r, df_r
 
 
-def _bmax_cells(columns: np.ndarray) -> list[list[str]]:
-    """Each site's tau, z_max and b_max cells, empty where t = 0 leaves them undefined."""
-    return [["" if math.isnan(x) else _real(x) for x in row] for row in columns.T.tolist()]
+def _site_bmax(stat: TestStatistic, alpha: float) -> tuple[float, float, float]:
+    """One site's tau, z_max and b_max; NaN where t = 0 leaves them undefined."""
+    return (math.nan,) * 3 if stat.t == 0.0 else dataclasses.astuple(b_max(stat, alpha))
+
+
+def _cells(*columns: np.ndarray) -> list[list[str]]:
+    """Each site's cells of ``columns``, empty where a value is NaN (unused or undefined)."""
+    rows = zip(*(column.tolist() for column in columns))
+    return [["" if math.isnan(x) else _real(x) for x in row] for row in rows]
 
 
 def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
@@ -685,37 +664,33 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     t, n, df = np.array([(s.t, s.n, s.df) for s in stats]).T
     designs = [_replication_design(args, shape, s) for s in sites]
     n_r, df_r = np.array(designs).T
-    missing = None
-    if lookup is not None:
-        b_used, nu0, missing = _site_variances(lookup, sites, args.scale_e)
+    b_used, nu0 = _variance_columns(lookup, sites, args.scale_e)
 
-    def forecast() -> np.ndarray:
-        if args.variant == "closed":
-            return _p_rep_closed(t, n, b_used, nu0, args.alpha, n_r, df_r)
+    def site_values(s: SiteData) -> tuple[float, ...]:
+        design = _replication_design(args, shape, s)
+        query = ReplicationQuery(s.statistic, *design, alpha=args.alpha)
+        if args.variant == "bound":
+            forecast = p_rep_bound(query, args.bound)
+        else:
+            b_hat, v0 = lookup(s.task, s.site)
+            p_rep = p_rep_closed if args.variant == "closed" else p_rep_integral
+            forecast = p_rep(query, b_hat * args.scale_e, v0)
+        return forecast, *_site_bmax(s.statistic, args.alpha)
 
-        def one(i: int) -> float:
-            query = ReplicationQuery(stats[i], *designs[i], alpha=args.alpha)
-            if args.variant == "bound":
-                return p_rep_bound(query, args.bound)
-            return p_rep_integral(query, b_used[i], nu0[i])
-
-        return _each_site(one, len(sites))
-
-    forecasts, diagnostics = _site_columns(
-        sites, missing, forecast, lambda: np.array(_b_max(t, n, df, args.alpha))
-    )
-    if lookup is None:
-        b_text = nu0_text = [""] * len(sites)
-    else:
-        b_text, nu0_text = ([_real(x) for x in c.tolist()] for c in (b_used, nu0))
+    columns = None
+    if args.variant == "closed":
+        forecasts = _p_rep_closed(t, n, b_used, nu0, args.alpha, n_r, df_r)
+        columns = np.array([forecasts, *_b_max(t, n, df, args.alpha)])
+    # t = 0 leaves a site's b_max cells undefined, not faulty
+    if columns is None or np.isnan(columns[0]).any() or np.isnan(columns[1:, t != 0]).any():
+        columns = _per_site(sites, site_values)
     fixed = [_real(args.alpha), args.variant]
     scale = [_real(args.bound) if args.variant == "bound" else "", _real(args.scale_e)]
     out = [
         [s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t), _real(nr), _real(dr),
          *fixed, b, v0, *scale, _prob(p), _log10(p), *cells]
-        for s, stat, (nr, dr), b, v0, p, cells in zip(
-            sites, stats, designs, b_text, nu0_text, forecasts.tolist(),
-            _bmax_cells(diagnostics),
+        for s, stat, (nr, dr), (b, v0, *cells), p in zip(
+            sites, stats, designs, _cells(b_used, nu0, *columns[1:]), columns[0].tolist()
         )
     ]
     return header, out
@@ -849,12 +824,14 @@ def cmd_bmax(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     header = ["task", "site", "n", "df", "t", "effect", "alpha", "tau", "z_max", "b_max"]
     stats = [s.statistic for s in sites]
     t, n, df = np.array([(s.t, s.n, s.df) for s in stats]).T
-    (diagnostics,) = _site_columns(sites, None, lambda: np.array(_b_max(t, n, df, args.alpha)))
+    diagnostics = np.array(_b_max(t, n, df, args.alpha))
+    if np.isnan(diagnostics[:, t != 0]).any():
+        diagnostics = _per_site(sites, lambda s: _site_bmax(s.statistic, args.alpha))
     alpha = _real(args.alpha)
     out = [
         [s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t),
          _real(stat.effect), alpha, *cells]
-        for s, stat, cells in zip(sites, stats, _bmax_cells(diagnostics))
+        for s, stat, cells in zip(sites, stats, _cells(*diagnostics))
     ]
     return header, out
 
@@ -881,11 +858,18 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
             value = float(part)
         except ValueError:
             raise ConfigurationError(f"--alphas entry {part!r} is not a number") from None
-        _check_flag("--alphas", _check_alpha, value)
+        _check_flag("--alphas", _check_level, value)
         if value in levels:
             raise ConfigurationError(f"duplicate alpha {value}")
         levels.append(value)
     return tuple(levels)
+
+
+def _check_level(alpha: float, upper: float = 1.0) -> float:
+    """An alpha in (0, upper) that has a critical value T^-1(1 - alpha/2)."""
+    if 1.0 - _check_alpha(alpha, upper=upper) / 2.0 == 1.0:
+        raise DomainError(f"alpha is too small: 1 - alpha/2 rounds to 1, got {alpha!r}")
+    return alpha
 
 
 def _check_at_least(value: float, low: float, name: str) -> float:
@@ -895,7 +879,7 @@ def _check_at_least(value: float, low: float, name: str) -> float:
 
 
 _SCALE_E = partial(_check_df, name="scale_e")
-_BMAX_ALPHA = partial(_check_alpha, upper=0.5)  # the b_max cells need alpha < 0.5
+_BMAX_ALPHA = partial(_check_level, upper=0.5)  # the b_max cells need alpha < 0.5
 _VARIANCE_SOURCE = {
     "--b": partial(_check_df, name="b"),
     "--nu0": _check_nu0,
@@ -914,7 +898,7 @@ _FLAG_CHECKS: dict[str, dict[str, Callable]] = {
     },
     "calibrate": {"--scale-e": _SCALE_E, "--alphas": _parse_alphas},
     "power": {
-        "--alpha": _check_alpha,
+        "--alpha": _check_level,
         "--effect": partial(_check_finite, name="effect"),
         "--n": partial(_check_at_least, low=2.0, name="n"),
         "--df": partial(_check_df, name="df"),

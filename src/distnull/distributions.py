@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     DegenerateVarianceError,
-    DistnullError,
     DomainError,
     NumericError,
     PreconditionError,
@@ -42,24 +41,6 @@ def _special():
     from scipy import special
 
     return special
-
-
-def _raise_first(bad, replay: Callable[..., None], *columns) -> None:
-    """Raise the error of the first row flagged ``bad``, tagged with its row.
-
-    ``replay(i, *values)`` gets row i and its values in ``columns`` (or the
-    scalar a column broadcasts from), and runs the row's checks in the
-    order one row is checked, so a column kernel raises the error a
-    row-by-row pass would have met first.
-    """
-    if bad.any():
-        row = int(np.argmax(bad))
-        try:
-            replay(row, *(float(c[row] if np.ndim(c) else c) for c in columns))
-        except DistnullError as exc:
-            exc.row = row
-            raise
-        raise AssertionError(f"row {row} is flagged but passes its checks")
 
 
 # Reported probabilities are clamped to [PROB_FLOOR, 1] so that log10
@@ -439,38 +420,29 @@ def _horner(columns: list[np.ndarray], z: np.ndarray) -> np.ndarray:
     return acc
 
 
-@np.errstate(all="ignore")  # rows that fail are computed too, then discarded
-def _positive_roots(coeffs, hints) -> tuple[np.ndarray, Callable[[int], DistnullError]]:
-    """Each row's unique positive root, found as find_positive_root finds it.
+@np.errstate(all="ignore")  # Horner may overflow far from a root, as it does row by row
+def _positive_roots(coeffs, hints) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's positive root as find_positive_root finds it, and its bracket's low end.
 
     ``coeffs`` holds one row of descending coefficients per polynomial and
-    ``hints`` a bracket hint each. All rows are bracketed and bisected at
-    once with the arithmetic of one row alone, so each root keeps its bits.
-    Returns the roots, NaN in rows that fail, and a failed row's error.
+    ``hints`` a bracket hint each, rows that pass find_positive_root's
+    checks. All rows are bracketed and bisected at once with the arithmetic
+    of one row alone, so each root keeps its bits. A root is NaN where the
+    bracket outgrew 1e9 first.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    hints = np.asarray(hints, dtype=float)
     rows, width = coeffs.shape
-    nonzero = coeffs != 0.0
-    finite = np.isfinite(coeffs).all(axis=1) & (width > 0)
-    count = nonzero.sum(axis=1)
-    # sign changes between each nonzero coefficient and the nonzero one before it
-    sign = np.sign(coeffs)
-    last = np.maximum.accumulate(np.where(nonzero, np.arange(width), 0), axis=1)
-    before = np.take_along_axis(sign, last, axis=1)[:, :-1]
-    changes = (nonzero[:, 1:] & (before != 0.0) & (sign[:, 1:] != before)).sum(axis=1)
-    valid = finite & (count >= 2) & (changes == 1) & np.isfinite(hints) & (hints > 0.0)
     # Trailing zero coefficients only contribute roots at z = 0, so shift
     # them out; the leading zeros this leaves add exactly 0 under Horner.
-    trailing = np.argmax(nonzero[:, ::-1], axis=1) if width else np.zeros(rows, int)
+    trailing = np.argmax(coeffs[:, ::-1] != 0.0, axis=1)
     shift = np.arange(width) - trailing[:, None]
     poly = np.where(shift >= 0, np.take_along_axis(coeffs, np.maximum(shift, 0), axis=1), 0.0)
-    columns = list(poly.T) if width else [np.zeros(rows)]
+    columns = list(poly.T)
 
     lo, f_lo = np.zeros(rows), columns[-1]
-    hi = np.where(valid, hints, 1.0)
+    hi = np.asarray(hints, dtype=float)
     f_hi = _horner(columns, hi)
-    grow = valid & ((f_hi > 0.0) == (f_lo > 0.0)) & (f_hi != 0.0)
+    grow = ((f_hi > 0.0) == (f_lo > 0.0)) & (f_hi != 0.0)
     failed = np.zeros(rows, dtype=bool)
     while grow.any():
         lo, f_lo = np.where(grow, hi, lo), np.where(grow, f_hi, f_lo)
@@ -483,8 +455,8 @@ def _positive_roots(coeffs, hints) -> tuple[np.ndarray, Callable[[int], Distnull
     # Bisection keeps the sign of f at lo, so only that sign is tracked; a
     # row's root is the midpoint at which it first stops.
     positive_at_lo, bracketed = f_lo > 0.0, lo
-    roots = np.where(valid & ~failed & (f_hi == 0.0), hi, np.nan)
-    pending = valid & ~failed & (f_hi != 0.0)
+    roots = np.where(~failed & (f_hi == 0.0), hi, np.nan)
+    pending = ~failed & (f_hi != 0.0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = _horner(columns, mid)
@@ -495,24 +467,7 @@ def _positive_roots(coeffs, hints) -> tuple[np.ndarray, Callable[[int], Distnull
             break
         right = (f_mid > 0.0) == positive_at_lo
         lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-    roots = np.where(pending, 0.5 * (lo + hi), roots)
-
-    def error(i: int) -> DistnullError:
-        if not finite[i]:
-            return DomainError("coefficients must be a nonempty finite sequence")
-        if count[i] < 2:
-            return PreconditionError("polynomial is constant after stripping zeros")
-        if changes[i] != 1:
-            return PreconditionError(
-                f"expected exactly one coefficient sign change, found {changes[i]}"
-            )
-        if not valid[i]:
-            return DomainError(f"bracket_hint must be finite and > 0, got {float(hints[i])!r}")
-        return NumericError(
-            "failed to bracket the positive root", best_estimate=float(bracketed[i])
-        )
-
-    return roots, error
+    return np.where(pending, 0.5 * (lo + hi), roots), bracketed
 
 
 def find_positive_root(coeffs: Sequence[float], bracket_hint: float) -> float:
@@ -523,7 +478,21 @@ def find_positive_root(coeffs: Sequence[float], bracket_hint: float) -> float:
     grown geometrically from ``bracket_hint`` and the root isolated by
     bisection to relative width 1e-15.
     """
-    roots, error = _positive_roots([[float(c) for c in coeffs]], [float(bracket_hint)])
-    if math.isnan(roots[0]):
-        raise error(0)
-    return float(roots[0])
+    coeffs = [float(c) for c in coeffs]
+    if not coeffs or any(not math.isfinite(c) for c in coeffs):
+        raise DomainError("coefficients must be a nonempty finite sequence")
+    signs = [c > 0.0 for c in coeffs if c != 0.0]
+    if len(signs) < 2:
+        raise PreconditionError("polynomial is constant after stripping zeros")
+    changes = sum(1 for prev, cur in zip(signs, signs[1:]) if prev != cur)
+    if changes != 1:
+        raise PreconditionError(
+            f"expected exactly one coefficient sign change, found {changes}"
+        )
+    hint = float(bracket_hint)
+    if not (math.isfinite(hint) and hint > 0):
+        raise DomainError(f"bracket_hint must be finite and > 0, got {hint!r}")
+    root, bracketed = (float(c[0]) for c in _positive_roots([coeffs], [hint]))
+    if math.isnan(root):
+        raise NumericError("failed to bracket the positive root", best_estimate=bracketed)
+    return root

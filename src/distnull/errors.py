@@ -9,13 +9,9 @@ from __future__ import annotations
 
 
 class DistnullError(Exception):
-    """Base class for all package-specific errors.
-
-    ``row`` is the index of the faulty row when a column kernel raised it.
-    """
+    """Base class for all package-specific errors."""
 
     exit_code = 4
-    row: int | None = None
 
 
 class ParseError(DistnullError):

@@ -28,9 +28,10 @@ from .estimators import (
 )
 from .adapters import statistic_from_summary
 from .significance import (
-    _p_point, _p_sig_closed, direction_of, p_sig_given_b, p_sig_integral,
+    _p_point, _p_sig_closed, direction_of, p_point, p_sig_closed, p_sig_given_b,
+    p_sig_integral,
 )
-from .replication import ReplicationQuery, _p_rep_closed, p_rep_integral
+from .replication import ReplicationQuery, _p_rep_closed, p_rep_closed, p_rep_integral
 
 __all__ = [
     "SimConfig",
@@ -316,9 +317,13 @@ def type1_calibration(
         stats = [statistic_from_summary(e) for e in task.experiments]
         t, n, df = np.array([(s.t, s.n, s.df) for s in stats]).T
         b_hats = [variance_ratio(b0, e) for e in task.experiments]
-        columns["point"].append(_p_point(t, df))
+        point, estimated = _p_point(t, df), _p_sig_closed(t, n, b_hats, b0.nu0)
+        if np.isnan(point).any() or np.isnan(estimated).any():  # a scalar form raises its error
+            point = [p_point(s) for s in stats]
+            estimated = [p_sig_closed(s, bh, b0.nu0) for s, bh in zip(stats, b_hats)]
+        columns["point"].append(point)
         columns["true_b"].append([p_sig_given_b(s, b_true) for s in stats])
-        columns["estimated_b"].append(_p_sig_closed(t, n, b_hats, b0.nu0))
+        columns["estimated_b"].append(estimated)
     arrays = {variant: np.concatenate(values) for variant, values in columns.items()}
     rows = []
     for alpha in config.alpha_levels:
@@ -362,11 +367,14 @@ def task_pair_records(
     experiments = task.experiments
     stats = [statistic_from_summary(e) for e in experiments]
     b_hats = np.array([variance_ratio(b0, e) for e in experiments])
-    if variant == "closed":
-        t, n = np.array([(s.t, s.n) for s in stats]).T
-        p_sigs = _p_sig_closed(t, n, b_hats, b0.nu0)
-    else:
-        p_sigs = np.array([p_sig_integral(s, bh, b0.nu0) for s, bh in zip(stats, b_hats)])
+    closed = variant == "closed"
+    p_sig, p_rep = (p_sig_closed, p_rep_closed) if closed else (p_sig_integral, p_rep_integral)
+    t, n = np.array([(s.t, s.n) for s in stats]).T
+    # The scalar forms fill a column holding a NaN: a row the closed kernel
+    # rejects, whose error they raise, or every row of the integral forms.
+    p_sigs = _p_sig_closed(t, n, b_hats, b0.nu0) if closed else np.full(len(stats), np.nan)
+    if np.isnan(p_sigs).any():
+        p_sigs = np.array([p_sig(s, bh, b0.nu0) for s, bh in zip(stats, b_hats)])
     signs = np.array([direction_of(s) for s in stats])
 
     k = len(experiments)
@@ -382,14 +390,14 @@ def task_pair_records(
     same_sign = signs[predictor] == signs[target]
     table = np.empty((len(alphas), predictor.size), dtype=PAIR_DTYPE)
     for rows, alpha in zip(table, alphas):
-        forecasts = np.empty(first.size)
-        if variant == "closed":
+        forecasts = np.full(first.size, np.nan)
+        if closed:
             forecasts[order] = _p_rep_closed(
                 t[i], n[i], b_hats[i], b0.nu0, alpha, *designs[j].T
             )
-        else:
+        if np.isnan(forecasts).any():
             forecasts[order] = [
-                p_rep_integral(
+                p_rep(
                     ReplicationQuery(stats[a], experiments[b].n, experiments[b].df, alpha),
                     b_hats[a], b0.nu0,
                 )

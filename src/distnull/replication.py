@@ -17,14 +17,13 @@ import numpy as np
 from .distributions import (
     _check_alpha,
     _check_b_hat,
-    _check_finite,
     _check_nu0,
     _critical,
     _critical_values,
     _positive_roots,
-    _raise_first,
     _special,
     f_expectation,
+    find_positive_root,
     t_cdf,
 )
 from .errors import DomainError
@@ -167,26 +166,21 @@ def p_rep_integral(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-@np.errstate(all="ignore")  # rows that fail
-def _p_rep_closed(t, n, b_hat, nu0, alpha: float, n_r, df_r) -> np.ndarray:
-    """p_rep_closed over columns of originals and replication designs at one alpha."""
-    t, n, b_hat, nu0, n_r = (np.asarray(x, dtype=float) for x in (t, n, b_hat, nu0, n_r))
+@np.errstate(all="ignore")  # rows outside the domain are computed too
+def _closed_argument(t, n, b_hat, nu0, t_crit, n_r):
+    """The closed form's T_{nu_r} argument, elementwise."""
     bn = b_hat * n
     scale = np.sqrt(bn * n_r / (n + n_r))
-    arg = scale * (
-        np.abs(t) / np.sqrt(bn)
-        - _critical_values(alpha, df_r) * np.sqrt(1.0 / bn + nu0 / (nu0 - 2.0))
-    )
-    valid = np.isfinite(nu0) & (nu0 > 2.0) & np.isfinite(b_hat) & (b_hat > 0.0)
+    return scale * (np.abs(t) / np.sqrt(bn) - t_crit * np.sqrt(1.0 / bn + nu0 / (nu0 - 2.0)))
 
-    def replay(_, nu0: float, b_hat: float, arg: float) -> None:
-        if _check_nu0(nu0) <= 2.0:
-            raise DomainError(f"nu0 must be > 2 for the closed form, got {nu0!r}")
-        _check_b_hat(b_hat)
-        _check_finite(arg, "x")
 
-    _raise_first(~(valid & np.isfinite(arg)), replay, nu0, b_hat, arg)
-    return np.clip(_special().stdtr(df_r, arg), 0.0, 1.0)
+def _p_rep_closed(t, n, b_hat, nu0, alpha: float, n_r, df_r) -> np.ndarray:
+    """p_rep_closed over columns of originals and replication designs at one
+    alpha; NaN where p_rep_closed raises."""
+    t, n, b_hat, nu0, n_r = (np.asarray(x, dtype=float) for x in (t, n, b_hat, nu0, n_r))
+    arg = _closed_argument(t, n, b_hat, nu0, _critical_values(alpha, df_r), n_r)
+    valid = (nu0 > 2.0) & (nu0 < np.inf) & (b_hat > 0.0) & (b_hat < np.inf) & np.isfinite(arg)
+    return np.where(valid, np.clip(_special().stdtr(df_r, arg), 0.0, 1.0), np.nan)
 
 
 def p_rep_closed(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
@@ -198,35 +192,38 @@ def p_rep_closed(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
     Requires nu0 > 2 (the nu0/(nu0−2) term is the mean of the inverse
     chi-square factor absorbing the uncertainty in b̂).
     """
-    stat = q.stat
-    return float(_p_rep_closed(stat.t, stat.n, b_hat, nu0, q.alpha, q.n_r, q.df_r))
+    nu0 = _check_nu0(nu0)
+    if nu0 <= 2.0:
+        raise DomainError(f"nu0 must be > 2 for the closed form, got {nu0!r}")
+    b_hat = _check_b_hat(b_hat)
+    t_crit = _critical(q.alpha, q.df_r)
+    arg = float(_closed_argument(q.stat.t, q.stat.n, b_hat, nu0, t_crit, q.n_r))
+    return min(1.0, max(0.0, t_cdf(arg, q.df_r)))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # rows that fail
+def _quintic(tau) -> list:
+    """Descending coefficients of b_max's stationary quintic in z = bN at tau."""
+    tau_sq = tau * tau
+    return [1.0, 3.0, 3.0, 1.0 - 2.25 * tau_sq, -3.0 * tau_sq, -tau_sq]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # rows outside the domain
 def _b_max(t, n, df, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """b_max's tau, z_max and b_max over columns of t, N and df; NaN where t = 0.
+    """b_max's tau, z_max and b_max over columns of t, N and df at a level
+    alpha in (0, 0.5); NaN where b_max raises, which includes t = 0.
 
-    The quintics of all rows are solved together by _positive_roots.
+    Finite coefficients and tau^2 > 0 give a quintic its one sign change;
+    those rows are solved together by _positive_roots.
     """
-    alpha = _check_alpha(alpha, upper=0.5)
     t, n = np.asarray(t, dtype=float), np.asarray(n, dtype=float)
     tau = np.abs(t) / _critical_values(alpha, df)
-    tau_sq = tau * tau
-    ones = np.ones_like(tau)
-    coeffs = [ones, 3.0 * ones, 3.0 * ones, 1.0 - 2.25 * tau_sq, -3.0 * tau_sq, -tau_sq]
-    z_max, root_error = _positive_roots(np.column_stack(coeffs), tau.ravel())
-    z_max = z_max.reshape(tau.shape)
+    coeffs = np.column_stack(np.broadcast_arrays(*_quintic(tau)))
+    solvable = np.isfinite(coeffs).all(axis=1) & (tau > 0.0) & (tau * tau > 0.0)
+    z_max = np.full(tau.shape, np.nan)
+    z_max[solvable] = _positive_roots(coeffs[solvable], tau[solvable])[0]
     b = z_max / n
-    valid = (tau > 0.0) & (z_max > 0.0) & (b > 0.0) & (z_max <= tau * (1.0 + 1e-12))
-
-    def replay(i: int, tau: float, z_max: float, b: float) -> None:
-        if math.isnan(z_max):
-            raise root_error(i)
-        BmaxResult(tau=tau, z_max=z_max, b_max=b)
-
-    undefined = t == 0.0
-    _raise_first(~(valid | undefined), replay, tau, z_max, b)
-    return tuple(np.where(undefined, np.nan, column) for column in (tau, z_max, b))
+    valid = (z_max > 0.0) & (b > 0.0) & (z_max <= tau * (1.0 + 1e-12))
+    return tuple(np.where(valid, column, np.nan) for column in (tau, z_max, b))
 
 
 def b_max(stat: TestStatistic, alpha: float) -> BmaxResult:
@@ -241,10 +238,12 @@ def b_max(stat: TestStatistic, alpha: float) -> BmaxResult:
     z_max <= tau. Assumes N_r = N and c = 1 (the regime in which the
     stationary condition is derived).
     """
-    tau, z_max, b = _b_max(stat.t, stat.n, stat.df, alpha)
+    alpha = _check_alpha(alpha, upper=0.5)
     if stat.t == 0.0:
         raise DomainError("b_max is undefined at t = 0")
-    return BmaxResult(tau=float(tau), z_max=float(z_max), b_max=float(b))
+    tau = abs(stat.t) / _critical(alpha, stat.df)
+    z_max = find_positive_root(_quintic(tau), bracket_hint=tau)
+    return BmaxResult(tau=tau, z_max=z_max, b_max=z_max / stat.n)
 
 
 def killeen_p_rep(effect: float, n: float) -> float:

@@ -18,7 +18,6 @@ from .distributions import (
     PROB_FLOOR,
     _check_b_hat,
     _check_nu0,
-    _raise_first,
     _special,
     clamp_probability,
     f_expectation,
@@ -88,16 +87,14 @@ def direction_of(stat: TestStatistic) -> Direction:
 
 
 def _p_point(t, df) -> np.ndarray:
-    """p_point over columns of t and df."""
+    """p_point over columns of t and df; NaN where p_point raises."""
     t, df = np.asarray(t, dtype=float), np.asarray(df, dtype=float)
-    p = 2.0 * _special().stdtr(df, -np.abs(t))
-    _raise_first(np.isnan(p), lambda _, p: clamp_probability(p), p)
-    return np.clip(p, PROB_FLOOR, 1.0)
+    return np.clip(2.0 * _special().stdtr(df, -np.abs(t)), PROB_FLOOR, 1.0)
 
 
 def p_point(stat: TestStatistic) -> float:
     """Two-sided point-form significance 2T_nu(-|t|)."""
-    return float(_p_point(stat.t, stat.df))
+    return clamp_probability(float(_p_point(stat.t, stat.df)))
 
 
 def p_sig_given_b(stat: TestStatistic, b: float) -> float:
@@ -143,6 +140,7 @@ def p_sig_integral(stat: TestStatistic, b_hat: float, nu0: float) -> float:
     nu = stat.df
     stdtr = _special().stdtr
 
+    @np.errstate(over="ignore")  # b * spread may overflow to its limit inf
     def kernel(b: np.ndarray) -> np.ndarray:
         return 2.0 * stdtr(nu, -t_abs / np.sqrt(1.0 + b * spread))
 
@@ -160,20 +158,13 @@ def t0_statistic(stat: TestStatistic, b_hat: float) -> float:
     return float(_t0(stat.t, stat.n, _check_b_hat(b_hat)))
 
 
+@np.errstate(all="ignore")  # rows outside the domain are computed too
 def _p_sig_closed(t, n, b_hat, nu0) -> np.ndarray:
-    """p_sig_closed over columns of t, N, b_hat and nu0."""
+    """p_sig_closed over columns of t, N, b_hat and nu0; NaN where p_sig_closed raises."""
     t, n, b_hat, nu0 = (np.asarray(x, dtype=float) for x in (t, n, b_hat, nu0))
-    with np.errstate(all="ignore"):  # rows that fail
-        p = 2.0 * _special().stdtr(nu0, -np.abs(_t0(t, n, b_hat)))
-    valid = np.isfinite(nu0) & (nu0 >= 1.0) & np.isfinite(b_hat) & (b_hat > 0.0)
-
-    def replay(_, nu0: float, b_hat: float, p: float) -> None:
-        _check_nu0(nu0)
-        _check_b_hat(b_hat)
-        clamp_probability(p)
-
-    _raise_first(~valid | np.isnan(p), replay, nu0, b_hat, p)
-    return np.clip(p, PROB_FLOOR, 1.0)
+    p = np.clip(2.0 * _special().stdtr(nu0, -np.abs(_t0(t, n, b_hat))), PROB_FLOOR, 1.0)
+    valid = (nu0 >= 1.0) & (nu0 < np.inf) & (b_hat > 0.0) & (b_hat < np.inf)
+    return np.where(valid, p, np.nan)
 
 
 def p_sig_closed(stat: TestStatistic, b_hat: float, nu0: float) -> float:
@@ -183,4 +174,6 @@ def p_sig_closed(stat: TestStatistic, b_hat: float, nu0: float) -> float:
     from the within-experiment nu to the between-experiment nu0, since S0
     rather than S now carries the estimation noise.
     """
-    return float(_p_sig_closed(stat.t, stat.n, b_hat, nu0))
+    nu0 = _check_nu0(nu0)
+    b_hat = _check_b_hat(b_hat)
+    return clamp_probability(float(_p_sig_closed(stat.t, stat.n, b_hat, nu0)))

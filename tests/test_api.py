@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -9,7 +11,8 @@ from pathlib import Path
 import distnull
 from distnull import errors
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def documented_names() -> list[str]:
@@ -50,3 +53,15 @@ def test_exit_codes_match_readme():
         # the nearest documented class in the MRO decides the code
         name = next(c.__name__ for c in cls.__mro__ if c.__name__ in documented)
         assert cls.exit_code == documented[name], cls.__name__
+
+
+def test_traced_layers_resolve():
+    # The benchmark's span tracer patches these (module, function) bindings
+    # by name; a renamed or deleted one would otherwise fail only its own
+    # self-test, which this suite does not run.
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, function in spans.LAYERS:
+        target = getattr(importlib.import_module(f"distnull.{module}"), function, None)
+        assert callable(target), f"distnull.{module}.{function}"

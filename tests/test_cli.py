@@ -5,12 +5,16 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_cli, write_csv
 from distnull import cli, distributions
@@ -338,6 +342,12 @@ NUMERIC_FLAG_CASES = [
     # b = 0 is the point form, which the distributional variants reject
     (["test", "--b", "0", "--nu0", "7"], "--b"),
     (["predict", "--nr", "40", "--b", "0", "--nu0", "7"], "--b"),
+    # 1 - alpha/2 rounds to 1, which leaves no critical value
+    (["predict", "--nr", "40", "--b", "0.1", "--nu0", "7", "--alpha", "1e-300"],
+     "--alpha"),
+    (["bmax", "--alpha", "1e-300"], "--alpha"),
+    (["power", "--effect", "0.5", "--n", "30", "--alpha", "1e-300"], "--alpha"),
+    (["calibrate", "--alphas", "0.05,1e-300"], "--alphas"),
 ]
 
 
@@ -350,6 +360,12 @@ class TestNumericFlags:
         code, out, err = run_cli(argv + (missing if argv[0] != "power" else []))
         assert (code, out) == (3, "")
         assert err.split()[1].rstrip(":") == flag and "task" not in err
+
+    def test_test_needs_no_critical_value(self, summary_file):
+        code, out, err = run_cli(["test", "--input", summary_file, "--b", "0.1",
+                                  "--nu0", "7", "--alpha", "1e-300"])
+        assert (code, err) == (0, "")
+        assert {r["significant"] for r in parse(out)} == {"false"}
 
     def test_every_checked_flag_has_a_case(self):
         power = [(["power"], flag) for _, flag in TestPowerFlags.CASES]
@@ -391,18 +407,22 @@ def _regression_slots(x, y):
     return q, slope, float(np.sum(residuals * residuals)) / (x.size - 2), x.size - 2
 
 
-def _raw_and_summary(family, rng):
-    """Three sites of one task as raw rows and as README summary rows."""
-    raw, summary = [], []
-    for j, shift in enumerate((0.2, 0.5, 0.9)):
-        site = f"s{j}"
+def _raw_and_summary(family, rng, shifts=(0.2, 0.5, 0.9), extra=0, reverse=False):
+    """One site of one task per shift, as raw rows and as README summary rows.
+
+    ``extra`` adds units to every site, and ``reverse`` writes the sites'
+    raw rows in reverse site order.
+    """
+    blocks, summary = [], []
+    for j, shift in enumerate(shifts):
+        site, raw = f"s{j}", []
         if family == "one_sample":
-            v = rng.normal(shift, 1.0, size=14 + j)
+            v = rng.normal(shift, 1.0, size=14 + j + extra)
             raw += [["a", site, repr(float(x))] for x in v]
             slots = (v.size, v.mean(), v.var(ddof=1), v.size - 1)
         elif family == "two_sample":
-            g1 = rng.normal(shift, 1.0, size=9 + 3 * j)
-            g2 = rng.normal(0.0, 1.2, size=16 - j)
+            g1 = rng.normal(shift, 1.0, size=9 + 3 * j + extra)
+            g2 = rng.normal(0.0, 1.2, size=16 - j + extra)
             raw += [["a", site, "g1", repr(float(x))] for x in g1]
             raw += [["a", site, "g2", repr(float(x))] for x in g2]
             df = g1.size + g2.size - 2
@@ -410,23 +430,24 @@ def _raw_and_summary(family, rng):
             n_eff = g1.size * g2.size / (g1.size + g2.size)
             slots = (n_eff, g1.mean() - g2.mean(), pooled, df)
         elif family == "paired":
-            x = rng.normal(shift, 1.0, size=12 + j)
-            y = rng.normal(0.0, 1.0, size=12 + j)
+            x = rng.normal(shift, 1.0, size=12 + j + extra)
+            y = rng.normal(0.0, 1.0, size=12 + j + extra)
             raw += [["a", site, repr(float(p)), repr(float(q))] for p, q in zip(x, y)]
             d = x - y
             slots = (d.size, d.mean(), d.var(ddof=1), d.size - 1)
         elif family == "regression":
-            x = rng.uniform(-2.0, 2.0, size=15 + j)
+            x = rng.uniform(-2.0, 2.0, size=15 + j + extra)
             y = shift * x + rng.normal(0.0, 1.0, size=x.size)
             raw += [["a", site, repr(float(p)), repr(float(q))] for p, q in zip(x, y)]
             slots = _regression_slots(x, y)
         else:  # contingency: the slope slots of the 0/1 pairs
-            x = rng.integers(0, 2, size=40 + 5 * j).astype(float)
+            x = rng.integers(0, 2, size=40 + 5 * j + extra).astype(float)
             y = (rng.uniform(size=x.size) < 0.3 + 0.2 * shift * x).astype(float)
             raw += [["a", site, str(int(p)), str(int(q))] for p, q in zip(x, y)]
             slots = _regression_slots(x, y)
+        blocks.append(raw)
         summary.append(["a", site, *(repr(float(v)) for v in slots)])
-    return raw, summary
+    return [row for raw in (blocks[::-1] if reverse else blocks) for row in raw], summary
 
 
 class TestRawSummaryDifferential:
@@ -446,9 +467,7 @@ class TestRawSummaryDifferential:
         ["bmax"],
     ]
 
-    @pytest.mark.parametrize("family", list(HEADERS))
-    def test_same_report(self, tmp_path, family):
-        raw_rows, summary_rows = _raw_and_summary(family, np.random.default_rng(31))
+    def check(self, tmp_path, family, raw_rows, summary_rows):
         raw = write_csv(tmp_path / "raw.csv", self.HEADERS[family], raw_rows)
         summary = write_csv(tmp_path / "summary.csv", SUMMARY_HEADER, summary_rows)
         flag = [] if family in ("one_sample", "two_sample") else ["--family", family]
@@ -458,7 +477,7 @@ class TestRawSummaryDifferential:
             code, out_summary, err = run_cli(command + ["--input", summary])
             assert code == 0, err
             rows_raw, rows_summary = parse(out_raw), parse(out_summary)
-            assert len(rows_raw) == len(rows_summary) == 3
+            assert len(rows_raw) == len(rows_summary) == len(summary_rows)
             for got, want in zip(rows_raw, rows_summary):
                 assert got.keys() == want.keys()
                 for column, text in want.items():
@@ -470,6 +489,26 @@ class TestRawSummaryDifferential:
                     assert float(got[column]) == pytest.approx(
                         expected, rel=1e-12
                     ), (command, column)
+
+    @pytest.mark.parametrize("family", list(HEADERS))
+    def test_same_report(self, tmp_path, family):
+        raw_rows, summary_rows = _raw_and_summary(family, np.random.default_rng(31))
+        self.check(tmp_path, family, raw_rows, summary_rows)
+
+    @pytest.mark.parametrize("family", list(HEADERS))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shifts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5),
+        extra=st.integers(0, 30),
+        reverse=st.booleans(),
+    )
+    def test_same_report_on_generated_files(self, family, seed, shifts, extra, reverse):
+        raw_rows, summary_rows = _raw_and_summary(
+            family, np.random.default_rng(seed), shifts, extra, reverse
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            self.check(pathlib.Path(tmp), family, raw_rows, summary_rows)
 
 
 class TestTest:
@@ -581,6 +620,14 @@ class TestTest:
             cli.cmd_test(cli.build_parser().parse_args(argv))
         assert str(raised.value).startswith("task 'a' site 's1': ")
         assert raised.value.best_estimate > 0 and raised.value.error_bound > 0
+
+    def test_integral_overflowing_b_is_silent(self, summary_file):
+        # b * b_hat * N overflows to inf at most of the rule's nodes, where
+        # the kernel takes its limit 1, without a warning
+        code, out, err = run_cli(["test", "--input", summary_file, "--variant", "integral",
+                                  "--b", "1e300", "--nu0", "3"])
+        assert (code, err) == (0, "")
+        assert all(float(r["p_sig"]) > 1.0 - 1e-9 for r in parse(out))
 
     def test_probability_floor_strings(self, tmp_path):
         path = write_csv(

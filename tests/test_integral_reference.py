@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -134,21 +134,30 @@ def test_p_sig_integral_properties(t, n, b_hat, nu0):
     assert _close_to_quad(p, ref), (p, ref)
 
 
+# the nested quad reference may flag roundoff on a near-flat segment; its
+# value is still held to the check's tolerance
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @settings(max_examples=4, deadline=None, derandomize=True)
-@given(t=T, n=N, b_hat=B_HAT, nu0=NU0)
-def test_p_rep_integral_properties(t, n, b_hat, nu0):
-    q = ReplicationQuery(TestStatistic.from_t(t, n, n - 1), n, n - 1, 0.05)
+@given(t=T, n=N, b_hat=B_HAT, nu0=NU0, n_r=st.none())
+# predict --variant integral --b 1e280 --nu0 5 --nr 30 at its df = 25 site
+@example(t=-0.09309493362512629, n=26, b_hat=1e280, nu0=5.0, n_r=30)
+def test_p_rep_integral_properties(t, n, b_hat, nu0, n_r):
+    n_r = n if n_r is None else n_r  # a same-size replication unless set
+    q = ReplicationQuery(TestStatistic.from_t(t, n, n - 1), n_r, n_r - 1, 0.05)
     try:
         p = p_rep_integral(q, b_hat, nu0)
     except NumericError as exc:
-        # the one value the rule may leave uncertified: one smaller than the
-        # F(nu, nu0) mass beyond |log b| = 354, which needs nu0 < 5
-        assert nu0 < 5.0 and exc.best_estimate < 1e-60
+        # the two values README says the rule may leave uncertified: one
+        # smaller than the F(nu, nu0) mass beyond |log b| = 354, which needs
+        # nu0 < 5, and one near 0 whose error bound is the mass where the
+        # weights underflow, about 1e-320 for each of the two F factors
+        beyond_cap = nu0 < 5.0 and exc.best_estimate < 1e-60
+        assert beyond_cap or exc.error_bound <= 2e-320, (exc.best_estimate, exc.error_bound)
         return
     assert 0.0 <= p <= 1.0
-    flipped = ReplicationQuery(TestStatistic.from_t(-t, n, n - 1), n, n - 1, 0.05)
+    flipped = ReplicationQuery(TestStatistic.from_t(-t, n, n - 1), n_r, n_r - 1, 0.05)
     assert p_rep_integral(flipped, b_hat, nu0) == p
-    ref = _p_rep_quad(t, n, n - 1, b_hat, nu0, 0.05, n, n - 1)
+    ref = _p_rep_quad(t, n, n - 1, b_hat, nu0, 0.05, n_r, n_r - 1)
     assert _close_to_quad(p, ref), (p, ref)
 
 

@@ -8,8 +8,10 @@ t0 = mean / S0. The integral variants have their own properties in
 `test_integral_reference.py`.
 
 The column kernels behind the closed forms are checked against the public
-scalar functions row by row with ==, and the batched b_max bisection also
-against the scalar bisection it replaced, kept below as the reference.
+scalar functions row by row: equal with == where the scalar function
+returns, NaN exactly where it raises. The batched b_max bisection is also
+checked against the scalar bisection it replaced, kept below as the
+reference.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distnull.adapters import statistic_from_summary
-from distnull.errors import DegenerateVarianceError, DomainError, PreconditionError
+from distnull.distributions import _positive_roots, find_positive_root
+from distnull.errors import DistnullError, NumericError
 from distnull.estimators import BetweenVariance, ExperimentSummary, variance_ratio
 from distnull.replication import (
     ReplicationQuery, _b_max, _p_rep_closed, b_max, p_rep_closed, p_rep_given_b,
@@ -176,16 +178,76 @@ def test_column_kernels_equal_the_scalar_functions(rows, alpha):
         assert diag.z_max == reference_root(coeffs, diag.tau)
 
 
-def test_column_kernels_name_the_first_faulty_row():
-    t, n = [1.0, 2.0, 0.0, 3.0], [10.0] * 4
-    b_hat, nu0 = [0.1, float("inf"), 0.1, 0.1], [5.0, 5.0, 5.0, 2.0]
-    with pytest.raises(DegenerateVarianceError) as raised:
-        _p_rep_closed(t, n, b_hat, nu0, 0.05, n, [9.0] * 4)
-    assert raised.value.row == 1
-    with pytest.raises(DomainError, match="nu0 must be > 2") as raised:
-        _p_rep_closed(t, n, [0.1] * 4, nu0, 0.05, n, [9.0] * 4)
-    assert raised.value.row == 3
-    # t = 0 leaves a row undefined, not faulty; tau^2 underflowing is a fault
-    with pytest.raises(PreconditionError, match="found 0") as raised:
-        _b_max([0.0, 1.0, 1e-170, 0.0, 1e160], [10.0] * 5, [9.0] * 5, 0.05)
-    assert raised.value.row == 2
+# Rows the scalar functions reject: b_hat of 0 or inf, or so large that
+# b_hat * N overflows the closed form's argument; nu0 <= 2, where the closed
+# replication form is undefined, and below 1; t = 0, and t so small or large
+# that tau^2 underflows to 0 or overflows.
+FAULTY_T = st.one_of(
+    T, st.just(0.0),
+    st.tuples(SIGN, st.floats(-172.0, -168.0)).map(lambda p: p[0] * 10.0 ** p[1]),
+    st.tuples(SIGN, st.floats(158.0, 162.0)).map(lambda p: p[0] * 10.0 ** p[1]),
+)
+FAULTY_B = st.one_of(B, st.sampled_from([0.0, math.inf, 1e306]))
+FAULTY_NU0 = st.one_of(NU0, st.sampled_from([0.5, 1.0, 1.5, 2.0, math.inf]))
+FAULTY_ROWS = st.lists(st.tuples(FAULTY_T, N, st.sampled_from([1, 2]), FAULTY_B,
+                                 FAULTY_NU0, N_R), min_size=1, max_size=12)
+
+
+def scalar_or_nan(function, *args):
+    """The scalar function's value, or NaN where it raises."""
+    try:
+        return function(*args)
+    except DistnullError:
+        return math.nan
+
+
+@PROPERTY
+@given(rows=FAULTY_ROWS, alpha=ALPHA)
+def test_column_kernels_are_nan_where_the_scalar_functions_raise(rows, alpha):
+    t, n, lag, b, nu0, n_r = (np.array(c, dtype=float) for c in zip(*rows))
+    df, df_r = n - lag, n_r - 1.0
+    stats = [TestStatistic.from_t(*row) for row in zip(t, n, df)]
+    queries = [ReplicationQuery(s, nr, dr, alpha) for s, nr, dr in zip(stats, n_r, df_r)]
+
+    def same(column, values) -> bool:
+        return np.array_equal(column, np.array(values, dtype=float), equal_nan=True)
+
+    assert same(_p_point(t, df), [scalar_or_nan(p_point, s) for s in stats])
+    assert same(_p_sig_closed(t, n, b, nu0), [
+        scalar_or_nan(p_sig_closed, s, bh, v) for s, bh, v in zip(stats, b, nu0)
+    ])
+    assert same(_p_rep_closed(t, n, b, nu0, alpha, n_r, df_r), [
+        scalar_or_nan(p_rep_closed, q, bh, v) for q, bh, v in zip(queries, b, nu0)
+    ])
+    diagnostics = [scalar_or_nan(b_max, s, alpha) for s in stats]
+    assert same(np.array(_b_max(t, n, df, alpha)).T, [
+        (math.nan,) * 3 if isinstance(d, float) else (d.tau, d.z_max, d.b_max)
+        for d in diagnostics
+    ])
+
+
+# descending coefficients with one sign change: a positive head, then zeros
+# and negative terms, with magnitudes from 1e-6 to 1e12
+COEFFICIENT = st.floats(-6.0, 12.0).map(lambda e: 10.0**e)
+POLYNOMIAL = st.tuples(
+    st.lists(COEFFICIENT, min_size=1, max_size=3),
+    st.lists(st.one_of(st.just(0.0), COEFFICIENT.map(lambda c: -c)), min_size=1, max_size=4),
+).filter(lambda p: any(p[1])).map(lambda p: [*p[0], *p[1]])
+
+
+@PROPERTY
+@given(polynomials=st.lists(POLYNOMIAL, min_size=1, max_size=8),
+       hints=st.lists(st.floats(-6.0, 6.0).map(lambda e: 10.0**e), min_size=8, max_size=8))
+# a root of 1e12, past the bracket's cap, beside one the bracket finds
+@example(polynomials=[[1.0, -1e12], [1.0, 0.0, -4.0]], hints=[1.0] * 8)
+def test_positive_roots_are_nan_where_find_positive_root_raises(polynomials, hints):
+    width = max(map(len, polynomials))
+    # leading zeros pad every row to one width without changing its roots
+    coeffs = [[0.0] * (width - len(p)) + p for p in polynomials]
+    hints = hints[: len(coeffs)]
+    roots, bracketed = _positive_roots(coeffs, hints)
+    for row, hint, root, low in zip(coeffs, hints, roots.tolist(), bracketed.tolist()):
+        try:
+            assert root == find_positive_root(row, hint)
+        except NumericError as exc:
+            assert math.isnan(root) and exc.best_estimate == low
