@@ -7,10 +7,11 @@ always t = mean/sqrt(variance/n) from ``statistic_from_summary``:
 - one-sample and paired: ``summarize`` of the values or the differences;
 - two-sample: ``unpaired_summary``, the mean difference with the pooled
   variance and the effective size n1*n2/(n1+n2), df = n1+n2-2;
-- least-squares slope: ``regression_experiment_summary``, with the
-  predictor sum-of-squares Q in the sample-size slot;
-- 2x2 contingency table: the slope mapping of its 0/1 expansion,
-  ``contingency_regression``, by exact count arithmetic.
+- least-squares slope: ``regression``, with the predictor sum-of-squares
+  Q in the sample-size slot, the slope as the mean and the mean squared
+  residual as the variance;
+- 2x2 contingency table: ``contingency_regression``, the slope mapping of
+  its 0/1 expansion by exact count arithmetic.
 """
 
 from __future__ import annotations
@@ -31,45 +32,13 @@ from .estimators import ExperimentSummary
 from .significance import TestStatistic
 
 __all__ = [
-    "RegressionSummary",
     "ContingencyTable",
     "statistic_from_summary",
     "unpaired_summary",
     "regression",
-    "regression_statistic",
-    "regression_experiment_summary",
     "contingency_regression",
     "phi_coefficient",
 ]
-
-
-@dataclass(frozen=True)
-class RegressionSummary:
-    """Least-squares slope test reduced to sufficient statistics.
-
-    ``q`` is the predictor sum-of-squares Q, ``mse`` the mean squared
-    residual S^2 with df = n−2.
-    """
-
-    slope: float
-    q: float
-    mse: float
-    df: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.slope)):
-            raise DomainError(f"slope must be finite, got {self.slope!r}")
-        if not (math.isfinite(self.q) and self.q > 0):
-            raise DegeneratePredictorError(
-                f"predictor sum-of-squares must be > 0, got {self.q!r}"
-            )
-        if not (math.isfinite(self.mse) and self.mse >= 0):
-            raise DomainError(f"mse must be finite and >= 0, got {self.mse!r}")
-        if self.n < 3 or self.df != self.n - 2:
-            raise DomainError(
-                f"need n >= 3 and df = n-2, got n={self.n!r}, df={self.df!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -125,18 +94,18 @@ def unpaired_summary(
     na, nb = a.size, b.size
     if na < 2 or nb < 2:
         raise InsufficientDataError("each group needs at least 2 values")
-    sse = float(np.sum((a - a.mean()) ** 2)) + float(np.sum((b - b.mean()) ** 2))
+    with np.errstate(all="ignore"):  # the summary rejects a slot left non-finite
+        sse = float(np.sum((a - a.mean()) ** 2)) + float(np.sum((b - b.mean()) ** 2))
+        mean = float(a.mean() - b.mean())
     df = na + nb - 2
     return ExperimentSummary(
-        n=na * nb / (na + nb),
-        mean=float(a.mean() - b.mean()),
-        sample_variance=sse / df,
-        df=df,
+        n=na * nb / (na + nb), mean=mean, sample_variance=sse / df, df=df
     )
 
 
-def regression(xs: Sequence[float], ys: Sequence[float]) -> RegressionSummary:
-    """Least-squares slope summary: M̄ = Σ(Xᵢ−X̄)Yᵢ/Q, S² = SSE/(N−2)."""
+def regression(xs: Sequence[float], ys: Sequence[float]) -> ExperimentSummary:
+    """Least-squares slope in canonical slots: n = Q = Σ(Xᵢ−X̄)², mean =
+    M̄ = Σ(Xᵢ−X̄)Yᵢ/Q, variance = S² = SSE/(N−2), df = N−2."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
@@ -146,33 +115,19 @@ def regression(xs: Sequence[float], ys: Sequence[float]) -> RegressionSummary:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DomainError("values must all be finite")
     n = int(x.size)
-    dx = x - x.mean()
-    q = float(np.sum(dx * dx))
-    if q <= 0.0:
-        raise DegeneratePredictorError("predictor values are all equal (Q = 0)")
-    slope = float(np.sum(dx * y)) / q
-    residuals = y - y.mean() - slope * dx
-    sse = float(np.sum(residuals * residuals))
-    return RegressionSummary(slope=slope, q=q, mse=sse / (n - 2), df=n - 2, n=n)
+    with np.errstate(all="ignore"):  # the summary rejects a slot left non-finite
+        dx = x - x.mean()
+        q = float(np.sum(dx * dx))
+        if q <= 0.0:
+            raise DegeneratePredictorError("predictor values are all equal (Q = 0)")
+        slope = float(np.sum(dx * y)) / q
+        residuals = y - y.mean() - slope * dx
+        sse = float(np.sum(residuals * residuals))
+    return ExperimentSummary(n=q, mean=slope, sample_variance=sse / (n - 2), df=n - 2)
 
 
-def regression_statistic(summary: RegressionSummary) -> TestStatistic:
-    """Slope t-statistic t = (M̄/S)√Q, with Q in the sample-size slot."""
-    return statistic_from_summary(regression_experiment_summary(summary))
-
-
-def regression_experiment_summary(summary: RegressionSummary) -> ExperimentSummary:
-    """Slope experiment in canonical slots: n=Q, mean=M̄, variance=MSE."""
-    return ExperimentSummary(
-        n=summary.q,
-        mean=summary.slope,
-        sample_variance=summary.mse,
-        df=summary.df,
-    )
-
-
-def contingency_regression(table: ContingencyTable) -> RegressionSummary:
-    """Regression mapping of a 2x2 table by exact count arithmetic.
+def contingency_regression(table: ContingencyTable) -> ExperimentSummary:
+    """Slope summary of a 2x2 table by exact count arithmetic.
 
     Expanding the table to 0/1 (predictor, response) pairs and running the
     slope computation gives, without materializing the rows:
@@ -195,7 +150,7 @@ def contingency_regression(table: ContingencyTable) -> RegressionSummary:
     slope = sxy / q
     syy = n1y * n0y / n
     sse = max(syy - slope * slope * q, 0.0)
-    return RegressionSummary(slope=slope, q=q, mse=sse / (n - 2), df=n - 2, n=n)
+    return ExperimentSummary(n=q, mean=slope, sample_variance=sse / (n - 2), df=n - 2)
 
 
 def phi_coefficient(table: ContingencyTable) -> float:

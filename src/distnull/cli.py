@@ -31,7 +31,6 @@ from .adapters import (
     ContingencyTable,
     contingency_regression,
     regression,
-    regression_experiment_summary,
     statistic_from_summary,
     unpaired_summary,
 )
@@ -80,7 +79,6 @@ from .significance import (
     _p_sig_closed,
     _t0,
     direction_of,
-    p_point,
     p_sig_bound,
     p_sig_closed,
     p_sig_integral,
@@ -405,7 +403,7 @@ def _build_summary(
         return summarize(x - y), None
 
     if shape == "regression":
-        return regression_experiment_summary(regression(x, y)), None
+        return regression(x, y), None
 
     # contingency: 0/1 pairs aggregated to a 2x2 table
     binary = ((x == 0.0) | (x == 1.0)) & ((y == 0.0) | (y == 1.0))
@@ -420,7 +418,7 @@ def _build_summary(
         n00=int(np.count_nonzero((x == 0.0) & (y == 0.0))),
     )
     share = (counts.n11 + counts.n10) / counts.total
-    return regression_experiment_summary(contingency_regression(counts)), share
+    return contingency_regression(counts), share
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +428,7 @@ def _build_summary(
 VarianceLookup = Callable[[str, str], tuple[float, float]]
 
 
-def _load_b_from(path: str) -> VarianceLookup:
+def _load_b_from(path: str) -> dict[tuple[str, str], tuple[float, float]]:
     fields, lines, cells = _read_csv(path)
     needed = {"task", "site", "b_hat", "nu0"}
     if not needed <= set(fields):
@@ -456,20 +454,12 @@ def _load_b_from(path: str) -> VarianceLookup:
         except DomainError as exc:
             raise ParseError(str(exc), line=line) from None
         table[(task, site)] = (b_hat, nu0)
-
-    def lookup(task: str, site: str) -> tuple[float, float]:
-        try:
-            return table[(task, site)]
-        except KeyError:
-            raise ConfigurationError(
-                f"--b-from has no estimate for task {task!r} site {site!r}"
-            ) from None
-
-    return lookup
+    return table
 
 
 def resolve_variance(args: argparse.Namespace) -> VarianceLookup | None:
-    """Each site's (b_hat, nu0) lookup; None for the point and bound variants."""
+    """Each site's (b_hat, nu0) lookup, NaN where --b-from has no estimate;
+    None for the point and bound variants."""
     variant = args.variant
     has_b = args.b is not None
     has_from = args.b_from is not None
@@ -488,7 +478,8 @@ def resolve_variance(args: argparse.Namespace) -> VarianceLookup | None:
         if has_from:
             if has_nu0:
                 raise ConfigurationError("--nu0 conflicts with --b-from")
-            return _load_b_from(args.b_from)
+            table = _load_b_from(args.b_from)
+            return lambda task, site: table.get((task, site), (math.nan, math.nan))
         raise ConfigurationError(
             f"--variant {variant} needs a variance source: --b with --nu0, or --b-from"
         )
@@ -547,27 +538,30 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 def _variance_columns(
     lookup: VarianceLookup | None, sites: list[SiteData], scale_e: float
 ) -> np.ndarray:
-    """Each site's b_used and nu0, NaN where there is no lookup or it fails."""
-    pairs = []
-    for s in sites:
-        try:
-            b_hat, nu0 = lookup(s.task, s.site) if lookup else (math.nan, math.nan)
-        except ConfigurationError:
-            b_hat = nu0 = math.nan
-        pairs.append((b_hat * scale_e, nu0))
-    return np.array(pairs).T
+    """Each site's b_used and nu0, NaN where there is no lookup or no estimate."""
+    pairs = [lookup(s.task, s.site) if lookup else (math.nan,) * 2 for s in sites]
+    return np.array([(b_hat * scale_e, nu0) for b_hat, nu0 in pairs]).T
 
 
-def _per_site(sites: list[SiteData], value: Callable[[SiteData], Sequence]) -> np.ndarray:
-    """value(site) for every site, as columns, or the first error a site meets.
+def _estimate(s: SiteData, b_used: float, nu0: float) -> tuple[float, float]:
+    """A site's (b_used, nu0) from its columns, where NaN means --b-from lacks it."""
+    if math.isnan(nu0):
+        raise ConfigurationError(
+            f"--b-from has no estimate for task {s.task!r} site {s.site!r}"
+        )
+    return b_used, nu0
+
+
+def _per_site(sites: list[SiteData], value: Callable[[int], object]) -> np.ndarray:
+    """value(i) for every site index i, as columns, or the first error a site meets.
 
     The bound and integral variants run on this pass; a closed-form column
     holding a NaN, where its scalar function raises, reruns it.
     """
     values = []
-    with _located(lambda: f"task {s.task!r} site {s.site!r}"):
-        for s in sites:
-            values.append(value(s))
+    with _located(lambda: f"task {sites[i].task!r} site {sites[i].site!r}"):
+        for i in range(len(sites)):
+            values.append(value(i))
     return np.array(values, dtype=float).T
 
 
@@ -583,21 +577,16 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     t, n, df = np.array([(s.t, s.n, s.df) for s in stats]).T
     b_used, nu0 = _variance_columns(lookup, sites, args.scale_e)
 
-    def site_values(s: SiteData) -> tuple[float, float]:
-        p = p_point(s.statistic)
-        if lookup is None:
-            return p, (p if args.variant == "point" else p_sig_bound(s.statistic, args.bound))
-        b_hat, v0 = lookup(s.task, s.site)
+    def site_p_sig(i: int) -> float:
+        if args.variant == "bound":
+            return p_sig_bound(stats[i], args.bound)
         p_sig = p_sig_closed if args.variant == "closed" else p_sig_integral
-        return p, p_sig(s.statistic, b_hat * args.scale_e, v0)
+        return p_sig(stats[i], *_estimate(sites[i], b_used[i], nu0[i]))
 
-    columns = None
-    if args.variant in ("point", "closed"):
-        pp = _p_point(t, df)
-        columns = np.array([pp, pp if lookup is None else _p_sig_closed(t, n, b_used, nu0)])
-    if columns is None or np.isnan(columns).any():
-        columns = _per_site(sites, site_values)
-    pp, p_sig = columns
+    pp = _p_point(t, df)
+    p_sig = pp if args.variant == "point" else _p_sig_closed(t, n, b_used, nu0)
+    if args.variant in ("bound", "integral") or np.isnan(p_sig).any():
+        p_sig = _per_site(sites, site_p_sig)
     directions = [direction_of(stat) for stat in stats]
     significant = p_sig <= args.alpha
     if args.direction is not None:
@@ -666,16 +655,14 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     n_r, df_r = np.array(designs).T
     b_used, nu0 = _variance_columns(lookup, sites, args.scale_e)
 
-    def site_values(s: SiteData) -> tuple[float, ...]:
-        design = _replication_design(args, shape, s)
-        query = ReplicationQuery(s.statistic, *design, alpha=args.alpha)
+    def site_values(i: int) -> tuple[float, ...]:
+        query = ReplicationQuery(stats[i], *designs[i], alpha=args.alpha)
         if args.variant == "bound":
             forecast = p_rep_bound(query, args.bound)
         else:
-            b_hat, v0 = lookup(s.task, s.site)
             p_rep = p_rep_closed if args.variant == "closed" else p_rep_integral
-            forecast = p_rep(query, b_hat * args.scale_e, v0)
-        return forecast, *_site_bmax(s.statistic, args.alpha)
+            forecast = p_rep(query, *_estimate(sites[i], b_used[i], nu0[i]))
+        return forecast, *_site_bmax(stats[i], args.alpha)
 
     columns = None
     if args.variant == "closed":
@@ -826,7 +813,7 @@ def cmd_bmax(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     t, n, df = np.array([(s.t, s.n, s.df) for s in stats]).T
     diagnostics = np.array(_b_max(t, n, df, args.alpha))
     if np.isnan(diagnostics[:, t != 0]).any():
-        diagnostics = _per_site(sites, lambda s: _site_bmax(s.statistic, args.alpha))
+        diagnostics = _per_site(sites, lambda i: _site_bmax(stats[i], args.alpha))
     alpha = _real(args.alpha)
     out = [
         [s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t),

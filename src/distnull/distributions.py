@@ -189,13 +189,15 @@ def noncentral_t_cdf(x: float, nu: float, theta: float) -> float:
 
 # The fixed-node rule of f_expectation: the relative tolerance it certifies,
 # the step halvings allowed per axis, its coarsest step in z = log(b)/sigma,
-# the cap on |log b| that keeps b, 1/b and their squares finite, and the
-# number of kernel values evaluated at once (256 KiB of float64).
+# the cap on |log b| that keeps b, 1/b and their squares finite, the
+# number of kernel values evaluated at once (256 KiB of float64), and the
+# most nodes one axis's rule may hold (32 MiB of float64).
 RULE_RTOL = 1e-10
 RULE_LEVELS = 10
 _RULE_STEP = 0.5
 _RULE_LOG_MAX = 354.0
 _RULE_BLOCK = 1 << 15
+_RULE_NODES = 1 << 22
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # Coefficients of Stirling's series for log Gamma, in powers of 1/x^2.
@@ -227,24 +229,32 @@ def _f_rule(d1: float, d2: float, level: int):
     Returns (nodes, weights, mode, (below, above)), the last pair bounding
     the mass beyond the range's ends, which lie within one coarsest step
     of the outermost nodes, by the linear tail bounds of the log density.
+    Raises NumericError where the rule cannot represent F(d1, d2): s rounds
+    to 0 or 1, a bound is not finite, or the grid exceeds _RULE_NODES.
     """
-    sigma = math.sqrt(2.0 / d1 + 2.0 / d2)
-    a, c = 0.5 * d1, 0.5 * d2
-    s = d1 / (d1 + d2)
-    # log of the density at y = 0; Stirling's series cancels the O(d) terms
-    # of the beta normaliser analytically
-    log_mode = (
-        _stirling_remainder(a + c) - _stirling_remainder(a) - _stirling_remainder(c)
-        - math.log(sigma) - _HALF_LOG_2PI
-    )
-    # log density <= upper - c*y for y > 0 and <= lower + a*y for y < 0
-    upper = log_mode - (a + c) * math.log(s)
-    lower = log_mode - (a + c) * math.log1p(-s)
-    y_hi = min(_RULE_LOG_MAX, (upper + 740.0) / c)
-    y_lo = max(-_RULE_LOG_MAX, -(lower + 740.0) / a)
-    k_lo = math.ceil(y_lo / (sigma * _RULE_STEP))
-    k_hi = math.floor(y_hi / (sigma * _RULE_STEP))
-    outside = (math.exp(lower + a * y_lo) / a, math.exp(upper - c * y_hi) / c)
+    try:
+        sigma = math.sqrt(2.0 / d1 + 2.0 / d2)
+        a, c = 0.5 * d1, 0.5 * d2
+        s = d1 / (d1 + d2)
+        # log of the density at y = 0; Stirling's series cancels the O(d)
+        # terms of the beta normaliser analytically
+        log_mode = (
+            _stirling_remainder(a + c) - _stirling_remainder(a) - _stirling_remainder(c)
+            - math.log(sigma) - _HALF_LOG_2PI
+        )
+        # log density <= upper - c*y for y > 0 and <= lower + a*y for y < 0
+        upper = log_mode - (a + c) * math.log(s)
+        lower = log_mode - (a + c) * math.log1p(-s)
+        y_hi = min(_RULE_LOG_MAX, (upper + 740.0) / c)
+        y_lo = max(-_RULE_LOG_MAX, -(lower + 740.0) / a)
+        k_lo = math.ceil(y_lo / (sigma * _RULE_STEP))
+        k_hi = math.floor(y_hi / (sigma * _RULE_STEP))
+        outside = (math.exp(lower + a * y_lo) / a, math.exp(upper - c * y_hi) / c)
+        size = (k_hi - k_lo) << level
+    except (ValueError, OverflowError):
+        size = math.inf
+    if not (size < _RULE_NODES and math.isfinite(sum(outside))):
+        raise NumericError(f"the quadrature rule cannot represent F({d1!r}, {d2!r})")
     h = _RULE_STEP / 2**level
     y = sigma * h * np.arange(k_lo << level, (k_hi << level) + 1)
     weights = h * sigma * np.exp(
@@ -308,11 +318,13 @@ def f_expectation(kernel: Callable[..., np.ndarray], *dfs: tuple[float, float]) 
     change in the value is below that axis's share of RULE_RTOL/2 of the
     value. The result is certified to RULE_RTOL relative (absolute below
     PROB_FLOOR). NumericError, with the best estimate and its error bound,
-    is raised when an axis would need more than RULE_LEVELS halvings, or
-    when the F mass outside the nodes exceeds the value's tolerance: the
-    mass beyond |log b| = 354, below 1e-76 and, for d2 >= 5, below 1e-300,
-    plus for every (d1, d2) the mass where the weights underflow, up to
-    about 1e-320 per axis, so a value near 0 can fail at any d2.
+    is raised when an axis would need more than RULE_LEVELS halvings (as
+    soon as its change, shrinking per halving as it last did, would still
+    miss its share there), or when the F mass outside the nodes exceeds
+    the value's tolerance: the mass beyond |log b| = 354, below 1e-76 and,
+    for d2 >= 5, below 1e-300, plus for every (d1, d2) the mass where the
+    weights underflow, up to about 1e-320 per axis, so a value near 0 can
+    fail at any d2.
     """
     dfs = [(_check_df(d1, "d1"), _check_df(d2, "d2")) for d1, d2 in dfs]
     k = len(dfs)
@@ -324,19 +336,23 @@ def f_expectation(kernel: Callable[..., np.ndarray], *dfs: tuple[float, float]) 
             spans = wanted
             truncation = sum(span[2] for span in spans)
             grids = [_f_grid(d, span, 0) for d, span in zip(dfs, spans)]
-            levels, changes = [0] * k, [math.inf] * k
+            levels, changes, shrinks = [0] * k, [math.inf] * k, [0.0] * k
             value = _weighted_sum(kernel, grids)
         if scale > PROB_FLOOR and value < 0.5 * scale:
             scale = max(value, PROB_FLOOR)
             continue
         tolerance = max(RULE_RTOL * value, PROB_FLOOR)
         axis = next((i for i in range(k) if not changes[i] <= 0.5 * tolerance / k), None)
+        if axis is None:
+            break
         # refining cannot help a kernel that is not finite, nor, once the
-        # value is known to 10%, a tolerance below the mass beyond the cap
-        hopeless = math.isnan(value) or (
-            truncation > tolerance and max(changes) <= 0.1 * value
-        )
-        if axis is None or levels[axis] == RULE_LEVELS or hopeless:
+        # value is known to 10%, a tolerance below the mass beyond the cap,
+        # nor an axis whose change, shrinking per halving as it last did,
+        # misses its share after the halvings left (at once with none left)
+        slow = changes[axis] * shrinks[axis] ** (RULE_LEVELS - levels[axis])
+        if math.isnan(value) or (truncation > tolerance and max(changes) <= 0.1 * value) or (
+            slow > 0.5 * tolerance / k
+        ):
             break
         levels[axis] += 1
         finer = _f_grid(dfs[axis], spans[axis], levels[axis])
@@ -346,6 +362,7 @@ def f_expectation(kernel: Callable[..., np.ndarray], *dfs: tuple[float, float]) 
         previous = value
         value = 0.5 * previous + _weighted_sum(kernel, added)
         grids[axis] = finer
+        shrinks[axis] = min(1.0, abs(value - previous) / changes[axis])
         changes[axis] = abs(value - previous)
     error = truncation + sum(changes)
     if not error <= max(RULE_RTOL * value, PROB_FLOOR):

@@ -119,12 +119,9 @@ def summarize(values: Sequence[float]) -> ExperimentSummary:
     if not np.all(np.isfinite(arr)):
         raise DomainError("values must all be finite")
     n = int(arr.size)
-    return ExperimentSummary(
-        n=n,
-        mean=float(arr.mean()),
-        sample_variance=float(arr.var(ddof=1)),
-        df=n - 1,
-    )
+    with np.errstate(all="ignore"):  # the summary rejects a slot left non-finite
+        mean, variance = float(arr.mean()), float(arr.var(ddof=1))
+    return ExperimentSummary(n=n, mean=mean, sample_variance=variance, df=n - 1)
 
 
 def between_variance(task: TaskSet, mode: VarianceMode = "as_published") -> BetweenVariance:
@@ -152,14 +149,19 @@ def between_variance(task: TaskSet, mode: VarianceMode = "as_published") -> Betw
                 f"(noise-correction moment undefined at df={e.df!r})"
             )
     means = np.array([e.mean for e in exps])
-    grand_mean = float(means.mean())
-    s_m_sq = float(np.sum((means - grand_mean) ** 2) / (k - 1))
-    if mode == "as_published":
-        correction = sum(e.df * e.sample_variance / (e.n * (e.df - 2.0)) for e in exps) / k
-        s0_sq = s_m_sq + correction
-    else:
-        correction = sum(e.sample_variance / e.n for e in exps) / k
-        s0_sq = max(s_m_sq - correction, 0.0)
+    # an overflow or a vanishing N(nu - 2) leaves s0_sq or grand_mean
+    # non-finite, which BetweenVariance rejects
+    with np.errstate(all="ignore"):
+        grand_mean = float(means.mean())
+        s_m_sq = float(np.sum((means - grand_mean) ** 2) / (k - 1))
+        if mode == "as_published":
+            correction = sum(
+                np.divide(e.df * e.sample_variance, e.n * (e.df - 2.0)) for e in exps
+            ) / k
+            s0_sq = float(s_m_sq + correction)
+        else:
+            correction = sum(e.sample_variance / e.n for e in exps) / k
+            s0_sq = max(s_m_sq - correction, 0.0)
     return BetweenVariance(s0_sq=s0_sq, nu0=k - 1, grand_mean=grand_mean, mode=mode)
 
 

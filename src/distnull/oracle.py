@@ -20,16 +20,15 @@ import numpy as np
 from .distributions import _check_alpha
 from .errors import DomainError
 from .estimators import (
-    ExperimentSummary,
     TaskSet,
     VarianceMode,
     between_variance,
+    summarize,
     variance_ratio,
 )
 from .adapters import statistic_from_summary
 from .significance import (
-    _p_point, _p_sig_closed, direction_of, p_point, p_sig_closed, p_sig_given_b,
-    p_sig_integral,
+    _p_point, _p_sig_closed, direction_of, p_sig_closed, p_sig_given_b, p_sig_integral,
 )
 from .replication import ReplicationQuery, _p_rep_closed, p_rep_closed, p_rep_integral
 
@@ -262,20 +261,10 @@ def simulate_raw_task(config: SimConfig, stream: int) -> np.ndarray:
     return mus[:, None] + config.sigma * noise
 
 
-def _summaries_from_rows(rows: np.ndarray) -> tuple[ExperimentSummary, ...]:
-    n = rows.shape[1]
-    means = rows.mean(axis=1)
-    variances = rows.var(axis=1, ddof=1)
-    return tuple(
-        ExperimentSummary(n=n, mean=float(m), sample_variance=float(v), df=n - 1)
-        for m, v in zip(means, variances)
-    )
-
-
 def simulate_task(config: SimConfig, stream: int) -> TaskSet:
     """One simulated task, summarized. Deterministic given (seed, stream)."""
     rows = simulate_raw_task(config, stream)
-    return TaskSet(f"task{stream:04d}", _summaries_from_rows(rows))
+    return TaskSet(f"task{stream:04d}", tuple(summarize(row) for row in rows))
 
 
 def _expand_configs(
@@ -317,11 +306,10 @@ def type1_calibration(
         stats = [statistic_from_summary(e) for e in task.experiments]
         t, n, df = np.array([(s.t, s.n, s.df) for s in stats]).T
         b_hats = [variance_ratio(b0, e) for e in task.experiments]
-        point, estimated = _p_point(t, df), _p_sig_closed(t, n, b_hats, b0.nu0)
-        if np.isnan(point).any() or np.isnan(estimated).any():  # a scalar form raises its error
-            point = [p_point(s) for s in stats]
+        estimated = _p_sig_closed(t, n, b_hats, b0.nu0)
+        if np.isnan(estimated).any():  # the scalar form raises its error
             estimated = [p_sig_closed(s, bh, b0.nu0) for s, bh in zip(stats, b_hats)]
-        columns["point"].append(point)
+        columns["point"].append(_p_point(t, df))
         columns["true_b"].append([p_sig_given_b(s, b_true) for s in stats])
         columns["estimated_b"].append(estimated)
     arrays = {variant: np.concatenate(values) for variant, values in columns.items()}

@@ -86,7 +86,7 @@ class BmaxResult:
             )
 
 
-@np.errstate(over="ignore", divide="ignore")
+@np.errstate(all="ignore")  # a NaN argument fails its callers' finiteness checks
 def _kernel_argument(t_abs, b, n, n_r, t_crit, c):
     """General-c argument of the replication kernel; elementwise-safe.
 
@@ -168,8 +168,8 @@ def p_rep_integral(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
 
 @np.errstate(all="ignore")  # rows outside the domain are computed too
 def _closed_argument(t, n, b_hat, nu0, t_crit, n_r):
-    """The closed form's T_{nu_r} argument, elementwise."""
-    bn = b_hat * n
+    """The closed form's T_{nu_r} argument, elementwise, also on Python floats."""
+    bn = np.multiply(b_hat, n)
     scale = np.sqrt(bn * n_r / (n + n_r))
     return scale * (np.abs(t) / np.sqrt(bn) - t_crit * np.sqrt(1.0 / bn + nu0 / (nu0 - 2.0)))
 

@@ -149,8 +149,9 @@ def p_sig_integral(stat: TestStatistic, b_hat: float, nu0: float) -> float:
 
 @np.errstate(all="ignore")  # b_hat * N may overflow (t0 -> 0) or underflow to 0
 def _t0(t, n, b_hat) -> np.ndarray:
-    """t0 = t / sqrt(b_hat * N) over columns whose b_hat is checked."""
-    return t / np.sqrt(b_hat * n)
+    """t0 = t / sqrt(b_hat * N) over columns whose b_hat is checked, NaN where
+    b_hat is NaN; t0 = X̄/S0 is 0 at t = 0 even where b_hat * N underflows."""
+    return np.where((t == 0.0) & (b_hat > 0.0), t, t / np.sqrt(b_hat * n))
 
 
 def t0_statistic(stat: TestStatistic, b_hat: float) -> float:

@@ -19,7 +19,6 @@ from distnull.adapters import (
     ContingencyTable,
     phi_coefficient,
     regression,
-    regression_statistic,
     statistic_from_summary,
 )
 from distnull.distributions import t_cdf, t_density, t_quantile
@@ -290,7 +289,7 @@ def test_09_adapter_equivalence():
             n = int(rng.integers(5, 30))
             xs = rng.normal(0.0, 1.0, size=n)
             ys = 0.4 + 0.8 * xs + rng.normal(0.0, 0.7, size=n)
-            stat = regression_statistic(regression(xs, ys))
+            stat = statistic_from_summary(regression(xs, ys))
             x_c = xs - xs.mean()
             slope = float(x_c @ ys) / float(x_c @ x_c)
             intercept = float(ys.mean())

@@ -15,8 +15,6 @@ from distnull.adapters import (
     contingency_regression,
     phi_coefficient,
     regression,
-    regression_experiment_summary,
-    regression_statistic,
     statistic_from_summary,
     unpaired_summary,
 )
@@ -26,12 +24,7 @@ from distnull.errors import (
     DomainError,
     InsufficientDataError,
 )
-from distnull.estimators import (
-    ExperimentSummary,
-    TaskSet,
-    between_variance,
-    summarize,
-)
+from distnull.estimators import ExperimentSummary, summarize
 from distnull.significance import p_point
 
 
@@ -129,8 +122,8 @@ class TestRegression:
         y = 0.7 * x + rng.normal(0, 0.8, size=35)
         summary = regression(x, y)
         ref = sstats.linregress(x, y)
-        assert summary.slope == pytest.approx(ref.slope, rel=1e-12)
-        stat = regression_statistic(summary)
+        assert summary.mean == pytest.approx(ref.slope, rel=1e-12)
+        stat = statistic_from_summary(summary)
         assert stat.t == pytest.approx(ref.slope / ref.stderr, rel=1e-10)
         assert stat.df == 33
 
@@ -144,22 +137,9 @@ class TestRegression:
         slope = float(np.sum(dx * y) / q)
         fitted = y.mean() + slope * dx
         sse = float(np.sum((y - fitted) ** 2))
-        assert summary.q == pytest.approx(q, rel=1e-14)
-        assert summary.slope == pytest.approx(slope, rel=1e-14)
-        assert summary.mse == pytest.approx(sse / 18, rel=1e-12)
-
-    def test_q_in_sample_size_slot(self):
-        rng = np.random.default_rng(8)
-        x = rng.uniform(-1, 1, size=12)
-        y = x + rng.normal(0, 0.3, size=12)
-        summary = regression(x, y)
-        stat = regression_statistic(summary)
-        assert stat.n == pytest.approx(summary.q)
-        exp = regression_experiment_summary(summary)
-        assert exp.n == pytest.approx(summary.q)
-        assert exp.mean == summary.slope
-        assert exp.sample_variance == summary.mse
-        assert exp.df == summary.df
+        assert summary.n == pytest.approx(q, rel=1e-14)
+        assert summary.mean == pytest.approx(slope, rel=1e-14)
+        assert summary.sample_variance == pytest.approx(sse / 18, rel=1e-12)
 
     def test_constant_predictor_rejected(self):
         with pytest.raises(DegeneratePredictorError):
@@ -172,7 +152,7 @@ class TestRegression:
     def test_perfect_fit_rejected_at_statistic(self):
         summary = regression([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 4.0, 6.0])
         with pytest.raises(DegenerateVarianceError):
-            regression_statistic(summary)
+            statistic_from_summary(summary)
 
 
 class TestContingency:
@@ -195,9 +175,11 @@ class TestContingency:
             xs, ys = self.expand(table)
             direct = contingency_regression(table)
             expanded = regression(xs, ys)
-            assert direct.slope == pytest.approx(expanded.slope, abs=1e-12)
-            assert direct.q == pytest.approx(expanded.q, rel=1e-12)
-            assert direct.mse == pytest.approx(expanded.mse, abs=1e-12)
+            assert direct.mean == pytest.approx(expanded.mean, abs=1e-12)
+            assert direct.n == pytest.approx(expanded.n, rel=1e-12)
+            assert direct.sample_variance == pytest.approx(
+                expanded.sample_variance, abs=1e-12
+            )
 
     def test_phi_equals_pearson(self):
         rng = np.random.default_rng(10)
@@ -210,7 +192,7 @@ class TestContingency:
 
     def test_statistic_is_slope_t(self):
         table = ContingencyTable(n11=21, n10=9, n01=8, n00=22)
-        stat = regression_statistic(contingency_regression(table))
+        stat = statistic_from_summary(contingency_regression(table))
         xs, ys = self.expand(table)
         ref = sstats.linregress(xs, ys)
         assert stat.t == pytest.approx(ref.slope / ref.stderr, rel=1e-10)
@@ -229,33 +211,3 @@ class TestContingency:
         with pytest.raises(InsufficientDataError):
             ContingencyTable(n11=1, n10=0, n01=0, n00=0)
 
-
-class TestSlopeBetweenVariance:
-    def test_maps_q_into_n_slot(self):
-        rng = np.random.default_rng(11)
-        summaries = []
-        for _ in range(5):
-            x = rng.uniform(-2, 2, size=30)
-            y = 0.5 * x + rng.normal(0, 1.0, size=30)
-            summaries.append(regression(x, y))
-        got = between_variance(
-            TaskSet(
-                "slopes",
-                tuple(regression_experiment_summary(s) for s in summaries),
-            ),
-            "moment_corrected",
-        )
-        manual = between_variance(
-            TaskSet(
-                "slopes",
-                tuple(
-                    ExperimentSummary(
-                        n=s.q, mean=s.slope, sample_variance=s.mse, df=s.df
-                    )
-                    for s in summaries
-                ),
-            ),
-            "moment_corrected",
-        )
-        assert got.s0_sq == pytest.approx(manual.s0_sq, rel=1e-14)
-        assert got.nu0 == 4

@@ -9,6 +9,8 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,11 @@ from hypothesis import strategies as st
 
 from conftest import run_cli, write_csv
 from distnull import cli, distributions
+from distnull.adapters import statistic_from_summary
 from distnull.errors import NumericError
+from distnull.estimators import TaskSet, between_variance, variance_ratio
+from distnull.replication import ReplicationQuery, p_rep_bound, p_rep_integral
+from distnull.significance import direction_of, p_sig_integral
 
 SUMMARY_HEADER = ["task", "site", "n", "mean", "variance", "df"]
 
@@ -766,6 +772,20 @@ class TestPredict:
             assert {r["p_rep"] for r in parse(out)} == {"<1e-320"}
 
 
+    def test_bound_variant_is_p_rep_bound_per_site(self, summary_file):
+        code, out, err = run_cli([
+            "predict", "--input", summary_file, "--variant", "bound", "--bound", "0.3",
+            "--nr", "40",
+        ])
+        assert (code, err) == (0, "")
+        _, sites = cli.load_sites(summary_file, None)
+        rows = parse(out)
+        assert [(r["task"], r["site"]) for r in rows] == [(s.task, s.site) for s in sites]
+        for row, s in zip(rows, sites):
+            query = ReplicationQuery(s.statistic, 40.0, 39.0, 0.05)
+            assert row["p_rep"] == cli._prob(p_rep_bound(query, 0.3))
+            assert (row["bound"], row["b_used"], row["nu0_used"]) == ("0.3", "", "")
+
     def test_integral_value_near_zero_is_uncertified_at_nu0_5(self, summary_file):
         # the F(25, 5) and F(25, 29) weights that underflow outside the
         # rule's nodes hold 1.16e-320, above the 1e-320 tolerance of 0
@@ -816,6 +836,49 @@ class TestCalibrate:
         code, out, err = calibrate("b.csv", b)
         assert (code, out) == (4, "")
         assert "skipped" in err and "nothing to calibrate" in err
+
+    def test_integral_variant_bins_direct_forecasts(self, tmp_path):
+        # four significant sites and one that is not; 20 pairs in 10 bins
+        rows = [
+            ["a", "l1", "60", "0.9", "1.0", "59"],
+            ["a", "l2", "50", "0.95", "1.2", "49"],
+            ["a", "l3", "40", "0.6", "0.8", "39"],
+            ["a", "l4", "70", "0.85", "1.1", "69"],
+            ["a", "l5", "45", "0.92", "1.0", "44"],
+        ]
+        path = write_csv(tmp_path / "cal.csv", SUMMARY_HEADER, rows)
+        code, out, err = run_cli([
+            "calibrate", "--input", path, "--variant", "integral", "--alphas", "0.05",
+        ])
+        assert (code, err) == (0, "")
+        _, sites = cli.load_sites(path, None)
+        task = TaskSet("a", tuple(s.summary for s in sites))
+        b0 = between_variance(task)
+        stats = [statistic_from_summary(e) for e in task.experiments]
+        b_hats = [variance_ratio(b0, e) for e in task.experiments]
+        significant = [p_sig_integral(s, bh, b0.nu0) <= 0.05 for s, bh in zip(stats, b_hats)]
+        bins = {}
+        for i, (stat, b_hat) in enumerate(zip(stats, b_hats)):
+            for j, target in enumerate(task.experiments):
+                if j == i:
+                    continue
+                query = ReplicationQuery(stat, target.n, target.df, 0.05)
+                forecast = p_rep_integral(query, b_hat, b0.nu0)
+                success = significant[j] and direction_of(stats[j]) == direction_of(stat)
+                key = (cli._bool(significant[i]), min(int(forecast * 40), 39))
+                bins.setdefault(key, []).append((forecast, success))
+        got = {(r["predictor_significant"], round(float(r["lower"]) * 40)): r
+               for r in parse(out)}
+        assert got.keys() == bins.keys()
+        for key, pairs in bins.items():
+            row = got[key]
+            assert int(row["pairs"]) == len(pairs)
+            assert float(row["mean_forecast"]) == pytest.approx(
+                sum(f for f, _ in pairs) / len(pairs), rel=1e-11
+            )
+            assert float(row["observed_rate"]) == pytest.approx(
+                sum(ok for _, ok in pairs) / len(pairs), rel=1e-11
+            )
 
     def test_all_single_site_is_domain_error(self, tmp_path):
         path = write_csv(
@@ -1168,6 +1231,162 @@ class TestErrorPrecedence:
             assert (code, err) == (0, "")
             cells = [(r["tau"], r["z_max"], r["b_max"]) for r in parse(out)]
             assert cells[0] == ("", "", "") and all(all(c) for c in cells[1:])
+
+
+# Magnitudes at the edges of the float range, for summary cells and flags.
+EXTREMES = (
+    5e-324, 1e-300, 1e-170, 0.4, 1.0, 2.5, 3.0, 30.0, 1e6, 1e150, 1e200, 1e300, 1.7e308,
+)
+
+
+class TestExtremeInputs:
+    """Valid rows at the edges of the float range end in an error line with
+    the README's exit code, never in a traceback or a numpy warning."""
+
+    ORDINARY = "a,s2,30,1,1,29"
+    CASES = {
+        # (summary rows, command and flags, exit code, stderr)
+        "closed_forecast_b_n_underflows": (
+            ["a,s1,0.4,0.3,1,5", ORDINARY], ["predict", "--b", "5e-324", "--nu0", "5",
+                                             "--nr", "30"],
+            4, "error: task 'a' site 's1': x must be finite, got nan\n",
+        ),
+        "integral_test_df_ratio_rounds_to_1": (
+            ["a,s1,30,0.5,1,1e150", ORDINARY],
+            ["test", "--variant", "integral", "--b", "0.1", "--nu0", "5"],
+            5, "error: task 'a' site 's1': the quadrature rule cannot represent"
+            " F(1e+150, 5.0)\n",
+        ),
+        "integral_predict_df_ratio_rounds_to_1": (
+            ["a,s1,30,0.5,1,1e150", ORDINARY],
+            ["predict", "--variant", "integral", "--b", "0.1", "--nu0", "5", "--nr", "30"],
+            5, "error: task 'a' site 's1': the quadrature rule cannot represent"
+            " F(1e+150, 5.0)\n",
+        ),
+        "integral_predict_tiny_df": (
+            ["a,s1,30,0.5,1,1e-300", ORDINARY],
+            ["predict", "--variant", "integral", "--b", "0.1", "--nu0", "5", "--nr", "30"],
+            5, "error: task 'a' site 's1': the quadrature rule cannot represent"
+            " F(1e-300, 29.0)\n",
+        ),
+        "estimate_noise_term_divides_by_0": (
+            ["a,s1,5e-324,0.1,1,2.5", ORDINARY, "a,s3,20,0.5,2,19"], ["estimate"],
+            4, "error: task 'a': s0_sq must be finite and >= 0, got inf\n",
+        ),
+        "estimate_spread_of_means_overflows": (
+            ["a,s1,30,1e200,1,29", "a,s2,30,-1e200,1,29"], ["estimate"],
+            4, "error: task 'a': s0_sq must be finite and >= 0, got inf\n",
+        ),
+        "calibrate_spread_of_means_overflows": (
+            ["a,s1,30,1e200,1,29", "a,s2,30,-1e200,1,29"], ["calibrate"],
+            4, "error: task 'a': s0_sq must be finite and >= 0, got inf\n",
+        ),
+        "bound_forecast_n_n_r_overflows": (
+            ["a,s1,1.7e308,0,30,29", ORDINARY],
+            ["predict", "--variant", "bound", "--bound", "30", "--nr", "30"],
+            4, "error: task 'a' site 's1': x must be finite, got nan\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_error_line_and_exit_code(self, tmp_path, case):
+        rows, argv, code, err = self.CASES[case]
+        path = tmp_path / "sites.csv"
+        path.write_text("\n".join([",".join(SUMMARY_HEADER), *rows, ""]))
+        assert run_cli([*argv, "--input", str(path)]) == (code, "", err)
+
+    RAW = {
+        "one_sample": ("task,site,value", ["a,s1,1e200", "a,s1,-1e200", "a,s1,1"], ""),
+        "two_sample": ("task,site,group,value",
+                       ["a,s1,g,1e200", "a,s1,g,-1e200", "a,s1,h,1", "a,s1,h,2"], ""),
+        "paired": ("task,site,x,y", ["a,s1,1e200,-1e200", "a,s1,-1e200,1e200", "a,s1,1,2"],
+                   "paired"),
+        "regression": ("task,site,x,y",
+                       ["a,s1,1e200,1", "a,s1,-1e200,2", "a,s1,1,3", "a,s1,2,4"],
+                       "regression"),
+    }
+
+    @pytest.mark.parametrize("family", sorted(RAW))
+    def test_overflowing_raw_values(self, tmp_path, family):
+        header, rows, flag = self.RAW[family]
+        path = tmp_path / "raw.csv"
+        path.write_text("\n".join([header, *rows, ""]))
+        argv = ["bmax", "--input", str(path), *(["--family", flag] if flag else [])]
+        # a slope file's Q overflows first, and the canonical n slot rejects it
+        slot = "n must be finite and > 0" if family == "regression" else (
+            "sample_variance must be finite and >= 0")
+        assert run_cli(argv) == (4, "", f"error: task 'a' site 's1': {slot}, got inf\n")
+
+    @pytest.mark.parametrize("variant", ["closed", "integral"])
+    def test_t0_is_0_at_t_0_where_b_n_underflows(self, tmp_path, variant):
+        path = tmp_path / "zero.csv"
+        path.write_text("\n".join([",".join(SUMMARY_HEADER), "a,s1,0.4,0,1,5",
+                                   self.ORDINARY, ""]))
+        code, out, err = run_cli(["test", "--input", str(path), "--variant", variant,
+                                  "--b", "5e-324", "--nu0", "5"])
+        assert (code, err) == (0, "")
+        row = parse(out)[0]
+        assert row["t"] == "0" and row["t0"] == "0"
+        # the integral rule certifies 1 to RULE_RTOL
+        assert float(row["p_sig"]) == pytest.approx(1.0, rel=1e-10)
+
+    def test_uncertifiable_integral_fails_fast(self, tmp_path):
+        # at b = 1e150 the forecast kernel is a near-step in log b, so each
+        # halving of the step only halves the change; all ten took minutes
+        path = tmp_path / "slow.csv"
+        path.write_text("\n".join([",".join(SUMMARY_HEADER), "a,s0,1,3,3,1",
+                                   "a,s1,30,1,1,29", ""]))
+        start = time.perf_counter()
+        code, out, err = run_cli(["predict", "--input", str(path), "--variant", "integral",
+                                  "--b", "1e150", "--nu0", "2.5", "--nr", "30"])
+        assert time.perf_counter() - start < 20.0
+        assert (code, out) == (5, "")
+        assert err.startswith("error: task 'a' site 's0': quadrature did not reach")
+        assert err.endswith("error bound inf)\n")
+
+    COMMANDS = (
+        ["estimate"], ["estimate", "--mode", "moment"],
+        ["test", "--variant", "point"],
+        ["test", "--b", "{b}", "--nu0", "{nu0}"],
+        ["test", "--variant", "bound", "--bound", "{b}"],
+        ["test", "--variant", "integral", "--b", "{b}", "--nu0", "{nu0}"],
+        ["predict", "--nr", "30", "--b", "{b}", "--nu0", "{nu0}"],
+        ["predict", "--nr", "30", "--variant", "bound", "--bound", "{b}"],
+        ["predict", "--nr", "30", "--variant", "integral", "--b", "{b}", "--nu0", "{nu0}"],
+        ["bmax"], ["calibrate"],
+    )
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(EXTREMES), st.sampled_from((-1.0, 0.0, 1.0)),
+                st.sampled_from(EXTREMES), st.sampled_from(EXTREMES),
+                st.sampled_from(EXTREMES),
+            ),
+            min_size=2, max_size=4,
+        ),
+        b=st.sampled_from(EXTREMES),
+        nu0=st.sampled_from((1.0, 2.0, 2.5, 5.0, 1e6)),
+    )
+    def test_no_traceback_or_warning(self, rows, b, nu0):
+        lines = [",".join(SUMMARY_HEADER)] + [
+            f"a,s{i},{n!r},{sign * mean!r},{variance!r},{df!r}"
+            for i, (n, sign, mean, variance, df) in enumerate(rows)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "sites.csv"
+            path.write_text("\n".join([*lines, ""]))
+            for command in self.COMMANDS:
+                argv = [a.format(b=repr(b), nu0=repr(nu0)) for a in command]
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code, _, err = run_cli([*argv, "--input", str(path)])
+                assert code in (0, 2, 3, 4, 5), (argv, err)
+                assert all(
+                    line.startswith(("error: ", "warning: ")) for line in err.splitlines()
+                ), (argv, err)
+                assert not caught, (argv, [str(w.message) for w in caught])
 
 
 class TestDeterminism:

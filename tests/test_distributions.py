@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 
 from distnull.distributions import (
     PROB_FLOOR,
@@ -98,6 +99,14 @@ class TestNoncentralT:
         values = [noncentral_t_cdf(1.5, 15, nc) for nc in (0.0, 0.5, 1.5, 3.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_quadrature_fallback_where_the_series_is_nan(self):
+        x, nu, theta = -1.0658444367636162, 51740241.72645678, 15.398216730890246
+        assert math.isnan(scipy.special.nctdtr(nu, theta, x))
+        # at this nu the law is within 1e-9 of its nu -> inf limit N(theta, 1)
+        assert noncentral_t_cdf(x, nu, theta) == pytest.approx(
+            scipy.special.ndtr(x - theta), abs=1e-9
+        )
+
 
 class TestFRule:
     """The trapezoid nodes and weights that f_expectation sums over, in full range."""
@@ -122,6 +131,16 @@ class TestFRule:
             assert 0.0 <= below < 1e-60 and 0.0 <= above < 1e-60
             assert weights.min() >= 0.0
 
+    @pytest.mark.parametrize("d1, d2, level", [
+        (1e150, 5.0, 0),  # d1/(d1 + d2) rounds to 1
+        (5e-324, 5.0, 0),  # ... and to 0
+        (1e-300, 29.0, 0),  # a tail bound overflows
+        (1e6, 1e150, 4),  # over _RULE_NODES nodes
+    ])
+    def test_unrepresentable_law_is_a_numeric_error(self, d1, d2, level):
+        with pytest.raises(NumericError, match="cannot represent F"):
+            _f_rule(d1, d2, level)
+
 
 class TestFExpectation:
     def test_constant_kernels(self):
@@ -140,6 +159,20 @@ class TestFExpectation:
     def test_non_finite_kernel_raises(self):
         with pytest.raises(NumericError):
             f_expectation(lambda b: np.full_like(b, np.nan), (10.0, 10.0))
+
+    def test_slowly_converging_axis_gives_up_early(self):
+        # a step kernel's change only halves per halving of the step, so it
+        # cannot meet the tolerance by RULE_LEVELS; all ten halvings would
+        # evaluate it at over 50 000 nodes
+        evaluated = []
+
+        def step(b):
+            evaluated.append(b.size)
+            return (b > 1.7).astype(float)
+
+        with pytest.raises(NumericError):
+            f_expectation(step, (5.0, 7.0))
+        assert sum(evaluated) < 1000
 
 
 class TestIntegrate:

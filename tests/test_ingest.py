@@ -16,7 +16,6 @@ from distnull.adapters import (
     ContingencyTable,
     contingency_regression,
     regression,
-    regression_experiment_summary,
     unpaired_summary,
 )
 from distnull.estimators import ExperimentSummary, summarize
@@ -322,16 +321,14 @@ def _reference_sites(path, shape):
             if shape == "paired":
                 summary = summarize([x - y for x, y in xy])
             elif shape == "regression":
-                summary = regression_experiment_summary(
-                    regression([x for x, _ in xy], [y for _, y in xy])
-                )
+                summary = regression([x for x, _ in xy], [y for _, y in xy])
             else:
                 table = ContingencyTable(*(
                     sum(1 for pair in xy if pair == cell)
                     for cell in ((1, 1), (1, 0), (0, 1), (0, 0))
                 ))
                 share = (table.n11 + table.n10) / table.total
-                summary = regression_experiment_summary(contingency_regression(table))
+                summary = contingency_regression(table)
         out.append((task, site, summary, share))
     return out
 
