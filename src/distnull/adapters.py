@@ -29,7 +29,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .estimators import ExperimentSummary
-from .significance import TestStatistic
+from .significance import TestStatistic, _statistic
 
 __all__ = [
     "ContingencyTable",
@@ -74,8 +74,10 @@ def statistic_from_summary(summary: ExperimentSummary) -> TestStatistic:
         raise DegenerateVarianceError(
             "sample variance is zero; t-statistic undefined"
         )
-    effect = summary.mean / math.sqrt(summary.sample_variance)
-    return TestStatistic.from_effect(effect, summary.n, summary.df)
+    t, effect = _statistic(summary.n, summary.mean, summary.sample_variance)
+    return TestStatistic(
+        t=float(t), n=float(summary.n), df=float(summary.df), effect=float(effect)
+    )
 
 
 def unpaired_summary(

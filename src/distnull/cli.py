@@ -6,6 +6,9 @@ printed with 12 significant digits, probabilities below 1e-320 as
 "<1e-320", rows sorted by (task, site), lines terminated with "\\n", so
 repeated runs are byte-identical.
 
+Each command loads its input into one SiteTable (see ``load_sites``) and
+works on whole columns of it; an output column is formatted at once.
+
 Exit codes: 0 success, 2 parse (malformed input file or I/O), 3
 configuration (missing, unknown, malformed or inconsistent flags, or a bad
 config file), 4 domain, 5 numeric; each error class carries its code.
@@ -23,6 +26,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from functools import partial
+from itertools import repeat
 from typing import NoReturn
 
 import numpy as np
@@ -47,11 +51,10 @@ from .errors import (
 )
 from .estimators import (
     ExperimentSummary,
-    TaskSet,
+    SiteTable,
+    _between_variance,
     between_variance,
-    standardize_means,
     summarize,
-    variance_ratio,
 )
 from .oracle import (
     MIN_BIN_PAIRS,
@@ -78,7 +81,6 @@ from .significance import (
     _p_point,
     _p_sig_closed,
     _t0,
-    direction_of,
     p_sig_bound,
     p_sig_closed,
     p_sig_integral,
@@ -98,14 +100,24 @@ def _real(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _prob(p: float) -> str:
-    p = float(p)
-    return "<1e-320" if p <= PROB_FLOOR else f"{p:.12g}"
+def _reals(column) -> list[str]:
+    """A column's values with 12 significant digits, empty where a value is
+    NaN (unused or undefined)."""
+    texts = map("{:.12g}".format, np.asarray(column, dtype=float).tolist())
+    return ["" if text == "nan" else text for text in texts]
 
 
-def _log10(p: float) -> str:
-    p = float(p)
-    return "<-320" if p <= PROB_FLOOR else f"{math.log10(p):.12g}"
+def _probs(column) -> list[str]:
+    """Probabilities with 12 significant digits, "<1e-320" at the floor."""
+    column = np.asarray(column, dtype=float)
+    return ["<1e-320" if p <= PROB_FLOOR else text
+            for p, text in zip(column.tolist(), _reals(column))]
+
+
+def _log10s(column) -> list[str]:
+    """log10 of probabilities, "<-320" at the floor."""
+    return ["<-320" if p <= PROB_FLOOR else f"{math.log10(p):.12g}"
+            for p in np.asarray(column, dtype=float).tolist()]
 
 
 def _bool(flag: bool) -> str:
@@ -114,21 +126,6 @@ def _bool(flag: bool) -> str:
 
 # ---------------------------------------------------------------------------
 # input loading
-
-
-@dataclasses.dataclass(frozen=True)
-class SiteData:
-    """One experiment: its canonical summary and the statistic derived from it.
-
-    ``share`` is the first group's share of the N units in two-group
-    families (two-sample, contingency), and None elsewhere.
-    """
-
-    task: str
-    site: str
-    summary: ExperimentSummary
-    statistic: TestStatistic
-    share: float | None = None
 
 
 def _check_identifier(value: str, column: str, line: int) -> None:
@@ -271,7 +268,7 @@ def _invalid(values: list[str]) -> set[str]:
     return {v for v in set(values) if not IDENTIFIER.match(v)}
 
 
-class _Table:
+class _Cells:
     """An input file in columns: cells as read, numeric columns as floats.
 
     Every cell is checked in bulk; ``faulty`` marks the rows holding one
@@ -303,28 +300,58 @@ class _Table:
                 check(self.cells[column][i], column, self.lines[i])
 
 
-def _site_rows(tasks: list[str], sites: list[str]) -> list[tuple[str, str, np.ndarray]]:
-    """Each (task, site) with its row indices in file order, sorted (task, site)."""
-    task_ids, site_ids = sorted(set(tasks)), sorted(set(sites))
-    task_rank = {t: i for i, t in enumerate(task_ids)}
-    site_rank = {s: i for i, s in enumerate(site_ids)}
-    task_codes = np.fromiter(map(task_rank.__getitem__, tasks), np.intp, len(tasks))
-    site_codes = np.fromiter(map(site_rank.__getitem__, sites), np.intp, len(sites))
-    key = task_codes * len(site_ids) + site_codes
+def _group(tasks: list[str], sites: list[str]) -> tuple[list[str], np.ndarray, list[str],
+                                                       np.ndarray, np.ndarray]:
+    """Sites sorted (task, site), from integer codes of the identifiers.
+
+    Returns the task names, each site's task code and site name, the row
+    order that lists each site's rows in file order, and where each site's
+    rows start in it.
+    """
+    task_ids, task_codes = np.unique(np.array(tasks), return_inverse=True)
+    site_ids, site_codes = np.unique(np.array(sites), return_inverse=True)
+    key = task_codes.reshape(-1) * len(site_ids) + site_codes.reshape(-1)
     order = np.argsort(key, kind="stable")  # stable: file order within a site
     ordered = key[order]
-    bounds = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), len(order)]
-    groups = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        task, site = divmod(int(ordered[lo]), len(site_ids))
-        groups.append((task_ids[task], site_ids[site], order[lo:hi]))
-    return groups
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    site_task, site_code = np.divmod(ordered[starts], len(site_ids))
+    return task_ids.tolist(), site_task, site_ids[site_code].tolist(), order, starts
 
 
-def load_sites(path: str, family: str | None) -> tuple[str, list[SiteData]]:
-    """Ingest a CSV into per-site summaries and statistics, sorted (task, site).
+@np.errstate(all="ignore")  # a faulty site is left non-finite, and rerun
+def _bulk_summaries(shape: str, cells: _Cells, order: np.ndarray,
+                    starts: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """Every site's (n, mean, variance, df) at once, for the summary,
+    one-sample and paired shapes; None for other shapes, or where a cell
+    faults or a summary row repeats.
 
-    Returns the detected shape name alongside the sites.
+    One-sample and paired sites of equal row count are reduced together as
+    rows of a 2-D block, which keeps the bits of ``summarize``.
+    """
+    if cells.faulty is not None or shape not in ("summary", "one_sample", "paired"):
+        return None
+    reals = cells.reals
+    if shape == "summary":
+        if starts.size < order.size:
+            return None
+        return tuple(reals[column][order] for column in ("n", "mean", "variance", "df"))
+    values = (reals["value"] if shape == "one_sample" else reals["x"] - reals["y"])[order]
+    counts = np.diff(starts, append=order.size)
+    mean, variance = np.empty(starts.size), np.empty(starts.size)
+    for count in np.unique(counts).tolist():
+        block = np.flatnonzero(counts == count)
+        rows = values[starts[block, None] + np.arange(count)]
+        mean[block], variance[block] = rows.mean(axis=1), rows.var(axis=1, ddof=1)
+    return counts.astype(float), mean, variance, counts - 1.0
+
+
+def load_sites(path: str, family: str | None) -> tuple[str, SiteTable]:
+    """Ingest a CSV into one site table of canonical summaries, sorted
+    (task, site).
+
+    Returns the detected shape name alongside the table. Cells and sites are
+    checked in bulk; on a fault, or for a family without a bulk reducer,
+    the sites are summarized one by one, which raises the first error.
     """
     fields, lines, cells = _read_csv(path)
     shape = _detect_shape(fields, family)
@@ -338,27 +365,30 @@ def load_sites(path: str, family: str | None) -> tuple[str, list[SiteData]]:
             _check_identifier(task, "task", line)
             _check_identifier(site, "site", line)
 
-    table = _Table(shape, lines, cells)
-    sites = []
+    columns = _Cells(shape, lines, cells)
+    task_ids, site_task, site_ids, order, starts = _group(tasks, site_names)
+    offsets = np.searchsorted(site_task, np.arange(len(task_ids) + 1))
+    bulk = _bulk_summaries(shape, columns, order, starts)
+    if bulk is not None:
+        sites = SiteTable(task_ids, offsets, *bulk, site_ids=site_ids)
+        valid = (sites.n > 0) & (sites.variance > 0) & (sites.df > 0)
+        for column in (sites.mean, sites.variance, sites.t, sites.effect):
+            valid &= np.isfinite(column)
+        if valid.all():
+            return shape, sites
+    summaries, shares = [], []
     with _located(lambda: f"task {task!r} site {site!r}"):
-        for task, site, rows in _site_rows(tasks, site_names):
-            summary, share = _build_summary(shape, task, site, table, rows)
-            sites.append(
-                SiteData(task, site, summary, statistic_from_summary(summary), share)
-            )
-    return shape, sites
-
-
-def _by_task(sites: list[SiteData]) -> list[tuple[str, list[SiteData]]]:
-    """Sites grouped by task, in task order."""
-    groups: dict[str, list[SiteData]] = {}
-    for s in sites:
-        groups.setdefault(s.task, []).append(s)
-    return sorted(groups.items())
+        for j, site, rows in zip(site_task.tolist(), site_ids, np.split(order, starts[1:])):
+            task = task_ids[j]
+            summary, share = _build_summary(shape, task, site, columns, rows)
+            statistic_from_summary(summary)  # raises where the statistic is undefined
+            summaries.append((summary.n, summary.mean, summary.sample_variance, summary.df))
+            shares.append(math.nan if share is None else share)
+    return shape, SiteTable(task_ids, offsets, *np.array(summaries).T, shares, site_ids)
 
 
 def _build_summary(
-    shape: str, task: str, site: str, table: _Table, rows: np.ndarray
+    shape: str, task: str, site: str, table: _Cells, rows: np.ndarray
 ) -> tuple[ExperimentSummary, float | None]:
     """One site's rows as its canonical summary, with its two-group share."""
     if shape == "summary":
@@ -429,6 +459,9 @@ VarianceLookup = Callable[[str, str], tuple[float, float]]
 
 
 def _load_b_from(path: str) -> dict[tuple[str, str], tuple[float, float]]:
+    """Each (task, site)'s (b_hat, nu0) in an estimate file. Rows with an
+    empty b_hat (single-site or degenerate tasks) carry none; a b_hat needs
+    a nu0."""
     fields, lines, cells = _read_csv(path)
     needed = {"task", "site", "b_hat", "nu0"}
     if not needed <= set(fields):
@@ -439,7 +472,7 @@ def _load_b_from(path: str) -> dict[tuple[str, str], tuple[float, float]]:
     ):
         _check_identifier(task, "task", line)
         _check_identifier(site, "site", line)
-        if b_text == "" or nu0_text == "":
+        if b_text == "":
             continue  # skipped or degenerate rows carry no estimate
         if (task, site) in table:
             raise ParseError(
@@ -498,6 +531,14 @@ def resolve_variance(args: argparse.Namespace) -> VarianceLookup | None:
 # subcommands
 
 
+def _task_names(sites: SiteTable) -> list[str]:
+    return [sites.task_ids[j] for j in sites.task_of.tolist()]
+
+
+def _where(sites: SiteTable, i: int) -> str:
+    return f"task {sites.task_ids[sites.task_of[i]]!r} site {sites.site_ids[i]!r}"
+
+
 def cmd_estimate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     mode = _MODES[args.mode]
     _, sites = load_sites(args.input, args.family)
@@ -505,64 +546,67 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         "task", "site", "n", "mean", "variance", "df", "k", "grand_mean",
         "s0_sq", "nu0", "b_hat", "z", "mode", "note",
     ]
-    out: list[list[str]] = []
-    with _located(lambda: f"task {task!r}"):
-        for task, group in _by_task(sites):
-            base = [
-                [s.site, _real(s.summary.n), _real(s.summary.mean),
-                 _real(s.summary.sample_variance), _real(s.summary.df)]
-                for s in group
-            ]
-            if len(group) < 2:
-                for cols in base:
-                    out.append([task, *cols, "", "", "", "", "", "",
-                                mode, "skipped_single_site"])
-                continue
-            task_set = TaskSet(task, tuple(s.summary for s in group))
-            b0 = between_variance(task_set, mode)
-            if b0.s0_sq > 0.0:
-                zs = [_real(z) for z in standardize_means(task_set, b0)]
-                note = ""
-            else:
-                zs = [""] * len(group)
-                note = "degenerate_variance"
-            for s, cols, z in zip(group, base, zs):
-                # a degenerate task carries no estimate; every loaded site
-                # has a positive variance, so the ratio is defined
-                b_hat = "" if note else _real(variance_ratio(b0, s.summary))
-                out.append([task, *cols, _real(task_set.k), _real(b0.grand_mean),
-                            _real(b0.s0_sq), _real(b0.nu0), b_hat, z, mode, note])
-    return header, out
+    s0_sq, nu0, grand_mean = _between_variance(sites, mode)
+    multi = sites.k >= 2
+    with _located(lambda: f"task {sites.task_ids[j]!r}"):
+        for j in np.flatnonzero(multi & np.isnan(s0_sq)).tolist():
+            between_variance(sites.task(j), mode)  # raises the task's error
+    # a single-site task has no fit, and a degenerate one no estimate; every
+    # loaded site has a positive variance, so the ratio is defined
+    of = sites.task_of
+    s0_sq, estimated = s0_sq[of], (s0_sq > 0.0)[of]
+    with np.errstate(all="ignore"):  # the cells of tasks without an estimate are not used
+        b_hat = np.where(estimated, s0_sq / sites.variance, np.nan)
+        z = np.where(estimated, (sites.mean - grand_mean[of]) / np.sqrt(s0_sq), np.nan)
+    note = np.where(multi[of], np.where(estimated, "", "degenerate_variance"),
+                    "skipped_single_site")
+    columns = [
+        _task_names(sites), sites.site_ids, *map(_reals, (
+            sites.n, sites.mean, sites.variance, sites.df, np.where(multi, sites.k, np.nan)[of],
+            grand_mean[of], s0_sq, nu0[of], b_hat, z,
+        )), [mode] * len(sites), note.tolist(),
+    ]
+    return header, list(zip(*columns))
 
 
 def _variance_columns(
-    lookup: VarianceLookup | None, sites: list[SiteData], scale_e: float
+    lookup: VarianceLookup | None, sites: SiteTable, scale_e: float
 ) -> np.ndarray:
     """Each site's b_used and nu0, NaN where there is no lookup or no estimate."""
-    pairs = [lookup(s.task, s.site) if lookup else (math.nan,) * 2 for s in sites]
-    return np.array([(b_hat * scale_e, nu0) for b_hat, nu0 in pairs]).T
+    if lookup is None:
+        return np.full((2, len(sites)), np.nan)
+    b_hat, nu0 = np.array(list(map(lookup, _task_names(sites), sites.site_ids))).T
+    with np.errstate(over="ignore"):  # an infinite b_used is rejected where it is used
+        return np.array([b_hat * scale_e, nu0])
 
 
-def _estimate(s: SiteData, b_used: float, nu0: float) -> tuple[float, float]:
+def _estimate(sites: SiteTable, i: int, b_used: float, nu0: float) -> tuple[float, float]:
     """A site's (b_used, nu0) from its columns, where NaN means --b-from lacks it."""
     if math.isnan(nu0):
         raise ConfigurationError(
-            f"--b-from has no estimate for task {s.task!r} site {s.site!r}"
+            f"--b-from has no estimate for {_where(sites, i)}"
         )
     return b_used, nu0
 
 
-def _per_site(sites: list[SiteData], value: Callable[[int], object]) -> np.ndarray:
+def _per_site(sites: SiteTable, value: Callable[[int], object]) -> np.ndarray:
     """value(i) for every site index i, as columns, or the first error a site meets.
 
     The bound and integral variants run on this pass; a closed-form column
     holding a NaN, where its scalar function raises, reruns it.
     """
     values = []
-    with _located(lambda: f"task {sites[i].task!r} site {sites[i].site!r}"):
+    with _located(lambda: _where(sites, i)):
         for i in range(len(sites)):
             values.append(value(i))
     return np.array(values, dtype=float).T
+
+
+def _fixed(args: argparse.Namespace) -> tuple[list[repeat], list[repeat]]:
+    """The (alpha, variant) and (bound, scale_e) cells, the same on every row."""
+    bound = _real(args.bound) if args.variant == "bound" else ""
+    return [repeat(_real(args.alpha)), repeat(args.variant)], [
+        repeat(bound), repeat(_real(args.scale_e))]
 
 
 def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
@@ -573,42 +617,38 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         "b_used", "nu0_used", "bound", "scale_e", "p_point", "log10_p_point",
         "p_sig", "log10_p_sig", "direction", "significant",
     ]
-    stats = [s.statistic for s in sites]
-    t, n, df = np.array([(s.t, s.n, s.df) for s in stats]).T
+    t, n, df = sites.t, sites.n, sites.df
     b_used, nu0 = _variance_columns(lookup, sites, args.scale_e)
 
     def site_p_sig(i: int) -> float:
         if args.variant == "bound":
-            return p_sig_bound(stats[i], args.bound)
+            return p_sig_bound(sites.statistic(i), args.bound)
         p_sig = p_sig_closed if args.variant == "closed" else p_sig_integral
-        return p_sig(stats[i], *_estimate(sites[i], b_used[i], nu0[i]))
+        return p_sig(sites.statistic(i), *_estimate(sites, i, b_used[i], nu0[i]))
 
     pp = _p_point(t, df)
     p_sig = pp if args.variant == "point" else _p_sig_closed(t, n, b_used, nu0)
     if args.variant in ("bound", "integral") or np.isnan(p_sig).any():
         p_sig = _per_site(sites, site_p_sig)
-    directions = [direction_of(stat) for stat in stats]
+    negative = t < 0
     significant = p_sig <= args.alpha
     if args.direction is not None:
-        significant &= np.array(directions) == args.direction
-    fixed = [_real(args.alpha), args.variant]
-    scale = [_real(args.bound) if args.variant == "bound" else "", _real(args.scale_e)]
-    out = [
-        [s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t), _real(stat.effect),
-         t0, *fixed, b, v0, *scale, _prob(p), _log10(p), _prob(q), _log10(q),
-         direction, _bool(flag)]
-        for s, stat, (t0, b, v0), p, q, direction, flag in zip(
-            sites, stats, _cells(_t0(t, n, b_used), b_used, nu0), pp.tolist(),
-            p_sig.tolist(), directions, significant.tolist(),
-        )
+        significant &= negative == (args.direction == "negative")
+    fixed, scale = _fixed(args)
+    columns = [
+        _task_names(sites), sites.site_ids, *map(_reals, (n, df, t, sites.effect)),
+        _reals(_t0(t, n, b_used)), *fixed, _reals(b_used), _reals(nu0), *scale,
+        _probs(pp), _log10s(pp), _probs(p_sig), _log10s(p_sig),
+        np.where(negative, "negative", "positive").tolist(),
+        np.where(significant, "true", "false").tolist(),
     ]
-    return header, out
+    return header, list(zip(*columns))
 
 
 def _replication_design(
-    args: argparse.Namespace, shape: str, s: SiteData
-) -> tuple[float, float]:
-    """Per-family (n_r, df_r) from --nr / --df-r, per the documented map."""
+    args: argparse.Namespace, shape: str, share: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-family (n_r, df_r) columns from --nr / --df-r, per the documented map."""
     n_r, df_r = args.nr, args.df_r
     if shape == "regression":
         if df_r is None:
@@ -624,21 +664,15 @@ def _replication_design(
                     "replication; pass --nr > 2 or an explicit --df-r"
                 )
             df_r = n_r - 2
-        n_r = n_r * s.share * (1.0 - s.share)
+        n_r = n_r * share * (1.0 - share)
     elif df_r is None:
         df_r = n_r - 1
-    return n_r, df_r
+    return np.full(share.shape, n_r, dtype=float), np.full(share.shape, df_r, dtype=float)
 
 
 def _site_bmax(stat: TestStatistic, alpha: float) -> tuple[float, float, float]:
     """One site's tau, z_max and b_max; NaN where t = 0 leaves them undefined."""
     return (math.nan,) * 3 if stat.t == 0.0 else dataclasses.astuple(b_max(stat, alpha))
-
-
-def _cells(*columns: np.ndarray) -> list[list[str]]:
-    """Each site's cells of ``columns``, empty where a value is NaN (unused or undefined)."""
-    rows = zip(*(column.tolist() for column in columns))
-    return [["" if math.isnan(x) else _real(x) for x in row] for row in rows]
 
 
 def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
@@ -649,20 +683,19 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         "b_used", "nu0_used", "bound", "scale_e", "p_rep", "log10_p_rep",
         "tau", "z_max", "b_max",
     ]
-    stats = [s.statistic for s in sites]
-    t, n, df = np.array([(s.t, s.n, s.df) for s in stats]).T
-    designs = [_replication_design(args, shape, s) for s in sites]
-    n_r, df_r = np.array(designs).T
+    t, n, df = sites.t, sites.n, sites.df
+    n_r, df_r = _replication_design(args, shape, sites.share)
     b_used, nu0 = _variance_columns(lookup, sites, args.scale_e)
 
     def site_values(i: int) -> tuple[float, ...]:
-        query = ReplicationQuery(stats[i], *designs[i], alpha=args.alpha)
+        stat = sites.statistic(i)
+        query = ReplicationQuery(stat, float(n_r[i]), float(df_r[i]), alpha=args.alpha)
         if args.variant == "bound":
             forecast = p_rep_bound(query, args.bound)
         else:
             p_rep = p_rep_closed if args.variant == "closed" else p_rep_integral
-            forecast = p_rep(query, *_estimate(sites[i], b_used[i], nu0[i]))
-        return forecast, *_site_bmax(stats[i], args.alpha)
+            forecast = p_rep(query, *_estimate(sites, i, b_used[i], nu0[i]))
+        return forecast, *_site_bmax(stat, args.alpha)
 
     columns = None
     if args.variant == "closed":
@@ -671,38 +704,36 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     # t = 0 leaves a site's b_max cells undefined, not faulty
     if columns is None or np.isnan(columns[0]).any() or np.isnan(columns[1:, t != 0]).any():
         columns = _per_site(sites, site_values)
-    fixed = [_real(args.alpha), args.variant]
-    scale = [_real(args.bound) if args.variant == "bound" else "", _real(args.scale_e)]
+    fixed, scale = _fixed(args)
     out = [
-        [s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t), _real(nr), _real(dr),
-         *fixed, b, v0, *scale, _prob(p), _log10(p), *cells]
-        for s, stat, (nr, dr), (b, v0, *cells), p in zip(
-            sites, stats, designs, _cells(b_used, nu0, *columns[1:]), columns[0].tolist()
-        )
+        _task_names(sites), sites.site_ids, *map(_reals, (n, df, t, n_r, df_r)), *fixed,
+        _reals(b_used), _reals(nu0), *scale, _probs(columns[0]), _log10s(columns[0]),
+        *map(_reals, columns[1:]),
     ]
-    return header, out
+    return header, list(zip(*out))
 
 
 def cmd_calibrate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     mode = _MODES[args.mode]
     _, sites = load_sites(args.input, args.family)
-    tables = []
+    multi = sites.k >= 2
+    pairs = partial(task_pair_records, alphas=args.alphas, mode=mode,
+                    scale_e=args.scale_e, variant=args.variant)
+    try:
+        tables = [pairs(sites.select(multi))] if multi.any() else []
+    except DistnullError:
+        tables = None  # a task raises, or has S0^2 = 0: find it task by task
+    by_task = []
     with _located(lambda: f"task {task!r}"):
-        for task, group in _by_task(sites):
-            if len(group) < 2:
-                print(
-                    f"warning: task {task!r} has a single site; skipped",
-                    file=sys.stderr,
-                )
-                continue
-            task_set = TaskSet(task, tuple(s.summary for s in group))
-            try:
-                tables.append(task_pair_records(
-                    task_set, args.alphas, mode=mode,
-                    scale_e=args.scale_e, variant=args.variant,
-                ))
-            except DegenerateVarianceError:
-                print(f"warning: task {task!r} has S0^2 = 0; skipped", file=sys.stderr)
+        for j, task in enumerate(sites.task_ids):
+            if not multi[j]:
+                print(f"warning: task {task!r} has a single site; skipped", file=sys.stderr)
+            elif tables is None:
+                try:
+                    by_task.append(pairs(sites.task(j)))
+                except DegenerateVarianceError:
+                    print(f"warning: task {task!r} has S0^2 = 0; skipped", file=sys.stderr)
+    tables = by_task if tables is None else tables
     if not tables:
         raise DomainError("no task with >= 2 sites and S0^2 > 0; nothing to calibrate")
 
@@ -796,31 +827,27 @@ def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
 def cmd_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     config = _load_sim_config(args.config, args.seed)
     header = ["task", "site", "value"]
+    n = config.n_per_experiment
+    sites = [f"site{j:04d}" for j in range(config.k_experiments) for _ in range(n)]
     out = []
     for stream in range(config.n_tasks):
-        matrix = simulate_raw_task(config, stream)
-        task = f"task{stream:04d}"
-        for j in range(config.k_experiments):
-            site = f"site{j:04d}"
-            out.extend([task, site, _real(v)] for v in matrix[j])
+        values = _reals(simulate_raw_task(config, stream).ravel())
+        out.extend(zip(repeat(f"task{stream:04d}"), sites, values))
     return header, out
 
 
 def cmd_bmax(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     _, sites = load_sites(args.input, args.family)
     header = ["task", "site", "n", "df", "t", "effect", "alpha", "tau", "z_max", "b_max"]
-    stats = [s.statistic for s in sites]
-    t, n, df = np.array([(s.t, s.n, s.df) for s in stats]).T
-    diagnostics = np.array(_b_max(t, n, df, args.alpha))
+    t = sites.t
+    diagnostics = np.array(_b_max(t, sites.n, sites.df, args.alpha))
     if np.isnan(diagnostics[:, t != 0]).any():
-        diagnostics = _per_site(sites, lambda i: _site_bmax(stats[i], args.alpha))
-    alpha = _real(args.alpha)
-    out = [
-        [s.task, s.site, _real(stat.n), _real(stat.df), _real(stat.t),
-         _real(stat.effect), alpha, *cells]
-        for s, stat, cells in zip(sites, stats, _cells(*diagnostics))
+        diagnostics = _per_site(sites, lambda i: _site_bmax(sites.statistic(i), args.alpha))
+    columns = [
+        _task_names(sites), sites.site_ids, *map(_reals, (sites.n, sites.df, t, sites.effect)),
+        repeat(_real(args.alpha)), *map(_reals, diagnostics),
     ]
-    return header, out
+    return header, list(zip(*columns))
 
 
 # ---------------------------------------------------------------------------

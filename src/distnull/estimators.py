@@ -10,8 +10,9 @@ ratio b = S0^2 / S^2.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,10 +22,12 @@ from .errors import (
     DomainError,
     InsufficientDataError,
 )
+from .significance import TestStatistic, _statistic
 
 __all__ = [
     "ExperimentSummary",
     "TaskSet",
+    "SiteTable",
     "BetweenVariance",
     "summarize",
     "between_variance",
@@ -81,6 +84,80 @@ class TaskSet:
     @property
     def k(self) -> int:
         return len(self.experiments)
+
+
+class Site(NamedTuple):
+    """One row of a SiteTable: its names, summary, and two-group share."""
+
+    task: str
+    site: str
+    summary: ExperimentSummary
+    share: float | None
+
+
+class SiteTable:
+    """Experiments in columns, grouped by task: the one layout that the
+    commands and the simulation harness compute on.
+
+    Task j holds rows ``offsets[j]:offsets[j + 1]``, K = ``k[j]`` of them.
+    ``t`` and ``effect`` are each row's canonical statistic (see
+    ``statistic_from_summary``); ``share`` is the first group's share of
+    the N units in two-group families and NaN elsewhere. The builders
+    check the rows; the table does not. ``ExperimentSummary``,
+    ``TestStatistic`` and ``TaskSet`` are one-row and one-task views of it.
+    """
+
+    def __init__(self, task_ids: Sequence[str], offsets, n, mean, variance, df,
+                 share=None, site_ids: Sequence[str] | None = None):
+        self.task_ids = list(task_ids)
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+        self.n, self.mean, self.variance, self.df = (
+            np.asarray(column, dtype=float) for column in (n, mean, variance, df)
+        )
+        self.share = np.full(self.n.size, np.nan) if share is None else np.asarray(share, float)
+        self.site_ids = [""] * self.n.size if site_ids is None else list(site_ids)
+        self.t, self.effect = _statistic(self.n, self.mean, self.variance)
+        self.k = np.diff(self.offsets)
+        self.task_of = np.repeat(np.arange(self.k.size), self.k)
+
+    @classmethod
+    def from_tasks(cls, tasks: Sequence[TaskSet]) -> SiteTable:
+        rows = [(e.n, e.mean, e.sample_variance, e.df) for task in tasks for e in task.experiments]
+        return cls(
+            [task.task_id for task in tasks], np.cumsum([0, *(task.k for task in tasks)]),
+            *np.array(rows, dtype=float).reshape(-1, 4).T,
+        )
+
+    def __len__(self) -> int:
+        return self.n.size
+
+    def __iter__(self) -> Iterator[Site]:
+        for i in range(len(self)):
+            share = float(self.share[i])
+            yield Site(self.task_ids[self.task_of[i]], self.site_ids[i], self.summary(i),
+                       None if math.isnan(share) else share)
+
+    def summary(self, i: int) -> ExperimentSummary:
+        return ExperimentSummary(float(self.n[i]), float(self.mean[i]),
+                                 float(self.variance[i]), float(self.df[i]))
+
+    def statistic(self, i: int) -> TestStatistic:
+        return TestStatistic(t=float(self.t[i]), n=float(self.n[i]), df=float(self.df[i]),
+                             effect=float(self.effect[i]))
+
+    def task(self, j: int) -> TaskSet:
+        rows = range(self.offsets[j], self.offsets[j + 1])
+        return TaskSet(self.task_ids[j], tuple(map(self.summary, rows)))
+
+    def select(self, keep: np.ndarray) -> SiteTable:
+        """The tasks where ``keep`` is true, in order."""
+        rows = np.repeat(keep, self.k)
+        return SiteTable(
+            [task for task, kept in zip(self.task_ids, keep.tolist()) if kept],
+            np.cumsum([0, *self.k[keep].tolist()]),
+            self.n[rows], self.mean[rows], self.variance[rows], self.df[rows],
+            self.share[rows], [site for site, kept in zip(self.site_ids, rows.tolist()) if kept],
+        )
 
 
 @dataclass(frozen=True)
@@ -140,29 +217,65 @@ def between_variance(task: TaskSet, mode: VarianceMode = "as_published") -> Betw
     """
     if mode not in ("as_published", "moment_corrected"):
         raise DomainError(f"unknown mode {mode!r}")
-    exps = task.experiments
-    k = len(exps)
-    for e in exps:
+    for e in task.experiments:
         if e.df <= 2:
             raise DomainError(
                 "every experiment needs df > 2 "
                 f"(noise-correction moment undefined at df={e.df!r})"
             )
-    means = np.array([e.mean for e in exps])
     # an overflow or a vanishing N(nu - 2) leaves s0_sq or grand_mean
     # non-finite, which BetweenVariance rejects
-    with np.errstate(all="ignore"):
-        grand_mean = float(means.mean())
-        s_m_sq = float(np.sum((means - grand_mean) ** 2) / (k - 1))
+    s0_sq, grand_mean, _ = _task_spread(SiteTable.from_tasks([task]), mode)
+    return BetweenVariance(
+        s0_sq=float(s0_sq[0]), nu0=task.k - 1, grand_mean=float(grand_mean[0]), mode=mode
+    )
+
+
+@np.errstate(all="ignore")  # a task whose fit is undefined is left non-finite
+def _task_spread(table: SiteTable, mode: VarianceMode) -> tuple[np.ndarray, ...]:
+    """Each task's raw S0^2 and grand mean, and whether a site has df <= 2.
+
+    Tasks of equal K reduce together as rows of a 2-D block, which keeps
+    the bits of a 1-D reduction; the as-published correction is summed one
+    site column at a time, in site order.
+    """
+    tasks = len(table.task_ids)
+    s0_sq, grand_mean = np.empty(tasks), np.empty(tasks)
+    low_df = np.empty(tasks, dtype=bool)
+    for k in np.unique(table.k).tolist():
+        block = np.flatnonzero(table.k == k)
+        rows = table.offsets[block, None] + np.arange(k)
+        means = table.mean[rows]
+        centre = means.mean(axis=1)
+        s_m_sq = np.sum((means - centre[:, None]) ** 2, axis=1) / (k - 1)
+        n, variance, df = table.n[rows], table.variance[rows], table.df[rows]
         if mode == "as_published":
-            correction = sum(
-                np.divide(e.df * e.sample_variance, e.n * (e.df - 2.0)) for e in exps
-            ) / k
-            s0_sq = float(s_m_sq + correction)
+            terms = np.divide(df * variance, n * (df - 2.0))
         else:
-            correction = sum(e.sample_variance / e.n for e in exps) / k
-            s0_sq = max(s_m_sq - correction, 0.0)
-    return BetweenVariance(s0_sq=s0_sq, nu0=k - 1, grand_mean=grand_mean, mode=mode)
+            terms = variance / n
+        correction = np.zeros(block.size)
+        for column in terms.T:
+            correction = correction + column
+        correction = correction / k
+        if mode == "as_published":
+            s0_sq[block] = s_m_sq + correction
+        else:
+            s0_sq[block] = np.maximum(s_m_sq - correction, 0.0)
+        grand_mean[block] = centre
+        low_df[block] = (df <= 2.0).any(axis=1)
+    return s0_sq, grand_mean, low_df
+
+
+def _between_variance(table: SiteTable, mode: VarianceMode) -> tuple[np.ndarray, ...]:
+    """between_variance over every task of a table: (s0_sq, nu0, grand_mean)
+    columns, NaN in the tasks where it raises (including tasks with K < 2)."""
+    if mode not in ("as_published", "moment_corrected"):
+        raise DomainError(f"unknown mode {mode!r}")
+    s0_sq, grand_mean, low_df = _task_spread(table, mode)
+    valid = (table.k >= 2) & ~low_df & np.isfinite(s0_sq) & np.isfinite(grand_mean)
+    return tuple(
+        np.where(valid, column, np.nan) for column in (s0_sq, table.k - 1.0, grand_mean)
+    )
 
 
 def variance_ratio(b0: BetweenVariance, experiment: ExperimentSummary) -> float:

@@ -6,7 +6,8 @@ evidence: type-1 rates, predictor-target replication calibration, the
 sensitivity of calibration to a scaled between-variance estimate, and
 estimator bias audits. Everything is deterministic given a seed: each
 task draws from its own counter-derived substream, so results do not
-depend on execution order.
+depend on execution order. The simulated tasks are summarized into one
+SiteTable, which every study reads by column, as the commands do.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ import numpy as np
 from .distributions import _check_alpha
 from .errors import DomainError
 from .estimators import (
+    SiteTable,
     TaskSet,
     VarianceMode,
+    _between_variance,
     between_variance,
-    summarize,
-    variance_ratio,
 )
 from .adapters import statistic_from_summary
 from .significance import (
-    _p_point, _p_sig_closed, direction_of, p_sig_closed, p_sig_given_b, p_sig_integral,
+    _p_point, _p_sig_closed, _p_sig_given_b, p_sig_closed, p_sig_integral,
 )
 from .replication import ReplicationQuery, _p_rep_closed, p_rep_closed, p_rep_integral
 
@@ -257,33 +258,74 @@ def simulate_raw_task(config: SimConfig, stream: int) -> np.ndarray:
     """Raw draws of one task: array of shape (K, N), row per experiment."""
     rng = _stream_rng(config.seed, stream)
     mus = config.mu0 + config.sigma0 * rng.standard_normal(config.k_experiments)
-    noise = rng.standard_normal((config.k_experiments, config.n_per_experiment))
-    return mus[:, None] + config.sigma * noise
+    draws = rng.standard_normal((config.k_experiments, config.n_per_experiment))
+    draws *= config.sigma
+    draws += mus[:, None]
+    return draws
+
+
+def _simulated_table(config: SimConfig, streams: Sequence[int]) -> SiteTable:
+    """The tasks of ``streams``, each drawn from its own stream; each task's
+    (K, N) draws are reduced along axis 1, which keeps ``summarize``'s bits."""
+    k, n = config.k_experiments, config.n_per_experiment
+    mean, variance = np.empty((len(streams), k)), np.empty((len(streams), k))
+    with np.errstate(all="ignore"):  # checked below
+        for row, stream in enumerate(streams):
+            draws = simulate_raw_task(config, stream)
+            mean[row], variance[row] = draws.mean(axis=1), draws.var(axis=1, ddof=1)
+    if not (np.isfinite(mean).all() and np.isfinite(variance).all()):
+        raise DomainError("simulated summaries must be finite")
+    return SiteTable(
+        [f"task{stream:04d}" for stream in streams], np.arange(len(streams) + 1) * k,
+        np.full(mean.size, float(n)), mean.ravel(), variance.ravel(), np.full(mean.size, n - 1.0),
+    )
 
 
 def simulate_task(config: SimConfig, stream: int) -> TaskSet:
     """One simulated task, summarized. Deterministic given (seed, stream)."""
-    rows = simulate_raw_task(config, stream)
-    return TaskSet(f"task{stream:04d}", tuple(summarize(row) for row in rows))
+    return _simulated_table(config, [stream]).task(0)
 
 
-def _expand_configs(
+def _config_streams(
     configs: SimConfig | Sequence[SimConfig],
-) -> list[tuple[SimConfig, int]]:
+) -> list[tuple[SimConfig, range]]:
+    """Each config with its streams: a config's n_tasks, or one run of streams per config."""
     if isinstance(configs, SimConfig):
-        return [(configs, s) for s in range(configs.n_tasks)]
-    out: list[tuple[SimConfig, int]] = []
-    stream = 0
+        return [(configs, range(configs.n_tasks))]
+    out, stream = [], 0
     for config in configs:
-        for _ in range(config.n_tasks):
-            out.append((config, stream))
-            stream += 1
+        out.append((config, range(stream, stream + config.n_tasks)))
+        stream += config.n_tasks
     return out
 
 
 def simulate_tasks(configs: SimConfig | Sequence[SimConfig]) -> list[TaskSet]:
     """All tasks of a config (or one task per config in a sequence)."""
-    return [simulate_task(c, s) for c, s in _expand_configs(configs)]
+    return [simulate_task(c, s) for c, streams in _config_streams(configs) for s in streams]
+
+
+def _fit(
+    table: SiteTable, mode: VarianceMode, scale_e: float = 1.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each task's between-variance S0^2 scaled by ``scale_e``, and each
+    site's b-hat and nu0 from it.
+
+    Where a task's fit, its scaled fit or a site's statistic is undefined,
+    the first such task raises the error of its scalar checks.
+    """
+    s0_sq, nu0, _ = _between_variance(table, mode)
+    with np.errstate(over="ignore"):
+        s0_sq = scale_e * s0_sq
+        b_hat = s0_sq[table.task_of] / table.variance
+    undefined = ~(np.isfinite(table.t) & np.isfinite(table.effect) & (table.variance > 0))
+    faulty = ~np.isfinite(s0_sq) | (np.bincount(table.task_of, undefined, s0_sq.size) > 0)
+    for j in np.flatnonzero(faulty).tolist():
+        task = table.task(j)
+        b0 = between_variance(task, mode)
+        replace(b0, s0_sq=scale_e * b0.s0_sq)
+        for e in task.experiments:
+            statistic_from_summary(e)
+    return s0_sq, b_hat, nu0[table.task_of]
 
 
 def type1_calibration(
@@ -298,21 +340,20 @@ def type1_calibration(
     """
     if config.mu0 != 0.0:
         raise DomainError("type-1 calibration requires mu0 = 0")
-    b_true = config.b_true
-    columns: dict[str, list] = {"point": [], "true_b": [], "estimated_b": []}
-    for stream in range(config.n_tasks):
-        task = simulate_task(config, stream)
-        b0 = between_variance(task, mode)
-        stats = [statistic_from_summary(e) for e in task.experiments]
-        t, n, df = np.array([(s.t, s.n, s.df) for s in stats]).T
-        b_hats = [variance_ratio(b0, e) for e in task.experiments]
-        estimated = _p_sig_closed(t, n, b_hats, b0.nu0)
-        if np.isnan(estimated).any():  # the scalar form raises its error
-            estimated = [p_sig_closed(s, bh, b0.nu0) for s, bh in zip(stats, b_hats)]
-        columns["point"].append(_p_point(t, df))
-        columns["true_b"].append([p_sig_given_b(s, b_true) for s in stats])
-        columns["estimated_b"].append(estimated)
-    arrays = {variant: np.concatenate(values) for variant, values in columns.items()}
+    table = _simulated_table(config, range(config.n_tasks))
+    _, b_hats, nu0 = _fit(table, mode)
+    t, n, df = table.t, table.n, table.df
+    estimated = _p_sig_closed(t, n, b_hats, nu0)
+    if np.isnan(estimated).any():  # the scalar form raises its error
+        estimated = np.array([p_sig_closed(table.statistic(i), b_hats[i], nu0[i])
+                              for i in range(len(table))])
+    if not math.isfinite(config.b_true):  # p_sig_given_b's check on b
+        raise DomainError(f"b must be finite and >= 0, got {config.b_true!r}")
+    arrays = {
+        "point": _p_point(t, df),
+        "true_b": _p_sig_given_b(t, n, df, config.b_true),
+        "estimated_b": estimated,
+    }
     rows = []
     for alpha in config.alpha_levels:
         for variant, values in arrays.items():
@@ -327,68 +368,72 @@ def type1_calibration(
     return rows
 
 
+def _pairs(table: SiteTable) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered (predictor, target) pair of distinct sites of one task,
+    as row indices, task by task and row-major within a task."""
+    sizes = table.k * (table.k - 1)
+    task = np.repeat(np.arange(sizes.size), sizes)
+    local = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    i, j = np.divmod(local, table.k[task] - 1)
+    return table.offsets[task] + i, table.offsets[task] + j + (j >= i)
+
+
 def task_pair_records(
-    task: TaskSet,
+    tasks: TaskSet | SiteTable,
     alphas: Sequence[float],
     mode: VarianceMode = "as_published",
     scale_e: float = 1.0,
     variant: ForecastVariant = "closed",
 ) -> np.ndarray:
-    """Ordered predictor-target pair forecasts and outcomes for one task.
+    """Ordered predictor-target pair forecasts and outcomes, task by task.
 
-    Returns one row of ``PAIR_DTYPE`` per (alpha, predictor, target) with
-    target != predictor, in that order. The between-variance estimate
-    (scaled by ``scale_e``) drives the whole analysis: the predictor's
-    forecast, the predictor-significance split, and the target's observed
-    significance. The forecast uses the predictor's S² and N plus the
-    target's N as N_r; the target's own variance is never consulted for the
-    forecast. Success means the target reaches significance at the same
-    alpha with matching sign. A task whose S0² estimate is zero has no
-    b-hat and raises DegenerateVarianceError.
+    ``tasks`` is one TaskSet, or a SiteTable whose tasks have >= 2 sites
+    each. Returns one row of ``PAIR_DTYPE`` per (task, alpha, predictor,
+    target) with target != predictor in the same task, in that order;
+    predictor and target index the table's rows (a TaskSet's experiments).
+    The between-variance estimate (scaled by ``scale_e``) drives the whole
+    analysis: the predictor's forecast, the predictor-significance split,
+    and the target's observed significance. The forecast uses the
+    predictor's S² and N plus the target's N as N_r; the target's own
+    variance is never consulted for the forecast. Success means the target
+    reaches significance at the same alpha with matching sign. A task whose
+    S0² estimate is zero has no b-hat and raises DegenerateVarianceError;
+    of several faulty tasks, one raises its error.
     """
     if not (math.isfinite(scale_e) and scale_e > 0):
         raise DomainError(f"scale_e must be > 0, got {scale_e!r}")
     if variant not in ("closed", "integral"):
         raise DomainError(f"unknown forecast variant {variant!r}")
-    b0 = between_variance(task, mode)
-    b0 = replace(b0, s0_sq=scale_e * b0.s0_sq)
-    experiments = task.experiments
-    stats = [statistic_from_summary(e) for e in experiments]
-    b_hats = np.array([variance_ratio(b0, e) for e in experiments])
+    table = tasks if isinstance(tasks, SiteTable) else SiteTable.from_tasks([tasks])
+    _, b_hats, nu0 = _fit(table, mode, scale_e)
+    t, n, df = table.t, table.n, table.df
     closed = variant == "closed"
     p_sig, p_rep = (p_sig_closed, p_rep_closed) if closed else (p_sig_integral, p_rep_integral)
-    t, n = np.array([(s.t, s.n) for s in stats]).T
     # The scalar forms fill a column holding a NaN: a row the closed kernel
     # rejects, whose error they raise, or every row of the integral forms.
-    p_sigs = _p_sig_closed(t, n, b_hats, b0.nu0) if closed else np.full(len(stats), np.nan)
+    p_sigs = _p_sig_closed(t, n, b_hats, nu0) if closed else np.full(len(table), np.nan)
     if np.isnan(p_sigs).any():
-        p_sigs = np.array([p_sig(s, bh, b0.nu0) for s, bh in zip(stats, b_hats)])
-    signs = np.array([direction_of(s) for s in stats])
+        p_sigs = np.array([p_sig(table.statistic(a), b_hats[a], nu0[a])
+                           for a in range(len(table))])
 
-    k = len(experiments)
-    predictor, target = np.nonzero(~np.eye(k, dtype=bool))
+    predictor, target = _pairs(table)
     # A forecast depends on the target only through its (N_r, df_r), so it
     # is computed once per distinct (predictor, N_r, df_r), in pair order.
-    designs = np.array([(e.n, e.df) for e in experiments], dtype=float)
-    design = np.unique(designs, axis=0, return_inverse=True)[1].reshape(-1)
-    keys = predictor * k + design[target]
+    design = np.unique(np.column_stack([n, df]), axis=0, return_inverse=True)[1].reshape(-1)
+    keys = predictor * len(table) + design[target]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     i, j = predictor[first[order]], target[first[order]]
-    same_sign = signs[predictor] == signs[target]
-    table = np.empty((len(alphas), predictor.size), dtype=PAIR_DTYPE)
-    for rows, alpha in zip(table, alphas):
+    same_sign = (t < 0)[predictor] == (t < 0)[target]
+    records = np.empty((len(alphas), predictor.size), dtype=PAIR_DTYPE)
+    for rows, alpha in zip(records, alphas):
         forecasts = np.full(first.size, np.nan)
         if closed:
-            forecasts[order] = _p_rep_closed(
-                t[i], n[i], b_hats[i], b0.nu0, alpha, *designs[j].T
-            )
+            forecasts[order] = _p_rep_closed(t[i], n[i], b_hats[i], nu0[i], alpha, n[j], df[j])
         if np.isnan(forecasts).any():
             forecasts[order] = [
-                p_rep(
-                    ReplicationQuery(stats[a], experiments[b].n, experiments[b].df, alpha),
-                    b_hats[a], b0.nu0,
-                )
+                p_rep(ReplicationQuery(table.statistic(a), float(n[b]), float(df[b]), alpha),
+                      b_hats[a], nu0[a])
                 for a, b in zip(i.tolist(), j.tolist())
             ]
         significant = p_sigs <= alpha
@@ -398,7 +443,9 @@ def task_pair_records(
         rows["forecast"] = forecasts[inverse]
         rows["predictor_significant"] = significant[predictor]
         rows["success"] = significant[target] & same_sign
-    return table.reshape(-1)
+    # each task's alphas in turn
+    pair_task = np.tile(table.task_of[predictor], len(alphas))
+    return records.reshape(-1)[np.argsort(pair_task, kind="stable")]
 
 
 def bin_pairs(records: np.ndarray, bin_width: float = 1.0 / 40.0) -> list[CalibrationBin]:
@@ -442,12 +489,12 @@ def replication_calibration(
     task; pairs are pooled across tasks and alpha levels before binning.
     """
     tables = []
-    for config, stream in _expand_configs(configs):
+    for config, streams in _config_streams(configs):
         alphas = alpha_levels if alpha_levels is not None else config.alpha_levels
         e = scale_e if scale_e is not None else config.variance_scale_e
-        task = simulate_task(config, stream)
+        table = _simulated_table(config, streams)
         tables.append(
-            task_pair_records(task, alphas, mode=mode, scale_e=e, variant=variant)
+            task_pair_records(table, alphas, mode=mode, scale_e=e, variant=variant)
         )
     return bin_pairs(np.concatenate(tables))
 
@@ -532,11 +579,9 @@ def estimator_bias(config: SimConfig, reps: int) -> list[BiasRow]:
     if reps < 1000:
         raise DomainError(f"need reps >= 1000 for a stable audit, got {reps}")
     true = config.sigma0**2
-    sums = {"as_published": 0.0, "moment_corrected": 0.0}
-    for stream in range(reps):
-        task = simulate_task(config, stream)
-        for mode in sums:
-            sums[mode] += between_variance(task, mode).s0_sq
+    table = _simulated_table(config, range(reps))
+    sums = {mode: sum(_fit(table, mode)[0].tolist())
+            for mode in ("as_published", "moment_corrected")}
     rows = []
     for mode, total in sums.items():
         mean = total / reps

@@ -21,7 +21,6 @@ from .distributions import (
     _special,
     clamp_probability,
     f_expectation,
-    t_cdf,
 )
 from .errors import DomainError
 
@@ -86,6 +85,13 @@ def direction_of(stat: TestStatistic) -> Direction:
     return "negative" if stat.t < 0 else "positive"
 
 
+@np.errstate(all="ignore")  # a row statistic_from_summary rejects is left non-finite
+def _statistic(n, mean, variance) -> tuple[np.ndarray, np.ndarray]:
+    """t = effect·√n and effect = mean/S over columns of canonical summaries."""
+    effect = np.divide(mean, np.sqrt(variance))
+    return effect * np.sqrt(n), effect
+
+
 def _p_point(t, df) -> np.ndarray:
     """p_point over columns of t and df; NaN where p_point raises."""
     t, df = np.asarray(t, dtype=float), np.asarray(df, dtype=float)
@@ -106,9 +112,14 @@ def p_sig_given_b(stat: TestStatistic, b: float) -> float:
     b = float(b)
     if not (math.isfinite(b) and b >= 0.0):
         raise DomainError(f"b must be finite and >= 0, got {b!r}")
-    return clamp_probability(
-        2.0 * t_cdf(-abs(stat.t) / math.sqrt(1.0 + b * stat.n), stat.df)
-    )
+    return clamp_probability(float(_p_sig_given_b(stat.t, stat.n, stat.df, b)))
+
+
+@np.errstate(over="ignore")  # b * N may overflow to its limit inf
+def _p_sig_given_b(t, n, df, b) -> np.ndarray:
+    """p_sig_given_b over columns of t, N and df at a checked b."""
+    x = -np.abs(t) / np.sqrt(1.0 + np.multiply(b, n))
+    return np.clip(2.0 * _special().stdtr(df, x), PROB_FLOOR, 1.0)
 
 
 def p_sig_bound(stat: TestStatistic, bound: float) -> float:

@@ -9,7 +9,8 @@ import re
 from pathlib import Path
 
 import distnull
-from distnull import errors
+from conftest import run_cli
+from distnull import cli, errors
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -55,13 +56,39 @@ def test_exit_codes_match_readme():
         assert cls.exit_code == documented[name], cls.__name__
 
 
+def load_spans():
+    """The benchmark's span tracer, read from its file."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_traced_layers_resolve():
     # The benchmark's span tracer patches these (module, function) bindings
     # by name; a renamed or deleted one would otherwise fail only its own
     # self-test, which this suite does not run.
-    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_spans()
     for module, function in spans.LAYERS:
         target = getattr(importlib.import_module(f"distnull.{module}"), function, None)
         assert callable(target), f"distnull.{module}.{function}"
+
+
+def test_traced_counts_are_the_work_done(summary_file):
+    # The benchmark's work counts are read at these boundaries: load_sites
+    # returns the shape and a table with one entry per site, and calibrate
+    # forecasts every ordered site pair in one task_pair_records call.
+    tracer = load_spans().Tracer()
+    restore = tracer.install()
+    try:
+        assert run_cli(["estimate", "--input", summary_file])[0] == 0
+        assert run_cli(["calibrate", "--input", summary_file, "--variant", "integral",
+                        "--alphas", "0.05"])[0] == 0
+    finally:
+        restore()
+    layers = tracer.layers()
+    # two tasks of 3 and 2 sites, one row each, read once per command
+    assert (layers["cli.load_sites.sites"], layers["cli.load_sites.rows"]) == (10, 10)
+    assert layers["oracle.task_pair_records.calls"] == 1
+    assert layers["oracle.task_pair_records.records"] == 3 * 2 + 2 * 1
+    assert cli.main.__name__ == "main" and not hasattr(cli.main, "__wrapped__")

@@ -666,6 +666,15 @@ class TestTest:
             assert row["b_used"] == source["b_hat"]
             assert row["nu0_used"] == source["nu0"]
 
+    @pytest.mark.parametrize("variant", ["closed", "integral"])
+    def test_b_hat_without_nu0_is_a_parse_error(self, summary_file, tmp_path, variant):
+        # estimate leaves b_hat empty for single-site and degenerate tasks
+        # (a degenerate row keeps its nu0), but writes no b_hat without nu0
+        est = write_csv(tmp_path / "est.csv", ["task", "site", "b_hat", "nu0"],
+                        [["alpha", "lab1", "0.3", "5"], ["alpha", "lab2", "0.3", ""]])
+        argv = ["test", "--input", summary_file, "--variant", variant, "--b-from", est]
+        assert run_cli(argv) == (2, "", "error: line 3: missing nu0\n")
+
 
 class TestPredict:
     def test_requires_nr(self, summary_file):
@@ -781,9 +790,9 @@ class TestPredict:
         _, sites = cli.load_sites(summary_file, None)
         rows = parse(out)
         assert [(r["task"], r["site"]) for r in rows] == [(s.task, s.site) for s in sites]
-        for row, s in zip(rows, sites):
-            query = ReplicationQuery(s.statistic, 40.0, 39.0, 0.05)
-            assert row["p_rep"] == cli._prob(p_rep_bound(query, 0.3))
+        for i, row in enumerate(rows):
+            query = ReplicationQuery(sites.statistic(i), 40.0, 39.0, 0.05)
+            assert [row["p_rep"]] == cli._probs([p_rep_bound(query, 0.3)])
             assert (row["bound"], row["b_used"], row["nu0_used"]) == ("0.3", "", "")
 
     def test_integral_value_near_zero_is_uncertified_at_nu0_5(self, summary_file):
