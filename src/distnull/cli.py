@@ -26,7 +26,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NoReturn
 
 import numpy as np
@@ -86,7 +86,7 @@ from .significance import (
     p_sig_integral,
 )
 
-IDENTIFIER = re.compile(r"^[A-Za-z0-9_-]+$")
+IDENTIFIER = re.compile(r"[A-Za-z0-9_-]+")
 DEFAULT_ALPHAS = "0.1,0.05,0.01,0.005,0.001"
 
 _MODES = {"as-published": "as_published", "moment": "moment_corrected"}
@@ -131,7 +131,7 @@ def _bool(flag: bool) -> str:
 def _check_identifier(value: str, column: str, line: int) -> None:
     if value == "":
         raise ParseError(f"missing {column}", line=line)
-    if not IDENTIFIER.match(value):
+    if not IDENTIFIER.fullmatch(value):
         raise ParseError(
             f"{column} {value!r} must match [A-Za-z0-9_-]+", line=line
         )
@@ -149,42 +149,76 @@ def _parse_real(text: str, column: str, line: int) -> float:
     return value
 
 
-def _read_csv(path: str) -> tuple[list[str], list[int], dict[str, list[str]]]:
+def _read_csv(path: str) -> tuple[list[str], Sequence[int], dict[str, list[str]]]:
     """The header, each row's line number, and each column's cells.
 
-    Rows stream straight into per-column lists; blank lines are skipped. A
-    row's line is the physical line it ends on. A repeated header name
-    maps to its last column.
+    The whole file is decoded first, so a byte that is not UTF-8 is reported
+    before any fault in the rows; a leading byte-order mark is dropped. Blank
+    lines are skipped. A row's line is the physical line it ends on. A
+    repeated header name maps to its last column.
     """
     try:
-        handle = open(path, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            fields = next(reader, None)
-            if fields is None:
-                raise ParseError(f"{path} is empty", line=1)
-            width = len(fields)
-            cells: list[list[str]] = [[] for _ in fields]
-            appends = [column.append for column in cells]
-            lines: list[int] = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != width:
-                    side = "more" if len(row) > width else "fewer"
-                    raise ParseError(
-                        f"row has {side} fields than the header", line=reader.line_num
-                    )
-                lines.append(reader.line_num)
-                for append, cell in zip(appends, row):
-                    append(cell)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from exc
-        except csv.Error as exc:  # e.g. a cell over the csv module's field limit
-            raise ParseError(f"{path}: {exc}", line=reader.line_num) from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+    rows = _plain_rows(text)
+    if rows is None:
+        return _read_rows(path, text)
+    del text  # hold the file once at a time: as text, as lines, then as cells
+    width = rows[0].count(",") + 1
+    flat = ",".join(rows).split(",")
+    del rows
+    fields = flat[:width]
+    cells = [flat[j::width] for j in range(width, 2 * width)]
+    return fields, range(2, len(cells[0]) + 2), dict(zip(fields, cells))
+
+
+def _plain_rows(text: str) -> list[str] | None:
+    """The lines of a file that splitting on separators reads as ``csv.reader``
+    does, else None: one with no quote or carriage return, a header of two or
+    more fields (so a blank line is no row) and rows, all as wide as the
+    header and within the csv module's field limit."""
+    if '"' in text or "\r" in text:
+        return None
+    rows = text.split("\n")
+    if rows[-1] == "":
+        rows.pop()  # the final newline ends the last row
+    commas = rows[0].count(",") if len(rows) > 1 else 0
+    if (commas == 0 or set(map(str.count, rows, repeat(","))) != {commas}
+            or max(map(len, rows)) > csv.field_size_limit()):
+        return None
+    return rows
+
+
+def _read_rows(path: str, text: str) -> tuple[list[str], list[int], dict[str, list[str]]]:
+    """``_read_csv`` for any file, one ``csv.reader`` row at a time."""
+    from io import StringIO
+
+    reader = csv.reader(StringIO(text, newline=""))
+    try:
+        fields = next(reader, None)
+        if fields is None:
+            raise ParseError(f"{path} is empty", line=1)
+        width = len(fields)
+        cells: list[list[str]] = [[] for _ in fields]
+        appends = [column.append for column in cells]
+        lines: list[int] = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                side = "more" if len(row) > width else "fewer"
+                raise ParseError(
+                    f"row has {side} fields than the header", line=reader.line_num
+                )
+            lines.append(reader.line_num)
+            for append, cell in zip(appends, row):
+                append(cell)
+    except csv.Error as exc:  # e.g. a cell over the csv module's field limit
+        raise ParseError(f"{path}: {exc}", line=reader.line_num) from exc
     if not lines:
         raise ParseError(f"{path} has a header but no rows", line=1)
     return fields, lines, dict(zip(fields, cells))
@@ -265,7 +299,7 @@ def _float_or_nan(text: str) -> float:
 
 def _invalid(values: list[str]) -> set[str]:
     """The distinct values in ``values`` that are not identifiers."""
-    return {v for v in set(values) if not IDENTIFIER.match(v)}
+    return {v for v in set(values) if not IDENTIFIER.fullmatch(v)}
 
 
 class _Cells:
@@ -275,7 +309,7 @@ class _Cells:
     that fails its check, or is None when no row does.
     """
 
-    def __init__(self, shape: str, lines: list[int], cells: dict[str, list[str]]):
+    def __init__(self, shape: str, lines: Sequence[int], cells: dict[str, list[str]]):
         self.lines = lines
         self.cells = cells
         self.checks = _ROW_CHECKS.get(shape, _XY_CHECKS)
@@ -300,6 +334,13 @@ class _Cells:
                 check(self.cells[column][i], column, self.lines[i])
 
 
+def _codes(values: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct values in code-point order, and each value's index there."""
+    names = sorted(dict.fromkeys(values))
+    index = {name: code for code, name in enumerate(names)}
+    return names, np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+
+
 def _group(tasks: list[str], sites: list[str]) -> tuple[list[str], np.ndarray, list[str],
                                                        np.ndarray, np.ndarray]:
     """Sites sorted (task, site), from integer codes of the identifiers.
@@ -308,14 +349,14 @@ def _group(tasks: list[str], sites: list[str]) -> tuple[list[str], np.ndarray, l
     order that lists each site's rows in file order, and where each site's
     rows start in it.
     """
-    task_ids, task_codes = np.unique(np.array(tasks), return_inverse=True)
-    site_ids, site_codes = np.unique(np.array(sites), return_inverse=True)
-    key = task_codes.reshape(-1) * len(site_ids) + site_codes.reshape(-1)
+    task_ids, task_codes = _codes(tasks)
+    site_ids, site_codes = _codes(sites)
+    key = task_codes * len(site_ids) + site_codes
     order = np.argsort(key, kind="stable")  # stable: file order within a site
     ordered = key[order]
     starts = np.flatnonzero(np.diff(ordered, prepend=-1))
     site_task, site_code = np.divmod(ordered[starts], len(site_ids))
-    return task_ids.tolist(), site_task, site_ids[site_code].tolist(), order, starts
+    return task_ids, site_task, [site_ids[c] for c in site_code.tolist()], order, starts
 
 
 @np.errstate(all="ignore")  # a faulty site is left non-finite, and rerun
@@ -360,13 +401,13 @@ def load_sites(path: str, family: str | None) -> tuple[str, SiteTable]:
             f"--family {family} does not apply to a {shape}-shaped file"
         )
     tasks, site_names = cells["task"], cells["site"]
-    if _invalid(tasks) or _invalid(site_names):
+    task_ids, site_task, site_ids, order, starts = _group(tasks, site_names)
+    if _invalid(task_ids) or _invalid(site_ids):
         for line, task, site in zip(lines, tasks, site_names):
             _check_identifier(task, "task", line)
             _check_identifier(site, "site", line)
 
     columns = _Cells(shape, lines, cells)
-    task_ids, site_task, site_ids, order, starts = _group(tasks, site_names)
     offsets = np.searchsorted(site_task, np.arange(len(task_ids) + 1))
     bulk = _bulk_summaries(shape, columns, order, starts)
     if bulk is not None:
@@ -923,18 +964,16 @@ _FLAG_CHECKS: dict[str, dict[str, Callable]] = {
 }
 
 
-def _write(path: str | None, header: list[str], rows: Iterable[list[str]]) -> None:
-    def emit(stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
+def _write(path: str | None, header: list[str], rows: Iterable[Sequence[str]]) -> None:
+    # Every cell is an identifier, a formatted number or a fixed word, none
+    # of which CSV quotes, so the rows are joined as they are.
+    text = "\n".join(map(",".join, chain([header], rows))) + "\n"
     if path is None:
-        emit(sys.stdout)
+        sys.stdout.write(text)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            emit(handle)
+            handle.write(text)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 

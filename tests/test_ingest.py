@@ -6,9 +6,15 @@ message, its line number and which of several faults is reported first.
 """
 
 import csv
+import io
+import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import run_cli, write_csv
 from distnull import cli
@@ -18,6 +24,7 @@ from distnull.adapters import (
     regression,
     unpaired_summary,
 )
+from distnull.errors import ParseError
 from distnull.estimators import ExperimentSummary, summarize
 
 RAW = "task,site,value\n"
@@ -203,6 +210,15 @@ CASES = {
         RAW + "a,l1,0.5\na,l1," + "1" * 131_073 + "\n", [], 2,
         "error: line 3: {path}: field larger than field limit (131072)\n",
     ),
+    # the whole file is decoded before any row is read
+    "not_utf8_beats_earlier_short_row": (
+        (RAW + "a,l1,0.5\na,l1\n" + "a,l1,0.5\n" * 20_000).encode() + b"\xff\n", [], 2,
+        "error: {path} is not UTF-8 text (invalid start byte)\n",
+    ),
+    "trailing_newline_in_identifier": (
+        RAW + '"a\n",l1,0.5\n', [], 2,
+        "error: line 3: task 'a\\n' must match [A-Za-z0-9_-]+\n",
+    ),
 }
 
 
@@ -375,3 +391,165 @@ def test_columnar_loader_matches_row_loop(tmp_path, shape, seed):
     assert detected == shape
     got = [(s.task, s.site, s.summary, s.share) for s in sites]
     assert got == _reference_sites(path, shape)
+
+
+def _read_csv_streaming(path):
+    """The reference reader: ``csv.reader`` over the open file, one row at
+    a time."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            fields = next(reader, None)
+            if fields is None:
+                raise ParseError(f"{path} is empty", line=1)
+            width = len(fields)
+            cells = [[] for _ in fields]
+            lines = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    side = "more" if len(row) > width else "fewer"
+                    raise ParseError(
+                        f"row has {side} fields than the header", line=reader.line_num
+                    )
+                lines.append(reader.line_num)
+                for column, cell in zip(cells, row):
+                    column.append(cell)
+        except csv.Error as exc:
+            raise ParseError(f"{path}: {exc}", line=reader.line_num) from exc
+    if not lines:
+        raise ParseError(f"{path} has a header but no rows", line=1)
+    return fields, lines, dict(zip(fields, cells))
+
+
+def _read_or_error(read, path):
+    try:
+        fields, lines, cells = read(path)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return fields, list(lines), cells
+
+
+PLAIN_CELLS = st.text(alphabet="ab_-01.", max_size=3)
+QUIRKY_CELLS = st.one_of(st.text(alphabet='a0,"\n\r', max_size=3),
+                         PLAIN_CELLS.map('"{}"'.format))
+
+
+@st.composite
+def csv_texts(draw):
+    """Small CSV texts: mostly plain, some with quotes and carriage returns,
+    ragged rows, blank lines, repeated header names and empty cells."""
+    cell = st.one_of(PLAIN_CELLS, PLAIN_CELLS, PLAIN_CELLS, QUIRKY_CELLS)
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(st.sampled_from(["task", "site", "value", ""]),
+                           min_size=width, max_size=width))
+    rows = draw(st.lists(
+        st.one_of(st.lists(cell, min_size=width, max_size=width),
+                  st.lists(cell, max_size=width + 1)),
+        max_size=6,
+    ))
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    lines = [",".join(row) for row in [header, *rows]]
+    terminators = (draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                                 min_size=len(lines), max_size=len(lines)))
+                   if ends == "mixed" else [ends] * len(lines))
+    if not draw(st.booleans()):
+        terminators[-1] = ""  # no final newline
+    return "".join(map(str.__add__, lines, terminators))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=csv_texts())
+@example(text=RAW + "a,l1,0.5\na,l1," + "1" * 131_073 + "\n")
+@example(text=RAW + "a,l1," + "1" * 131_072 + "\n")
+@example(text="value\na\n\nb\n")
+def test_reader_matches_streaming_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = _read_or_error(_read_csv_streaming, str(path))
+        assert _read_or_error(cli._read_csv, str(path)) == expected
+
+
+def _stdout(argv):
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    return out
+
+
+def _estimate_file(tmp_path):
+    """A summary file and its `estimate` output, for --b-from."""
+    rows = ["a,l1,30,0.5,1.1,29", "a,l2,28,0.6,0.9,27", "a,l3,33,0.1,1.0,32",
+            "a,l4,31,0.9,1.2,30"]
+    data = tmp_path / "data.csv"
+    data.write_text(SUMMARY + "\n".join(rows) + "\n", encoding="utf-8")
+    estimates = tmp_path / "estimates.csv"
+    assert run_cli(["estimate", "--input", str(data), "--output", str(estimates)])[0] == 0
+    return data, estimates
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    data, estimates = _estimate_file(tmp_path)
+    marked_data, marked_estimates = tmp_path / "marked.csv", tmp_path / "marked_b.csv"
+    marked_data.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    marked_estimates.write_bytes(b"\xef\xbb\xbf" + estimates.read_bytes())
+    assert (_stdout(["estimate", "--input", str(marked_data)])
+            == _stdout(["estimate", "--input", str(data)]))
+    assert (_stdout(["test", "--input", str(marked_data), "--b-from", str(marked_estimates)])
+            == _stdout(["test", "--input", str(data), "--b-from", str(estimates)]))
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+@pytest.mark.parametrize("fixture", ["summary_file", "raw_one_sample"])
+def test_line_endings_read_alike(tmp_path, request, fixture, newline):
+    path = request.getfixturevalue(fixture)
+    other = tmp_path / "other.csv"
+    with open(path, encoding="utf-8", newline="") as handle:
+        other.write_text(handle.read().replace("\n", newline), encoding="utf-8", newline="")
+    for command in ("estimate", "bmax"):
+        assert (_stdout([command, "--input", str(other)])
+                == _stdout([command, "--input", path]))
+
+
+SIM_CONFIG = {"mu0": 1.0, "sigma0": 0.3, "n_per_experiment": 5, "k_experiments": 3,
+              "n_tasks": 2, "alpha_levels": [0.05], "seed": 5}
+# every command, with flags that succeed on both fixtures
+WRITER_COMMANDS = [
+    ["estimate"],
+    ["test", "--b", "0.1", "--nu0", "7"],
+    ["test", "--variant", "point"],
+    ["predict", "--nr", "30", "--b", "0.1", "--nu0", "7"],
+    ["bmax"],
+    ["calibrate", "--variant", "integral", "--alphas", "0.05"],
+    ["power", "--effect", "0.5", "--n", "30"],
+    ["simulate"],
+]
+
+
+@pytest.mark.parametrize("fixture", ["summary_file", "raw_one_sample"])
+def test_writer_matches_csv_writer(tmp_path, request, monkeypatch, fixture):
+    path = request.getfixturevalue(fixture)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SIM_CONFIG))
+    tables = []
+    write = cli._write
+
+    def spy(target, header, rows):
+        tables.append((header, rows))
+        write(target, header, rows)
+
+    monkeypatch.setattr(cli, "_write", spy)
+    for argv in WRITER_COMMANDS:
+        if argv[0] == "simulate":
+            argv = [*argv, "--config", str(config)]
+        elif argv[0] != "power":
+            argv = [*argv, "--input", path]
+        out = tmp_path / "out.csv"
+        assert run_cli([*argv, "--output", str(out)]) == (0, "", ""), argv
+        header, rows = tables.pop()
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert out.read_bytes() == reference.getvalue().encode("utf-8"), argv
