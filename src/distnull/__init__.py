@@ -31,7 +31,6 @@ from .errors import (
     InsufficientDataError,
     NumericError,
     ParseError,
-    PreconditionError,
 )
 from .estimators import (
     ExperimentSummary,
@@ -80,7 +79,6 @@ __all__ = [
     "PROB_FLOOR",
     "ParseError",
     "PowerQuery",
-    "PreconditionError",
     "ReplicationQuery",
     "TaskSet",
     "TestStatistic",

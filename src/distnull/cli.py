@@ -837,7 +837,7 @@ def cmd_power(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 
 def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc

@@ -2,7 +2,7 @@
 
 Student t CDF/quantile/density, noncentral t CDF, the certified fixed-node
 rule for expectations over F-distributed ratios, adaptive quadrature (the
-noncentral t fallback), and the bracketed polynomial root finder.
+noncentral t fallback), and the root of b_max's stationary quintic.
 Everything downstream builds on these surfaces, so their domains are
 checked strictly here.
 """
@@ -10,7 +10,7 @@ checked strictly here.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from functools import cache, lru_cache
 
 import numpy as np
@@ -19,7 +19,6 @@ from .errors import (
     DegenerateVarianceError,
     DomainError,
     NumericError,
-    PreconditionError,
 )
 
 __all__ = [
@@ -430,86 +429,100 @@ def _adaptive(f: Callable[[float], float], a: float, b: float) -> float:
     return value
 
 
-def _horner(columns: list[np.ndarray], z: np.ndarray) -> np.ndarray:
-    acc = columns[0]
-    for c in columns[1:]:
-        acc = acc * z + c
-    return acc
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 
 
-@np.errstate(all="ignore")  # Horner may overflow far from a root, as it does row by row
-def _positive_roots(coeffs, hints) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's positive root as find_positive_root finds it, and its bracket's low end.
+def _two_sum(a, b):
+    """a + b as an unevaluated pair (sum, rounding error), exactly."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
 
-    ``coeffs`` holds one row of descending coefficients per polynomial and
-    ``hints`` a bracket hint each, rows that pass find_positive_root's
-    checks. All rows are bracketed and bisected at once with the arithmetic
-    of one row alone, so each root keeps its bits. A root is NaN where the
-    bracket outgrew 1e9 first.
+
+def _two_prod(a, b):
+    """a * b as an unevaluated pair (product, rounding error), exactly (Dekker)."""
+    p = a * b
+    c, d = _SPLIT * a, _SPLIT * b
+    ah, bh = c - (c - a), d - (d - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_mul(x, y):
+    """Product of two double-double pairs, to about 2**-104 relative."""
+    p, e = _two_prod(x[0], y[0])
+    e = e + (x[0] * y[1] + x[1] * y[0])
+    s = p + e
+    return s, e - (s - p)
+
+
+def _quintic_residual(z, m_sq, shift, shift_one):
+    """z²(z+1)³ − τ²(1+3z/2)² over 2^(2e+4j), in double-double, and the
+    leading part of its second term.
+
+    With τ = m·2^e, j = max(e, 0) // 3, shift = j − e and shift_one = −2j,
+    the terms over 2^(2e+4j) are Z²W³ and m²V² for Z = z·2^shift, and
+    W = (z+1)·2^shift_one and V = (1+3z/2)·2^shift_one. Near the root all
+    four factors are within a few units of 1: no term over- or underflows.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    rows, width = coeffs.shape
-    # Trailing zero coefficients only contribute roots at z = 0, so shift
-    # them out; the leading zeros this leaves add exactly 0 under Horner.
-    trailing = np.argmax(coeffs[:, ::-1] != 0.0, axis=1)
-    shift = np.arange(width) - trailing[:, None]
-    poly = np.where(shift >= 0, np.take_along_axis(coeffs, np.maximum(shift, 0), axis=1), 0.0)
-    columns = list(poly.T)
-
-    lo, f_lo = np.zeros(rows), columns[-1]
-    hi = np.asarray(hints, dtype=float)
-    f_hi = _horner(columns, hi)
-    grow = ((f_hi > 0.0) == (f_lo > 0.0)) & (f_hi != 0.0)
-    failed = np.zeros(rows, dtype=bool)
-    while grow.any():
-        lo, f_lo = np.where(grow, hi, lo), np.where(grow, f_hi, f_lo)
-        hi = np.where(grow, 2.0 * hi, hi)
-        failed |= grow & (hi > 1e9)
-        grow &= ~failed
-        f_hi = np.where(grow, _horner(columns, hi), f_hi)
-        grow &= ((f_hi > 0.0) == (f_lo > 0.0)) & (f_hi != 0.0)
-
-    # Bisection keeps the sign of f at lo, so only that sign is tracked; a
-    # row's root is the midpoint at which it first stops.
-    positive_at_lo, bracketed = f_lo > 0.0, lo
-    roots = np.where(~failed & (f_hi == 0.0), hi, np.nan)
-    pending = ~failed & (f_hi != 0.0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = _horner(columns, mid)
-        stop = pending & ((hi - lo <= 1e-15 * hi) | (f_mid == 0.0))
-        roots = np.where(stop, mid, roots)
-        pending &= ~stop
-        if not pending.any():
-            break
-        right = (f_mid > 0.0) == positive_at_lo
-        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-    return np.where(pending, 0.5 * (lo + hi), roots), bracketed
+    zs, zc, one = np.ldexp(z, shift), np.ldexp(z, shift_one), np.ldexp(1.0, shift_one)
+    w = _two_sum(zc, one)
+    v_hi, v_err = _two_sum(w[0], 0.5 * zc)
+    v = (v_hi, v_err + w[1])
+    first = _dd_mul(_two_prod(zs, zs), _dd_mul(_dd_mul(w, w), w))
+    second = _dd_mul(m_sq, _dd_mul(v, v))
+    s, e = _two_sum(first[0], -second[0])
+    return s + (e + (first[1] - second[1])), second[0]
 
 
-def find_positive_root(coeffs: Sequence[float], bracket_hint: float) -> float:
-    """Unique positive root of the polynomial with descending ``coeffs``.
+def _solve_stationary(tau):
+    """The root of z(z+1)^(3/2) = τ(1 + 3z/2) at finite τ > 0, and whether it
+    is certified; for a float or a column alike.
 
-    Requires exactly one sign change in the nonzero coefficient sequence,
-    which (Descartes) guarantees exactly one positive root. The bracket is
-    grown geometrically from ``bracket_hint`` and the root isolated by
-    bisection to relative width 1e-15.
+    h(z) = z(z+1)^(3/2)/(1 + 3z/2) increases and is convex, so the root is
+    unique and Newton's method on h − τ falls to it from any start above it:
+    min(τ, 2^k), 2^k >= (1.5τ)^(2/3), as h(τ) >= τ and h(z) >= (2/3)z^(3/2).
+    Six steps reach the rounding noise of h (five suffice in every binade).
+    One more step with the quintic's residual in double-double polishes the
+    root, which is certified when that residual is negative one float below
+    it and positive one float above. Every operation is exact or correctly
+    rounded, so a column and a float give the same bits.
     """
-    coeffs = [float(c) for c in coeffs]
-    if not coeffs or any(not math.isfinite(c) for c in coeffs):
-        raise DomainError("coefficients must be a nonempty finite sequence")
-    signs = [c > 0.0 for c in coeffs if c != 0.0]
-    if len(signs) < 2:
-        raise PreconditionError("polynomial is constant after stripping zeros")
-    changes = sum(1 for prev, cur in zip(signs, signs[1:]) if prev != cur)
-    if changes != 1:
-        raise PreconditionError(
-            f"expected exactly one coefficient sign change, found {changes}"
-        )
-    hint = float(bracket_hint)
-    if not (math.isfinite(hint) and hint > 0):
-        raise DomainError(f"bracket_hint must be finite and > 0, got {hint!r}")
-    root, bracketed = (float(c[0]) for c in _positive_roots([coeffs], [hint]))
-    if math.isnan(root):
-        raise NumericError("failed to bracket the positive root", best_estimate=bracketed)
-    return root
+    mantissa, e = np.frexp(tau)
+    z = np.minimum(tau, np.ldexp(1.0, (2 * e) // 3 + 2))
+
+    def log_slope(z):  # z·h'(z)/h(z)
+        return 1.0 + 0.75 * (z / (1.0 + z)) * (z / (1.0 + 1.5 * z))
+
+    for _ in range(6):
+        w = 1.0 + z
+        ratio = (tau / z) * ((1.0 + 1.5 * z) / w) / np.sqrt(w)  # τ/h(z)
+        z = z - z * (1.0 - ratio) / log_slope(z)
+    j = np.maximum(e, 0) // 3
+    scaled = (_two_prod(mantissa, mantissa), j - e, -2 * j)
+    residual, second = _quintic_residual(z, *scaled)
+    # residual/second = (h/τ)² − 1, about twice Newton's step in log z
+    z = z - z * (residual / (2.0 * second)) / log_slope(z)
+    below = _quintic_residual(np.nextafter(z, 0.0), *scaled)[0]
+    above = _quintic_residual(np.nextafter(z, np.inf), *scaled)[0]
+    return z, (below < 0.0) & (above > 0.0)
+
+
+def _stationary_roots(tau) -> np.ndarray:
+    """find_positive_root over a column of τ; NaN where it raises."""
+    tau = np.asarray(tau, dtype=float)
+    valid = (tau > 0.0) & (tau < np.inf)
+    z, certified = _solve_stationary(np.where(valid, tau, 1.0))
+    return np.where(valid & certified, z, np.nan)
+
+
+def find_positive_root(tau: float) -> float:
+    """The positive root z_max <= τ of b_max's quintic z²(z+1)³ = τ²(1 + 3z/2)²,
+    within one ulp, at a finite τ > 0."""
+    tau = float(tau)
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise DomainError(f"tau must be finite and > 0, got {tau!r}")
+    z, certified = _solve_stationary(tau)
+    if not certified:
+        raise NumericError("b_max's root was not certified", best_estimate=float(z))
+    return float(z)

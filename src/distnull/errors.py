@@ -52,10 +52,6 @@ class DegeneratePredictorError(DomainError):
     """Predictor values carry no variation (sum of squares is zero)."""
 
 
-class PreconditionError(DomainError):
-    """A structural precondition fails (e.g. coefficient sign pattern)."""
-
-
 class NumericError(DistnullError):
     """Numerical routine failed to converge to the requested tolerance.
 

@@ -20,8 +20,8 @@ from .distributions import (
     _check_nu0,
     _critical,
     _critical_values,
-    _positive_roots,
     _special,
+    _stationary_roots,
     f_expectation,
     find_positive_root,
     t_cdf,
@@ -78,8 +78,10 @@ class BmaxResult:
     b_max: float
 
     def __post_init__(self) -> None:
-        if not (self.tau > 0 and self.z_max > 0 and self.b_max > 0):
-            raise DomainError("tau, z_max, b_max must all be > 0")
+        for name in ("tau", "z_max", "b_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
         if self.z_max > self.tau * (1.0 + 1e-12):
             raise DomainError(
                 f"z_max={self.z_max!r} exceeds tau={self.tau!r}"
@@ -201,28 +203,15 @@ def p_rep_closed(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
     return min(1.0, max(0.0, t_cdf(arg, q.df_r)))
 
 
-def _quintic(tau) -> list:
-    """Descending coefficients of b_max's stationary quintic in z = bN at tau."""
-    tau_sq = tau * tau
-    return [1.0, 3.0, 3.0, 1.0 - 2.25 * tau_sq, -3.0 * tau_sq, -tau_sq]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # rows outside the domain
 def _b_max(t, n, df, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """b_max's tau, z_max and b_max over columns of t, N and df at a level
-    alpha in (0, 0.5); NaN where b_max raises, which includes t = 0.
-
-    Finite coefficients and tau^2 > 0 give a quintic its one sign change;
-    those rows are solved together by _positive_roots.
-    """
+    alpha in (0, 0.5); NaN where b_max raises, which includes t = 0."""
     t, n = np.asarray(t, dtype=float), np.asarray(n, dtype=float)
     tau = np.abs(t) / _critical_values(alpha, df)
-    coeffs = np.column_stack(np.broadcast_arrays(*_quintic(tau)))
-    solvable = np.isfinite(coeffs).all(axis=1) & (tau > 0.0) & (tau * tau > 0.0)
-    z_max = np.full(tau.shape, np.nan)
-    z_max[solvable] = _positive_roots(coeffs[solvable], tau[solvable])[0]
+    z_max = _stationary_roots(tau)
     b = z_max / n
-    valid = (z_max > 0.0) & (b > 0.0) & (z_max <= tau * (1.0 + 1e-12))
+    valid = (b > 0.0) & (b < np.inf) & (z_max <= tau * (1.0 + 1e-12))
     return tuple(np.where(valid, column, np.nan) for column in (tau, z_max, b))
 
 
@@ -234,15 +223,16 @@ def b_max(stat: TestStatistic, alpha: float) -> BmaxResult:
 
         z^5 + 3z^4 + 3z^3 + (1 − 9τ²/4)z² − 3τ²z − τ² = 0,
 
-    which has exactly one positive root z_max by Descartes' rule, and
-    z_max <= tau. Assumes N_r = N and c = 1 (the regime in which the
-    stationary condition is derived).
+    which factors as z²(z+1)³ − τ²(1 + 3z/2)². Its positive roots are
+    those of z(z+1)^(3/2)/(1 + 3z/2) = τ, whose left side increases from 0,
+    so there is exactly one, z_max, and z_max <= tau. Assumes N_r = N and
+    c = 1 (the regime in which the stationary condition is derived).
     """
     alpha = _check_alpha(alpha, upper=0.5)
     if stat.t == 0.0:
         raise DomainError("b_max is undefined at t = 0")
     tau = abs(stat.t) / _critical(alpha, stat.df)
-    z_max = find_positive_root(_quintic(tau), bracket_hint=tau)
+    z_max = find_positive_root(tau)
     return BmaxResult(tau=tau, z_max=z_max, b_max=z_max / stat.n)
 
 

@@ -1090,6 +1090,15 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err == f"error: {path} is not UTF-8 text (invalid start byte)\n"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # as for --input and --b-from files
+        plain = self.write_config(tmp_path)
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + json.dumps(self.CONFIG).encode())
+        expected = run_cli(["simulate", "--config", plain])
+        assert expected[0] == 0
+        assert run_cli(["simulate", "--config", str(bom)]) == expected
+
     def test_invalid_config_value(self, tmp_path):
         config = self.write_config(tmp_path, sigma0=-1.0)
         code, _, err = run_cli(["simulate", "--config", config])
@@ -1114,6 +1123,18 @@ class TestBmax:
         z_max = float(nonflat["z_max"])
         assert 0.0 < z_max <= tau
         assert float(nonflat["b_max"]) == pytest.approx(z_max / 30.0, rel=1e-10)
+
+    def test_extreme_t_gets_finite_cells(self, tmp_path):
+        # tau^2 would underflow and overflow here
+        path = write_csv(tmp_path / "bm.csv", SUMMARY_HEADER, [
+            ["a", "l1", "30", "1e-170", "1.0", "29"],
+            ["a", "l2", "30", "1e160", "1.0", "29"],
+        ])
+        code, out, err = run_cli(["bmax", "--input", path])
+        assert (code, err) == (0, "")
+        for row in parse(out):
+            cells = [float(row[k]) for k in ("tau", "z_max", "b_max")]
+            assert all(math.isfinite(c) and c > 0.0 for c in cells)
 
     def test_alpha_passthrough(self, summary_file):
         strict = run_cli(["bmax", "--input", summary_file, "--alpha", "0.01"])
@@ -1140,8 +1161,9 @@ class TestErrorPrecedence:
         ["b", "s1", "25", "0.2", "1.0", "24"],
     ]
     # s1 has t = 0 (empty b_max cells), s2 and s3 tiny and huge t, whose
-    # b_max quintics fail: tau^2 underflows to 0, or overflows to inf
-    TINY, HUGE = ["30", "1e-170", "1.0", "29"], ["30", "1e160", "1.0", "29"]
+    # b_max = z_max / N underflows to 0 (t = 1e-100, N = 1e250), or
+    # overflows to inf (t = 2.2e138, N = 5e-324)
+    TINY, HUGE = ["1e250", "1e-225", "1.0", "29"], ["5e-324", "1e300", "1.0", "29"]
     ZERO_T = ["a", "s1", "30", "0.0", "1.0", "29"]
     B_HAT_INF = (
         "b_hat must be finite and > 0, got inf; the distributional forms are "
@@ -1187,21 +1209,22 @@ class TestErrorPrecedence:
         ),
         "bmax_tiny_t_before_huge_t": (
             ["bmax"], None, "tiny_huge",
-            4, "error: task 'a' site 's2': expected exactly one coefficient sign change,"
-            " found 0\n",
+            4, "error: task 'a' site 's2': b_max must be finite and > 0, got 0.0\n",
         ),
         "bmax_huge_t_before_tiny_t": (
             ["bmax"], None, "huge_tiny",
-            4, "error: task 'a' site 's2': coefficients must be a nonempty finite sequence\n",
+            4, "error: task 'a' site 's2': b_max must be finite and > 0, got inf\n",
         ),
+        # the huge-t row's forecast fails too (b_hat * N underflows), so the
+        # tiny-t row carries the b_max fault here
         "predict_b_max_cells_before_next_forecast": (
             ["predict", "--variant", "closed", "--nr", "30"],
-            [("0.1", "5"), ("0.1", "5"), ("0.1", "2")], "huge_mid",
-            4, "error: task 'a' site 's2': coefficients must be a nonempty finite sequence\n",
+            [("0.1", "5"), ("0.1", "5"), ("0.1", "2")], "tiny_mid",
+            4, "error: task 'a' site 's2': b_max must be finite and > 0, got 0.0\n",
         ),
         "predict_forecast_before_own_b_max_cells": (
             ["predict", "--variant", "closed", "--nr", "30"],
-            [("0.1", "5"), ("0.1", "2"), ("0.1", "5")], "huge_mid",
+            [("0.1", "5"), ("0.1", "2"), ("0.1", "5")], "tiny_mid",
             4, "error: task 'a' site 's2': nu0 must be > 2 for the closed form, got 2.0\n",
         ),
     }
@@ -1212,8 +1235,8 @@ class TestErrorPrecedence:
             rows[:3] = [self.ZERO_T, ["a", "s2", *self.TINY], ["a", "s3", *self.HUGE]]
         elif layout == "huge_tiny":
             rows[:3] = [self.ZERO_T, ["a", "s2", *self.HUGE], ["a", "s3", *self.TINY]]
-        elif layout == "huge_mid":
-            rows[:2] = [self.ZERO_T, ["a", "s2", *self.HUGE]]
+        elif layout == "tiny_mid":
+            rows[:2] = [self.ZERO_T, ["a", "s2", *self.TINY]]
         return write_csv(tmp_path / "sites.csv", SUMMARY_HEADER, rows)
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1231,8 +1254,7 @@ class TestErrorPrecedence:
         argv = ["predict", "--input", self.sites(tmp_path, "tiny_huge"),
                 "--variant", "closed", "--b", "0.1", "--nu0", "5", "--nr", "30"]
         assert run_cli(argv) == (
-            4, "", "error: task 'a' site 's2': expected exactly one coefficient sign"
-            " change, found 0\n",
+            4, "", "error: task 'a' site 's2': b_max must be finite and > 0, got 0.0\n",
         )
         path = write_csv(tmp_path / "zero.csv", SUMMARY_HEADER, [self.ZERO_T, *self.SITES[1:]])
         for argv in (["bmax"], ["predict", "--b", "0.1", "--nu0", "5", "--nr", "30"]):
@@ -1289,6 +1311,10 @@ class TestExtremeInputs:
         "calibrate_spread_of_means_overflows": (
             ["a,s1,30,1e200,1,29", "a,s2,30,-1e200,1,29"], ["calibrate"],
             4, "error: task 'a': s0_sq must be finite and >= 0, got inf\n",
+        ),
+        "bmax_b_max_overflows": (
+            ["a,s1,5e-324,1e300,1,29", ORDINARY], ["bmax"],
+            4, "error: task 'a' site 's1': b_max must be finite and > 0, got inf\n",
         ),
         "bound_forecast_n_n_r_overflows": (
             ["a,s1,1.7e308,0,30,29", ORDINARY],

@@ -28,7 +28,7 @@ from distnull.distributions import (
     t_density,
     t_quantile,
 )
-from distnull.errors import DomainError, NumericError, PreconditionError
+from distnull.errors import DomainError, NumericError
 
 # scipy's quantile agrees with the 40-digit values to ~1e-11, hence the
 # looser tolerance on inverse-CDF checks.
@@ -204,35 +204,20 @@ class TestIntegrate:
 
 
 class TestFindPositiveRoot:
-    def test_quadratic(self):
-        # z^2 - 4 has the lone positive root 2
-        assert find_positive_root([1.0, 0.0, -4.0], 1.0) == pytest.approx(2.0, rel=1e-14)
-
     def test_frozen_quintic(self):
         # z^5 + 3z^4 + 3z^3 + (1 - 9 tau^2/4) z^2 - 3 tau^2 z - tau^2 at tau = 2.5
-        tau = 2.5
-        coeffs = [1.0, 3.0, 3.0, 1.0 - 9 * tau**2 / 4, -3 * tau**2, -(tau**2)]
-        root = find_positive_root(coeffs, 1.0)
+        root = find_positive_root(2.5)
         assert root == pytest.approx(1.9392614754465052955, rel=1e-12)
-
-    def test_bracket_hint_far_off_still_converges(self):
-        coeffs = [1.0, 0.0, -4.0]
-        assert find_positive_root(coeffs, 1e6) == pytest.approx(2.0, rel=1e-12)
-        assert find_positive_root(coeffs, 1e-6) == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("tau", [6e-8, 1e-4, 2.5])
     def test_quintic_root_to_relative_precision(self, tau):
-        # the b_max quintic, solved exactly in rationals for the same
-        # float coefficients, must agree to relative 1e-14 even when the
-        # root is far below 1
-        coeffs = [1.0, 3.0, 3.0, 1.0 - 2.25 * tau * tau, -3.0 * tau * tau, -tau * tau]
-        exact = [Fraction(c) for c in coeffs]
+        # the b_max quintic z^2 (z+1)^3 - tau^2 (1 + 3z/2)^2, solved exactly
+        # in rationals at the same float tau, must agree to relative 1e-14
+        # even when the root is far below 1
+        exact = Fraction(tau)
 
         def sign(z: Fraction) -> bool:
-            acc = Fraction(0)
-            for c in exact:
-                acc = acc * z + c
-            return acc > 0
+            return z * z * (z + 1) ** 3 - exact * exact * (1 + Fraction(3, 2) * z) ** 2 > 0
 
         lo, hi = Fraction(0), Fraction(tau)
         assert not sign(lo) and sign(hi)
@@ -242,22 +227,14 @@ class TestFindPositiveRoot:
                 hi = mid
             else:
                 lo = mid
-        root = find_positive_root(coeffs, tau)
+        root = find_positive_root(tau)
         assert abs(Fraction(root) - lo) <= lo * Fraction(1, 10**14)
         assert f"{root:.12g}" == f"{float(lo):.12g}"
 
-    def test_two_sign_changes_rejected(self):
-        # z^2 - 3z + 2 has two positive roots
-        with pytest.raises(PreconditionError):
-            find_positive_root([1.0, -3.0, 2.0], 1.0)
-
-    def test_no_sign_change_rejected(self):
-        with pytest.raises(PreconditionError):
-            find_positive_root([1.0, 2.0, 3.0], 1.0)
-
-    def test_constant_rejected(self):
-        with pytest.raises(PreconditionError):
-            find_positive_root([5.0], 1.0)
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+    def test_tau_outside_the_domain_rejected(self, tau):
+        with pytest.raises(DomainError):
+            find_positive_root(tau)
 
 
 class TestClampProbability:

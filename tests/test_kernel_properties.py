@@ -9,22 +9,22 @@ t0 = mean / S0. The integral variants have their own properties in
 
 The column kernels behind the closed forms are checked against the public
 scalar functions row by row: equal with == where the scalar function
-returns, NaN exactly where it raises. The batched b_max bisection is also
-checked against the scalar bisection it replaced, kept below as the
-reference.
+returns, NaN exactly where it raises. b_max's root is also checked against
+the exact rational root of its quintic.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distnull.adapters import statistic_from_summary
-from distnull.distributions import _positive_roots, find_positive_root
-from distnull.errors import DistnullError, NumericError
+from distnull.distributions import _stationary_roots, find_positive_root
+from distnull.errors import DistnullError
 from distnull.estimators import BetweenVariance, ExperimentSummary, variance_ratio
 from distnull.replication import (
     ReplicationQuery, _b_max, _p_rep_closed, b_max, p_rep_closed, p_rep_given_b,
@@ -109,9 +109,8 @@ def test_t0_is_mean_over_s0(mean, variance, s0_sq, n, nu0):
 # --- column kernels -----------------------------------------------------------
 
 SIGN = st.sampled_from([-1.0, 1.0])
-# t = 0 (b_max undefined), tau near 1e-8 (the quintic's value at the bracket
-# hint rounds to 0 or below it, so the bracket grows), and tau >> 1; below
-# about 1e-154, tau^2 underflows and b_max raises for the row alone
+# t = 0 (b_max undefined), tau near 1e-8 (where z_max rounds to tau), and
+# tau >> 1, where Newton's method mostly starts from a power of 2
 COLUMN_T = st.one_of(
     T.filter(lambda t: abs(t) > 1e-9), st.just(0.0),
     st.tuples(SIGN, st.floats(-9.5, -7.0)).map(lambda p: p[0] * 10.0 ** p[1]),
@@ -119,36 +118,6 @@ COLUMN_T = st.one_of(
 )
 ROWS = st.lists(st.tuples(COLUMN_T, N, st.sampled_from([1, 2]), B, NU0, N_R),
                 min_size=1, max_size=12)
-
-
-def reference_root(coeffs: list[float], hint: float) -> float:
-    """The scalar bracket-and-bisect of find_positive_root, row by row."""
-
-    def value(z: float) -> float:
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * z + c
-        return acc
-
-    lo, f_lo, hi = 0.0, coeffs[-1], hint
-    f_hi = value(hi)
-    while (f_hi > 0.0) == (f_lo > 0.0) and f_hi != 0.0:
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
-        f_hi = value(hi)
-    if f_hi == 0.0:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * hi:
-            break
-        f_mid = value(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @PROPERTY
@@ -173,19 +142,17 @@ def test_column_kernels_equal_the_scalar_functions(rows, alpha):
             continue
         diag = b_max(s, alpha)
         assert cells == [diag.tau, diag.z_max, diag.b_max]
-        tau_sq = diag.tau * diag.tau
-        coeffs = [1.0, 3.0, 3.0, 1.0 - 2.25 * tau_sq, -3.0 * tau_sq, -tau_sq]
-        assert diag.z_max == reference_root(coeffs, diag.tau)
 
 
 # Rows the scalar functions reject: b_hat of 0 or inf, or so large that
 # b_hat * N overflows the closed form's argument; nu0 <= 2, where the closed
-# replication form is undefined, and below 1; t = 0, and t so small or large
-# that tau^2 underflows to 0 or overflows.
+# replication form is undefined, and below 1; t = 0, and t so small that tau
+# or b_max = z_max / N underflows to 0. t near the float range's top end is
+# valid: b_max's solver forms neither tau^2 nor z^(5/2).
 FAULTY_T = st.one_of(
     T, st.just(0.0),
-    st.tuples(SIGN, st.floats(-172.0, -168.0)).map(lambda p: p[0] * 10.0 ** p[1]),
-    st.tuples(SIGN, st.floats(158.0, 162.0)).map(lambda p: p[0] * 10.0 ** p[1]),
+    st.tuples(SIGN, st.floats(-323.5, -315.0)).map(lambda p: p[0] * 10.0 ** p[1]),
+    st.tuples(SIGN, st.floats(300.0, 308.2)).map(lambda p: p[0] * 10.0 ** p[1]),
 )
 FAULTY_B = st.one_of(B, st.sampled_from([0.0, math.inf, 1e306]))
 FAULTY_NU0 = st.one_of(NU0, st.sampled_from([0.5, 1.0, 1.5, 2.0, math.inf]))
@@ -226,28 +193,45 @@ def test_column_kernels_are_nan_where_the_scalar_functions_raise(rows, alpha):
     ])
 
 
-# descending coefficients with one sign change: a positive head, then zeros
-# and negative terms, with magnitudes from 1e-6 to 1e12
-COEFFICIENT = st.floats(-6.0, 12.0).map(lambda e: 10.0**e)
-POLYNOMIAL = st.tuples(
-    st.lists(COEFFICIENT, min_size=1, max_size=3),
-    st.lists(st.one_of(st.just(0.0), COEFFICIENT.map(lambda c: -c)), min_size=1, max_size=4),
-).filter(lambda p: any(p[1])).map(lambda p: [*p[0], *p[1]])
+# tau log-uniform over [1e-300, 1e300]
+TAU = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+def exact_root(tau: float) -> Fraction:
+    """The root of z^2 (z+1)^3 - tau^2 (1 + 3z/2)^2 in rationals, bisected
+    from [0, tau] to relative 1e-20."""
+    t = Fraction(tau)
+
+    def positive(z: Fraction) -> bool:
+        return z * z * (z + 1) ** 3 > t * t * (1 + Fraction(3, 2) * z) ** 2
+
+    lo, hi = Fraction(0), t
+    while hi - lo > hi * Fraction(1, 10**20):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if positive(mid) else (mid, hi)
+    return lo
 
 
 @PROPERTY
-@given(polynomials=st.lists(POLYNOMIAL, min_size=1, max_size=8),
-       hints=st.lists(st.floats(-6.0, 6.0).map(lambda e: 10.0**e), min_size=8, max_size=8))
-# a root of 1e12, past the bracket's cap, beside one the bracket finds
-@example(polynomials=[[1.0, -1e12], [1.0, 0.0, -4.0]], hints=[1.0] * 8)
-def test_positive_roots_are_nan_where_find_positive_root_raises(polynomials, hints):
-    width = max(map(len, polynomials))
-    # leading zeros pad every row to one width without changing its roots
-    coeffs = [[0.0] * (width - len(p)) + p for p in polynomials]
-    hints = hints[: len(coeffs)]
-    roots, bracketed = _positive_roots(coeffs, hints)
-    for row, hint, root, low in zip(coeffs, hints, roots.tolist(), bracketed.tolist()):
-        try:
-            assert root == find_positive_root(row, hint)
-        except NumericError as exc:
-            assert math.isnan(root) and exc.best_estimate == low
+@given(taus=st.lists(TAU, min_size=1, max_size=4))
+# either side of tau = 64, where Newton's start switches from tau to a power
+# of 2, and the ends of the float range, where tau^2 and z^(5/2) would
+# underflow or overflow
+@example(taus=[64.0, 64.00000000000001])
+@example(taus=[5e-324, 1e-300, 1e300, 1.7976931348623157e308])
+def test_stationary_root_is_the_exact_root(taus):
+    column = _stationary_roots(taus).tolist()
+    for tau, root in zip(taus, column):
+        assert root == find_positive_root(tau)
+        exact = exact_root(tau)
+        assert abs(Fraction(root) - exact) <= 2 * Fraction(math.ulp(root))
+        assert f"{root:.12g}" == f"{float(exact):.12g}"
+
+
+@PROPERTY
+@given(taus=st.lists(st.one_of(TAU, st.sampled_from(
+    [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308])),
+    min_size=1, max_size=8))
+def test_positive_roots_are_nan_where_find_positive_root_raises(taus):
+    roots = [scalar_or_nan(find_positive_root, tau) for tau in taus]
+    assert np.array_equal(_stationary_roots(taus), np.array(roots), equal_nan=True)

@@ -277,6 +277,8 @@ class TestBmax:
             BmaxResult(tau=1.0, z_max=1.5, b_max=0.05)
         with pytest.raises(DomainError):
             BmaxResult(tau=0.0, z_max=0.0, b_max=0.0)
+        with pytest.raises(DomainError, match="b_max must be finite and > 0, got inf"):
+            BmaxResult(tau=1.0, z_max=0.5, b_max=math.inf)
 
     def test_quintic_positive_at_tau(self):
         # direct evaluation at z = tau collapses to tau^5 + 0.75 tau^4,
