@@ -1,7 +1,8 @@
 """Distribution kernels and numerical utilities.
 
-Student t CDF/quantile/density, noncentral t CDF, the certified fixed-node
-rule for expectations over F-distributed ratios, adaptive quadrature (the
+The Student t CDF, quantile and density (computed here, for a value or a
+column), the noncentral t CDF, the certified fixed-node rule for
+expectations over F-distributed ratios, adaptive quadrature (the
 noncentral t fallback), and the root of b_max's stationary quintic.
 Everything downstream builds on these surfaces, so their domains are
 checked strictly here.
@@ -36,7 +37,7 @@ __all__ = [
 
 @cache
 def _special():
-    """scipy.special, imported on first use: estimate and simulate never need it."""
+    """scipy.special, imported on first use: only the noncentral t needs it."""
     from scipy import special
 
     return special
@@ -99,24 +100,353 @@ def _check_finite(x: float, name: str) -> float:
     return x
 
 
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# Coefficients of Stirling's series for log Gamma, in powers of 1/x^2.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _stirling_remainder(x: float) -> float:
+    """log Gamma(x) - (x - 1/2) log x + x - log(2 pi)/2, free of cancellation."""
+    if x < 10.0:
+        return math.lgamma(x) - (x - 0.5) * math.log(x) + x - _HALF_LOG_2PI
+    inv_sq = 1.0 / (x * x)
+    acc = 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * inv_sq + c
+    return acc / x
+
+
+@lru_cache(maxsize=4096)
+def _beta_factors(nu: float) -> tuple[float, float]:
+    """1/B(a, 1/2) and 1/(nu·B(a, 1/2)) at nu = 2a > 0, to a few ulps.
+
+    1/B(a, 1/2) = sqrt(a/pi)·exp(-rho) with rho = log(Gamma(a)·sqrt(a)/Gamma(a + 1/2))
+    ~ 1/(8a) small, so the factor keeps its digits where log B(a, 1/2)
+    grows without bound. Below a = 10 the recurrence rho(a) = rho(a + 1) +
+    log1p(1/(4a(a + 1)))/2 moves a up; from there rho(a) = 1/2 -
+    a·log1p(1/(2a)) + R(a) - R(a + 1/2), with R the Stirling remainder:
+    log(a/(a + 1/2)) taken as -log1p(1/(2a)) leaves no two terms that grow
+    with a. Below nu = 2**-60 the factors are nu/2 and 1/2 to double
+    precision, also where nu/2 underflows.
+    """
+    if nu < 2.0**-60:
+        return 0.5 * nu, 0.5
+    a, rho = 0.5 * nu, 0.0
+    while a < 10.0:
+        rho += 0.5 * math.log1p(0.25 / (a * (a + 1.0)))
+        a += 1.0
+    rho += 0.5 - a * math.log1p(0.5 / a) + _stirling_remainder(a) - _stirling_remainder(a + 0.5)
+    inverse = math.sqrt(nu / (2.0 * math.pi)) * math.exp(-rho)
+    return inverse, inverse / nu
+
+
+# An element of the t tail's continued fraction or series is done at its
+# first step within _STEP_TOL of the value; _STEPS bounds the steps (no
+# element of a valid t needs a fifth of them).
+_STEP_TOL = 2.0**-52
+_STEPS = 1000
+
+
+def _tail_fraction(z, a, index=None):
+    """g = 1 + c_1/(1 + c_2/(1 + ...)), with I_w(a, 1/2) = w^a (1 - w)^(-1/2)/(a B(a, 1/2) g)
+    and z = w/(1 - w), for a float z or elementwise over a flat column. ``a``
+    is a float, or an array of the distinct a and ``index`` the position of
+    each element's.
+
+    The continued fraction is the second one of Cephes' incbet, here at b = 1/2:
+    c_(2m+1) = z(a + m)(m + 1/2)/((a + 2m)(a + 2m + 1)) and c_(2m+2) =
+    z(m + 1)(a + m + 1/2)/((a + 2m + 1)(a + 2m + 2)). Every c is positive, so
+    no step of Lentz's method (Numerical Recipes §5.2) cancels, and its
+    convergents close in on g from either side: a step within _STEP_TOL of
+    1 bounds what is left. Each element is frozen at its own first such
+    step, so its value does not depend on the rest of the column, and a
+    float gets the same bits.
+    """
+    if isinstance(z, np.ndarray) and z.size < 2:
+        return _one_by_one(_tail_fraction, z, a, index)
+    g, c, e = 1.0, 1.0, math.inf
+    freeze = _Freezer(z)
+    for m in range(_STEPS):
+        # c_(2m+1)/z and c_(2m+2)/z as products of ratios, so that no a² is
+        # formed; at m = 0 with a/a cancelled, which a = 0 leaves undefined
+        odd = (a + m) / (a + 2.0 * m) * ((m + 0.5) / (a + (2.0 * m + 1.0))) if m else 0.5 / (a + 1.0)
+        even = (m + 1.0) / (a + (2.0 * m + 1.0)) * ((a + (m + 0.5)) / (a + (2.0 * m + 2.0)))
+        if index is not None:
+            odd, even = odd[index], even[index]
+        for coef in (z * odd, z * even):
+            # Lentz's c = 1 + c_k/c and d = 1/(1 + c_k d), with e = 1/d taken
+            # as 1 + c_k/e (d = 0, e = inf at the start), and g = g·c/e
+            e = coef / e
+            e += 1.0
+            c = coef / c
+            c += 1.0
+            step = c / e
+            g *= step
+        state = freeze(m, abs(step - 1.0) > _STEP_TOL, g, (z, index, g, c, e))
+        if state is None:
+            break
+        z, index, g, c, e = state
+    return freeze.result(g)
+
+
+def _head_series(u, a, index=None):
+    """S = 2F1(a + 1/2, 1; 3/2; u), with I_u(1/2, a) = 2 u^(1/2) (1 - u)^a S/B(a, 1/2),
+    at u < 3/(2a + 5), for a float u or elementwise over a flat column; ``a``
+    and ``index`` are as for _tail_fraction.
+
+    Its terms t_0 = 1, t_(n+1) = t_n (a + 1/2 + n) u/(3/2 + n) are positive and
+    fall, by a ratio below (a + 1/2)/(a + 5/2) and then towards u; the
+    rounding errors of their sum are summed apart and added back. Each
+    element is frozen at its own first term within _STEP_TOL of the sum.
+    """
+    if isinstance(u, np.ndarray) and u.size < 2:
+        return _one_by_one(_head_series, u, a, index)
+    total, term, lost = 1.0, 1.0, 0.0
+    freeze = _Freezer(u)
+    for n in range(_STEPS):
+        ratio = (a + (n + 0.5)) / (n + 1.5)
+        term *= u * (ratio if index is None else ratio[index])
+        # total >= term, so (total - sum) + term is the sum's rounding error
+        value = total + term
+        error = total - value
+        error += term
+        lost += error
+        total = value
+        value = total + lost
+        state = freeze(n, term > _STEP_TOL * total, value, (u, index, total, term, lost))
+        if state is None:
+            break
+        u, index, total, term, lost = state
+    return freeze.result(value)
+
+
+def _one_by_one(iteration, column, a, index):
+    """``iteration`` over a column of at most one element, run on floats: the
+    same bits at a fraction of the cost of the array operations."""
+    return np.array([iteration(float(v), float(a if index is None else a[index[0]])) for v in column])
+
+
+class _Freezer:
+    """Keeps each element's value from the first step at which it is done,
+    for an iteration over a flat column or a float.
+
+    An element done before goes on iterating with the rest, which costs less
+    than cutting every state array down at every step. Every fourth step,
+    once at most half of the iterated elements are still open, the call
+    returns the state arrays cut down to those, and None when none is open.
+    A float in the state (a parameter shared by all elements) is passed
+    through. For a float, the call returns None at its first done step.
+    """
+
+    def __init__(self, column) -> None:
+        self.column = isinstance(column, np.ndarray)
+        if self.column:
+            self.values = np.empty(column.size)
+            self.index = np.arange(column.size)
+            self.kept = np.empty(column.size)
+            self.open = np.ones(column.size, dtype=bool)
+
+    def __call__(self, step: int, going, current, state):
+        """``going`` marks the elements not done at this step."""
+        if not self.column:
+            return state if going else None
+        np.copyto(self.kept, current, where=self.open)
+        self.open &= going
+        if step % 4 != 3:
+            return state
+        count = np.count_nonzero(self.open)
+        if 2 * count > self.open.size:
+            return state
+        closed = ~self.open
+        self.values[self.index[closed]] = self.kept[closed]
+        if not count:
+            return None
+        keep = self.open
+        self.index, self.kept, self.open = self.index[keep], self.kept[keep], self.open[keep]
+        return [v[keep] if isinstance(v, np.ndarray) else v for v in state]
+
+    def result(self, current):
+        """The kept values; an element still open keeps its current one."""
+        if not self.column:
+            return current
+        self.values[self.index] = self.kept
+        return self.values
+
+
+# Above _FAR, a product split for double-double arithmetic would overflow.
+_FAR = 2.0**995
+# Beyond _NU_NORMAL degrees of freedom the t law is the normal one to
+# double precision (their tails differ by O(1/nu)), and nu is taken as it.
+_NU_NORMAL = 2.0**600
+# Elements of x per block of _t_tail, small enough (64 KiB of float64) that
+# the iterations' temporaries stay in cache.
+_T_BLOCK = 1 << 13
+
+
+@np.errstate(all="ignore")  # rows outside the domain are computed too
+def _t_tail(x, nu) -> tuple[np.ndarray, np.ndarray]:
+    """P(T_nu <= -|x|) and |x| times the t density at x, elementwise over x and
+    nu (a float or a column); NaN where x is NaN or nu is not finite and > 0.
+
+    With w = nu/(nu + x²), u = x²/(nu + x²) and a = nu/2, the tail is
+    I_w(a, 1/2)/2. Its prefactor w^a·u^(1/2)/B(a, 1/2), which is |x| times
+    the density, is a product of powers: w is formed in double-double
+    arithmetic from x² split exactly, so w^a keeps its digits at any a, and
+    1/B(a, 1/2) comes from _beta_factors. Where x² nears overflow, w^a is
+    (sqrt(nu)/x)^nu. Below w = (a + 1)/(a + 5/2) the tail is the prefactor
+    over nu·u·_tail_fraction(w/u); above it, 1/2 minus the tail is the
+    prefactor times _head_series(u), to first order at the u that w's
+    double-double form implies.
+    """
+    x, nu = np.asarray(x, dtype=float), np.asarray(nu, dtype=float)
+    shape = np.broadcast_shapes(x.shape, nu.shape)
+    x = np.abs(np.broadcast_to(x, shape).ravel())
+    valid = x == x
+    x = np.where(valid, x, 0.0)
+    if nu.ndim:
+        nu = np.broadcast_to(nu, shape).ravel()
+        valid &= (nu > 0.0) & (nu < np.inf)
+        nu = np.where(valid, np.minimum(nu, _NU_NORMAL), 1.0)
+    else:
+        valid &= bool(0.0 < nu < np.inf)
+        nu = min(float(nu), _NU_NORMAL) if 0.0 < nu < np.inf else 1.0
+    tail, scale = np.empty(x.size), np.empty(x.size)
+    for start in range(0, x.size, _T_BLOCK):
+        block = slice(start, start + _T_BLOCK)
+        tail[block], scale[block] = _t_tail_block(x[block], nu[block] if np.ndim(nu) else nu)
+    tail[~valid] = scale[~valid] = np.nan
+    return tail.reshape(shape), scale.reshape(shape)
+
+
+def _t_tail_block(x, nu) -> tuple[np.ndarray, np.ndarray]:
+    """_t_tail over a flat block of finite x >= 0, at a finite nu > 0 or a
+    column of them like x."""
+    if np.ndim(nu):
+        distinct, index = np.unique(nu, return_inverse=True)
+        half = 0.5 * distinct
+        factors = np.array([_beta_factors(v) for v in distinct.tolist()])[index]
+        inverse_beta, inverse_nu_beta = factors[:, 0], factors[:, 1]
+    else:
+        half, index = 0.5 * nu, None
+        inverse_beta, inverse_nu_beta = _beta_factors(nu)
+        # np.power at a scalar exponent of 1/2 or 2 takes a shortcut whose
+        # bits differ from those at a column of them
+        nu = np.full(x.size, nu)
+    a = 0.5 * nu
+    sq, sq_err = _two_prod(x, x)
+    s, s_err = _two_sum(nu, sq)
+    # where x² nears overflow, w = nu/x² and u = 1 to double precision
+    far = sq >= _FAR
+    w, u = nu / s, np.where(far, 1.0, sq / s)
+    # w + w_err is nu/(nu + x²) to about 2**-104
+    w_err = np.where(far, 0.0, ((nu - w * s) - _two_prod(w, s)[1] - w * (s_err + sq_err)) / s)
+    # w^a and u^(1/2), each as a sum of a rounded value and its correction;
+    # w^a takes its correction factor exp(shift) whole where w has lost
+    # digits that a magnifies, as where nu is above about 2**53
+    power = np.where(far, np.power(np.sqrt(nu) / x, nu), np.power(w, a))
+    shift = np.where(far, 0.0, a * (w_err / w))
+    whole = np.abs(shift) > 2.0**-26
+    power = np.where(whole, power * np.exp(shift), power)
+    power_lo = np.where(whole, 0.0, power * np.expm1(shift))
+    # u·(1 + u_shift) = 1 - w·(1 + w_err/w), where 1 - w is exact for w >= 1/2
+    u_shift = np.where(u > 0.0, (((1.0 - w) - u) - w_err) / u, 0.0)
+    root_u = np.sqrt(u)
+    root_lo = root_u * (0.5 * u_shift)
+    # w < (a + 1)/(a + 5/2), asked of u, which keeps its digits where w rounds to 1
+    direct = u > 1.5 / (a + 2.5)
+    head = ~direct
+    index_d, index_h, nu_beta_d, beta_h = index, index, inverse_nu_beta, inverse_beta
+    if index is not None:
+        index_d, index_h = index[direct], index[head]
+        nu_beta_d, beta_h = inverse_nu_beta[direct], inverse_beta[head]
+    tail = np.empty(x.size)
+    w_d, u_d = w[direct], u[direct]
+    fraction = _tail_fraction(w_d / u_d, half, index_d)
+    tail[direct] = (power + power_lo)[direct] * (nu_beta_d / (root_u + root_lo)[direct]) / fraction
+    # 1/2 minus the tail is w^a·u^(1/2)·S/B, S at u·(1 + u_shift) to first
+    # order, as u·S'(u) = (1/2 - (1/2 - u(a + 1/2))·S)/(1 - u); the product is
+    # formed in double-double so that only its last rounding meets the
+    # cancellation with 1/2
+    u_h, a_h = u[head], a[head]
+    series = _head_series(u_h, half, index_h)
+    series_lo = u_shift[head] * (0.5 - (0.5 - u_h * (a_h + 0.5)) * series) / w[head]
+    product = _dd_mul(_dd_mul((power[head], power_lo[head]), (root_u[head], root_lo[head])),
+                      (series, series_lo))
+    product = _dd_mul(product, (beta_h, 0.0))
+    tail[head] = (0.5 - product[0]) - product[1]
+    scale = (power + power_lo) * (root_u + root_lo) * inverse_beta
+    return tail, scale
+
+
+def _t_cdf(x, nu) -> np.ndarray:
+    """The Student t CDF elementwise over x and nu; NaN where _t_tail is."""
+    tail = _t_tail(x, nu)[0]
+    return np.where(np.asarray(x) > 0.0, 1.0 - tail, tail)
+
+
+# Newton steps on log P(T <= -x) in log x stop for an element at one below
+# _NEWTON_TOL; _NEWTON_STEPS bounds them.
+_NEWTON_TOL = 1e-12
+_NEWTON_STEPS = 100
+
+
+@np.errstate(all="ignore")  # a safeguarded step may propose 0, inf or NaN
+def _t_tail_quantile(p: float, nu) -> np.ndarray:
+    """The x > 0 with P(T_nu <= -x) = p, at p in (0, 1/2), over a column of
+    finite nu > 0.
+
+    Newton's method on log P(T <= -x) in log x, whose slope is minus |x|
+    times the density over the tail, starts from the smaller of a
+    Cornish-Fisher estimate and the tail's power law. A step that leaves
+    the bracket the tails so far have set bisects it in log x instead.
+    Each element is frozen after its own first step below _NEWTON_TOL.
+    """
+    nu = np.asarray(nu, dtype=float).ravel()
+    log_p = math.log(p)
+    # normal quantile to 4.5e-4 (Abramowitz & Stegun 26.2.23), then
+    # Cornish-Fisher to order 1/nu^2 (A&S 26.7.5)
+    s = math.sqrt(-2.0 * log_p)
+    z = s - (2.515517 + s * (0.802853 + s * 0.010328)) / (
+        1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308))
+    )
+    g1 = (z**3 + z) / 4.0
+    g2 = (5.0 * z**5 + 16.0 * z**3 + 3.0 * z) / 96.0
+    expansion = z + g1 / nu + g2 / (nu * nu)
+    # P(T <= -x) ~ (nu/x²)^(nu/2)/(nu B(nu/2, 1/2)) as x grows
+    inverse_nu_beta = np.array([_beta_factors(v)[1] for v in nu.tolist()])
+    power_law = np.exp((0.5 * nu * np.log(nu) + np.log(inverse_nu_beta) - log_p) / nu)
+    x = np.minimum(expansion, power_law)
+    lo, hi = np.zeros_like(nu), np.full_like(nu, np.inf)
+    freeze = _Freezer(nu)
+    for n in range(_NEWTON_STEPS):
+        tail, scale = _t_tail(x, nu)
+        above = tail > p
+        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+        step = np.log(tail / p) * tail / scale
+        guess = x + x * np.expm1(step)
+        done = np.abs(step) <= _NEWTON_TOL
+        inside = done | ((guess > lo) & (guess < hi))
+        bisect = np.where(hi < np.inf, np.sqrt(lo * hi), 16.0 * x)
+        x = np.where(inside, guess, np.where(lo > 0.0, bisect, x / 16.0))
+        state = freeze(n, ~done, x, (nu, x, lo, hi))
+        if state is None:
+            break
+        nu, x, lo, hi = state
+    return freeze.result(x)
+
+
 def t_cdf(x: float, nu: float) -> float:
     """Student t CDF with ``nu`` degrees of freedom at ``x``."""
     x = _check_finite(x, "x")
     nu = _check_df(nu)
-    return float(_special().stdtr(nu, x))
+    return float(_t_cdf(x, nu))
 
 
 def t_density(x: float, nu: float) -> float:
     """Student t density with ``nu`` degrees of freedom at ``x``."""
     x = _check_finite(x, "x")
     nu = _check_df(nu)
-    log_pdf = (
-        _special().gammaln((nu + 1.0) / 2.0)
-        - _special().gammaln(nu / 2.0)
-        - 0.5 * math.log(nu * math.pi)
-        - ((nu + 1.0) / 2.0) * math.log1p(x * x / nu)
-    )
-    return float(math.exp(log_pdf))
+    return _beta_factors(nu)[0] / math.sqrt(nu) * math.exp(-0.5 * (nu + 1.0) * math.log1p(x * x / nu))
 
 
 def t_quantile(p: float, nu: float) -> float:
@@ -125,19 +455,23 @@ def t_quantile(p: float, nu: float) -> float:
     nu = _check_df(nu)
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile level must lie strictly in (0, 1), got {p!r}")
-    return float(_special().stdtrit(nu, p))
+    if p == 0.5:
+        return 0.0
+    # 1 - p is exact for p > 1/2
+    x = float(_t_tail_quantile(min(p, 1.0 - p), nu)[0])
+    return -x if p < 0.5 else x
 
 
 @lru_cache(maxsize=4096)
 def _critical(alpha: float, df: float) -> float:
-    """Two-sided critical value T⁻¹_df(1 − alpha/2) of a level-alpha t test."""
-    return t_quantile(1.0 - alpha / 2.0, df)
+    """Two-sided critical value of a level-alpha t test: the x with T_df(-x) = alpha/2."""
+    return float(_t_tail_quantile(alpha / 2.0, df)[0])
 
 
 def _critical_values(alpha: float, df) -> np.ndarray:
-    """_critical over an array of df, one lookup per distinct df."""
+    """_critical over an array of df, one solve over the distinct df."""
     distinct, inverse = np.unique(df, return_inverse=True)
-    return np.array([_critical(alpha, d) for d in distinct.tolist()])[inverse]
+    return _t_tail_quantile(alpha / 2.0, distinct)[inverse]
 
 
 def _chi2_log_pdf(v: float, nu: float) -> float:
@@ -197,22 +531,6 @@ _RULE_STEP = 0.5
 _RULE_LOG_MAX = 354.0
 _RULE_BLOCK = 1 << 15
 _RULE_NODES = 1 << 22
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-# Coefficients of Stirling's series for log Gamma, in powers of 1/x^2.
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
-
-
-def _stirling_remainder(x: float) -> float:
-    """log Gamma(x) - (x - 1/2) log x + x - log(2 pi)/2, free of cancellation."""
-    if x < 10.0:
-        return float(_special().gammaln(x)) - (x - 0.5) * math.log(x) + x - _HALF_LOG_2PI
-    inv_sq = 1.0 / (x * x)
-    acc = 0.0
-    for c in reversed(_STIRLING):
-        acc = acc * inv_sq + c
-    return acc / x
-
 
 @lru_cache(maxsize=64)
 def _f_rule(d1: float, d2: float, level: int):

@@ -20,8 +20,8 @@ from .distributions import (
     _check_nu0,
     _critical,
     _critical_values,
-    _special,
     _stationary_roots,
+    _t_cdf,
     f_expectation,
     find_positive_root,
     t_cdf,
@@ -126,7 +126,7 @@ def p_rep_curve(q: ReplicationQuery, b_values) -> np.ndarray:
         raise DomainError("all b values must be > 0")
     t_crit = _critical(q.alpha, q.df_r)
     arg = _kernel_argument(abs(q.stat.t), bs, q.stat.n, q.n_r, t_crit, q.c)
-    return np.clip(_special().stdtr(q.df_r, arg), 0.0, 1.0)
+    return np.clip(_t_cdf(arg, q.df_r), 0.0, 1.0)
 
 
 def p_rep_bound(q: ReplicationQuery, bound: float) -> float:
@@ -158,11 +158,10 @@ def p_rep_integral(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
     n_r = q.n_r
     df_r = q.df_r
     t_crit = _critical(q.alpha, df_r)
-    stdtr = _special().stdtr
 
     @np.errstate(over="ignore")  # b * b_hat may overflow to its limit inf
     def kernel(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return stdtr(df_r, _kernel_argument(t_abs, b * b_hat, n, n_r, t_crit, q.c * c))
+        return _t_cdf(_kernel_argument(t_abs, b * b_hat, n, n_r, t_crit, q.c * c), df_r)
 
     value = f_expectation(kernel, (q.stat.df, nu0), (q.stat.df, df_r))
     return min(1.0, max(0.0, value))
@@ -182,7 +181,7 @@ def _p_rep_closed(t, n, b_hat, nu0, alpha: float, n_r, df_r) -> np.ndarray:
     t, n, b_hat, nu0, n_r = (np.asarray(x, dtype=float) for x in (t, n, b_hat, nu0, n_r))
     arg = _closed_argument(t, n, b_hat, nu0, _critical_values(alpha, df_r), n_r)
     valid = (nu0 > 2.0) & (nu0 < np.inf) & (b_hat > 0.0) & (b_hat < np.inf) & np.isfinite(arg)
-    return np.where(valid, np.clip(_special().stdtr(df_r, arg), 0.0, 1.0), np.nan)
+    return np.where(valid, np.clip(_t_cdf(arg, df_r), 0.0, 1.0), np.nan)
 
 
 def p_rep_closed(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
@@ -251,4 +250,5 @@ def killeen_p_rep(effect: float, n: float) -> float:
     bracket = 1.0 - 4.0 / n
     if bracket <= 0.0:
         return 0.5
-    return float(_special().ndtr(abs(effect) / math.sqrt(2.0) * bracket))
+    # Phi(x) = erfc(-x/sqrt(2))/2
+    return 0.5 * math.erfc(-abs(effect) / 2.0 * bracket)

@@ -18,7 +18,7 @@ from .distributions import (
     PROB_FLOOR,
     _check_b_hat,
     _check_nu0,
-    _special,
+    _t_tail,
     clamp_probability,
     f_expectation,
 )
@@ -94,8 +94,7 @@ def _statistic(n, mean, variance) -> tuple[np.ndarray, np.ndarray]:
 
 def _p_point(t, df) -> np.ndarray:
     """p_point over columns of t and df; NaN where p_point raises."""
-    t, df = np.asarray(t, dtype=float), np.asarray(df, dtype=float)
-    return np.clip(2.0 * _special().stdtr(df, -np.abs(t)), PROB_FLOOR, 1.0)
+    return np.clip(2.0 * _t_tail(t, df)[0], PROB_FLOOR, 1.0)
 
 
 def p_point(stat: TestStatistic) -> float:
@@ -118,8 +117,8 @@ def p_sig_given_b(stat: TestStatistic, b: float) -> float:
 @np.errstate(over="ignore")  # b * N may overflow to its limit inf
 def _p_sig_given_b(t, n, df, b) -> np.ndarray:
     """p_sig_given_b over columns of t, N and df at a checked b."""
-    x = -np.abs(t) / np.sqrt(1.0 + np.multiply(b, n))
-    return np.clip(2.0 * _special().stdtr(df, x), PROB_FLOOR, 1.0)
+    x = t / np.sqrt(1.0 + np.multiply(b, n))
+    return np.clip(2.0 * _t_tail(x, df)[0], PROB_FLOOR, 1.0)
 
 
 def p_sig_bound(stat: TestStatistic, bound: float) -> float:
@@ -149,11 +148,10 @@ def p_sig_integral(stat: TestStatistic, b_hat: float, nu0: float) -> float:
     t_abs = abs(stat.t)
     spread = b_hat * stat.n
     nu = stat.df
-    stdtr = _special().stdtr
 
     @np.errstate(over="ignore")  # b * spread may overflow to its limit inf
     def kernel(b: np.ndarray) -> np.ndarray:
-        return 2.0 * stdtr(nu, -t_abs / np.sqrt(1.0 + b * spread))
+        return 2.0 * _t_tail(t_abs / np.sqrt(1.0 + b * spread), nu)[0]
 
     return clamp_probability(f_expectation(kernel, (nu, nu0)))
 
@@ -174,7 +172,7 @@ def t0_statistic(stat: TestStatistic, b_hat: float) -> float:
 def _p_sig_closed(t, n, b_hat, nu0) -> np.ndarray:
     """p_sig_closed over columns of t, N, b_hat and nu0; NaN where p_sig_closed raises."""
     t, n, b_hat, nu0 = (np.asarray(x, dtype=float) for x in (t, n, b_hat, nu0))
-    p = np.clip(2.0 * _special().stdtr(nu0, -np.abs(_t0(t, n, b_hat))), PROB_FLOOR, 1.0)
+    p = np.clip(2.0 * _t_tail(_t0(t, n, b_hat), nu0)[0], PROB_FLOOR, 1.0)
     valid = (nu0 >= 1.0) & (nu0 < np.inf) & (b_hat > 0.0) & (b_hat < np.inf)
     return np.where(valid, p, np.nan)
 

@@ -1124,6 +1124,15 @@ class TestBmax:
         assert 0.0 < z_max <= tau
         assert float(nonflat["b_max"]) == pytest.approx(z_max / 30.0, rel=1e-10)
 
+    def test_critical_value_keeps_the_digits_of_a_small_alpha(self, tmp_path):
+        # T^-1(1 - alpha/2) would lose alpha's low digits to the rounding of
+        # 1 - alpha/2 and print tau 0.743465652441; the 40-digit root of
+        # T_29(-x) = 5e-10 gives 0.743465649567
+        path = write_csv(tmp_path / "bm.csv", SUMMARY_HEADER, [["a", "s1", "30", "1.2", "1", "29"]])
+        code, out, err = run_cli(["bmax", "--alpha", "1e-9", "--input", path])
+        assert (code, err) == (0, "")
+        assert parse(out)[0]["tau"] == "0.743465649567"
+
     def test_extreme_t_gets_finite_cells(self, tmp_path):
         # tau^2 would underflow and overflow here
         path = write_csv(tmp_path / "bm.csv", SUMMARY_HEADER, [
@@ -1479,15 +1488,15 @@ class TestLazyIntegrate:
             assert (proc.stdout, proc.stderr) == ("False False\nFalse False 0\n", "")
 
     def test_integral_variant_imports_quadrature_on_use(self, raw_one_sample):
-        # The integral variant runs on the package's own fixed-node rule, so
-        # scipy.integrate is never loaded; scipy.special is, on first use.
+        # The integral variant runs on the package's own fixed-node rule and
+        # Student t, so neither scipy.integrate nor scipy.special is loaded.
         argv = ["test", "--input", raw_one_sample, "--variant", "integral",
                 "--b", "0.05", "--nu0", "5"]
         proc = self.run_fresh(argv)
         assert proc.stderr == ""
         before, *table, after = proc.stdout.splitlines(keepends=True)
         assert before == "False False\n"
-        assert after == "False True 0\n"
+        assert after == "False False 0\n"
         got = [(r["task"], r["site"], r["t"], r["p_sig"]) for r in parse("".join(table))]
         assert got == [
             ("t0", "s0", "-0.0445207828457", "0.97648888821"),
@@ -1497,3 +1506,36 @@ class TestLazyIntegrate:
             ("t1", "s1", "1.18429813217", "0.442293370237"),
             ("t1", "s2", "1.01452683818", "0.508185641038"),
         ]
+
+    def test_t_commands_never_load_scipy(self, tmp_path):
+        # Every variant of the commands that need only the central t runs
+        # on the package's own Student t. Four sites keep nu0 = 3 above the
+        # closed replication form's floor.
+        path = write_csv(tmp_path / "four.csv", SUMMARY_HEADER, [
+            ["a", "l1", "40", "0.5", "1.0", "39"],
+            ["a", "l2", "40", "0.55", "1.1", "39"],
+            ["a", "l3", "40", "0.3", "0.9", "39"],
+            ["a", "l4", "40", "0.7", "1.0", "39"],
+        ])
+        out = str(tmp_path / "out.csv")
+        b = ["--b", "0.05", "--nu0", "5"]
+        for argv in (
+            ["test", "--variant", "point"],
+            ["test", "--variant", "closed", *b],
+            ["test", "--variant", "bound", "--bound", "0.3"],
+            ["test", "--variant", "integral", *b],
+            ["predict", "--variant", "closed", *b, "--nr", "30"],
+            ["predict", "--variant", "bound", "--bound", "0.3", "--nr", "30"],
+            ["predict", "--variant", "integral", *b, "--nr", "30"],
+            ["bmax"],
+            ["calibrate", "--variant", "closed"],
+            ["calibrate", "--variant", "integral", "--alphas", "0.05"],
+        ):
+            proc = self.run_fresh([*argv, "--input", path, "--output", out])
+            assert (proc.stdout, proc.stderr) == ("False False\nFalse False 0\n", ""), argv
+
+    def test_power_loads_scipy_special(self, tmp_path):
+        # power's noncentral t is scipy's nctdtr.
+        proc = self.run_fresh(["power", "--effect", "0.5", "--n", "30",
+                               "--output", str(tmp_path / "out.csv")])
+        assert (proc.stdout, proc.stderr) == ("False False\nFalse True 0\n", "")
