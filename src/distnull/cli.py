@@ -73,14 +73,17 @@ from .power import (
     required_sample_size,
 )
 from .replication import (
-    ReplicationQuery, _b_max, _p_rep_closed, b_max, p_rep_bound, p_rep_closed,
-    p_rep_integral,
+    ReplicationQuery, _b_max, _p_rep_closed, _p_rep_given_b, _p_rep_integral, b_max,
+    p_rep_bound, p_rep_closed, p_rep_integral,
 )
 from .significance import (
     TestStatistic,
     _p_point,
     _p_sig_closed,
+    _p_sig_given_b,
+    _p_sig_integral,
     _t0,
+    p_point,
     p_sig_bound,
     p_sig_closed,
     p_sig_integral,
@@ -630,17 +633,16 @@ def _estimate(sites: SiteTable, i: int, b_used: float, nu0: float) -> tuple[floa
     return b_used, nu0
 
 
-def _per_site(sites: SiteTable, value: Callable[[int], object]) -> np.ndarray:
-    """value(i) for every site index i, as columns, or the first error a site meets.
-
-    The bound and integral variants run on this pass; a closed-form column
-    holding a NaN, where its scalar function raises, reruns it.
+def _per_site(sites: SiteTable, value: Callable[[int], object], columns: np.ndarray,
+              faulty: np.ndarray) -> None:
+    """Fill the cells of each faulty site index i of ``columns`` with value(i),
+    in site order. A column kernel is NaN exactly where its scalar function
+    raises, so this raises the first faulty site's error, with its task and
+    site.
     """
-    values = []
     with _located(lambda: _where(sites, i)):
-        for i in range(len(sites)):
-            values.append(value(i))
-    return np.array(values, dtype=float).T
+        for i in np.flatnonzero(faulty).tolist():
+            columns[..., i] = value(i)
 
 
 def _fixed(args: argparse.Namespace) -> tuple[list[repeat], list[repeat]]:
@@ -662,15 +664,24 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     b_used, nu0 = _variance_columns(lookup, sites, args.scale_e)
 
     def site_p_sig(i: int) -> float:
+        stat = sites.statistic(i)
+        if args.variant == "point":
+            return p_point(stat)
         if args.variant == "bound":
-            return p_sig_bound(sites.statistic(i), args.bound)
+            return p_sig_bound(stat, args.bound)
         p_sig = p_sig_closed if args.variant == "closed" else p_sig_integral
-        return p_sig(sites.statistic(i), *_estimate(sites, i, b_used[i], nu0[i]))
+        return p_sig(stat, *_estimate(sites, i, b_used[i], nu0[i]))
 
     pp = _p_point(t, df)
-    p_sig = pp if args.variant == "point" else _p_sig_closed(t, n, b_used, nu0)
-    if args.variant in ("bound", "integral") or np.isnan(p_sig).any():
-        p_sig = _per_site(sites, site_p_sig)
+    if args.variant == "point":
+        p_sig = pp
+    elif args.variant == "bound":
+        p_sig = _p_sig_given_b(t, n, df, args.bound)
+    elif args.variant == "closed":
+        p_sig = _p_sig_closed(t, n, b_used, nu0)
+    else:
+        p_sig = _p_sig_integral(t, n, df, b_used, nu0)
+    _per_site(sites, site_p_sig, p_sig, np.isnan(p_sig))
     negative = t < 0
     significant = p_sig <= args.alpha
     if args.direction is not None:
@@ -738,13 +749,16 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
             forecast = p_rep(query, *_estimate(sites, i, b_used[i], nu0[i]))
         return forecast, *_site_bmax(stat, args.alpha)
 
-    columns = None
-    if args.variant == "closed":
+    if args.variant == "bound":
+        forecasts = _p_rep_given_b(t, n, args.bound, args.alpha, n_r, df_r)
+    elif args.variant == "closed":
         forecasts = _p_rep_closed(t, n, b_used, nu0, args.alpha, n_r, df_r)
-        columns = np.array([forecasts, *_b_max(t, n, df, args.alpha)])
+    else:
+        forecasts = _p_rep_integral(t, n, df, b_used, nu0, args.alpha, n_r, df_r)
+    columns = np.array([forecasts, *_b_max(t, n, df, args.alpha)])
     # t = 0 leaves a site's b_max cells undefined, not faulty
-    if columns is None or np.isnan(columns[0]).any() or np.isnan(columns[1:, t != 0]).any():
-        columns = _per_site(sites, site_values)
+    faulty = np.isnan(columns[0]) | (np.isnan(columns[1:]).any(axis=0) & (t != 0))
+    _per_site(sites, site_values, columns, faulty)
     fixed, scale = _fixed(args)
     out = [
         _task_names(sites), sites.site_ids, *map(_reals, (n, df, t, n_r, df_r)), *fixed,
@@ -882,8 +896,8 @@ def cmd_bmax(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     header = ["task", "site", "n", "df", "t", "effect", "alpha", "tau", "z_max", "b_max"]
     t = sites.t
     diagnostics = np.array(_b_max(t, sites.n, sites.df, args.alpha))
-    if np.isnan(diagnostics[:, t != 0]).any():
-        diagnostics = _per_site(sites, lambda i: _site_bmax(sites.statistic(i), args.alpha))
+    _per_site(sites, lambda i: _site_bmax(sites.statistic(i), args.alpha), diagnostics,
+              np.isnan(diagnostics).any(axis=0) & (t != 0))
     columns = [
         _task_names(sites), sites.site_ids, *map(_reals, (sites.n, sites.df, t, sites.effect)),
         repeat(_real(args.alpha)), *map(_reals, diagnostics),

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DegenerateVarianceError,
+    DistnullError,
     DomainError,
     NumericError,
 )
@@ -320,7 +321,10 @@ def _t_tail(x, nu) -> tuple[np.ndarray, np.ndarray]:
 
 def _t_tail_block(x, nu) -> tuple[np.ndarray, np.ndarray]:
     """_t_tail over a flat block of finite x >= 0, at a finite nu > 0 or a
-    column of them like x."""
+    column of them like x. A column of one distinct nu, and a branch no
+    element takes, cost nothing extra."""
+    if np.ndim(nu) and nu.min() == nu.max():
+        nu = float(nu[0])
     if np.ndim(nu):
         distinct, index = np.unique(nu, return_inverse=True)
         half = 0.5 * distinct
@@ -335,16 +339,20 @@ def _t_tail_block(x, nu) -> tuple[np.ndarray, np.ndarray]:
     a = 0.5 * nu
     sq, sq_err = _two_prod(x, x)
     s, s_err = _two_sum(nu, sq)
-    # where x² nears overflow, w = nu/x² and u = 1 to double precision
-    far = sq >= _FAR
-    w, u = nu / s, np.where(far, 1.0, sq / s)
+    w, u = nu / s, sq / s
     # w + w_err is nu/(nu + x²) to about 2**-104
-    w_err = np.where(far, 0.0, ((nu - w * s) - _two_prod(w, s)[1] - w * (s_err + sq_err)) / s)
+    w_err = ((nu - w * s) - _two_prod(w, s)[1] - w * (s_err + sq_err)) / s
     # w^a and u^(1/2), each as a sum of a rounded value and its correction;
     # w^a takes its correction factor exp(shift) whole where w has lost
     # digits that a magnifies, as where nu is above about 2**53
-    power = np.where(far, np.power(np.sqrt(nu) / x, nu), np.power(w, a))
-    shift = np.where(far, 0.0, a * (w_err / w))
+    power = np.power(w, a)
+    shift = a * (w_err / w)
+    # where x² nears overflow, w = nu/x², u = 1 and w^a = (sqrt(nu)/x)^nu to
+    # double precision
+    far = sq >= _FAR
+    if far.any():
+        u[far], w_err[far], shift[far] = 1.0, 0.0, 0.0
+        power[far] = np.power(np.sqrt(nu[far]) / x[far], nu[far])
     whole = np.abs(shift) > 2.0**-26
     power = np.where(whole, power * np.exp(shift), power)
     power_lo = np.where(whole, 0.0, power * np.expm1(shift))
@@ -354,26 +362,29 @@ def _t_tail_block(x, nu) -> tuple[np.ndarray, np.ndarray]:
     root_lo = root_u * (0.5 * u_shift)
     # w < (a + 1)/(a + 5/2), asked of u, which keeps its digits where w rounds to 1
     direct = u > 1.5 / (a + 2.5)
-    head = ~direct
-    index_d, index_h, nu_beta_d, beta_h = index, index, inverse_nu_beta, inverse_beta
-    if index is not None:
-        index_d, index_h = index[direct], index[head]
-        nu_beta_d, beta_h = inverse_nu_beta[direct], inverse_beta[head]
     tail = np.empty(x.size)
-    w_d, u_d = w[direct], u[direct]
-    fraction = _tail_fraction(w_d / u_d, half, index_d)
-    tail[direct] = (power + power_lo)[direct] * (nu_beta_d / (root_u + root_lo)[direct]) / fraction
-    # 1/2 minus the tail is w^a·u^(1/2)·S/B, S at u·(1 + u_shift) to first
-    # order, as u·S'(u) = (1/2 - (1/2 - u(a + 1/2))·S)/(1 - u); the product is
-    # formed in double-double so that only its last rounding meets the
-    # cancellation with 1/2
-    u_h, a_h = u[head], a[head]
-    series = _head_series(u_h, half, index_h)
-    series_lo = u_shift[head] * (0.5 - (0.5 - u_h * (a_h + 0.5)) * series) / w[head]
-    product = _dd_mul(_dd_mul((power[head], power_lo[head]), (root_u[head], root_lo[head])),
-                      (series, series_lo))
-    product = _dd_mul(product, (beta_h, 0.0))
-    tail[head] = (0.5 - product[0]) - product[1]
+    if direct.any():
+        index_d, nu_beta_d = index, inverse_nu_beta
+        if index is not None:
+            index_d, nu_beta_d = index[direct], inverse_nu_beta[direct]
+        fraction = _tail_fraction(w[direct] / u[direct], half, index_d)
+        tail[direct] = (power + power_lo)[direct] * (nu_beta_d / (root_u + root_lo)[direct]) / fraction
+    head = ~direct
+    if head.any():
+        # 1/2 minus the tail is w^a·u^(1/2)·S/B, S at u·(1 + u_shift) to first
+        # order, as u·S'(u) = (1/2 - (1/2 - u(a + 1/2))·S)/(1 - u); the product
+        # is formed in double-double so that only its last rounding meets the
+        # cancellation with 1/2
+        index_h, beta_h = index, inverse_beta
+        if index is not None:
+            index_h, beta_h = index[head], inverse_beta[head]
+        u_h, a_h = u[head], a[head]
+        series = _head_series(u_h, half, index_h)
+        series_lo = u_shift[head] * (0.5 - (0.5 - u_h * (a_h + 0.5)) * series) / w[head]
+        product = _dd_mul(_dd_mul((power[head], power_lo[head]), (root_u[head], root_lo[head])),
+                          (series, series_lo))
+        product = _dd_mul(product, (beta_h, 0.0))
+        tail[head] = (0.5 - product[0]) - product[1]
     scale = (power + power_lo) * (root_u + root_lo) * inverse_beta
     return tail, scale
 
@@ -523,14 +534,18 @@ def noncentral_t_cdf(x: float, nu: float, theta: float) -> float:
 # The fixed-node rule of f_expectation: the relative tolerance it certifies,
 # the step halvings allowed per axis, its coarsest step in z = log(b)/sigma,
 # the cap on |log b| that keeps b, 1/b and their squares finite, the
-# number of kernel values evaluated at once (256 KiB of float64), and the
-# most nodes one axis's rule may hold (32 MiB of float64).
+# number of kernel values summed as one block (256 KiB of float64), the
+# most kernel values evaluated at once, over all the expectations the rule
+# runs in lockstep (2 MiB of float64), and the most nodes one axis's rule
+# may hold (32 MiB of float64).
 RULE_RTOL = 1e-10
 RULE_LEVELS = 10
 _RULE_STEP = 0.5
 _RULE_LOG_MAX = 354.0
 _RULE_BLOCK = 1 << 15
+_RULE_ROUND = 1 << 18
 _RULE_NODES = 1 << 22
+
 
 @lru_cache(maxsize=64)
 def _f_rule(d1: float, d2: float, level: int):
@@ -547,7 +562,9 @@ def _f_rule(d1: float, d2: float, level: int):
     the mass beyond the range's ends, which lie within one coarsest step
     of the outermost nodes, by the linear tail bounds of the log density.
     Raises NumericError where the rule cannot represent F(d1, d2): s rounds
-    to 0 or 1, a bound is not finite, or the grid exceeds _RULE_NODES.
+    to 0 or 1, a bound is not finite, the grid exceeds _RULE_NODES, or a
+    weight is not finite, as where 1 - s rounds to 1 and the first log1p
+    meets -1.
     """
     try:
         sigma = math.sqrt(2.0 / d1 + 2.0 / d2)
@@ -574,9 +591,12 @@ def _f_rule(d1: float, d2: float, level: int):
         raise NumericError(f"the quadrature rule cannot represent F({d1!r}, {d2!r})")
     h = _RULE_STEP / 2**level
     y = sigma * h * np.arange(k_lo << level, (k_hi << level) + 1)
-    weights = h * sigma * np.exp(
-        log_mode - a * np.log1p((1.0 - s) * np.expm1(-y)) - c * np.log1p(s * np.expm1(y))
-    )
+    with np.errstate(all="ignore"):
+        weights = h * sigma * np.exp(
+            log_mode - a * np.log1p((1.0 - s) * np.expm1(-y)) - c * np.log1p(s * np.expm1(y))
+        )
+    if not np.isfinite(weights).all():
+        raise NumericError(f"the quadrature rule cannot represent F({d1!r}, {d2!r})")
     return np.exp(y), weights, -k_lo, outside
 
 
@@ -608,53 +628,44 @@ def _f_grid(dfs: tuple[float, float], span, level: int):
     return nodes[window], weights[window]
 
 
-def _weighted_sum(kernel, grids) -> float:
-    """Sum of kernel values times weights over the tensor grid, in row blocks."""
-    (first, first_weights), *rest = grids
-    rows = max(1, _RULE_BLOCK // max(1, math.prod(len(nodes) for nodes, _ in rest)))
-    total = 0.0
-    for start in range(0, len(first), rows):
-        block = slice(start, start + rows)
-        values = kernel(*np.ix_(first[block], *(nodes for nodes, _ in rest)))
-        for _, weights in reversed(rest):
-            values = values @ weights
-        total += float(values @ first_weights[block])
-    return total
+def _carried(values, old, new):
+    """The level-0 kernel values held for the spans ``old``, placed in a grid
+    over the spans ``new``, which contain them (a cut only widens as the
+    scale falls), and the mask of the places they fill."""
+    shape = tuple(hi - lo + 1 for lo, hi, _ in new)
+    known, mask = np.empty(shape), np.zeros(shape, dtype=bool)
+    if values is not None:
+        inside = tuple(slice(held_lo - lo, held_hi - lo + 1)
+                       for (held_lo, held_hi, _), (lo, _, _) in zip(old, new))
+        known[inside] = values
+        mask[inside] = True
+    return known, mask
 
 
-def f_expectation(kernel: Callable[..., np.ndarray], *dfs: tuple[float, float]) -> float:
-    """E[kernel(b_1, ..., b_k)] for independent b_i ~ F(d1_i, d2_i); dfs holds the (d1_i, d2_i).
+def _rule(dfs):
+    """The rule of f_expectation for one expectation, as a generator.
 
-    ``kernel`` takes one broadcastable node array per axis and returns
-    values in [0, 1]. The rule is the trapezoid rule in z_i = log(b_i)/sigma_i
-    (Trefethen & Weideman 2014), which converges geometrically because the
-    F law is smooth and log-concave in log b. Each z-range is cut where the
-    weight mass left outside, which bounds the dropped terms because the
-    kernel is at most 1, is below RULE_RTOL/64 of the value. Then one axis
-    at a time has its step halved, reusing the nodes it had, until the
-    change in the value is below that axis's share of RULE_RTOL/2 of the
-    value. The result is certified to RULE_RTOL relative (absolute below
-    PROB_FLOOR). NumericError, with the best estimate and its error bound,
-    is raised when an axis would need more than RULE_LEVELS halvings (as
-    soon as its change, shrinking per halving as it last did, would still
-    miss its share there), or when the F mass outside the nodes exceeds
-    the value's tolerance: the mass beyond |log b| = 354, below 1e-76 and,
-    for d2 >= 5, below 1e-300, plus for every (d1, d2) the mass where the
-    weights underflow, up to about 1e-320 per axis, so a value near 0 can
-    fail at any d2.
+    It yields each tensor grid whose weighted kernel sum it needs, as
+    (grids, known, mask): ``grids`` holds each axis's (nodes, weights). A
+    level-0 grid comes with the kernel values it already has, in ``known``
+    where ``mask`` is set, and is sent back its sum and all its values; a
+    refinement's comes with None for both and is sent back its sum. The
+    generator returns the certified value, or raises the rule's errors.
     """
     dfs = [(_check_df(d1, "d1"), _check_df(d2, "d2")) for d1, d2 in dfs]
     k = len(dfs)
-    scale, spans = 1.0, None
+    scale, spans, level_0 = 1.0, None, None
     while True:
-        # cut the z-ranges for values near scale; start over if a cut moves
+        # cut the z-ranges for values near scale; start over if a cut moves,
+        # keeping the level-0 values the new cut shares with the old
         wanted = [_f_span(d1, d2, RULE_RTOL * scale / (64 * k)) for d1, d2 in dfs]
         if wanted != spans:
+            known, mask = _carried(level_0, spans, wanted)
             spans = wanted
             truncation = sum(span[2] for span in spans)
             grids = [_f_grid(d, span, 0) for d, span in zip(dfs, spans)]
             levels, changes, shrinks = [0] * k, [math.inf] * k, [0.0] * k
-            value = _weighted_sum(kernel, grids)
+            value, level_0 = yield grids, known, mask
         if scale > PROB_FLOOR and value < 0.5 * scale:
             scale = max(value, PROB_FLOOR)
             continue
@@ -677,7 +688,7 @@ def f_expectation(kernel: Callable[..., np.ndarray], *dfs: tuple[float, float]) 
         added = list(grids)
         added[axis] = (finer[0][1::2], finer[1][1::2])
         previous = value
-        value = 0.5 * previous + _weighted_sum(kernel, added)
+        value = 0.5 * previous + (yield added, None, None)[0]
         grids[axis] = finer
         shrinks[axis] = min(1.0, abs(value - previous) / changes[axis])
         changes[axis] = abs(value - previous)
@@ -689,6 +700,134 @@ def f_expectation(kernel: Callable[..., np.ndarray], *dfs: tuple[float, float]) 
             error_bound=error,
         )
     return value
+
+
+def _grid_sums(kernel, requests) -> list[tuple[float, np.ndarray | None]]:
+    """Each (row, (grids, known, mask)) request's weighted kernel sum and, for
+    one with a mask, its grid's kernel values.
+
+    A grid is cut into blocks of whole rows of its first axis, about
+    _RULE_BLOCK values each, and a block's sum is its values times the
+    other axes' weights, last axis first, times the first axis's: the same
+    floats in the same order whatever else is evaluated. The kernel runs
+    once over the values not known of as many blocks, of any requests, as
+    _RULE_ROUND values hold, and each block is summed from a fresh copy.
+    """
+    blocks = []
+    for slot, (_, (grids, _, mask)) in enumerate(requests):
+        first = len(grids[0][0])
+        inner = math.prod(len(nodes) for nodes, _ in grids[1:])
+        rows = max(1, _RULE_BLOCK // max(1, inner))
+        for start in range(0, first, rows):
+            cut = slice(start, start + rows)
+            todo = None if mask is None else np.flatnonzero(~mask[cut])
+            size = (min(first, start + rows) - start) * inner if todo is None else todo.size
+            blocks.append((slot, cut, todo, size))
+    totals = [0.0] * len(requests)
+    values = [[] for _ in requests]
+    start = 0
+    while start < len(blocks):
+        stop, size = start + 1, blocks[start][3]
+        while stop < len(blocks) and size + blocks[stop][3] <= _RULE_ROUND:
+            size += blocks[stop][3]
+            stop += 1
+        group = blocks[start:stop]
+        nodes = []
+        for slot, cut, todo, _ in group:
+            grids = requests[slot][1][0]
+            axes = np.ix_(grids[0][0][cut], *(nodes for nodes, _ in grids[1:]))
+            shape = np.broadcast_shapes(*(a.shape for a in axes))
+            axes = [np.broadcast_to(a, shape).ravel() for a in axes]
+            nodes.append(axes if todo is None else [a[todo] for a in axes])
+        rows = np.repeat([requests[slot][0] for slot, _, _, _ in group], [b[3] for b in group])
+        out = kernel(rows, *map(np.concatenate, zip(*nodes)))
+        offset = 0
+        for slot, cut, todo, size in group:
+            grids, known, _ = requests[slot][1]
+            new = out[offset:offset + size]
+            offset += size
+            if todo is None:
+                shape = (len(grids[0][0][cut]), *(len(nodes) for nodes, _ in grids[1:]))
+                block = new.reshape(shape).copy()
+            else:
+                block = known[cut].copy()
+                block.reshape(-1)[todo] = new
+                values[slot].append(block)
+            for _, weights in reversed(grids[1:]):
+                block = block @ weights
+            totals[slot] += float(block @ grids[0][1][cut])
+        start = stop
+    return [(total, np.concatenate(held) if held else None)
+            for total, held in zip(totals, values)]
+
+
+def _f_expectations(kernel, dfs) -> tuple[np.ndarray, dict[int, DistnullError]]:
+    """f_expectation for many rows at once: row i's expectation is over the
+    F laws ``dfs[i]``, of ``kernel(rows, *nodes)``, which gives the kernel
+    values of the rows ``rows`` at the nodes ``nodes``, flat and alike.
+
+    The rows run the rule in lockstep: each round gathers the grids every
+    open row needs, evaluates the kernel over them together, and advances
+    each row. Rows join while a round holds under _RULE_ROUND values, so a
+    round's values stay bounded. Returns the values, NaN where the rule
+    raises, and the error of each such row.
+    """
+    values = np.full(len(dfs), np.nan)
+    faults: dict[int, DistnullError] = {}
+    active: dict[int, tuple] = {}
+
+    def advance(row, rule, reply):
+        try:
+            active[row] = rule, rule.send(reply)
+        except StopIteration as stop:
+            values[row] = stop.value
+            active.pop(row, None)
+        except DistnullError as exc:
+            faults[row] = exc
+            active.pop(row, None)
+
+    joined = 0
+    while True:
+        size = sum(math.prod(len(nodes) for nodes, _ in grids)
+                   for _, (grids, _, _) in active.values())
+        while joined < len(dfs) and size < _RULE_ROUND:
+            advance(joined, _rule(dfs[joined]), None)
+            if joined in active:
+                size += math.prod(len(nodes) for nodes, _ in active[joined][1][0])
+            joined += 1
+        if not active:
+            return values, faults
+        rows = list(active.items())
+        sums = _grid_sums(kernel, [(row, request) for row, (_, request) in rows])
+        for (row, (rule, _)), reply in zip(rows, sums):
+            advance(row, rule, reply)
+
+
+def f_expectation(kernel: Callable[..., np.ndarray], *dfs: tuple[float, float]) -> float:
+    """E[kernel(b_1, ..., b_k)] for independent b_i ~ F(d1_i, d2_i); dfs holds the (d1_i, d2_i).
+
+    ``kernel`` takes one broadcastable node array per axis and returns
+    values in [0, 1]. The rule is the trapezoid rule in z_i = log(b_i)/sigma_i
+    (Trefethen & Weideman 2014), which converges geometrically because the
+    F law is smooth and log-concave in log b. Each z-range is cut where the
+    weight mass left outside, which bounds the dropped terms because the
+    kernel is at most 1, is below RULE_RTOL/64 of the value. Then one axis
+    at a time has its step halved, reusing the nodes it had, until the
+    change in the value is below that axis's share of RULE_RTOL/2 of the
+    value. The result is certified to RULE_RTOL relative (absolute below
+    PROB_FLOOR). NumericError, with the best estimate and its error bound,
+    is raised when an axis would need more than RULE_LEVELS halvings (as
+    soon as its change, shrinking per halving as it last did, would still
+    miss its share there), or when the F mass outside the nodes exceeds
+    the value's tolerance: the mass beyond |log b| = 354, below 1e-76 and,
+    for d2 >= 5, below 1e-300, plus for every (d1, d2) the mass where the
+    weights underflow, up to about 1e-320 per axis, so a value near 0 can
+    fail at any d2. This is one row of _f_expectations.
+    """
+    values, faults = _f_expectations(lambda rows, *nodes: kernel(*nodes), [dfs])
+    if faults:
+        raise faults[0]
+    return float(values[0])
 
 
 def integrate(f: Callable[[float], float], lower: float, upper: float) -> float:

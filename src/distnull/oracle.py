@@ -29,9 +29,11 @@ from .estimators import (
 )
 from .adapters import statistic_from_summary
 from .significance import (
-    _p_point, _p_sig_closed, _p_sig_given_b, p_sig_closed, p_sig_integral,
+    _p_point, _p_sig_closed, _p_sig_given_b, _p_sig_integral, p_sig_closed, p_sig_integral,
 )
-from .replication import ReplicationQuery, _p_rep_closed, p_rep_closed, p_rep_integral
+from .replication import (
+    ReplicationQuery, _p_rep_closed, _p_rep_integral, p_rep_closed, p_rep_integral,
+)
 
 __all__ = [
     "SimConfig",
@@ -409,12 +411,11 @@ def task_pair_records(
     t, n, df = table.t, table.n, table.df
     closed = variant == "closed"
     p_sig, p_rep = (p_sig_closed, p_rep_closed) if closed else (p_sig_integral, p_rep_integral)
-    # The scalar forms fill a column holding a NaN: a row the closed kernel
-    # rejects, whose error they raise, or every row of the integral forms.
-    p_sigs = _p_sig_closed(t, n, b_hats, nu0) if closed else np.full(len(table), np.nan)
-    if np.isnan(p_sigs).any():
-        p_sigs = np.array([p_sig(table.statistic(a), b_hats[a], nu0[a])
-                           for a in range(len(table))])
+    # A column kernel is NaN exactly where its scalar form raises, and the
+    # scalar form reruns such a row to raise its error.
+    p_sigs = _p_sig_closed(t, n, b_hats, nu0) if closed else _p_sig_integral(t, n, df, b_hats, nu0)
+    for a in np.flatnonzero(np.isnan(p_sigs)).tolist():
+        p_sigs[a] = p_sig(table.statistic(a), b_hats[a], nu0[a])
 
     predictor, target = _pairs(table)
     # A forecast depends on the target only through its (N_r, df_r), so it
@@ -427,15 +428,17 @@ def task_pair_records(
     same_sign = (t < 0)[predictor] == (t < 0)[target]
     records = np.empty((len(alphas), predictor.size), dtype=PAIR_DTYPE)
     for rows, alpha in zip(records, alphas):
-        forecasts = np.full(first.size, np.nan)
         if closed:
-            forecasts[order] = _p_rep_closed(t[i], n[i], b_hats[i], nu0[i], alpha, n[j], df[j])
-        if np.isnan(forecasts).any():
-            forecasts[order] = [
-                p_rep(ReplicationQuery(table.statistic(a), float(n[b]), float(df[b]), alpha),
-                      b_hats[a], nu0[a])
-                for a, b in zip(i.tolist(), j.tolist())
-            ]
+            values = _p_rep_closed(t[i], n[i], b_hats[i], nu0[i], alpha, n[j], df[j])
+        else:
+            values = _p_rep_integral(t[i], n[i], df[i], b_hats[i], nu0[i], alpha, n[j], df[j])
+        for key in np.flatnonzero(np.isnan(values)).tolist():
+            a, b = int(i[key]), int(j[key])
+            values[key] = p_rep(
+                ReplicationQuery(table.statistic(a), float(n[b]), float(df[b]), alpha),
+                b_hats[a], nu0[a])
+        forecasts = np.empty(first.size)
+        forecasts[order] = values
         significant = p_sigs <= alpha
         rows["predictor"] = predictor
         rows["target"] = target

@@ -20,9 +20,9 @@ from .distributions import (
     _check_nu0,
     _critical,
     _critical_values,
+    _f_expectations,
     _stationary_roots,
     _t_cdf,
-    f_expectation,
     find_positive_root,
     t_cdf,
 )
@@ -119,6 +119,14 @@ def p_rep_given_b(q: ReplicationQuery, b: float) -> float:
     return min(1.0, max(0.0, t_cdf(float(arg), q.df_r)))
 
 
+def _p_rep_given_b(t, n, b: float, alpha: float, n_r, df_r) -> np.ndarray:
+    """p_rep_given_b over columns of originals and replication designs at a
+    checked b and one alpha, at c = 1; NaN where p_rep_given_b raises, which
+    is where t_cdf rejects a kernel argument that is not finite."""
+    arg = _kernel_argument(np.abs(t), b, n, n_r, _critical_values(alpha, df_r), 1.0)
+    return np.where(np.isfinite(arg), np.clip(_t_cdf(arg, df_r), 0.0, 1.0), np.nan)
+
+
 def p_rep_curve(q: ReplicationQuery, b_values) -> np.ndarray:
     """Vectorized p_rep_given_b over an array of b > 0 (for scans/plots)."""
     bs = np.asarray(b_values, dtype=float)
@@ -141,6 +149,35 @@ def p_rep_bound(q: ReplicationQuery, bound: float) -> float:
     return p_rep_given_b(q, bound)
 
 
+@np.errstate(over="ignore")  # b * b_hat may overflow to its limit inf
+def _rep_rule(t, n, df, b_hat, nu0, t_crit, n_r, df_r, c):
+    """The rule's p_rep_integral values, unclamped, and faults over columns
+    whose b_hat and nu0 are checked, at critical values t_crit."""
+    t_abs = np.abs(t)
+
+    def kernel(rows: np.ndarray, b: np.ndarray, c_node: np.ndarray) -> np.ndarray:
+        arg = _kernel_argument(t_abs[rows], b * b_hat[rows], n[rows], n_r[rows], t_crit[rows],
+                               c[rows] * c_node)
+        return _t_cdf(arg, df_r[rows])
+
+    return _f_expectations(kernel, [
+        ((d, v), (d, r)) for d, v, r in zip(df.tolist(), nu0.tolist(), df_r.tolist())
+    ])
+
+
+def _p_rep_integral(t, n, df, b_hat, nu0, alpha: float, n_r, df_r) -> np.ndarray:
+    """p_rep_integral over columns of originals and replication designs at
+    one alpha and c = 1; NaN where p_rep_integral raises."""
+    t, n, df, b_hat, nu0, n_r, df_r = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (t, n, df, b_hat, nu0, n_r, df_r)))
+    valid = (nu0 >= 1.0) & (nu0 < np.inf) & (b_hat > 0.0) & (b_hat < np.inf)
+    p = np.full(t.shape, np.nan)
+    t, n, df, b_hat, nu0, n_r, df_r = (x[valid] for x in (t, n, df, b_hat, nu0, n_r, df_r))
+    p[valid] = _rep_rule(t, n, df, b_hat, nu0, _critical_values(alpha, df_r), n_r, df_r,
+                         np.ones(df_r.shape))[0]
+    return np.clip(p, 0.0, 1.0)
+
+
 def p_rep_integral(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
     """Replication probability integrated over uncertainty in b and c.
 
@@ -153,18 +190,12 @@ def p_rep_integral(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
     """
     b_hat = _check_b_hat(b_hat)
     nu0 = _check_nu0(nu0)
-    t_abs = abs(q.stat.t)
-    n = q.stat.n
-    n_r = q.n_r
-    df_r = q.df_r
-    t_crit = _critical(q.alpha, df_r)
-
-    @np.errstate(over="ignore")  # b * b_hat may overflow to its limit inf
-    def kernel(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return _t_cdf(_kernel_argument(t_abs, b * b_hat, n, n_r, t_crit, q.c * c), df_r)
-
-    value = f_expectation(kernel, (q.stat.df, nu0), (q.stat.df, df_r))
-    return min(1.0, max(0.0, value))
+    stat = q.stat
+    values, faults = _rep_rule(*(np.array([x]) for x in (
+        stat.t, stat.n, stat.df, b_hat, nu0, _critical(q.alpha, q.df_r), q.n_r, q.df_r, q.c)))
+    if faults:
+        raise faults[0]
+    return min(1.0, max(0.0, float(values[0])))
 
 
 @np.errstate(all="ignore")  # rows outside the domain are computed too

@@ -18,9 +18,9 @@ from .distributions import (
     PROB_FLOOR,
     _check_b_hat,
     _check_nu0,
+    _f_expectations,
     _t_tail,
     clamp_probability,
-    f_expectation,
 )
 from .errors import DomainError
 
@@ -133,6 +133,29 @@ def p_sig_bound(stat: TestStatistic, bound: float) -> float:
     return p_sig_given_b(stat, bound)
 
 
+@np.errstate(over="ignore")  # b_hat * N and b * spread may overflow to their limit inf
+def _sig_rule(t, n, df, b_hat, nu0):
+    """The rule's p_sig_integral values, unclamped, and faults over columns
+    whose b_hat and nu0 are checked."""
+    t_abs, spread = np.abs(t), b_hat * n
+
+    def kernel(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return 2.0 * _t_tail(t_abs[rows] / np.sqrt(1.0 + b * spread[rows]), df[rows])[0]
+
+    return _f_expectations(kernel, [((d, v),) for d, v in zip(df.tolist(), nu0.tolist())])
+
+
+def _p_sig_integral(t, n, df, b_hat, nu0) -> np.ndarray:
+    """p_sig_integral over columns of t, N, df, b_hat and nu0; NaN where
+    p_sig_integral raises."""
+    t, n, df, b_hat, nu0 = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (t, n, df, b_hat, nu0)))
+    valid = (nu0 >= 1.0) & (nu0 < np.inf) & (b_hat > 0.0) & (b_hat < np.inf)
+    p = np.full(t.shape, np.nan)
+    p[valid] = _sig_rule(t[valid], n[valid], df[valid], b_hat[valid], nu0[valid])[0]
+    return np.clip(p, PROB_FLOOR, 1.0)
+
+
 def p_sig_integral(stat: TestStatistic, b_hat: float, nu0: float) -> float:
     """Distributional significance integrated over the uncertainty in b-hat.
 
@@ -145,15 +168,10 @@ def p_sig_integral(stat: TestStatistic, b_hat: float, nu0: float) -> float:
     """
     b_hat = _check_b_hat(b_hat)
     nu0 = _check_nu0(nu0)
-    t_abs = abs(stat.t)
-    spread = b_hat * stat.n
-    nu = stat.df
-
-    @np.errstate(over="ignore")  # b * spread may overflow to its limit inf
-    def kernel(b: np.ndarray) -> np.ndarray:
-        return 2.0 * _t_tail(t_abs / np.sqrt(1.0 + b * spread), nu)[0]
-
-    return clamp_probability(f_expectation(kernel, (nu, nu0)))
+    values, faults = _sig_rule(*(np.array([x]) for x in (stat.t, stat.n, stat.df, b_hat, nu0)))
+    if faults:
+        raise faults[0]
+    return clamp_probability(float(values[0]))
 
 
 @np.errstate(all="ignore")  # b_hat * N may overflow (t0 -> 0) or underflow to 0

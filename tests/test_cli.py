@@ -19,12 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli, write_csv
-from distnull import cli, distributions
+from distnull import cli, distributions, significance
 from distnull.adapters import statistic_from_summary
+from distnull.distributions import RULE_LEVELS
 from distnull.errors import NumericError
 from distnull.estimators import TaskSet, between_variance, variance_ratio
 from distnull.replication import ReplicationQuery, p_rep_bound, p_rep_integral
-from distnull.significance import direction_of, p_sig_integral
+from distnull.significance import direction_of, p_sig_bound, p_sig_integral
 
 SUMMARY_HEADER = ["task", "site", "n", "mean", "variance", "df"]
 
@@ -572,6 +573,15 @@ class TestTest:
             assert row["t0"] == "" and row["b_used"] == "" and row["nu0_used"] == ""
             assert row["p_sig"] == row["p_point"]
 
+    def test_bound_variant_is_p_sig_bound_per_site(self, summary_file):
+        code, out, err = run_cli(
+            ["test", "--input", summary_file, "--variant", "bound", "--bound", "0.5"]
+        )
+        assert (code, err) == (0, "")
+        _, sites = cli.load_sites(summary_file, None)
+        for i, row in enumerate(parse(out)):
+            assert [row["p_sig"]] == cli._probs([p_sig_bound(sites.statistic(i), 0.5)])
+
     def test_bound_variant_populates_bound_column(self, summary_file):
         code, out, _ = run_cli(
             ["test", "--input", summary_file, "--variant", "bound", "--bound", "0.5"]
@@ -809,6 +819,53 @@ class TestPredict:
         )
 
 
+    def test_integral_error_names_the_first_uncertified_site(self, tmp_path):
+        # s2's p_rep is near 0 at nu0 = 1, below the F mass beyond the rule's
+        # nodes, while the sites before and after it are certified
+        path = write_csv(tmp_path / "four.csv", SUMMARY_HEADER, [
+            ["a", "s0", "40", "0.5", "1.0", "39"],
+            ["a", "s1", "35", "0.3", "1.2", "34"],
+            ["a", "s2", "30", "0.6", "1.0", "29"],
+            ["a", "s3", "30", "0.4", "1.0", "29"],
+        ])
+        est = write_csv(tmp_path / "est.csv", ["task", "site", "b_hat", "nu0"], [
+            ["a", "s0", "0.1", "5"], ["a", "s1", "0.1", "5"],
+            ["a", "s2", "1e280", "1"], ["a", "s3", "0.1", "5"],
+        ])
+        code, out, err = run_cli([
+            "predict", "--input", path, "--variant", "integral", "--b-from", est, "--nr", "30",
+        ])
+        assert (code, out) == (5, "")
+        assert err.startswith(
+            "error: task 'a' site 's2': quadrature did not reach requested tolerance"
+        )
+
+    def test_integral_rule_rounds_do_not_grow_with_the_sites(self, tmp_path, monkeypatch):
+        # the sites' rules advance in lockstep, one kernel call a round, so 32
+        # sites of a task make as many t-tail calls as 8 of them
+        calls = []
+        tail = distributions._t_tail
+
+        def counting(x, nu):
+            calls.append(np.size(x))
+            return tail(x, nu)
+
+        monkeypatch.setattr(distributions, "_t_tail", counting)
+        monkeypatch.setattr(significance, "_t_tail", counting)
+        rows = [["a", f"s{i:02d}", "40", repr(0.1 + 0.025 * i), "1.0", "39"] for i in range(32)]
+        counts = []
+        for k in (8, 32):
+            path = write_csv(tmp_path / f"sites{k}.csv", SUMMARY_HEADER, rows[:k])
+            calls.clear()
+            code, _, err = run_cli([
+                "predict", "--input", path, "--variant", "integral", "--b", "0.1",
+                "--nu0", "5", "--nr", "40",
+            ])
+            assert (code, err) == (0, "")
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2 * RULE_LEVELS + 2
+
+
 class TestCalibrate:
     def test_single_site_task_warns_and_skips(self, tmp_path):
         # four sites keep nu0 = 3 above the replication-form floor
@@ -824,15 +881,21 @@ class TestCalibrate:
         assert code == 0
         assert "lonely" in err and "skipped" in err
 
-    def test_zero_between_variance_task_warns_and_skips(self, tmp_path):
-        # task b's means spread less than its noise explains, so the moment
-        # S0^2 clamps to 0 and b carries no forecast
+    @staticmethod
+    def zero_between_variance_tasks() -> tuple[list[list[str]], list[list[str]]]:
+        """Task a, and task b, whose means spread less than its noise
+        explains, so that the moment S0^2 clamps to 0 and b carries no
+        forecast."""
         sites = [("l1", "30", "1.0"), ("l2", "35", "1.2"),
                  ("l3", "40", "1.5"), ("l4", "32", "1.1")]
         a = [["a", site, n, mean, var, str(int(n) - 1)]
              for (site, n, var), mean in zip(sites, ("0.5", "0.2", "0.9", "0.7"))]
         b = [["b", site, n, mean, var, str(int(n) - 1)]
              for (site, n, var), mean in zip(sites, ("0.10", "0.11", "0.12", "0.12"))]
+        return a, b
+
+    def test_zero_between_variance_task_warns_and_skips(self, tmp_path):
+        a, b = self.zero_between_variance_tasks()
 
         def calibrate(name, rows):
             path = write_csv(tmp_path / name, SUMMARY_HEADER, rows)
@@ -845,6 +908,19 @@ class TestCalibrate:
         code, out, err = calibrate("b.csv", b)
         assert (code, out) == (4, "")
         assert "skipped" in err and "nothing to calibrate" in err
+
+    def test_integral_variant_warns_and_skips_a_zero_between_variance_task(self, tmp_path):
+        a, b = self.zero_between_variance_tasks()
+
+        def calibrate(name, rows):
+            path = write_csv(tmp_path / name, SUMMARY_HEADER, rows)
+            return run_cli(["calibrate", "--mode", "moment", "--variant", "integral",
+                            "--alphas", "0.05", "--input", path])
+
+        code, out, err = calibrate("ab.csv", a + b)
+        assert code == 0
+        assert err == "warning: task 'b' has S0^2 = 0; skipped\n"
+        assert (code, out, "") == calibrate("a.csv", a)
 
     def test_integral_variant_bins_direct_forecasts(self, tmp_path):
         # four significant sites and one that is not; 20 pairs in 10 bins

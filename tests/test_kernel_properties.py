@@ -7,10 +7,11 @@ point test at b = 0, the bound form is the known-b form at the cap, and
 t0 = mean / S0. The integral variants have their own properties in
 `test_integral_reference.py`.
 
-The column kernels behind the closed forms are checked against the public
-scalar functions row by row: equal with == where the scalar function
-returns, NaN exactly where it raises. b_max's root is also checked against
-the exact rational root of its quintic.
+The column kernels behind the closed, bound and integral forms are checked
+against the public scalar functions row by row: equal with == where the
+scalar function returns, NaN exactly where it raises; an integral kernel's
+rows also keep their values when the rows are permuted. b_max's root is
+also checked against the exact rational root of its quintic.
 """
 
 from __future__ import annotations
@@ -27,17 +28,20 @@ from distnull.distributions import _stationary_roots, find_positive_root
 from distnull.errors import DistnullError
 from distnull.estimators import BetweenVariance, ExperimentSummary, variance_ratio
 from distnull.replication import (
-    ReplicationQuery, _b_max, _p_rep_closed, b_max, p_rep_closed, p_rep_given_b,
+    ReplicationQuery, _b_max, _p_rep_closed, _p_rep_given_b, _p_rep_integral, b_max,
+    p_rep_closed, p_rep_given_b, p_rep_integral,
 )
 from distnull.significance import (
     TestStatistic,
     _p_point,
     _p_sig_closed,
+    _p_sig_integral,
     _t0,
     p_point,
     p_sig_bound,
     p_sig_closed,
     p_sig_given_b,
+    p_sig_integral,
     t0_statistic,
 )
 
@@ -135,6 +139,9 @@ def test_column_kernels_equal_the_scalar_functions(rows, alpha):
     assert _p_rep_closed(t, n, b, nu0, alpha, n_r, df_r).tolist() == [
         p_rep_closed(q, bh, v) for q, bh, v in zip(queries, b, nu0)
     ]
+    assert _p_rep_given_b(t, n, b, alpha, n_r, df_r).tolist() == [
+        p_rep_given_b(q, bh) for q, bh in zip(queries, b)
+    ]
     columns = np.array(_b_max(t, n, df, alpha)).T.tolist()
     for s, cells in zip(stats, columns):
         if s.t == 0.0:
@@ -168,6 +175,10 @@ def scalar_or_nan(function, *args):
         return math.nan
 
 
+def same(column, values) -> bool:
+    return np.array_equal(column, np.array(values, dtype=float), equal_nan=True)
+
+
 @PROPERTY
 @given(rows=FAULTY_ROWS, alpha=ALPHA)
 def test_column_kernels_are_nan_where_the_scalar_functions_raise(rows, alpha):
@@ -175,10 +186,6 @@ def test_column_kernels_are_nan_where_the_scalar_functions_raise(rows, alpha):
     df, df_r = n - lag, n_r - 1.0
     stats = [TestStatistic.from_t(*row) for row in zip(t, n, df)]
     queries = [ReplicationQuery(s, nr, dr, alpha) for s, nr, dr in zip(stats, n_r, df_r)]
-
-    def same(column, values) -> bool:
-        return np.array_equal(column, np.array(values, dtype=float), equal_nan=True)
-
     assert same(_p_point(t, df), [scalar_or_nan(p_point, s) for s in stats])
     assert same(_p_sig_closed(t, n, b, nu0), [
         scalar_or_nan(p_sig_closed, s, bh, v) for s, bh, v in zip(stats, b, nu0)
@@ -191,6 +198,43 @@ def test_column_kernels_are_nan_where_the_scalar_functions_raise(rows, alpha):
         (math.nan,) * 3 if isinstance(d, float) else (d.tau, d.z_max, d.b_max)
         for d in diagnostics
     ])
+
+
+# Rows of the integral kernels: mixed df, nu0, b_hat, N_r and df_r, with
+# rows the scalar functions reject: b_hat of 0 or inf, nu0 below 1 or inf,
+# and a df or df_r of 1e150, whose F law the rule cannot represent.
+HUGE_DF = st.just(1e150)
+INTEGRAL_ROWS = st.lists(
+    st.tuples(
+        T, N, st.one_of(st.sampled_from([1.0, 2.0]), HUGE_DF),
+        st.one_of(B, st.sampled_from([0.0, math.inf])),
+        st.one_of(st.sampled_from([1.0, 2.5, 5.0]), st.floats(1.0, 60.0),
+                  st.sampled_from([0.5, math.inf])),
+        N_R, st.one_of(st.just(1.0), HUGE_DF),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(rows=INTEGRAL_ROWS, alpha=ALPHA, data=st.data())
+def test_integral_column_kernels_equal_the_scalar_functions(rows, alpha, data):
+    t, n, lag, b, nu0, n_r, lag_r = (np.array(c, dtype=float) for c in zip(*rows))
+    # a lag of 1e150 stands for df = 1e150 itself
+    df = np.where(lag > 2.0, lag, n - lag)
+    df_r = np.where(lag_r > 1.0, lag_r, n_r - lag_r)
+    stats = [TestStatistic.from_t(*row) for row in zip(t, n, df)]
+    queries = [ReplicationQuery(s, nr, dr, alpha) for s, nr, dr in zip(stats, n_r, df_r)]
+    sig = _p_sig_integral(t, n, df, b, nu0)
+    rep = _p_rep_integral(t, n, df, b, nu0, alpha, n_r, df_r)
+    assert same(sig, [scalar_or_nan(p_sig_integral, s, bh, v) for s, bh, v in zip(stats, b, nu0)])
+    assert same(rep, [
+        scalar_or_nan(p_rep_integral, q, bh, v) for q, bh, v in zip(queries, b, nu0)
+    ])
+    order = np.array(data.draw(st.permutations(range(len(rows)))))
+    columns = [c[order] for c in (t, n, df, b, nu0)]
+    assert same(_p_sig_integral(*columns), sig[order])
+    assert same(_p_rep_integral(*columns, alpha, n_r[order], df_r[order]), rep[order])
 
 
 # tau log-uniform over [1e-300, 1e300]
