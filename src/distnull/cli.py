@@ -72,22 +72,8 @@ from .power import (
     power_ceiling,
     required_sample_size,
 )
-from .replication import (
-    ReplicationQuery, _b_max, _p_rep_closed, _p_rep_given_b, _p_rep_integral, b_max,
-    p_rep_bound, p_rep_closed, p_rep_integral,
-)
-from .significance import (
-    TestStatistic,
-    _p_point,
-    _p_sig_closed,
-    _p_sig_given_b,
-    _p_sig_integral,
-    _t0,
-    p_point,
-    p_sig_bound,
-    p_sig_closed,
-    p_sig_integral,
-)
+from .replication import ReplicationQuery, _b_max, _p_rep_column, _p_rep_scalar, b_max
+from .significance import _p_point, _p_sig_column, _p_sig_scalar, _t0
 
 IDENTIFIER = re.compile(r"[A-Za-z0-9_-]+")
 DEFAULT_ALPHAS = "0.1,0.05,0.01,0.005,0.001"
@@ -624,25 +610,23 @@ def _variance_columns(
         return np.array([b_hat * scale_e, nu0])
 
 
-def _estimate(sites: SiteTable, i: int, b_used: float, nu0: float) -> tuple[float, float]:
-    """A site's (b_used, nu0) from its columns, where NaN means --b-from lacks it."""
-    if math.isnan(nu0):
+def _estimate(sites: SiteTable, i: int, b: float, nu0: float) -> tuple[float, float]:
+    """A site's (b, nu0) from its columns, where a NaN b means --b-from lacks it."""
+    if math.isnan(b):
         raise ConfigurationError(
             f"--b-from has no estimate for {_where(sites, i)}"
         )
-    return b_used, nu0
+    return b, nu0
 
 
-def _per_site(sites: SiteTable, value: Callable[[int], object], columns: np.ndarray,
-              faulty: np.ndarray) -> None:
-    """Fill the cells of each faulty site index i of ``columns`` with value(i),
-    in site order. A column kernel is NaN exactly where its scalar function
-    raises, so this raises the first faulty site's error, with its task and
-    site.
+def _raise_faulty(sites: SiteTable, scalar: Callable[[int], object], faulty: np.ndarray) -> None:
+    """Run scalar(i) for each faulty site index i, in site order. A column
+    kernel is NaN exactly where its scalar function raises, so this raises
+    the first faulty site's error, with its task and site.
     """
     with _located(lambda: _where(sites, i)):
         for i in np.flatnonzero(faulty).tolist():
-            columns[..., i] = value(i)
+            scalar(i)
 
 
 def _fixed(args: argparse.Namespace) -> tuple[list[repeat], list[repeat]]:
@@ -662,26 +646,11 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     ]
     t, n, df = sites.t, sites.n, sites.df
     b_used, nu0 = _variance_columns(lookup, sites, args.scale_e)
-
-    def site_p_sig(i: int) -> float:
-        stat = sites.statistic(i)
-        if args.variant == "point":
-            return p_point(stat)
-        if args.variant == "bound":
-            return p_sig_bound(stat, args.bound)
-        p_sig = p_sig_closed if args.variant == "closed" else p_sig_integral
-        return p_sig(stat, *_estimate(sites, i, b_used[i], nu0[i]))
-
+    b = np.full(len(sites), args.bound) if args.variant == "bound" else b_used
     pp = _p_point(t, df)
-    if args.variant == "point":
-        p_sig = pp
-    elif args.variant == "bound":
-        p_sig = _p_sig_given_b(t, n, df, args.bound)
-    elif args.variant == "closed":
-        p_sig = _p_sig_closed(t, n, b_used, nu0)
-    else:
-        p_sig = _p_sig_integral(t, n, df, b_used, nu0)
-    _per_site(sites, site_p_sig, p_sig, np.isnan(p_sig))
+    p_sig = _p_sig_column(args.variant, t, n, df, b, nu0)
+    _raise_faulty(sites, lambda i: _p_sig_scalar(
+        args.variant, sites.statistic(i), *_estimate(sites, i, b[i], nu0[i])), np.isnan(p_sig))
     negative = t < 0
     significant = p_sig <= args.alpha
     if args.direction is not None:
@@ -722,11 +691,6 @@ def _replication_design(
     return np.full(share.shape, n_r, dtype=float), np.full(share.shape, df_r, dtype=float)
 
 
-def _site_bmax(stat: TestStatistic, alpha: float) -> tuple[float, float, float]:
-    """One site's tau, z_max and b_max; NaN where t = 0 leaves them undefined."""
-    return (math.nan,) * 3 if stat.t == 0.0 else dataclasses.astuple(b_max(stat, alpha))
-
-
 def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     lookup = resolve_variance(args)
     shape, sites = load_sites(args.input, args.family)
@@ -738,27 +702,19 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     t, n, df = sites.t, sites.n, sites.df
     n_r, df_r = _replication_design(args, shape, sites.share)
     b_used, nu0 = _variance_columns(lookup, sites, args.scale_e)
+    b = np.full(len(sites), args.bound) if args.variant == "bound" else b_used
 
-    def site_values(i: int) -> tuple[float, ...]:
+    def site_scalars(i: int) -> None:
         stat = sites.statistic(i)
         query = ReplicationQuery(stat, float(n_r[i]), float(df_r[i]), alpha=args.alpha)
-        if args.variant == "bound":
-            forecast = p_rep_bound(query, args.bound)
-        else:
-            p_rep = p_rep_closed if args.variant == "closed" else p_rep_integral
-            forecast = p_rep(query, *_estimate(sites, i, b_used[i], nu0[i]))
-        return forecast, *_site_bmax(stat, args.alpha)
+        _p_rep_scalar(args.variant, query, *_estimate(sites, i, b[i], nu0[i]))
+        b_max(stat, args.alpha)
 
-    if args.variant == "bound":
-        forecasts = _p_rep_given_b(t, n, args.bound, args.alpha, n_r, df_r)
-    elif args.variant == "closed":
-        forecasts = _p_rep_closed(t, n, b_used, nu0, args.alpha, n_r, df_r)
-    else:
-        forecasts = _p_rep_integral(t, n, df, b_used, nu0, args.alpha, n_r, df_r)
-    columns = np.array([forecasts, *_b_max(t, n, df, args.alpha)])
+    columns = np.array([_p_rep_column(args.variant, t, n, df, b, nu0, args.alpha, n_r, df_r),
+                        *_b_max(t, n, df, args.alpha)])
     # t = 0 leaves a site's b_max cells undefined, not faulty
     faulty = np.isnan(columns[0]) | (np.isnan(columns[1:]).any(axis=0) & (t != 0))
-    _per_site(sites, site_values, columns, faulty)
+    _raise_faulty(sites, site_scalars, faulty)
     fixed, scale = _fixed(args)
     out = [
         _task_names(sites), sites.site_ids, *map(_reals, (n, df, t, n_r, df_r)), *fixed,
@@ -896,8 +852,8 @@ def cmd_bmax(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     header = ["task", "site", "n", "df", "t", "effect", "alpha", "tau", "z_max", "b_max"]
     t = sites.t
     diagnostics = np.array(_b_max(t, sites.n, sites.df, args.alpha))
-    _per_site(sites, lambda i: _site_bmax(sites.statistic(i), args.alpha), diagnostics,
-              np.isnan(diagnostics).any(axis=0) & (t != 0))
+    _raise_faulty(sites, lambda i: b_max(sites.statistic(i), args.alpha),
+                  np.isnan(diagnostics).any(axis=0) & (t != 0))
     columns = [
         _task_names(sites), sites.site_ids, *map(_reals, (sites.n, sites.df, t, sites.effect)),
         repeat(_real(args.alpha)), *map(_reals, diagnostics),

@@ -473,16 +473,29 @@ def t_quantile(p: float, nu: float) -> float:
     return -x if p < 0.5 else x
 
 
-@lru_cache(maxsize=4096)
+# Critical values by (alpha, df), the oldest dropped beyond _CRITICAL_SIZE.
+_CRITICAL: dict[tuple[float, float], float] = {}
+_CRITICAL_SIZE = 4096
+
+
 def _critical(alpha: float, df: float) -> float:
     """Two-sided critical value of a level-alpha t test: the x with T_df(-x) = alpha/2."""
-    return float(_t_tail_quantile(alpha / 2.0, df)[0])
+    value = _CRITICAL.get((alpha, df))
+    return float(_critical_values(alpha, [df])[0]) if value is None else value
 
 
 def _critical_values(alpha: float, df) -> np.ndarray:
-    """_critical over an array of df, one solve over the distinct df."""
+    """_critical over an array of df, with one solve over the distinct df not cached."""
     distinct, inverse = np.unique(df, return_inverse=True)
-    return _t_tail_quantile(alpha / 2.0, distinct)[inverse]
+    values = np.array([_CRITICAL.get((alpha, d), math.nan) for d in distinct.tolist()])
+    missing = np.isnan(values)
+    if missing.any():
+        values[missing] = _t_tail_quantile(alpha / 2.0, distinct[missing])
+        _CRITICAL.update(zip([(alpha, d) for d in distinct[missing].tolist()],
+                             values[missing].tolist()))
+        for key in list(_CRITICAL)[:max(len(_CRITICAL) - _CRITICAL_SIZE, 0)]:
+            del _CRITICAL[key]
+    return values[inverse]
 
 
 def _chi2_log_pdf(v: float, nu: float) -> float:

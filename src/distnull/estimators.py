@@ -10,9 +10,8 @@ ratio b = S0^2 / S^2.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "summarize",
     "between_variance",
     "variance_ratio",
-    "standardize_means",
 ]
 
 VarianceMode = Literal["as_published", "moment_corrected"]
@@ -86,15 +84,6 @@ class TaskSet:
         return len(self.experiments)
 
 
-class Site(NamedTuple):
-    """One row of a SiteTable: its names, summary, and two-group share."""
-
-    task: str
-    site: str
-    summary: ExperimentSummary
-    share: float | None
-
-
 class SiteTable:
     """Experiments in columns, grouped by task: the one layout that the
     commands and the simulation harness compute on.
@@ -130,12 +119,6 @@ class SiteTable:
 
     def __len__(self) -> int:
         return self.n.size
-
-    def __iter__(self) -> Iterator[Site]:
-        for i in range(len(self)):
-            share = float(self.share[i])
-            yield Site(self.task_ids[self.task_of[i]], self.site_ids[i], self.summary(i),
-                       None if math.isnan(share) else share)
 
     def summary(self, i: int) -> ExperimentSummary:
         return ExperimentSummary(float(self.n[i]), float(self.mean[i]),
@@ -286,12 +269,3 @@ def variance_ratio(b0: BetweenVariance, experiment: ExperimentSummary) -> float:
         )
     return b0.s0_sq / experiment.sample_variance
 
-
-def standardize_means(task: TaskSet, b0: BetweenVariance) -> tuple[float, ...]:
-    """Per-experiment z_i = (mean_i - grand_mean) / S0 against the fit ``b0``."""
-    if b0.s0_sq <= 0.0:
-        raise DegenerateVarianceError(
-            f"task {task.task_id!r}: S0^2 is zero; standardized means undefined"
-        )
-    s0 = math.sqrt(b0.s0_sq)
-    return tuple((e.mean - b0.grand_mean) / s0 for e in task.experiments)

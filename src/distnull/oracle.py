@@ -28,12 +28,8 @@ from .estimators import (
     between_variance,
 )
 from .adapters import statistic_from_summary
-from .significance import (
-    _p_point, _p_sig_closed, _p_sig_given_b, _p_sig_integral, p_sig_closed, p_sig_integral,
-)
-from .replication import (
-    ReplicationQuery, _p_rep_closed, _p_rep_integral, p_rep_closed, p_rep_integral,
-)
+from .significance import _p_point, _p_sig_column, _p_sig_given_b, _p_sig_scalar
+from .replication import ReplicationQuery, _p_rep_column, _p_rep_scalar
 
 __all__ = [
     "SimConfig",
@@ -345,10 +341,9 @@ def type1_calibration(
     table = _simulated_table(config, range(config.n_tasks))
     _, b_hats, nu0 = _fit(table, mode)
     t, n, df = table.t, table.n, table.df
-    estimated = _p_sig_closed(t, n, b_hats, nu0)
-    if np.isnan(estimated).any():  # the scalar form raises its error
-        estimated = np.array([p_sig_closed(table.statistic(i), b_hats[i], nu0[i])
-                              for i in range(len(table))])
+    estimated = _p_sig_column("closed", t, n, df, b_hats, nu0)
+    for i in np.flatnonzero(np.isnan(estimated)).tolist():  # the scalar form raises
+        _p_sig_scalar("closed", table.statistic(i), b_hats[i], nu0[i])
     if not math.isfinite(config.b_true):  # p_sig_given_b's check on b
         raise DomainError(f"b must be finite and >= 0, got {config.b_true!r}")
     arrays = {
@@ -409,13 +404,11 @@ def task_pair_records(
     table = tasks if isinstance(tasks, SiteTable) else SiteTable.from_tasks([tasks])
     _, b_hats, nu0 = _fit(table, mode, scale_e)
     t, n, df = table.t, table.n, table.df
-    closed = variant == "closed"
-    p_sig, p_rep = (p_sig_closed, p_rep_closed) if closed else (p_sig_integral, p_rep_integral)
     # A column kernel is NaN exactly where its scalar form raises, and the
     # scalar form reruns such a row to raise its error.
-    p_sigs = _p_sig_closed(t, n, b_hats, nu0) if closed else _p_sig_integral(t, n, df, b_hats, nu0)
+    p_sigs = _p_sig_column(variant, t, n, df, b_hats, nu0)
     for a in np.flatnonzero(np.isnan(p_sigs)).tolist():
-        p_sigs[a] = p_sig(table.statistic(a), b_hats[a], nu0[a])
+        _p_sig_scalar(variant, table.statistic(a), b_hats[a], nu0[a])
 
     predictor, target = _pairs(table)
     # A forecast depends on the target only through its (N_r, df_r), so it
@@ -428,15 +421,11 @@ def task_pair_records(
     same_sign = (t < 0)[predictor] == (t < 0)[target]
     records = np.empty((len(alphas), predictor.size), dtype=PAIR_DTYPE)
     for rows, alpha in zip(records, alphas):
-        if closed:
-            values = _p_rep_closed(t[i], n[i], b_hats[i], nu0[i], alpha, n[j], df[j])
-        else:
-            values = _p_rep_integral(t[i], n[i], df[i], b_hats[i], nu0[i], alpha, n[j], df[j])
+        values = _p_rep_column(variant, t[i], n[i], df[i], b_hats[i], nu0[i], alpha, n[j], df[j])
         for key in np.flatnonzero(np.isnan(values)).tolist():
             a, b = int(i[key]), int(j[key])
-            values[key] = p_rep(
-                ReplicationQuery(table.statistic(a), float(n[b]), float(df[b]), alpha),
-                b_hats[a], nu0[a])
+            _p_rep_scalar(variant, ReplicationQuery(
+                table.statistic(a), float(n[b]), float(df[b]), alpha), b_hats[a], nu0[a])
         forecasts = np.empty(first.size)
         forecasts[order] = values
         significant = p_sigs <= alpha

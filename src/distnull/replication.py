@@ -119,9 +119,9 @@ def p_rep_given_b(q: ReplicationQuery, b: float) -> float:
     return min(1.0, max(0.0, t_cdf(float(arg), q.df_r)))
 
 
-def _p_rep_given_b(t, n, b: float, alpha: float, n_r, df_r) -> np.ndarray:
-    """p_rep_given_b over columns of originals and replication designs at a
-    checked b and one alpha, at c = 1; NaN where p_rep_given_b raises, which
+def _p_rep_given_b(t, n, b, alpha: float, n_r, df_r) -> np.ndarray:
+    """p_rep_given_b over columns of originals, checked b and replication
+    designs at one alpha, at c = 1; NaN where p_rep_given_b raises, which
     is where t_cdf rejects a kernel argument that is not finite."""
     arg = _kernel_argument(np.abs(t), b, n, n_r, _critical_values(alpha, df_r), 1.0)
     return np.where(np.isfinite(arg), np.clip(_t_cdf(arg, df_r), 0.0, 1.0), np.nan)
@@ -231,6 +231,28 @@ def p_rep_closed(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
     t_crit = _critical(q.alpha, q.df_r)
     arg = float(_closed_argument(q.stat.t, q.stat.n, b_hat, nu0, t_crit, q.n_r))
     return min(1.0, max(0.0, t_cdf(arg, q.df_r)))
+
+
+def _p_rep_column(variant: str, t, n, df, b, nu0, alpha: float, n_r, df_r) -> np.ndarray:
+    """The p_rep of a forecast variant (bound, closed or integral) over
+    columns of originals and replication designs at one alpha and c = 1,
+    where ``b`` is the bound for ``bound`` and b_hat otherwise; NaN where
+    ``_p_rep_scalar`` raises."""
+    if variant == "bound":  # p_rep_bound takes a bound in (0, inf)
+        return _p_rep_given_b(t, n, np.where((b > 0.0) & (b < np.inf), b, np.nan), alpha,
+                              n_r, df_r)
+    if variant == "closed":
+        return _p_rep_closed(t, n, b, nu0, alpha, n_r, df_r)
+    return _p_rep_integral(t, n, df, b, nu0, alpha, n_r, df_r)
+
+
+def _p_rep_scalar(variant: str, q: ReplicationQuery, b: float, nu0: float) -> float:
+    """The p_rep of a forecast variant for one query, by its public function."""
+    if variant == "bound":
+        return p_rep_bound(q, b)
+    if variant == "closed":
+        return p_rep_closed(q, b, nu0)
+    return p_rep_integral(q, b, nu0)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # rows outside the domain

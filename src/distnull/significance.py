@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .errors import DomainError
 
 __all__ = [
     "TestStatistic",
-    "direction_of",
     "p_point",
     "p_sig_given_b",
     "p_sig_bound",
@@ -34,8 +32,6 @@ __all__ = [
     "p_sig_closed",
     "t0_statistic",
 ]
-
-Direction = Literal["negative", "positive"]
 
 
 @dataclass(frozen=True)
@@ -81,10 +77,6 @@ class TestStatistic:
         )
 
 
-def direction_of(stat: TestStatistic) -> Direction:
-    return "negative" if stat.t < 0 else "positive"
-
-
 @np.errstate(all="ignore")  # a row statistic_from_summary rejects is left non-finite
 def _statistic(n, mean, variance) -> tuple[np.ndarray, np.ndarray]:
     """t = effect·√n and effect = mean/S over columns of canonical summaries."""
@@ -116,7 +108,7 @@ def p_sig_given_b(stat: TestStatistic, b: float) -> float:
 
 @np.errstate(over="ignore")  # b * N may overflow to its limit inf
 def _p_sig_given_b(t, n, df, b) -> np.ndarray:
-    """p_sig_given_b over columns of t, N and df at a checked b."""
+    """p_sig_given_b over columns of t, N, df and checked b."""
     x = t / np.sqrt(1.0 + np.multiply(b, n))
     return np.clip(2.0 * _t_tail(x, df)[0], PROB_FLOOR, 1.0)
 
@@ -205,3 +197,27 @@ def p_sig_closed(stat: TestStatistic, b_hat: float, nu0: float) -> float:
     nu0 = _check_nu0(nu0)
     b_hat = _check_b_hat(b_hat)
     return clamp_probability(float(_p_sig_closed(stat.t, stat.n, b_hat, nu0)))
+
+
+def _p_sig_column(variant: str, t, n, df, b, nu0) -> np.ndarray:
+    """The p_sig of a test variant (point, bound, closed or integral) over
+    columns, where ``b`` is the bound for ``bound`` and b_hat otherwise;
+    NaN where ``_p_sig_scalar`` raises."""
+    if variant == "point":
+        return _p_point(t, df)
+    if variant == "bound":  # p_sig_bound takes a bound in (0, inf)
+        return _p_sig_given_b(t, n, df, np.where((b > 0.0) & (b < np.inf), b, np.nan))
+    if variant == "closed":
+        return _p_sig_closed(t, n, b, nu0)
+    return _p_sig_integral(t, n, df, b, nu0)
+
+
+def _p_sig_scalar(variant: str, stat: TestStatistic, b: float, nu0: float) -> float:
+    """The p_sig of a test variant for one statistic, by its public function."""
+    if variant == "point":
+        return p_point(stat)
+    if variant == "bound":
+        return p_sig_bound(stat, b)
+    if variant == "closed":
+        return p_sig_closed(stat, b, nu0)
+    return p_sig_integral(stat, b, nu0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -32,6 +33,14 @@ def test_all_matches_readme():
 def test_every_name_resolves():
     for name in distnull.__all__:
         assert getattr(distnull, name) is not None
+
+
+def test_every_submodule_export_resolves():
+    # a deleted function must not leave its name in a module's __all__
+    for info in pkgutil.iter_modules(distnull.__path__, "distnull."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.{name}"
 
 
 def documented_exit_codes() -> dict[str, int]:

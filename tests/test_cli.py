@@ -25,7 +25,7 @@ from distnull.distributions import RULE_LEVELS
 from distnull.errors import NumericError
 from distnull.estimators import TaskSet, between_variance, variance_ratio
 from distnull.replication import ReplicationQuery, p_rep_bound, p_rep_integral
-from distnull.significance import direction_of, p_sig_bound, p_sig_integral
+from distnull.significance import p_sig_bound, p_sig_integral
 
 SUMMARY_HEADER = ["task", "site", "n", "mean", "variance", "df"]
 
@@ -122,10 +122,59 @@ class TestEstimate:
         with open(est, encoding="utf-8", newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert all(r["note"] == "degenerate_variance" for r in rows)
-        assert all(r["s0_sq"] == "0" and r["b_hat"] == "" for r in rows)
+        assert all(r["s0_sq"] == "0" and r["b_hat"] == "" and r["z"] == "" for r in rows)
         code, _, err = run_cli(["test", "--input", path, "--b-from", est])
         assert code == 3
         assert "--b-from has no estimate" in err
+
+    @staticmethod
+    def z_column(path: str, *flags: str) -> list[float]:
+        code, out, err = run_cli(["estimate", "--input", path, *flags])
+        assert (code, err) == (0, "")
+        return [float(r["z"]) for r in parse(out)]
+
+    @staticmethod
+    def three_site_file(tmp_path) -> str:
+        return write_csv(tmp_path / "three.csv", SUMMARY_HEADER, [
+            ["demo", "s1", "10", "1.0", "2.0", "9"],
+            ["demo", "s2", "20", "2.0", "1.0", "19"],
+            ["demo", "s3", "30", "3.0", "1.5", "29"],
+        ])
+
+    @staticmethod
+    def random_raw_file(tmp_path, seed: int, sites: int, scale: float = 1.0) -> str:
+        rng = np.random.default_rng(seed)
+        samples = [rng.normal(rng.normal(0, 0.4), 1.0, size=25) for _ in range(sites)]
+        rows = [["t", f"s{i:02d}", repr(v)] for i, sample in enumerate(samples)
+                for v in (scale * sample).tolist()]
+        return write_csv(tmp_path / f"raw{scale}.csv", ["task", "site", "value"], rows)
+
+    def test_z_hand_values(self, tmp_path):
+        # z = (mean - grand_mean) / S0: the means 1, 2, 3 centre on 2
+        path = self.three_site_file(tmp_path)
+        s0 = math.sqrt(between_variance(cli.load_sites(path, None)[1].task(0)).s0_sq)
+        assert self.z_column(path) == pytest.approx([-1.0 / s0, 0.0, 1.0 / s0], rel=1e-11)
+
+    def test_z_mean_is_zero(self, tmp_path):
+        zs = self.z_column(self.random_raw_file(tmp_path, 5, 12))
+        assert sum(zs) == pytest.approx(0.0, abs=1e-10)
+
+    def test_z_scale_invariance(self, tmp_path):
+        # multiplying every raw measurement by a constant leaves z unchanged
+        base = self.z_column(self.random_raw_file(tmp_path, 11, 8))
+        assert self.z_column(self.random_raw_file(tmp_path, 11, 8, 7.5)) == pytest.approx(
+            base, rel=1e-10)
+
+    def test_z_mode_passthrough(self, tmp_path):
+        # the z scale is the S0 of the --mode fit
+        path = self.three_site_file(tmp_path)
+        task = cli.load_sites(path, None)[1].task(0)
+        b0 = between_variance(task, "moment_corrected")
+        moment = self.z_column(path, "--mode", "moment")
+        assert moment == pytest.approx(
+            [(e.mean - b0.grand_mean) / math.sqrt(b0.s0_sq) for e in task.experiments],
+            rel=1e-11)
+        assert moment != pytest.approx(self.z_column(path))
 
 
 class TestInputValidation:
@@ -566,6 +615,16 @@ class TestTest:
         assert code == 4
         assert "nu0" in err
 
+    def test_direction_is_the_sign_of_t(self, tmp_path):
+        path = write_csv(tmp_path / "signs.csv", SUMMARY_HEADER, [
+            ["a", "s1", "10", "-0.5", "1.0", "9"],
+            ["a", "s2", "10", "0.5", "1.0", "9"],
+            ["a", "s3", "10", "0", "1.0", "9"],
+        ])
+        code, out, err = run_cli(["test", "--input", path, "--variant", "point"])
+        assert (code, err) == (0, "")
+        assert [r["direction"] for r in parse(out)] == ["negative", "positive", "positive"]
+
     def test_point_variant_leaves_mixture_columns_empty(self, summary_file):
         code, out, _ = run_cli(["test", "--input", summary_file, "--variant", "point"])
         assert code == 0
@@ -799,7 +858,8 @@ class TestPredict:
         assert (code, err) == (0, "")
         _, sites = cli.load_sites(summary_file, None)
         rows = parse(out)
-        assert [(r["task"], r["site"]) for r in rows] == [(s.task, s.site) for s in sites]
+        assert [(r["task"], r["site"]) for r in rows] == [
+            (sites.task_ids[j], site) for j, site in zip(sites.task_of, sites.site_ids)]
         for i, row in enumerate(rows):
             query = ReplicationQuery(sites.statistic(i), 40.0, 39.0, 0.05)
             assert [row["p_rep"]] == cli._probs([p_rep_bound(query, 0.3)])
@@ -937,7 +997,7 @@ class TestCalibrate:
         ])
         assert (code, err) == (0, "")
         _, sites = cli.load_sites(path, None)
-        task = TaskSet("a", tuple(s.summary for s in sites))
+        task = TaskSet("a", tuple(map(sites.summary, range(len(sites)))))
         b0 = between_variance(task)
         stats = [statistic_from_summary(e) for e in task.experiments]
         b_hats = [variance_ratio(b0, e) for e in task.experiments]
@@ -949,7 +1009,7 @@ class TestCalibrate:
                     continue
                 query = ReplicationQuery(stat, target.n, target.df, 0.05)
                 forecast = p_rep_integral(query, b_hat, b0.nu0)
-                success = significant[j] and direction_of(stats[j]) == direction_of(stat)
+                success = significant[j] and (stats[j].t < 0) == (stat.t < 0)
                 key = (cli._bool(significant[i]), min(int(forecast * 40), 39))
                 bins.setdefault(key, []).append((forecast, success))
         got = {(r["predictor_significant"], round(float(r["lower"]) * 40)): r

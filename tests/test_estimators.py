@@ -13,11 +13,9 @@ from distnull.errors import (
     InsufficientDataError,
 )
 from distnull.estimators import (
-    BetweenVariance,
     ExperimentSummary,
     TaskSet,
     between_variance,
-    standardize_means,
     summarize,
     variance_ratio,
 )
@@ -142,61 +140,3 @@ class TestVarianceRatio:
         degenerate = ExperimentSummary(n=10, mean=0.0, sample_variance=0.0, df=9)
         with pytest.raises(DegenerateVarianceError):
             variance_ratio(b0, degenerate)
-
-
-class TestStandardizeMeans:
-    def test_hand_values(self):
-        task = three_site_task()
-        b0 = between_variance(task)
-        zs = standardize_means(task, b0)
-        s0 = math.sqrt(b0.s0_sq)
-        assert zs == pytest.approx((-1.0 / s0, 0.0, 1.0 / s0))
-
-    def test_mean_is_zero(self):
-        rng = np.random.default_rng(5)
-        task = TaskSet(
-            "random",
-            tuple(
-                summarize(rng.normal(rng.normal(0, 0.4), 1.0, size=25))
-                for _ in range(12)
-            ),
-        )
-        zs = standardize_means(task, between_variance(task))
-        assert sum(zs) == pytest.approx(0.0, abs=1e-12)
-
-    def test_scale_invariance(self):
-        # multiplying every raw measurement by a constant leaves z unchanged
-        rng = np.random.default_rng(11)
-        samples = [rng.normal(rng.normal(0, 0.4), 1.0, size=25) for _ in range(8)]
-        base = TaskSet("base", tuple(summarize(s) for s in samples))
-        scaled = TaskSet("scaled", tuple(summarize(7.5 * s) for s in samples))
-        assert standardize_means(base, between_variance(base)) == pytest.approx(
-            standardize_means(scaled, between_variance(scaled)), rel=1e-12
-        )
-
-    def test_degenerate_spread_rejected(self):
-        b0 = BetweenVariance(
-            s0_sq=0.0, nu0=2, grand_mean=0.5, mode="moment_corrected"
-        )
-        task = TaskSet(
-            "flat",
-            (
-                ExperimentSummary(n=10, mean=0.5, sample_variance=2.0, df=9),
-                ExperimentSummary(n=10, mean=0.5, sample_variance=2.0, df=9),
-            ),
-        )
-        with pytest.raises(DegenerateVarianceError):
-            standardize_means(task, b0)
-
-    def test_mode_passthrough(self):
-        # the z scale is the S0 of whichever fit is passed in
-        task = three_site_task()
-        b0 = between_variance(task, "moment_corrected")
-        s0 = math.sqrt(b0.s0_sq)
-        assert standardize_means(task, b0) == pytest.approx(
-            tuple((e.mean - b0.grand_mean) / s0 for e in task.experiments),
-            rel=1e-15,
-        )
-        assert standardize_means(task, b0) != pytest.approx(
-            standardize_means(task, between_variance(task, "as_published"))
-        )

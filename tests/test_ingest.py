@@ -389,8 +389,12 @@ def test_columnar_loader_matches_row_loop(tmp_path, shape, seed):
     family = shape if shape in ("paired", "regression", "contingency") else None
     detected, sites = cli.load_sites(path, family)
     assert detected == shape
-    got = [(s.task, s.site, s.summary, s.share) for s in sites]
-    assert got == _reference_sites(path, shape)
+    reference = _reference_sites(path, shape)
+    got = [(sites.task_ids[j], site, sites.summary(i))
+           for i, (j, site) in enumerate(zip(sites.task_of, sites.site_ids))]
+    assert got == [row[:3] for row in reference]
+    np.testing.assert_array_equal(
+        sites.share, [np.nan if share is None else share for *_, share in reference])
 
 
 def _read_csv_streaming(path):

@@ -8,10 +8,11 @@ t0 = mean / S0. The integral variants have their own properties in
 `test_integral_reference.py`.
 
 The column kernels behind the closed, bound and integral forms are checked
-against the public scalar functions row by row: equal with == where the
-scalar function returns, NaN exactly where it raises; an integral kernel's
-rows also keep their values when the rows are permuted. b_max's root is
-also checked against the exact rational root of its quintic.
+against the public scalar functions row by row, and each test and forecast
+variant's column function against its scalar function: equal with == where
+the scalar function returns, NaN exactly where it raises; an integral
+kernel's rows also keep their values when the rows are permuted. b_max's
+root is also checked against the exact rational root of its quintic.
 """
 
 from __future__ import annotations
@@ -28,20 +29,20 @@ from distnull.distributions import _stationary_roots, find_positive_root
 from distnull.errors import DistnullError
 from distnull.estimators import BetweenVariance, ExperimentSummary, variance_ratio
 from distnull.replication import (
-    ReplicationQuery, _b_max, _p_rep_closed, _p_rep_given_b, _p_rep_integral, b_max,
-    p_rep_closed, p_rep_given_b, p_rep_integral,
+    ReplicationQuery, _b_max, _p_rep_closed, _p_rep_column, _p_rep_given_b, _p_rep_scalar,
+    b_max, p_rep_closed, p_rep_given_b,
 )
 from distnull.significance import (
     TestStatistic,
     _p_point,
     _p_sig_closed,
-    _p_sig_integral,
+    _p_sig_column,
+    _p_sig_scalar,
     _t0,
     p_point,
     p_sig_bound,
     p_sig_closed,
     p_sig_given_b,
-    p_sig_integral,
     t0_statistic,
 )
 
@@ -179,6 +180,20 @@ def same(column, values) -> bool:
     return np.array_equal(column, np.array(values, dtype=float), equal_nan=True)
 
 
+def assert_variants_match(variants, stats, queries, t, n, df, b, nu0, alpha, n_r, df_r):
+    """Each variant's column function is its scalar function row by row:
+    == where the scalar function returns, NaN exactly where it raises."""
+    for variant in variants:
+        if variant != "point":
+            assert same(_p_rep_column(variant, t, n, df, b, nu0, alpha, n_r, df_r), [
+                scalar_or_nan(_p_rep_scalar, variant, q, bh, v)
+                for q, bh, v in zip(queries, b, nu0)
+            ]), variant
+        assert same(_p_sig_column(variant, t, n, df, b, nu0), [
+            scalar_or_nan(_p_sig_scalar, variant, s, bh, v) for s, bh, v in zip(stats, b, nu0)
+        ]), variant
+
+
 @PROPERTY
 @given(rows=FAULTY_ROWS, alpha=ALPHA)
 def test_column_kernels_are_nan_where_the_scalar_functions_raise(rows, alpha):
@@ -186,13 +201,8 @@ def test_column_kernels_are_nan_where_the_scalar_functions_raise(rows, alpha):
     df, df_r = n - lag, n_r - 1.0
     stats = [TestStatistic.from_t(*row) for row in zip(t, n, df)]
     queries = [ReplicationQuery(s, nr, dr, alpha) for s, nr, dr in zip(stats, n_r, df_r)]
-    assert same(_p_point(t, df), [scalar_or_nan(p_point, s) for s in stats])
-    assert same(_p_sig_closed(t, n, b, nu0), [
-        scalar_or_nan(p_sig_closed, s, bh, v) for s, bh, v in zip(stats, b, nu0)
-    ])
-    assert same(_p_rep_closed(t, n, b, nu0, alpha, n_r, df_r), [
-        scalar_or_nan(p_rep_closed, q, bh, v) for q, bh, v in zip(queries, b, nu0)
-    ])
+    assert_variants_match(("point", "bound", "closed"), stats, queries,
+                          t, n, df, b, nu0, alpha, n_r, df_r)
     diagnostics = [scalar_or_nan(b_max, s, alpha) for s in stats]
     assert same(np.array(_b_max(t, n, df, alpha)).T, [
         (math.nan,) * 3 if isinstance(d, float) else (d.tau, d.z_max, d.b_max)
@@ -225,16 +235,13 @@ def test_integral_column_kernels_equal_the_scalar_functions(rows, alpha, data):
     df_r = np.where(lag_r > 1.0, lag_r, n_r - lag_r)
     stats = [TestStatistic.from_t(*row) for row in zip(t, n, df)]
     queries = [ReplicationQuery(s, nr, dr, alpha) for s, nr, dr in zip(stats, n_r, df_r)]
-    sig = _p_sig_integral(t, n, df, b, nu0)
-    rep = _p_rep_integral(t, n, df, b, nu0, alpha, n_r, df_r)
-    assert same(sig, [scalar_or_nan(p_sig_integral, s, bh, v) for s, bh, v in zip(stats, b, nu0)])
-    assert same(rep, [
-        scalar_or_nan(p_rep_integral, q, bh, v) for q, bh, v in zip(queries, b, nu0)
-    ])
+    assert_variants_match(("integral",), stats, queries, t, n, df, b, nu0, alpha, n_r, df_r)
+    sig = _p_sig_column("integral", t, n, df, b, nu0)
+    rep = _p_rep_column("integral", t, n, df, b, nu0, alpha, n_r, df_r)
     order = np.array(data.draw(st.permutations(range(len(rows)))))
     columns = [c[order] for c in (t, n, df, b, nu0)]
-    assert same(_p_sig_integral(*columns), sig[order])
-    assert same(_p_rep_integral(*columns, alpha, n_r[order], df_r[order]), rep[order])
+    assert same(_p_sig_column("integral", *columns), sig[order])
+    assert same(_p_rep_column("integral", *columns, alpha, n_r[order], df_r[order]), rep[order])
 
 
 # tau log-uniform over [1e-300, 1e300]

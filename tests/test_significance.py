@@ -15,7 +15,6 @@ from distnull.errors import DegenerateVarianceError, DomainError
 from distnull.distributions import t_cdf
 from distnull.significance import (
     TestStatistic,
-    direction_of,
     p_point,
     p_sig_bound,
     p_sig_closed,
@@ -47,11 +46,6 @@ class TestTestStatistic:
             TestStatistic.from_t(1.0, 0, 24)
         with pytest.raises(DomainError):
             TestStatistic.from_t(1.0, 25, 0)
-
-    def test_direction(self):
-        assert direction_of(stat(-0.5, 10)) == "negative"
-        assert direction_of(stat(0.5, 10)) == "positive"
-        assert direction_of(stat(0.0, 10)) == "positive"
 
 
 class TestPointNull:

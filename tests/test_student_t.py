@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from distnull import distributions
 from distnull.distributions import _critical, _critical_values, _t_cdf, _t_tail, t_cdf
 
 # (alpha, nu, x) with T_nu(-x) = alpha/2
@@ -86,6 +87,16 @@ def test_critical_values_column_is_the_scalar():
     for alpha in sorted({row[0] for row in CRITICAL}):
         nus = [row[1] for row in CRITICAL if row[0] == alpha]
         assert _critical_values(alpha, np.array(nus)).tolist() == [_critical(alpha, v) for v in nus]
+
+
+def test_critical_value_cache_is_bounded():
+    # a column of more distinct df than the cache holds still gets every
+    # value, and the first df, dropped from the cache, is solved alone again
+    nus = 1.0 + np.arange(distributions._CRITICAL_SIZE + 100) / 16.0
+    column = _critical_values(0.01, nus)
+    assert len(distributions._CRITICAL) == distributions._CRITICAL_SIZE
+    assert (0.01, nus[0]) not in distributions._CRITICAL
+    assert column[[0, -1]].tolist() == [_critical(0.01, nus[0]), _critical(0.01, nus[-1])]
 
 
 @pytest.mark.parametrize("nu, x, expected", TAILS)
