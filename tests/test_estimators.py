@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
+from conftest import run_cli, write_csv
+from distnull import cli
 from distnull.errors import (
     DegenerateVarianceError,
     DomainError,
@@ -140,3 +144,24 @@ class TestVarianceRatio:
         degenerate = ExperimentSummary(n=10, mean=0.0, sample_variance=0.0, df=9)
         with pytest.raises(DegenerateVarianceError):
             variance_ratio(b0, degenerate)
+
+
+class TestStandardizeMeans:
+    """The standardized means z_i = (mean_i - grand_mean) / S0 are the z
+    column of ``estimate``; their other properties are checked in test_cli."""
+
+    def test_degenerate_spread_rejected(self, tmp_path):
+        # equal site means give a moment fit of S0^2 = 0, so no site has a
+        # standardized mean
+        path = write_csv(
+            tmp_path / "flat.csv",
+            ["task", "site", "n", "mean", "variance", "df"],
+            [["flat", "s1", "10", "0.5", "2.0", "9"],
+             ["flat", "s2", "10", "0.5", "2.0", "9"]],
+        )
+        task = cli.load_sites(path, None)[1].task(0)
+        assert between_variance(task, "moment_corrected").s0_sq == 0.0
+        code, out, err = run_cli(["estimate", "--input", path, "--mode", "moment"])
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["z"], r["note"]) for r in rows] == [("", "degenerate_variance")] * 2
