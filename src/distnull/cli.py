@@ -72,8 +72,8 @@ from .power import (
     power_ceiling,
     required_sample_size,
 )
-from .replication import ReplicationQuery, _b_max, _p_rep_column, _p_rep_scalar, b_max
-from .significance import _p_point, _p_sig_column, _p_sig_scalar, _t0
+from .replication import _b_max, _p_rep_column
+from .significance import _p_point, _p_sig_column, _t0
 
 IDENTIFIER = re.compile(r"[A-Za-z0-9_-]+")
 DEFAULT_ALPHAS = "0.1,0.05,0.01,0.005,0.001"
@@ -248,9 +248,11 @@ def _detect_shape(fields: Sequence[str], family: str | None) -> str:
 def _located(where: Callable[[], str]) -> Iterator[None]:
     """Prefix a domain or numeric error raised inside with ``where()``.
 
-    Wrapped around a whole loop, ``where`` reads the loop's variables only
-    when an error arrives, so the loop pays nothing per item. The error
-    keeps its class and attributes, such as a NumericError's estimate.
+    ``where`` is read only when an error arrives: wrapped around a whole
+    loop, it reads the loop's variables, so the loop pays nothing per item;
+    wrapped around the raise of a column kernel's fault, it names the
+    fault's site. The error keeps its class and attributes, such as a
+    NumericError's estimate.
     """
     try:
         yield
@@ -601,32 +603,25 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 
 def _variance_columns(
     lookup: VarianceLookup | None, sites: SiteTable, scale_e: float
-) -> np.ndarray:
-    """Each site's b_used and nu0, NaN where there is no lookup or no estimate."""
+) -> tuple[np.ndarray, np.ndarray, dict[int, DistnullError]]:
+    """Each site's b_used and nu0, NaN where there is no lookup or no estimate,
+    and the error of each site whose --b-from has no estimate."""
     if lookup is None:
-        return np.full((2, len(sites)), np.nan)
+        return np.full(len(sites), np.nan), np.full(len(sites), np.nan), {}
     b_hat, nu0 = np.array(list(map(lookup, _task_names(sites), sites.site_ids))).T
+    missing = {i: ConfigurationError(f"--b-from has no estimate for {_where(sites, i)}")
+               for i in np.flatnonzero(np.isnan(b_hat)).tolist()}
     with np.errstate(over="ignore"):  # an infinite b_used is rejected where it is used
-        return np.array([b_hat * scale_e, nu0])
+        return b_hat * scale_e, nu0, missing
 
 
-def _estimate(sites: SiteTable, i: int, b: float, nu0: float) -> tuple[float, float]:
-    """A site's (b, nu0) from its columns, where a NaN b means --b-from lacks it."""
-    if math.isnan(b):
-        raise ConfigurationError(
-            f"--b-from has no estimate for {_where(sites, i)}"
-        )
-    return b, nu0
-
-
-def _raise_faulty(sites: SiteTable, scalar: Callable[[int], object], faulty: np.ndarray) -> None:
-    """Run scalar(i) for each faulty site index i, in site order. A column
-    kernel is NaN exactly where its scalar function raises, so this raises
-    the first faulty site's error, with its task and site.
-    """
-    with _located(lambda: _where(sites, i)):
-        for i in np.flatnonzero(faulty).tolist():
-            scalar(i)
+def _raise_first(sites: SiteTable, faults: dict[int, DistnullError]) -> None:
+    """Raise the error of the first faulty site, in site order, prefixed with
+    its task and site."""
+    if faults:
+        i = min(faults)
+        with _located(lambda: _where(sites, i)):
+            raise faults[i]
 
 
 def _fixed(args: argparse.Namespace) -> tuple[list[repeat], list[repeat]]:
@@ -645,12 +640,12 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         "p_sig", "log10_p_sig", "direction", "significant",
     ]
     t, n, df = sites.t, sites.n, sites.df
-    b_used, nu0 = _variance_columns(lookup, sites, args.scale_e)
+    b_used, nu0, missing = _variance_columns(lookup, sites, args.scale_e)
     b = np.full(len(sites), args.bound) if args.variant == "bound" else b_used
-    pp = _p_point(t, df)
-    p_sig = _p_sig_column(args.variant, t, n, df, b, nu0)
-    _raise_faulty(sites, lambda i: _p_sig_scalar(
-        args.variant, sites.statistic(i), *_estimate(sites, i, b[i], nu0[i])), np.isnan(p_sig))
+    p_sig, faults = _p_sig_column(args.variant, t, n, df, b, nu0)
+    # a site's --b-from lookup comes before its significance
+    _raise_first(sites, {**faults, **missing})
+    pp = p_sig if args.variant == "point" else _p_point(t, df)[0]
     negative = t < 0
     significant = p_sig <= args.alpha
     if args.direction is not None:
@@ -701,25 +696,17 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     ]
     t, n, df = sites.t, sites.n, sites.df
     n_r, df_r = _replication_design(args, shape, sites.share)
-    b_used, nu0 = _variance_columns(lookup, sites, args.scale_e)
+    b_used, nu0, missing = _variance_columns(lookup, sites, args.scale_e)
     b = np.full(len(sites), args.bound) if args.variant == "bound" else b_used
-
-    def site_scalars(i: int) -> None:
-        stat = sites.statistic(i)
-        query = ReplicationQuery(stat, float(n_r[i]), float(df_r[i]), alpha=args.alpha)
-        _p_rep_scalar(args.variant, query, *_estimate(sites, i, b[i], nu0[i]))
-        b_max(stat, args.alpha)
-
-    columns = np.array([_p_rep_column(args.variant, t, n, df, b, nu0, args.alpha, n_r, df_r),
-                        *_b_max(t, n, df, args.alpha)])
-    # t = 0 leaves a site's b_max cells undefined, not faulty
-    faulty = np.isnan(columns[0]) | (np.isnan(columns[1:]).any(axis=0) & (t != 0))
-    _raise_faulty(sites, site_scalars, faulty)
+    p_rep, faults = _p_rep_column(args.variant, t, n, df, b, nu0, args.alpha, n_r, df_r)
+    diagnostics, cell_faults = _b_max(t, n, df, args.alpha)
+    # a site's --b-from lookup comes before its forecast, and that before its b_max cells
+    _raise_first(sites, {**cell_faults, **faults, **missing})
     fixed, scale = _fixed(args)
     out = [
         _task_names(sites), sites.site_ids, *map(_reals, (n, df, t, n_r, df_r)), *fixed,
-        _reals(b_used), _reals(nu0), *scale, _probs(columns[0]), _log10s(columns[0]),
-        *map(_reals, columns[1:]),
+        _reals(b_used), _reals(nu0), *scale, _probs(p_rep), _log10s(p_rep),
+        *map(_reals, diagnostics),
     ]
     return header, list(zip(*out))
 
@@ -851,9 +838,8 @@ def cmd_bmax(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     _, sites = load_sites(args.input, args.family)
     header = ["task", "site", "n", "df", "t", "effect", "alpha", "tau", "z_max", "b_max"]
     t = sites.t
-    diagnostics = np.array(_b_max(t, sites.n, sites.df, args.alpha))
-    _raise_faulty(sites, lambda i: b_max(sites.statistic(i), args.alpha),
-                  np.isnan(diagnostics).any(axis=0) & (t != 0))
+    diagnostics, faults = _b_max(t, sites.n, sites.df, args.alpha)
+    _raise_first(sites, faults)
     columns = [
         _task_names(sites), sites.site_ids, *map(_reals, (sites.n, sites.df, t, sites.effect)),
         repeat(_real(args.alpha)), *map(_reals, diagnostics),

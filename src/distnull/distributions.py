@@ -816,6 +816,31 @@ def _f_expectations(kernel, dfs) -> tuple[np.ndarray, dict[int, DistnullError]]:
             advance(row, rule, reply)
 
 
+def _faults(faulty, check, *columns) -> dict[int, DistnullError]:
+    """Each ``faulty`` row's error: what ``check`` raises on the row's element
+    of each column, as floats; a float column stands for every row."""
+    rows = np.flatnonzero(faulty).tolist()
+    if not rows:
+        return {}
+    columns = [np.broadcast_to(c, np.shape(faulty)).ravel().tolist() for c in columns]
+    faults = {}
+    for i in rows:
+        try:
+            check(*(c[i] for c in columns))
+        except DistnullError as exc:
+            faults[i] = exc
+    return faults
+
+
+def _checked(column):
+    """The values of a kernel that returns (values, faults), or the fault of
+    its first faulty row raised."""
+    values, faults = column
+    if faults:
+        raise faults[min(faults)]
+    return values
+
+
 def f_expectation(kernel: Callable[..., np.ndarray], *dfs: tuple[float, float]) -> float:
     """E[kernel(b_1, ..., b_k)] for independent b_i ~ F(d1_i, d2_i); dfs holds the (d1_i, d2_i).
 
@@ -837,10 +862,7 @@ def f_expectation(kernel: Callable[..., np.ndarray], *dfs: tuple[float, float]) 
     weights underflow, up to about 1e-320 per axis, so a value near 0 can
     fail at any d2. This is one row of _f_expectations.
     """
-    values, faults = _f_expectations(lambda rows, *nodes: kernel(*nodes), [dfs])
-    if faults:
-        raise faults[0]
-    return float(values[0])
+    return float(_checked(_f_expectations(lambda rows, *nodes: kernel(*nodes), [dfs]))[0])
 
 
 def integrate(f: Callable[[float], float], lower: float, upper: float) -> float:
@@ -979,7 +1001,8 @@ def _solve_stationary(tau):
 
 
 def _stationary_roots(tau) -> np.ndarray:
-    """find_positive_root over a column of τ; NaN where it raises."""
+    """find_positive_root's root over a column of τ; NaN where τ is not finite
+    and > 0, or the root is not certified."""
     tau = np.asarray(tau, dtype=float)
     valid = (tau > 0.0) & (tau < np.inf)
     z, certified = _solve_stationary(np.where(valid, tau, 1.0))

@@ -18,7 +18,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .distributions import _check_alpha
+from .distributions import _check_alpha, _checked
 from .errors import DomainError
 from .estimators import (
     SiteTable,
@@ -28,8 +28,8 @@ from .estimators import (
     between_variance,
 )
 from .adapters import statistic_from_summary
-from .significance import _p_point, _p_sig_column, _p_sig_given_b, _p_sig_scalar
-from .replication import ReplicationQuery, _p_rep_column, _p_rep_scalar
+from .significance import _p_point, _p_sig_closed, _p_sig_column, _p_sig_given_b
+from .replication import _p_rep_column
 
 __all__ = [
     "SimConfig",
@@ -341,14 +341,10 @@ def type1_calibration(
     table = _simulated_table(config, range(config.n_tasks))
     _, b_hats, nu0 = _fit(table, mode)
     t, n, df = table.t, table.n, table.df
-    estimated = _p_sig_column("closed", t, n, df, b_hats, nu0)
-    for i in np.flatnonzero(np.isnan(estimated)).tolist():  # the scalar form raises
-        _p_sig_scalar("closed", table.statistic(i), b_hats[i], nu0[i])
-    if not math.isfinite(config.b_true):  # p_sig_given_b's check on b
-        raise DomainError(f"b must be finite and >= 0, got {config.b_true!r}")
+    estimated = _checked(_p_sig_closed(t, n, b_hats, nu0))
     arrays = {
-        "point": _p_point(t, df),
-        "true_b": _p_sig_given_b(t, n, df, config.b_true),
+        "point": _p_point(t, df)[0],
+        "true_b": _checked(_p_sig_given_b(t, n, df, config.b_true)),
         "estimated_b": estimated,
     }
     rows = []
@@ -404,11 +400,8 @@ def task_pair_records(
     table = tasks if isinstance(tasks, SiteTable) else SiteTable.from_tasks([tasks])
     _, b_hats, nu0 = _fit(table, mode, scale_e)
     t, n, df = table.t, table.n, table.df
-    # A column kernel is NaN exactly where its scalar form raises, and the
-    # scalar form reruns such a row to raise its error.
-    p_sigs = _p_sig_column(variant, t, n, df, b_hats, nu0)
-    for a in np.flatnonzero(np.isnan(p_sigs)).tolist():
-        _p_sig_scalar(variant, table.statistic(a), b_hats[a], nu0[a])
+    # the first faulty site's error, then the first faulty forecast's, in pair order
+    p_sigs = _checked(_p_sig_column(variant, t, n, df, b_hats, nu0))
 
     predictor, target = _pairs(table)
     # A forecast depends on the target only through its (N_r, df_r), so it
@@ -421,11 +414,8 @@ def task_pair_records(
     same_sign = (t < 0)[predictor] == (t < 0)[target]
     records = np.empty((len(alphas), predictor.size), dtype=PAIR_DTYPE)
     for rows, alpha in zip(records, alphas):
-        values = _p_rep_column(variant, t[i], n[i], df[i], b_hats[i], nu0[i], alpha, n[j], df[j])
-        for key in np.flatnonzero(np.isnan(values)).tolist():
-            a, b = int(i[key]), int(j[key])
-            _p_rep_scalar(variant, ReplicationQuery(
-                table.statistic(a), float(n[b]), float(df[b]), alpha), b_hats[a], nu0[a])
+        values = _checked(_p_rep_column(variant, t[i], n[i], df[i], b_hats[i], nu0[i], alpha,
+                                        n[j], df[j]))
         forecasts = np.empty(first.size)
         forecasts[order] = values
         significant = p_sigs <= alpha

@@ -11,23 +11,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .distributions import (
     _check_alpha,
     _check_b_hat,
+    _check_df,
     _check_nu0,
     _critical,
     _critical_values,
+    _checked,
     _f_expectations,
+    _faults,
     _stationary_roots,
     _t_cdf,
-    find_positive_root,
     t_cdf,
 )
 from .errors import DomainError
-from .significance import TestStatistic
+from .significance import TestStatistic, _at_bound, _integral_rows
 
 __all__ = [
     "ReplicationQuery",
@@ -108,23 +111,27 @@ def _kernel_argument(t_abs, b, n, n_r, t_crit, c):
 
 def p_rep_given_b(q: ReplicationQuery, b: float) -> float:
     """Replication probability at a known variance ratio b > 0."""
-    b = float(b)
+    return float(_checked(_p_rep_given_b(q.stat.t, q.stat.n, b, q.alpha, q.n_r, q.df_r, q.c)))
+
+
+def _check_given_b(b: float, arg: float, df_r: float) -> None:
+    """p_rep_given_b's checks, the last of the kernel's argument and df_r by t_cdf."""
     if not (math.isfinite(b) and b > 0.0):
         raise DomainError(
             f"b must be finite and > 0, got {b!r}; use the bound form or "
             "b_max guidance when b is unknown"
         )
-    t_crit = _critical(q.alpha, q.df_r)
-    arg = _kernel_argument(abs(q.stat.t), b, q.stat.n, q.n_r, t_crit, q.c)
-    return min(1.0, max(0.0, t_cdf(float(arg), q.df_r)))
+    t_cdf(arg, df_r)
 
 
-def _p_rep_given_b(t, n, b, alpha: float, n_r, df_r) -> np.ndarray:
-    """p_rep_given_b over columns of originals, checked b and replication
-    designs at one alpha, at c = 1; NaN where p_rep_given_b raises, which
-    is where t_cdf rejects a kernel argument that is not finite."""
-    arg = _kernel_argument(np.abs(t), b, n, n_r, _critical_values(alpha, df_r), 1.0)
-    return np.where(np.isfinite(arg), np.clip(_t_cdf(arg, df_r), 0.0, 1.0), np.nan)
+def _p_rep_given_b(t, n, b, alpha: float, n_r, df_r, c=1.0):
+    """p_rep_given_b over columns of originals, b and replication designs at
+    one alpha, and its faults."""
+    b = np.asarray(b, dtype=float)
+    arg = _kernel_argument(np.abs(t), b, n, n_r, _critical_values(alpha, df_r), c)
+    valid = (b > 0.0) & (b < np.inf) & np.isfinite(arg)
+    p = np.where(valid, np.clip(_t_cdf(arg, df_r), 0.0, 1.0), np.nan)
+    return p, _faults(np.isnan(p), _check_given_b, b, arg, df_r)
 
 
 def p_rep_curve(q: ReplicationQuery, b_values) -> np.ndarray:
@@ -143,17 +150,14 @@ def p_rep_bound(q: ReplicationQuery, bound: float) -> float:
     For b in [b_max, B] the true p_rep_given_b is at least this value
     (the kernel is unimodal in b with its peak at b_max).
     """
-    bound = float(bound)
-    if not (math.isfinite(bound) and bound > 0.0):
-        raise DomainError(f"bound must be finite and > 0, got {bound!r}")
-    return p_rep_given_b(q, bound)
+    return p_rep_given_b(q, _check_df(bound, "bound"))
 
 
 @np.errstate(over="ignore")  # b * b_hat may overflow to its limit inf
-def _rep_rule(t, n, df, b_hat, nu0, t_crit, n_r, df_r, c):
+def _rep_rule(alpha, t, n, df, b_hat, nu0, n_r, df_r, c):
     """The rule's p_rep_integral values, unclamped, and faults over columns
-    whose b_hat and nu0 are checked, at critical values t_crit."""
-    t_abs = np.abs(t)
+    whose b_hat and nu0 are checked, at one alpha."""
+    t_abs, t_crit = np.abs(t), _critical_values(alpha, df_r)
 
     def kernel(rows: np.ndarray, b: np.ndarray, c_node: np.ndarray) -> np.ndarray:
         arg = _kernel_argument(t_abs[rows], b * b_hat[rows], n[rows], n_r[rows], t_crit[rows],
@@ -165,17 +169,11 @@ def _rep_rule(t, n, df, b_hat, nu0, t_crit, n_r, df_r, c):
     ])
 
 
-def _p_rep_integral(t, n, df, b_hat, nu0, alpha: float, n_r, df_r) -> np.ndarray:
+def _p_rep_integral(t, n, df, b_hat, nu0, alpha: float, n_r, df_r, c=1.0):
     """p_rep_integral over columns of originals and replication designs at
-    one alpha and c = 1; NaN where p_rep_integral raises."""
-    t, n, df, b_hat, nu0, n_r, df_r = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (t, n, df, b_hat, nu0, n_r, df_r)))
-    valid = (nu0 >= 1.0) & (nu0 < np.inf) & (b_hat > 0.0) & (b_hat < np.inf)
-    p = np.full(t.shape, np.nan)
-    t, n, df, b_hat, nu0, n_r, df_r = (x[valid] for x in (t, n, df, b_hat, nu0, n_r, df_r))
-    p[valid] = _rep_rule(t, n, df, b_hat, nu0, _critical_values(alpha, df_r), n_r, df_r,
-                         np.ones(df_r.shape))[0]
-    return np.clip(p, 0.0, 1.0)
+    one alpha, and its faults."""
+    p, faults = _integral_rows(partial(_rep_rule, alpha), t, n, df, b_hat, nu0, n_r, df_r, c)
+    return np.clip(p, 0.0, 1.0), faults
 
 
 def p_rep_integral(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
@@ -188,14 +186,9 @@ def p_rep_integral(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
 
         E[ K(b*b_hat, c_q*c) ],   b ~ F(nu, nu0),  c ~ F(nu, nu_r).
     """
-    b_hat = _check_b_hat(b_hat)
-    nu0 = _check_nu0(nu0)
     stat = q.stat
-    values, faults = _rep_rule(*(np.array([x]) for x in (
-        stat.t, stat.n, stat.df, b_hat, nu0, _critical(q.alpha, q.df_r), q.n_r, q.df_r, q.c)))
-    if faults:
-        raise faults[0]
-    return min(1.0, max(0.0, float(values[0])))
+    return float(_checked(_p_rep_integral(stat.t, stat.n, stat.df, b_hat, nu0, q.alpha, q.n_r,
+                                      q.df_r, q.c)))
 
 
 @np.errstate(all="ignore")  # rows outside the domain are computed too
@@ -206,13 +199,22 @@ def _closed_argument(t, n, b_hat, nu0, t_crit, n_r):
     return scale * (np.abs(t) / np.sqrt(bn) - t_crit * np.sqrt(1.0 / bn + nu0 / (nu0 - 2.0)))
 
 
-def _p_rep_closed(t, n, b_hat, nu0, alpha: float, n_r, df_r) -> np.ndarray:
+def _check_closed(nu0: float, b_hat: float, arg: float, df_r: float) -> None:
+    """p_rep_closed's checks, the last of the kernel's argument and df_r by t_cdf."""
+    if _check_nu0(nu0) <= 2.0:
+        raise DomainError(f"nu0 must be > 2 for the closed form, got {nu0!r}")
+    _check_b_hat(b_hat)
+    t_cdf(arg, df_r)
+
+
+def _p_rep_closed(t, n, b_hat, nu0, alpha: float, n_r, df_r):
     """p_rep_closed over columns of originals and replication designs at one
-    alpha; NaN where p_rep_closed raises."""
+    alpha, and its faults."""
     t, n, b_hat, nu0, n_r = (np.asarray(x, dtype=float) for x in (t, n, b_hat, nu0, n_r))
     arg = _closed_argument(t, n, b_hat, nu0, _critical_values(alpha, df_r), n_r)
     valid = (nu0 > 2.0) & (nu0 < np.inf) & (b_hat > 0.0) & (b_hat < np.inf) & np.isfinite(arg)
-    return np.where(valid, np.clip(_t_cdf(arg, df_r), 0.0, 1.0), np.nan)
+    p = np.where(valid, np.clip(_t_cdf(arg, df_r), 0.0, 1.0), np.nan)
+    return p, _faults(np.isnan(p), _check_closed, nu0, b_hat, arg, df_r)
 
 
 def p_rep_closed(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
@@ -224,47 +226,33 @@ def p_rep_closed(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
     Requires nu0 > 2 (the nu0/(nu0−2) term is the mean of the inverse
     chi-square factor absorbing the uncertainty in b̂).
     """
-    nu0 = _check_nu0(nu0)
-    if nu0 <= 2.0:
-        raise DomainError(f"nu0 must be > 2 for the closed form, got {nu0!r}")
-    b_hat = _check_b_hat(b_hat)
-    t_crit = _critical(q.alpha, q.df_r)
-    arg = float(_closed_argument(q.stat.t, q.stat.n, b_hat, nu0, t_crit, q.n_r))
-    return min(1.0, max(0.0, t_cdf(arg, q.df_r)))
+    return float(_checked(_p_rep_closed(q.stat.t, q.stat.n, b_hat, nu0, q.alpha, q.n_r, q.df_r)))
 
 
-def _p_rep_column(variant: str, t, n, df, b, nu0, alpha: float, n_r, df_r) -> np.ndarray:
+def _p_rep_column(variant: str, t, n, df, b, nu0, alpha: float, n_r, df_r):
     """The p_rep of a forecast variant (bound, closed or integral) over
     columns of originals and replication designs at one alpha and c = 1,
-    where ``b`` is the bound for ``bound`` and b_hat otherwise; NaN where
-    ``_p_rep_scalar`` raises."""
-    if variant == "bound":  # p_rep_bound takes a bound in (0, inf)
-        return _p_rep_given_b(t, n, np.where((b > 0.0) & (b < np.inf), b, np.nan), alpha,
-                              n_r, df_r)
+    where ``b`` is the bound for ``bound`` and b_hat otherwise, and each
+    faulty row's error, as the variant's public function raises it."""
+    if variant == "bound":
+        return _at_bound(lambda b: _p_rep_given_b(t, n, b, alpha, n_r, df_r), b)
     if variant == "closed":
         return _p_rep_closed(t, n, b, nu0, alpha, n_r, df_r)
     return _p_rep_integral(t, n, df, b, nu0, alpha, n_r, df_r)
 
 
-def _p_rep_scalar(variant: str, q: ReplicationQuery, b: float, nu0: float) -> float:
-    """The p_rep of a forecast variant for one query, by its public function."""
-    if variant == "bound":
-        return p_rep_bound(q, b)
-    if variant == "closed":
-        return p_rep_closed(q, b, nu0)
-    return p_rep_integral(q, b, nu0)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # rows outside the domain
-def _b_max(t, n, df, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _b_max(t, n, df, alpha: float):
     """b_max's tau, z_max and b_max over columns of t, N and df at a level
-    alpha in (0, 0.5); NaN where b_max raises, which includes t = 0."""
+    alpha in (0, 0.5), NaN where b_max raises or t = 0, and the faults of the
+    rows where t != 0: what BmaxResult raises on the row's values."""
     t, n = np.asarray(t, dtype=float), np.asarray(n, dtype=float)
     tau = np.abs(t) / _critical_values(alpha, df)
     z_max = _stationary_roots(tau)
     b = z_max / n
     valid = (b > 0.0) & (b < np.inf) & (z_max <= tau * (1.0 + 1e-12))
-    return tuple(np.where(valid, column, np.nan) for column in (tau, z_max, b))
+    return (tuple(np.where(valid, column, np.nan) for column in (tau, z_max, b)),
+            _faults(~valid & (t != 0.0), BmaxResult, tau, z_max, b))
 
 
 def b_max(stat: TestStatistic, alpha: float) -> BmaxResult:
@@ -283,9 +271,7 @@ def b_max(stat: TestStatistic, alpha: float) -> BmaxResult:
     alpha = _check_alpha(alpha, upper=0.5)
     if stat.t == 0.0:
         raise DomainError("b_max is undefined at t = 0")
-    tau = abs(stat.t) / _critical(alpha, stat.df)
-    z_max = find_positive_root(tau)
-    return BmaxResult(tau=tau, z_max=z_max, b_max=z_max / stat.n)
+    return BmaxResult(*map(float, _checked(_b_max(stat.t, stat.n, stat.df, alpha))))
 
 
 def killeen_p_rep(effect: float, n: float) -> float:

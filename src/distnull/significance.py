@@ -10,18 +10,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .distributions import (
     PROB_FLOOR,
     _check_b_hat,
+    _check_df,
     _check_nu0,
+    _checked,
     _f_expectations,
+    _faults,
     _t_tail,
     clamp_probability,
 )
-from .errors import DomainError
+from .errors import DistnullError, DomainError
 
 __all__ = [
     "TestStatistic",
@@ -84,14 +88,15 @@ def _statistic(n, mean, variance) -> tuple[np.ndarray, np.ndarray]:
     return effect * np.sqrt(n), effect
 
 
-def _p_point(t, df) -> np.ndarray:
-    """p_point over columns of t and df; NaN where p_point raises."""
-    return np.clip(2.0 * _t_tail(t, df)[0], PROB_FLOOR, 1.0)
+def _p_point(t, df) -> tuple[np.ndarray, dict[int, DistnullError]]:
+    """p_point over columns of t and df, and its faults."""
+    p = np.clip(2.0 * _t_tail(t, df)[0], PROB_FLOOR, 1.0)
+    return p, _faults(np.isnan(p), clamp_probability, p)
 
 
 def p_point(stat: TestStatistic) -> float:
     """Two-sided point-form significance 2T_nu(-|t|)."""
-    return clamp_probability(float(_p_point(stat.t, stat.df)))
+    return float(_checked(_p_point(stat.t, stat.df)))
 
 
 def p_sig_given_b(stat: TestStatistic, b: float) -> float:
@@ -100,17 +105,25 @@ def p_sig_given_b(stat: TestStatistic, b: float) -> float:
     2T_nu(-|t| / sqrt(1 + bN)): the between-experiment spread inflates the
     null scale of t by sqrt(1 + bN). Reduces to p_point at b = 0.
     """
-    b = float(b)
+    return float(_checked(_p_sig_given_b(stat.t, stat.n, stat.df, b)))
+
+
+def _check_given_b(b: float, p: float) -> None:
+    """p_sig_given_b's checks of b and of its value."""
     if not (math.isfinite(b) and b >= 0.0):
         raise DomainError(f"b must be finite and >= 0, got {b!r}")
-    return clamp_probability(float(_p_sig_given_b(stat.t, stat.n, stat.df, b)))
+    clamp_probability(p)
 
 
-@np.errstate(over="ignore")  # b * N may overflow to its limit inf
-def _p_sig_given_b(t, n, df, b) -> np.ndarray:
-    """p_sig_given_b over columns of t, N, df and checked b."""
+@np.errstate(all="ignore")  # rows outside the domain are computed too
+def _p_sig_given_b(t, n, df, b) -> tuple[np.ndarray, dict[int, DistnullError]]:
+    """p_sig_given_b over columns of t, N, df and b, and its faults; b * N may
+    overflow to its limit inf."""
+    b = np.asarray(b, dtype=float)
     x = t / np.sqrt(1.0 + np.multiply(b, n))
-    return np.clip(2.0 * _t_tail(x, df)[0], PROB_FLOOR, 1.0)
+    p = np.where((b >= 0.0) & (b < np.inf), np.clip(2.0 * _t_tail(x, df)[0], PROB_FLOOR, 1.0),
+                 np.nan)
+    return p, _faults(np.isnan(p), _check_given_b, b, p)
 
 
 def p_sig_bound(stat: TestStatistic, bound: float) -> float:
@@ -119,10 +132,15 @@ def p_sig_bound(stat: TestStatistic, bound: float) -> float:
     If the computed value is below alpha, the result stays significant for
     every b <= B, since p_sig_given_b is increasing in b.
     """
-    bound = float(bound)
-    if not (math.isfinite(bound) and bound > 0.0):
-        raise DomainError(f"bound must be finite and > 0, got {bound!r}")
-    return p_sig_given_b(stat, bound)
+    return p_sig_given_b(stat, _check_df(bound, "bound"))
+
+
+def _at_bound(kernel, bound) -> tuple[np.ndarray, dict[int, DistnullError]]:
+    """A known-b kernel, ``kernel(b)``, at a column of bounds, with the faults
+    of p_sig_bound and p_rep_bound, which first check the bound."""
+    valid = (bound > 0.0) & (bound < np.inf)
+    values, faults = kernel(np.where(valid, bound, np.nan))
+    return values, {**faults, **_faults(~valid, partial(_check_df, name="bound"), bound)}
 
 
 @np.errstate(over="ignore")  # b_hat * N and b * spread may overflow to their limit inf
@@ -137,15 +155,26 @@ def _sig_rule(t, n, df, b_hat, nu0):
     return _f_expectations(kernel, [((d, v),) for d, v in zip(df.tolist(), nu0.tolist())])
 
 
-def _p_sig_integral(t, n, df, b_hat, nu0) -> np.ndarray:
-    """p_sig_integral over columns of t, N, df, b_hat and nu0; NaN where
-    p_sig_integral raises."""
-    t, n, df, b_hat, nu0 = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (t, n, df, b_hat, nu0)))
+def _integral_rows(rule, *columns) -> tuple[np.ndarray, dict[int, DistnullError]]:
+    """``rule``, _sig_rule or _rep_rule, over the rows of columns (t, N, df,
+    b_hat, nu0, ...) whose b_hat and nu0 the integral forms accept: its
+    values, NaN elsewhere, and every row's faults, elsewhere those of
+    _check_b_hat and then _check_nu0."""
+    columns = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in columns))
+    b_hat, nu0 = columns[3], columns[4]
     valid = (nu0 >= 1.0) & (nu0 < np.inf) & (b_hat > 0.0) & (b_hat < np.inf)
-    p = np.full(t.shape, np.nan)
-    p[valid] = _sig_rule(t[valid], n[valid], df[valid], b_hat[valid], nu0[valid])[0]
-    return np.clip(p, PROB_FLOOR, 1.0)
+    values = np.full(valid.shape, np.nan)
+    values[valid], rule_faults = rule(*(x[valid] for x in columns))
+    rows = np.flatnonzero(valid).tolist()
+    faults = {rows[k]: exc for k, exc in rule_faults.items()}
+    faults.update(_faults(~valid, lambda b, v: (_check_b_hat(b), _check_nu0(v)), b_hat, nu0))
+    return values, faults
+
+
+def _p_sig_integral(t, n, df, b_hat, nu0) -> tuple[np.ndarray, dict[int, DistnullError]]:
+    """p_sig_integral over columns of t, N, df, b_hat and nu0, and its faults."""
+    p, faults = _integral_rows(_sig_rule, t, n, df, b_hat, nu0)
+    return np.clip(p, PROB_FLOOR, 1.0), faults
 
 
 def p_sig_integral(stat: TestStatistic, b_hat: float, nu0: float) -> float:
@@ -158,12 +187,7 @@ def p_sig_integral(stat: TestStatistic, b_hat: float, nu0: float) -> float:
 
     evaluated by the certified fixed-node rule of ``f_expectation``.
     """
-    b_hat = _check_b_hat(b_hat)
-    nu0 = _check_nu0(nu0)
-    values, faults = _sig_rule(*(np.array([x]) for x in (stat.t, stat.n, stat.df, b_hat, nu0)))
-    if faults:
-        raise faults[0]
-    return clamp_probability(float(values[0]))
+    return float(_checked(_p_sig_integral(stat.t, stat.n, stat.df, b_hat, nu0)))
 
 
 @np.errstate(all="ignore")  # b_hat * N may overflow (t0 -> 0) or underflow to 0
@@ -179,12 +203,14 @@ def t0_statistic(stat: TestStatistic, b_hat: float) -> float:
 
 
 @np.errstate(all="ignore")  # rows outside the domain are computed too
-def _p_sig_closed(t, n, b_hat, nu0) -> np.ndarray:
-    """p_sig_closed over columns of t, N, b_hat and nu0; NaN where p_sig_closed raises."""
+def _p_sig_closed(t, n, b_hat, nu0) -> tuple[np.ndarray, dict[int, DistnullError]]:
+    """p_sig_closed over columns of t, N, b_hat and nu0, and its faults."""
     t, n, b_hat, nu0 = (np.asarray(x, dtype=float) for x in (t, n, b_hat, nu0))
     p = np.clip(2.0 * _t_tail(_t0(t, n, b_hat), nu0)[0], PROB_FLOOR, 1.0)
     valid = (nu0 >= 1.0) & (nu0 < np.inf) & (b_hat > 0.0) & (b_hat < np.inf)
-    return np.where(valid, p, np.nan)
+    p = np.where(valid, p, np.nan)
+    return p, _faults(np.isnan(p), lambda v, b, p: (
+        _check_nu0(v), _check_b_hat(b), clamp_probability(p)), nu0, b_hat, p)
 
 
 def p_sig_closed(stat: TestStatistic, b_hat: float, nu0: float) -> float:
@@ -194,30 +220,17 @@ def p_sig_closed(stat: TestStatistic, b_hat: float, nu0: float) -> float:
     from the within-experiment nu to the between-experiment nu0, since S0
     rather than S now carries the estimation noise.
     """
-    nu0 = _check_nu0(nu0)
-    b_hat = _check_b_hat(b_hat)
-    return clamp_probability(float(_p_sig_closed(stat.t, stat.n, b_hat, nu0)))
+    return float(_checked(_p_sig_closed(stat.t, stat.n, b_hat, nu0)))
 
 
-def _p_sig_column(variant: str, t, n, df, b, nu0) -> np.ndarray:
+def _p_sig_column(variant: str, t, n, df, b, nu0) -> tuple[np.ndarray, dict[int, DistnullError]]:
     """The p_sig of a test variant (point, bound, closed or integral) over
-    columns, where ``b`` is the bound for ``bound`` and b_hat otherwise;
-    NaN where ``_p_sig_scalar`` raises."""
+    columns, where ``b`` is the bound for ``bound`` and b_hat otherwise, and
+    each faulty row's error, as the variant's public function raises it."""
     if variant == "point":
         return _p_point(t, df)
-    if variant == "bound":  # p_sig_bound takes a bound in (0, inf)
-        return _p_sig_given_b(t, n, df, np.where((b > 0.0) & (b < np.inf), b, np.nan))
+    if variant == "bound":
+        return _at_bound(lambda b: _p_sig_given_b(t, n, df, b), b)
     if variant == "closed":
         return _p_sig_closed(t, n, b, nu0)
     return _p_sig_integral(t, n, df, b, nu0)
-
-
-def _p_sig_scalar(variant: str, stat: TestStatistic, b: float, nu0: float) -> float:
-    """The p_sig of a test variant for one statistic, by its public function."""
-    if variant == "point":
-        return p_point(stat)
-    if variant == "bound":
-        return p_sig_bound(stat, b)
-    if variant == "closed":
-        return p_sig_closed(stat, b, nu0)
-    return p_sig_integral(stat, b, nu0)

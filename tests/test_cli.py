@@ -1569,6 +1569,36 @@ class TestExtremeInputs:
                 assert not caught, (argv, [str(w.message) for w in caught])
 
 
+class TestFaultsComputedOnce:
+    """An integral command that exits on a faulty site starts each site's
+    certified rule once: the error comes with the kernel's column, and no
+    site is computed again to find it."""
+
+    # the F laws of each site's rule, for sites s1 and s2 of the case
+    RULES = {
+        "integral_test_df_ratio_rounds_to_1": [((1e150, 5.0),), ((29.0, 5.0),)],
+        "integral_predict_df_ratio_rounds_to_1": [((1e150, 5.0), (1e150, 29.0)),
+                                                  ((29.0, 5.0), (29.0, 29.0))],
+        "integral_predict_tiny_df": [((1e-300, 5.0), (1e-300, 29.0)),
+                                     ((29.0, 5.0), (29.0, 29.0))],
+    }
+
+    @pytest.mark.parametrize("case", sorted(RULES))
+    def test_each_rule_starts_once(self, tmp_path, monkeypatch, case):
+        rows, argv, code, err = TestExtremeInputs.CASES[case]
+        path = tmp_path / "sites.csv"
+        path.write_text("\n".join([",".join(SUMMARY_HEADER), *rows, ""]))
+        started, rule = [], distributions._rule
+
+        def counted(dfs):
+            started.append(tuple(dfs))
+            return rule(dfs)
+
+        monkeypatch.setattr(distributions, "_rule", counted)
+        assert run_cli([*argv, "--input", str(path)]) == (code, "", err)
+        assert started == self.RULES[case]
+
+
 class TestDeterminism:
     def test_estimate_and_test_are_byte_stable(self, summary_file, tmp_path):
         est = str(tmp_path / "est.csv")

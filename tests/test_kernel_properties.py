@@ -9,10 +9,11 @@ t0 = mean / S0. The integral variants have their own properties in
 
 The column kernels behind the closed, bound and integral forms are checked
 against the public scalar functions row by row, and each test and forecast
-variant's column function against its scalar function: equal with == where
-the scalar function returns, NaN exactly where it raises; an integral
-kernel's rows also keep their values when the rows are permuted. b_max's
-root is also checked against the exact rational root of its quintic.
+variant's column function against its public function: equal with == where
+the public function returns; where it raises, NaN with a fault of the same
+class and message. An integral kernel's rows also keep their values and
+faults when the rows are permuted. b_max's root is also checked against the
+exact rational root of its quintic.
 """
 
 from __future__ import annotations
@@ -29,20 +30,20 @@ from distnull.distributions import _stationary_roots, find_positive_root
 from distnull.errors import DistnullError
 from distnull.estimators import BetweenVariance, ExperimentSummary, variance_ratio
 from distnull.replication import (
-    ReplicationQuery, _b_max, _p_rep_closed, _p_rep_column, _p_rep_given_b, _p_rep_scalar,
-    b_max, p_rep_closed, p_rep_given_b,
+    ReplicationQuery, _b_max, _p_rep_closed, _p_rep_column, _p_rep_given_b,
+    b_max, p_rep_bound, p_rep_closed, p_rep_given_b, p_rep_integral,
 )
 from distnull.significance import (
     TestStatistic,
     _p_point,
     _p_sig_closed,
     _p_sig_column,
-    _p_sig_scalar,
     _t0,
     p_point,
     p_sig_bound,
     p_sig_closed,
     p_sig_given_b,
+    p_sig_integral,
     t0_statistic,
 )
 
@@ -132,19 +133,20 @@ def test_column_kernels_equal_the_scalar_functions(rows, alpha):
     df, df_r = n - lag, n_r - 1.0
     stats = [TestStatistic.from_t(*row) for row in zip(t, n, df)]
     queries = [ReplicationQuery(s, nr, dr, alpha) for s, nr, dr in zip(stats, n_r, df_r)]
-    assert _p_point(t, df).tolist() == [p_point(s) for s in stats]
+    assert outcomes(_p_point(t, df)) == [p_point(s) for s in stats]
     assert _t0(t, n, b).tolist() == [t0_statistic(s, bh) for s, bh in zip(stats, b)]
-    assert _p_sig_closed(t, n, b, nu0).tolist() == [
+    assert outcomes(_p_sig_closed(t, n, b, nu0)) == [
         p_sig_closed(s, bh, v) for s, bh, v in zip(stats, b, nu0)
     ]
-    assert _p_rep_closed(t, n, b, nu0, alpha, n_r, df_r).tolist() == [
+    assert outcomes(_p_rep_closed(t, n, b, nu0, alpha, n_r, df_r)) == [
         p_rep_closed(q, bh, v) for q, bh, v in zip(queries, b, nu0)
     ]
-    assert _p_rep_given_b(t, n, b, alpha, n_r, df_r).tolist() == [
+    assert outcomes(_p_rep_given_b(t, n, b, alpha, n_r, df_r)) == [
         p_rep_given_b(q, bh) for q, bh in zip(queries, b)
     ]
-    columns = np.array(_b_max(t, n, df, alpha)).T.tolist()
-    for s, cells in zip(stats, columns):
+    columns, faults = _b_max(t, n, df, alpha)
+    assert not faults
+    for s, cells in zip(stats, np.array(columns).T.tolist()):
         if s.t == 0.0:
             assert all(math.isnan(c) for c in cells)
             continue
@@ -176,22 +178,49 @@ def scalar_or_nan(function, *args):
         return math.nan
 
 
-def same(column, values) -> bool:
-    return np.array_equal(column, np.array(values, dtype=float), equal_nan=True)
+def outcome(function, *args):
+    """The scalar function's value, or the class and message of its error."""
+    try:
+        return function(*args)
+    except DistnullError as exc:
+        return type(exc), str(exc)
+
+
+def outcomes(column) -> list:
+    """A column kernel's (values, faults) row by row: the value, or the class
+    and message of the row's fault, where the value must be NaN."""
+    values, faults = column
+    assert all(math.isnan(values[i]) for i in faults)
+    return [(type(faults[i]), str(faults[i])) if i in faults else v
+            for i, v in enumerate(np.asarray(values).tolist())]
+
+
+# Each test and forecast variant's public function, taking b and nu0.
+SIG = {
+    "point": lambda s, b, nu0: p_point(s),
+    "bound": lambda s, b, nu0: p_sig_bound(s, b),
+    "closed": p_sig_closed,
+    "integral": p_sig_integral,
+}
+REP = {
+    "bound": lambda q, b, nu0: p_rep_bound(q, b),
+    "closed": p_rep_closed,
+    "integral": p_rep_integral,
+}
 
 
 def assert_variants_match(variants, stats, queries, t, n, df, b, nu0, alpha, n_r, df_r):
-    """Each variant's column function is its scalar function row by row:
-    == where the scalar function returns, NaN exactly where it raises."""
+    """Each variant's column function is its public function row by row:
+    == where the public function returns, and where it raises, NaN with a
+    fault of the same class and message."""
     for variant in variants:
         if variant != "point":
-            assert same(_p_rep_column(variant, t, n, df, b, nu0, alpha, n_r, df_r), [
-                scalar_or_nan(_p_rep_scalar, variant, q, bh, v)
-                for q, bh, v in zip(queries, b, nu0)
-            ]), variant
-        assert same(_p_sig_column(variant, t, n, df, b, nu0), [
-            scalar_or_nan(_p_sig_scalar, variant, s, bh, v) for s, bh, v in zip(stats, b, nu0)
-        ]), variant
+            assert outcomes(_p_rep_column(variant, t, n, df, b, nu0, alpha, n_r, df_r)) == [
+                outcome(REP[variant], q, bh, v) for q, bh, v in zip(queries, b, nu0)
+            ], variant
+        assert outcomes(_p_sig_column(variant, t, n, df, b, nu0)) == [
+            outcome(SIG[variant], s, bh, v) for s, bh, v in zip(stats, b, nu0)
+        ], variant
 
 
 @PROPERTY
@@ -203,11 +232,17 @@ def test_column_kernels_are_nan_where_the_scalar_functions_raise(rows, alpha):
     queries = [ReplicationQuery(s, nr, dr, alpha) for s, nr, dr in zip(stats, n_r, df_r)]
     assert_variants_match(("point", "bound", "closed"), stats, queries,
                           t, n, df, b, nu0, alpha, n_r, df_r)
-    diagnostics = [scalar_or_nan(b_max, s, alpha) for s in stats]
-    assert same(np.array(_b_max(t, n, df, alpha)).T, [
-        (math.nan,) * 3 if isinstance(d, float) else (d.tau, d.z_max, d.b_max)
-        for d in diagnostics
-    ])
+    # at t = 0, where b_max is undefined, the cells are NaN and not faulty
+    columns, faults = _b_max(t, n, df, alpha)
+    for i, (s, cells) in enumerate(zip(stats, np.array(columns).T.tolist())):
+        diagnostic = outcome(b_max, s, alpha)
+        if s.t == 0.0:
+            assert all(math.isnan(c) for c in cells) and i not in faults
+        elif i in faults:
+            assert all(math.isnan(c) for c in cells)
+            assert (type(faults[i]), str(faults[i])) == diagnostic
+        else:
+            assert cells == [diagnostic.tau, diagnostic.z_max, diagnostic.b_max]
 
 
 # Rows of the integral kernels: mixed df, nu0, b_hat, N_r and df_r, with
@@ -236,12 +271,13 @@ def test_integral_column_kernels_equal_the_scalar_functions(rows, alpha, data):
     stats = [TestStatistic.from_t(*row) for row in zip(t, n, df)]
     queries = [ReplicationQuery(s, nr, dr, alpha) for s, nr, dr in zip(stats, n_r, df_r)]
     assert_variants_match(("integral",), stats, queries, t, n, df, b, nu0, alpha, n_r, df_r)
-    sig = _p_sig_column("integral", t, n, df, b, nu0)
-    rep = _p_rep_column("integral", t, n, df, b, nu0, alpha, n_r, df_r)
+    sig = outcomes(_p_sig_column("integral", t, n, df, b, nu0))
+    rep = outcomes(_p_rep_column("integral", t, n, df, b, nu0, alpha, n_r, df_r))
     order = np.array(data.draw(st.permutations(range(len(rows)))))
     columns = [c[order] for c in (t, n, df, b, nu0)]
-    assert same(_p_sig_column("integral", *columns), sig[order])
-    assert same(_p_rep_column("integral", *columns, alpha, n_r[order], df_r[order]), rep[order])
+    assert outcomes(_p_sig_column("integral", *columns)) == [sig[k] for k in order]
+    assert outcomes(_p_rep_column("integral", *columns, alpha, n_r[order], df_r[order])) == [
+        rep[k] for k in order]
 
 
 # tau log-uniform over [1e-300, 1e300]
