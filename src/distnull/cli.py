@@ -23,8 +23,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Callable, Iterable, Sequence
 from functools import partial
 from itertools import chain, repeat
 from typing import NoReturn
@@ -39,21 +38,20 @@ from .adapters import (
     unpaired_summary,
 )
 from .distributions import (
-    PROB_FLOOR, _check_alpha, _check_df, _check_finite, _check_nu0,
+    PROB_FLOOR, _check_alpha, _check_b_hat, _check_df, _check_finite, _check_nu0, _faults,
 )
 from .errors import (
     ConfigurationError,
-    DegenerateVarianceError,
     DistnullError,
     DomainError,
-    NumericError,
     ParseError,
+    _located,
+    _raise_first,
 )
 from .estimators import (
     ExperimentSummary,
     SiteTable,
     _between_variance,
-    between_variance,
     summarize,
 )
 from .oracle import (
@@ -244,23 +242,6 @@ def _detect_shape(fields: Sequence[str], family: str | None) -> str:
     )
 
 
-@contextmanager
-def _located(where: Callable[[], str]) -> Iterator[None]:
-    """Prefix a domain or numeric error raised inside with ``where()``.
-
-    ``where`` is read only when an error arrives: wrapped around a whole
-    loop, it reads the loop's variables, so the loop pays nothing per item;
-    wrapped around the raise of a column kernel's fault, it names the
-    fault's site. The error keeps its class and attributes, such as a
-    NumericError's estimate.
-    """
-    try:
-        yield
-    except (DomainError, NumericError) as exc:
-        exc.args = (f"{where()}: {exc}",)
-        raise
-
-
 # The cells each row of a shape is checked for, in the order they are checked.
 _ROW_CHECKS = {
     "summary": (
@@ -383,7 +364,8 @@ def load_sites(path: str, family: str | None) -> tuple[str, SiteTable]:
 
     Returns the detected shape name alongside the table. Cells and sites are
     checked in bulk; on a fault, or for a family without a bulk reducer,
-    the sites are summarized one by one, which raises the first error.
+    the sites are summarized one by one, which raises the first error: the
+    one place left where an error is found by rerunning scalar code.
     """
     fields, lines, cells = _read_csv(path)
     shape = _detect_shape(fields, family)
@@ -578,18 +560,16 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         "task", "site", "n", "mean", "variance", "df", "k", "grand_mean",
         "s0_sq", "nu0", "b_hat", "z", "mode", "note",
     ]
-    s0_sq, nu0, grand_mean = _between_variance(sites, mode)
-    multi = sites.k >= 2
-    with _located(lambda: f"task {sites.task_ids[j]!r}"):
-        for j in np.flatnonzero(multi & np.isnan(s0_sq)).tolist():
-            between_variance(sites.task(j), mode)  # raises the task's error
-    # a single-site task has no fit, and a degenerate one no estimate; every
-    # loaded site has a positive variance, so the ratio is defined
-    of = sites.task_of
+    (s0_sq, nu0, grand_mean), faults = _between_variance(sites, mode)
+    _raise_first(faults, lambda j: f"task {sites.task_ids[j]!r}")
+    # a single-site task has no fit, and a degenerate one no estimate
+    multi, of = sites.k >= 2, sites.task_of
     s0_sq, estimated = s0_sq[of], (s0_sq > 0.0)[of]
     with np.errstate(all="ignore"):  # the cells of tasks without an estimate are not used
         b_hat = np.where(estimated, s0_sq / sites.variance, np.nan)
         z = np.where(estimated, (sites.mean - grand_mean[of]) / np.sqrt(s0_sq), np.nan)
+    # a b_hat that overflows or underflows is one that --b-from rejects
+    _raise_first(_faults(np.isin(b_hat, (0, np.inf)), _check_b_hat, b_hat), partial(_where, sites))
     note = np.where(multi[of], np.where(estimated, "", "degenerate_variance"),
                     "skipped_single_site")
     columns = [
@@ -615,15 +595,6 @@ def _variance_columns(
         return b_hat * scale_e, nu0, missing
 
 
-def _raise_first(sites: SiteTable, faults: dict[int, DistnullError]) -> None:
-    """Raise the error of the first faulty site, in site order, prefixed with
-    its task and site."""
-    if faults:
-        i = min(faults)
-        with _located(lambda: _where(sites, i)):
-            raise faults[i]
-
-
 def _fixed(args: argparse.Namespace) -> tuple[list[repeat], list[repeat]]:
     """The (alpha, variant) and (bound, scale_e) cells, the same on every row."""
     bound = _real(args.bound) if args.variant == "bound" else ""
@@ -644,7 +615,7 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     b = np.full(len(sites), args.bound) if args.variant == "bound" else b_used
     p_sig, faults = _p_sig_column(args.variant, t, n, df, b, nu0)
     # a site's --b-from lookup comes before its significance
-    _raise_first(sites, {**faults, **missing})
+    _raise_first({**faults, **missing}, partial(_where, sites))
     pp = p_sig if args.variant == "point" else _p_point(t, df)[0]
     negative = t < 0
     significant = p_sig <= args.alpha
@@ -701,7 +672,7 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     p_rep, faults = _p_rep_column(args.variant, t, n, df, b, nu0, args.alpha, n_r, df_r)
     diagnostics, cell_faults = _b_max(t, n, df, args.alpha)
     # a site's --b-from lookup comes before its forecast, and that before its b_max cells
-    _raise_first(sites, {**cell_faults, **faults, **missing})
+    _raise_first({**cell_faults, **faults, **missing}, partial(_where, sites))
     fixed, scale = _fixed(args)
     out = [
         _task_names(sites), sites.site_ids, *map(_reals, (n, df, t, n_r, df_r)), *fixed,
@@ -714,28 +685,17 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 def cmd_calibrate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     mode = _MODES[args.mode]
     _, sites = load_sites(args.input, args.family)
-    multi = sites.k >= 2
-    pairs = partial(task_pair_records, alphas=args.alphas, mode=mode,
-                    scale_e=args.scale_e, variant=args.variant)
-    try:
-        tables = [pairs(sites.select(multi))] if multi.any() else []
-    except DistnullError:
-        tables = None  # a task raises, or has S0^2 = 0: find it task by task
-    by_task = []
-    with _located(lambda: f"task {task!r}"):
-        for j, task in enumerate(sites.task_ids):
-            if not multi[j]:
-                print(f"warning: task {task!r} has a single site; skipped", file=sys.stderr)
-            elif tables is None:
-                try:
-                    by_task.append(pairs(sites.task(j)))
-                except DegenerateVarianceError:
-                    print(f"warning: task {task!r} has S0^2 = 0; skipped", file=sys.stderr)
-    tables = by_task if tables is None else tables
-    if not tables:
+    (s0_sq, _, _), _ = _between_variance(sites, mode)
+    for task, k, s in zip(sites.task_ids, sites.k.tolist(), s0_sq.tolist()):
+        if k < 2:
+            print(f"warning: task {task!r} has a single site; skipped", file=sys.stderr)
+        elif s == 0.0:
+            print(f"warning: task {task!r} has S0^2 = 0; skipped", file=sys.stderr)
+    kept = (sites.k >= 2) & (s0_sq != 0.0)  # a faulty fit is NaN: kept, to raise its error
+    if not kept.any():
         raise DomainError("no task with >= 2 sites and S0^2 > 0; nothing to calibrate")
-
-    bins = bin_pairs(np.concatenate(tables))
+    bins = bin_pairs(task_pair_records(sites.select(kept), args.alphas, mode, args.scale_e,
+                                       args.variant))
     gap = calibration_gap(bins)
     direction = "" if gap is None else gap_direction(gap)
     header = [
@@ -839,7 +799,7 @@ def cmd_bmax(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     header = ["task", "site", "n", "df", "t", "effect", "alpha", "tau", "z_max", "b_max"]
     t = sites.t
     diagnostics, faults = _b_max(t, sites.n, sites.df, args.alpha)
-    _raise_first(sites, faults)
+    _raise_first(faults, partial(_where, sites))
     columns = [
         _task_names(sites), sites.site_ids, *map(_reals, (sites.n, sites.df, t, sites.effect)),
         repeat(_real(args.alpha)), *map(_reals, diagnostics),

@@ -7,6 +7,9 @@ Each class carries the exit code the CLI returns for it.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+
 
 class DistnullError(Exception):
     """Base class for all package-specific errors."""
@@ -75,3 +78,29 @@ class NumericError(DistnullError):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.error_bound = error_bound
+
+
+@contextmanager
+def _located(where: Callable[[], str]) -> Iterator[None]:
+    """Prefix a domain or numeric error raised inside with ``where()``.
+
+    ``where`` is read only when an error arrives: wrapped around a whole
+    loop, it reads the loop's variables, so the loop pays nothing per item;
+    wrapped around the raise of a column kernel's fault, it names the
+    fault's site or task. The error keeps its class and attributes, such
+    as a NumericError's estimate.
+    """
+    try:
+        yield
+    except (DomainError, NumericError) as exc:
+        exc.args = (f"{where()}: {exc}",)
+        raise
+
+
+def _raise_first(faults: dict[int, DistnullError], where: Callable[[int], str]) -> None:
+    """Raise the fault of the first faulty row or task, if any, prefixed
+    with ``where`` of its index."""
+    if faults:
+        first = min(faults)
+        with _located(lambda: where(first)):
+            raise faults[first]

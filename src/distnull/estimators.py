@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .distributions import _check_nu0
+from .distributions import _check_nu0, _checked, _faults
 from .errors import (
     DegenerateVarianceError,
+    DistnullError,
     DomainError,
     InsufficientDataError,
 )
@@ -198,25 +200,13 @@ def between_variance(task: TaskSet, mode: VarianceMode = "as_published") -> Betw
     noise (clamped at zero), since E[S_m^2] = sigma0^2 + (1/K) sum_i
     sigma_i^2 / N_i under the hierarchical model.
     """
-    if mode not in ("as_published", "moment_corrected"):
-        raise DomainError(f"unknown mode {mode!r}")
-    for e in task.experiments:
-        if e.df <= 2:
-            raise DomainError(
-                "every experiment needs df > 2 "
-                f"(noise-correction moment undefined at df={e.df!r})"
-            )
-    # an overflow or a vanishing N(nu - 2) leaves s0_sq or grand_mean
-    # non-finite, which BetweenVariance rejects
-    s0_sq, grand_mean, _ = _task_spread(SiteTable.from_tasks([task]), mode)
-    return BetweenVariance(
-        s0_sq=float(s0_sq[0]), nu0=task.k - 1, grand_mean=float(grand_mean[0]), mode=mode
-    )
+    s0_sq, _, grand_mean = _checked(_between_variance(SiteTable.from_tasks([task]), mode))
+    return BetweenVariance(float(s0_sq[0]), task.k - 1, float(grand_mean[0]), mode)
 
 
 @np.errstate(all="ignore")  # a task whose fit is undefined is left non-finite
-def _task_spread(table: SiteTable, mode: VarianceMode) -> tuple[np.ndarray, ...]:
-    """Each task's raw S0^2 and grand mean, and whether a site has df <= 2.
+def _task_spread(table: SiteTable, mode: VarianceMode) -> tuple[np.ndarray, np.ndarray]:
+    """Each task's raw S0^2 and grand mean.
 
     Tasks of equal K reduce together as rows of a 2-D block, which keeps
     the bits of a 1-D reduction; the as-published correction is summed one
@@ -224,7 +214,6 @@ def _task_spread(table: SiteTable, mode: VarianceMode) -> tuple[np.ndarray, ...]
     """
     tasks = len(table.task_ids)
     s0_sq, grand_mean = np.empty(tasks), np.empty(tasks)
-    low_df = np.empty(tasks, dtype=bool)
     for k in np.unique(table.k).tolist():
         block = np.flatnonzero(table.k == k)
         rows = table.offsets[block, None] + np.arange(k)
@@ -245,20 +234,31 @@ def _task_spread(table: SiteTable, mode: VarianceMode) -> tuple[np.ndarray, ...]
         else:
             s0_sq[block] = np.maximum(s_m_sq - correction, 0.0)
         grand_mean[block] = centre
-        low_df[block] = (df <= 2.0).any(axis=1)
-    return s0_sq, grand_mean, low_df
+    return s0_sq, grand_mean
 
 
-def _between_variance(table: SiteTable, mode: VarianceMode) -> tuple[np.ndarray, ...]:
-    """between_variance over every task of a table: (s0_sq, nu0, grand_mean)
-    columns, NaN in the tasks where it raises (including tasks with K < 2)."""
+def _between_variance(
+    table: SiteTable, mode: VarianceMode
+) -> tuple[tuple[np.ndarray, ...], dict[int, DistnullError]]:
+    """between_variance over every task of a table: its (s0_sq, nu0,
+    grand_mean) columns, NaN in the tasks without a fit, and the error of
+    each faulty task, as between_variance raises it: that of the task's
+    first site with df <= 2, else BetweenVariance's check of a non-finite
+    fit. A task with K < 2 has no fit and no fault."""
     if mode not in ("as_published", "moment_corrected"):
         raise DomainError(f"unknown mode {mode!r}")
-    s0_sq, grand_mean, low_df = _task_spread(table, mode)
-    valid = (table.k >= 2) & ~low_df & np.isfinite(s0_sq) & np.isfinite(grand_mean)
-    return tuple(
-        np.where(valid, column, np.nan) for column in (s0_sq, table.k - 1.0, grand_mean)
-    )
+    s0_sq, grand_mean = _task_spread(table, mode)
+    nu0, multi = table.k - 1.0, table.k >= 2
+    faults = _faults(multi & ~(np.isfinite(s0_sq) & np.isfinite(grand_mean)),
+                     partial(BetweenVariance, mode=mode), s0_sq, nu0, grand_mean)
+    low = np.flatnonzero(multi[table.task_of] & (table.df <= 2.0))
+    tasks, first = np.unique(table.task_of[low], return_index=True)
+    for j, df in zip(tasks.tolist(), table.df[low[first]].tolist()):
+        faults[j] = DomainError(
+            f"every experiment needs df > 2 (noise-correction moment undefined at df={df!r})"
+        )
+    valid = multi & ~np.isin(np.arange(multi.size), list(faults))
+    return tuple(np.where(valid, column, np.nan) for column in (s0_sq, nu0, grand_mean)), faults
 
 
 def variance_ratio(b0: BetweenVariance, experiment: ExperimentSummary) -> float:

@@ -13,19 +13,21 @@ SiteTable, which every study reads by column, as the commands do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .distributions import _check_alpha, _checked
-from .errors import DomainError
+from .distributions import _check_alpha, _checked, _faults
+from .errors import DistnullError, DomainError, _raise_first
 from .estimators import (
+    BetweenVariance,
+    ExperimentSummary,
     SiteTable,
     TaskSet,
     VarianceMode,
     _between_variance,
-    between_variance,
 )
 from .adapters import statistic_from_summary
 from .significance import _p_point, _p_sig_closed, _p_sig_column, _p_sig_given_b
@@ -304,26 +306,28 @@ def simulate_tasks(configs: SimConfig | Sequence[SimConfig]) -> list[TaskSet]:
 
 def _fit(
     table: SiteTable, mode: VarianceMode, scale_e: float = 1.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each task's between-variance S0^2 scaled by ``scale_e``, and each
-    site's b-hat and nu0 from it.
-
-    Where a task's fit, its scaled fit or a site's statistic is undefined,
-    the first such task raises the error of its scalar checks.
-    """
-    s0_sq, nu0, _ = _between_variance(table, mode)
-    with np.errstate(over="ignore"):
-        s0_sq = scale_e * s0_sq
-        b_hat = s0_sq[table.task_of] / table.variance
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict[int, DistnullError]]:
+    """Each task's between-variance S0^2 scaled by ``scale_e``, each site's
+    b-hat and nu0 from it, and the error of each faulty task: its fit's,
+    else its scaled fit's overflow, else its first site's statistic error."""
+    (s0_sq, nu0, grand_mean), faults = _between_variance(table, mode)
+    with np.errstate(over="ignore", divide="ignore"):  # faulty cells are reported below
+        scaled = scale_e * s0_sq
+        b_hat = scaled[table.task_of] / table.variance
+    faults.update(_faults(np.isfinite(s0_sq) & ~np.isfinite(scaled),
+                          partial(BetweenVariance, mode=mode), scaled, nu0, grand_mean))
     undefined = ~(np.isfinite(table.t) & np.isfinite(table.effect) & (table.variance > 0))
-    faulty = ~np.isfinite(s0_sq) | (np.bincount(table.task_of, undefined, s0_sq.size) > 0)
-    for j in np.flatnonzero(faulty).tolist():
-        task = table.task(j)
-        b0 = between_variance(task, mode)
-        replace(b0, s0_sq=scale_e * b0.s0_sq)
-        for e in task.experiments:
-            statistic_from_summary(e)
-    return s0_sq, b_hat, nu0[table.task_of]
+    site_faults = _faults(undefined, lambda *row: statistic_from_summary(ExperimentSummary(*row)),
+                          table.n, table.mean, table.variance, table.df)
+    _first_of_task(faults, table.task_of, site_faults)
+    return (scaled, b_hat, nu0[table.task_of]), faults
+
+
+def _first_of_task(faults: dict, task_of: np.ndarray, row_faults: dict) -> None:
+    """Add to ``faults``, by task, the first of ``row_faults`` (by row) in
+    each task that has no fault yet; ``task_of`` maps a row to its task."""
+    for i, exc in sorted(row_faults.items()):
+        faults.setdefault(int(task_of[i]), exc)
 
 
 def type1_calibration(
@@ -339,7 +343,7 @@ def type1_calibration(
     if config.mu0 != 0.0:
         raise DomainError("type-1 calibration requires mu0 = 0")
     table = _simulated_table(config, range(config.n_tasks))
-    _, b_hats, nu0 = _fit(table, mode)
+    _, b_hats, nu0 = _checked(_fit(table, mode))
     t, n, df = table.t, table.n, table.df
     estimated = _checked(_p_sig_closed(t, n, b_hats, nu0))
     arrays = {
@@ -390,18 +394,22 @@ def task_pair_records(
     predictor's S² and N plus the target's N as N_r; the target's own
     variance is never consulted for the forecast. Success means the target
     reaches significance at the same alpha with matching sign. A task whose
-    S0² estimate is zero has no b-hat and raises DegenerateVarianceError;
-    of several faulty tasks, one raises its error.
+    S0² estimate is zero has no b-hat and raises DegenerateVarianceError.
+    A task's error is the first it meets: its fit's, then its sites'
+    significance in site order, then each alpha's forecasts in pair order;
+    the first faulty task raises its error, prefixed with its task.
     """
     if not (math.isfinite(scale_e) and scale_e > 0):
         raise DomainError(f"scale_e must be > 0, got {scale_e!r}")
     if variant not in ("closed", "integral"):
         raise DomainError(f"unknown forecast variant {variant!r}")
     table = tasks if isinstance(tasks, SiteTable) else SiteTable.from_tasks([tasks])
-    _, b_hats, nu0 = _fit(table, mode, scale_e)
+    (_, b_hats, nu0), faults = _fit(table, mode, scale_e)
     t, n, df = table.t, table.n, table.df
-    # the first faulty site's error, then the first faulty forecast's, in pair order
-    p_sigs = _checked(_p_sig_column(variant, t, n, df, b_hats, nu0))
+    p_sigs, sig_faults = _p_sig_column(variant, t, n, df, b_hats, nu0)
+    _first_of_task(faults, table.task_of, sig_faults)
+    if faults:  # the forecasts of the first faulty task and later ones cannot come first
+        b_hats = np.where(table.task_of >= min(faults), np.nan, b_hats)
 
     predictor, target = _pairs(table)
     # A forecast depends on the target only through its (N_r, df_r), so it
@@ -414,8 +422,9 @@ def task_pair_records(
     same_sign = (t < 0)[predictor] == (t < 0)[target]
     records = np.empty((len(alphas), predictor.size), dtype=PAIR_DTYPE)
     for rows, alpha in zip(records, alphas):
-        values = _checked(_p_rep_column(variant, t[i], n[i], df[i], b_hats[i], nu0[i], alpha,
-                                        n[j], df[j]))
+        values, rep_faults = _p_rep_column(variant, t[i], n[i], df[i], b_hats[i], nu0[i], alpha,
+                                           n[j], df[j])
+        _first_of_task(faults, table.task_of[i], rep_faults)
         forecasts = np.empty(first.size)
         forecasts[order] = values
         significant = p_sigs <= alpha
@@ -425,6 +434,7 @@ def task_pair_records(
         rows["forecast"] = forecasts[inverse]
         rows["predictor_significant"] = significant[predictor]
         rows["success"] = significant[target] & same_sign
+    _raise_first(faults, lambda j: f"task {table.task_ids[j]!r}")
     # each task's alphas in turn
     pair_task = np.tile(table.task_of[predictor], len(alphas))
     return records.reshape(-1)[np.argsort(pair_task, kind="stable")]
@@ -562,7 +572,7 @@ def estimator_bias(config: SimConfig, reps: int) -> list[BiasRow]:
         raise DomainError(f"need reps >= 1000 for a stable audit, got {reps}")
     true = config.sigma0**2
     table = _simulated_table(config, range(reps))
-    sums = {mode: sum(_fit(table, mode)[0].tolist())
+    sums = {mode: sum(_checked(_fit(table, mode))[0].tolist())
             for mode in ("as_published", "moment_corrected")}
     rows = []
     for mode, total in sums.items():

@@ -127,6 +127,14 @@ class TestEstimate:
         assert code == 3
         assert "--b-from has no estimate" in err
 
+    def test_b_hat_that_b_from_rejects_is_an_error(self, tmp_path):
+        # S0^2 > 0, and S0^2 / 1e-310 overflows to an inf b_hat, which
+        # `test --b-from` would reject
+        path = write_csv(tmp_path / "inf.csv", SUMMARY_HEADER,
+                         TestCalibrate.infinite_b_hat_tasks())
+        assert run_cli(["estimate", "--input", path]) == (
+            4, "", "error: task 'b' site 'l3': " + TestErrorPrecedence.B_HAT_INF + "\n")
+
     @staticmethod
     def z_column(path: str, *flags: str) -> list[float]:
         code, out, err = run_cli(["estimate", "--input", path, *flags])
@@ -969,6 +977,33 @@ class TestCalibrate:
         assert (code, out) == (4, "")
         assert "skipped" in err and "nothing to calibrate" in err
 
+    @classmethod
+    def infinite_b_hat_tasks(cls) -> list[list[str]]:
+        """Task a, and task b, whose S0^2 is about 0.156 but whose site l3
+        has variance 1e-310, so that l3's b-hat overflows."""
+        b = [["b", "l1", "30", "0.1", "1.0", "29"], ["b", "l2", "35", "0.5", "1.2", "34"],
+             ["b", "l3", "40", "0.9", "1e-310", "39"], ["b", "l4", "32", "0.2", "1.1", "31"]]
+        return cls.zero_between_variance_tasks()[0] + b
+
+    def test_only_a_zero_fit_is_skipped(self, tmp_path):
+        path = write_csv(tmp_path / "inf.csv", SUMMARY_HEADER, self.infinite_b_hat_tasks())
+        assert run_cli(["calibrate", "--input", path]) == (
+            4, "", "error: task 'b': " + TestErrorPrecedence.B_HAT_INF + "\n")
+
+    def test_pairs_of_all_kept_tasks_come_from_one_call(self, tmp_path, monkeypatch):
+        a, b = self.zero_between_variance_tasks()
+        path = write_csv(tmp_path / "ab.csv", SUMMARY_HEADER, a + b)
+        calls, pairs = [], cli.task_pair_records
+
+        def counted(sites, *args, **kwargs):
+            calls.append(sites)
+            return pairs(sites, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "task_pair_records", counted)
+        code, _, err = run_cli(["calibrate", "--mode", "moment", "--input", path])
+        assert (code, err) == (0, "warning: task 'b' has S0^2 = 0; skipped\n")
+        assert len(calls) == 1 and calls[0].task_ids == ["a"]
+
     def test_integral_variant_warns_and_skips_a_zero_between_variance_task(self, tmp_path):
         a, b = self.zero_between_variance_tasks()
 
@@ -1384,6 +1419,41 @@ class TestErrorPrecedence:
             rows[:2] = [self.ZERO_T, ["a", "s2", *self.TINY]]
         return write_csv(tmp_path / "sites.csv", SUMMARY_HEADER, rows)
 
+    # Task a has a fit, but with three sites nu0 = 2, which has no closed
+    # forecast; b has a site with df <= 2, and c means whose spread overflows.
+    TASKS = {
+        "a": [["a", f"s{i}", "30", m, "1.0", "29"] for i, m in enumerate(("0.5", "0.2", "0.9"))],
+        "b": [["b", "s0", "30", "0.5", "1.0", "2"], ["b", "s1", "30", "0.2", "1.0", "29"],
+              ["b", "s2", "30", "0.9", "1.0", "29"]],
+        "c": [["c", "s0", "30", "1e200", "1.0", "29"], ["c", "s1", "30", "-1e200", "1.0", "29"],
+              ["c", "s2", "30", "0", "1.0", "29"]],
+        "lonely": [["lonely", "s0", "30", "0.5", "1.0", "29"]],
+    }
+    DF_2 = "every experiment needs df > 2 (noise-correction moment undefined at df=2.0)"
+    TASK_CASES = {
+        # (command, tasks, exit code, stderr): each task's first fault, the
+        # first faulty task's raised
+        "estimate_fit_before_next_fit": (
+            ["estimate"], ["a", "b", "c"], 4, f"error: task 'b': {DF_2}\n",
+        ),
+        "calibrate_forecast_before_next_fit": (
+            ["calibrate"], ["a", "b"], 4,
+            "error: task 'a': nu0 must be > 2 for the closed form, got 2.0\n",
+        ),
+        # every skip warning is printed before the one call's error
+        "calibrate_warnings_before_error": (
+            ["calibrate"], ["b", "lonely"], 4,
+            f"warning: task 'lonely' has a single site; skipped\nerror: task 'b': {DF_2}\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TASK_CASES))
+    def test_first_faulty_task_is_named(self, tmp_path, case):
+        argv, tasks, code, err = self.TASK_CASES[case]
+        rows = [row for task in tasks for row in self.TASKS[task]]
+        path = write_csv(tmp_path / "tasks.csv", SUMMARY_HEADER, rows)
+        assert run_cli([*argv, "--input", path]) == (code, "", err)
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_first_faulty_site_is_named(self, tmp_path, case):
         argv, estimates, layout, code, err = self.CASES[case]
@@ -1597,6 +1667,24 @@ class TestFaultsComputedOnce:
         monkeypatch.setattr(distributions, "_rule", counted)
         assert run_cli([*argv, "--input", str(path)]) == (code, "", err)
         assert started == self.RULES[case]
+
+    def test_calibrate_starts_no_forecast_once_a_task_faults(self, tmp_path, monkeypatch):
+        # the significance of a/s1 faults; each site's significance rule
+        # starts once, and no task's forecast rule starts
+        path = write_csv(tmp_path / "sites.csv", SUMMARY_HEADER, [
+            ["a", "s1", "30", "0.5", "1", "1e150"], ["a", "s2", "30", "1", "1", "29"],
+            ["b", "s1", "30", "0.5", "1", "29"], ["b", "s2", "30", "1", "1", "29"],
+        ])
+        started, rule = [], distributions._rule
+
+        def counted(dfs):
+            started.append(tuple(dfs))
+            return rule(dfs)
+
+        monkeypatch.setattr(distributions, "_rule", counted)
+        assert run_cli(["calibrate", "--variant", "integral", "--input", path]) == (
+            5, "", "error: task 'a': the quadrature rule cannot represent F(1e+150, 1.0)\n")
+        assert started == [((1e150, 1.0),), ((29.0, 1.0),), ((29.0, 1.0),), ((29.0, 1.0),)]
 
 
 class TestDeterminism:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from distnull.errors import DomainError
+from distnull.errors import DegenerateVarianceError, DomainError
 from distnull.estimators import (
     ExperimentSummary,
     TaskSet,
@@ -235,6 +235,15 @@ class TestPairRecords:
         query = ReplicationQuery(stat=stat, n_r=target.n, df_r=target.df, alpha=0.05)
         direct = p_rep_closed(query, variance_ratio(b0, task.experiments[0]), b0.nu0)
         assert scaled[0]["forecast"] == pytest.approx(direct, rel=1e-12)
+
+    def test_zero_variance_site_raises_its_statistic_error(self):
+        task = TaskSet("x", tuple(
+            ExperimentSummary(n=30, mean=mean, sample_variance=variance, df=29)
+            for mean, variance in ((0.5, 0.0), (0.2, 1.0), (0.9, 1.0), (0.1, 1.0))
+        ))
+        with pytest.raises(DegenerateVarianceError,
+                           match="^task 'x': sample variance is zero; t-statistic undefined$"):
+            task_pair_records(task, (0.05,))
 
     def test_scale_e_validation(self):
         task = simulate_task(small_config(), 0)

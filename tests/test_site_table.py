@@ -30,7 +30,9 @@ from distnull.adapters import (
 )
 from distnull.errors import DomainError
 from distnull.estimators import (
+    BetweenVariance,
     ExperimentSummary,
+    SiteTable,
     _between_variance,
     between_variance,
     summarize,
@@ -80,12 +82,18 @@ def _site(shape, rng):
     return cells, (summarize(x - y) if shape == "paired" else regression(x, y)), None
 
 
+@np.errstate(all="ignore")  # an overflowing fit is left non-finite, and checked
 def _between_variance_loop(summaries, mode):
-    """The per-task fit as a loop over its sites, the reference transcription;
-    None where between_variance raises."""
+    """The per-task fit as a loop over its sites, the reference transcription:
+    its (s0_sq, nu0, grand_mean), or the class and message of the error
+    between_variance raises; None for a single site, which has no fit."""
     k = len(summaries)
-    if k < 2 or any(e.df <= 2 for e in summaries):
+    if k < 2:
         return None
+    for e in summaries:
+        if e.df <= 2:  # a table holds floats, so an integer df reads as, say, 2.0
+            return DomainError, ("every experiment needs df > 2 "
+                                 f"(noise-correction moment undefined at df={float(e.df)!r})")
     means = np.array([e.mean for e in summaries])
     grand_mean = float(means.mean())
     s_m_sq = float(np.sum((means - grand_mean) ** 2) / (k - 1))
@@ -97,8 +105,37 @@ def _between_variance_loop(summaries, mode):
             correction += e.sample_variance / e.n
     correction /= k
     if mode == "as_published":
-        return s_m_sq + correction, k - 1, grand_mean
-    return max(s_m_sq - correction, 0.0), k - 1, grand_mean
+        s0_sq = s_m_sq + correction
+    else:
+        s0_sq = float(np.maximum(s_m_sq - correction, 0.0))
+    try:
+        BetweenVariance(s0_sq, k - 1, grand_mean, mode)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return s0_sq, k - 1, grand_mean
+
+
+def assert_fits_match(table, summaries, mode):
+    """_between_variance over the table equals the reference loop task by
+    task: bit for bit where the fit is defined, and elsewhere NaN, with the
+    fault between_variance raises, of the same class and message, for a
+    multi-site task and no fault for a single site."""
+    columns, faults = _between_variance(table, mode)
+    for j, k in enumerate(table.k.tolist()):
+        reference = _between_variance_loop(summaries[table.offsets[j]:table.offsets[j] + k], mode)
+        if reference is None or isinstance(reference[0], type):
+            assert np.isnan([c[j] for c in columns]).all()
+            assert (reference is None) == (j not in faults)
+            if reference is not None:
+                assert (type(faults[j]), str(faults[j])) == reference
+                with pytest.raises(reference[0]) as raised:
+                    between_variance(table.task(j), mode)
+                assert str(raised.value) == reference[1]
+            continue
+        assert j not in faults
+        assert_bits([c[j] for c in columns], reference)
+        fit = between_variance(table.task(j), mode)
+        assert_bits([fit.s0_sq, fit.nu0, fit.grand_mean], reference)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -144,16 +181,28 @@ def test_loaded_columns_equal_the_one_row_functions(shape, ks, seed):
                               for key in keys])
 
     for mode in ("as_published", "moment_corrected"):
-        columns = _between_variance(table, mode)
-        for j, k in enumerate(table.k.tolist()):
-            task = summaries[table.offsets[j]:table.offsets[j] + k]
-            reference = _between_variance_loop(task, mode)
-            if reference is None:
-                assert np.isnan([c[j] for c in columns]).all()
-                continue
-            assert_bits([c[j] for c in columns], reference)
-            fit = between_variance(table.task(j), mode)
-            assert_bits([fit.s0_sq, fit.nu0, fit.grand_mean], reference)
+        assert_fits_match(table, summaries, mode)
+
+
+# Site summaries at the edges of a fit: df <= 2, means whose spread
+# overflows (+-1e200), and noise terms that overflow (n = 5e-324) or
+# cancel an infinite spread (inf - inf under --mode moment).
+EXTREME_SITE = st.tuples(
+    st.sampled_from([5e-324, 3.0, 40.0]),
+    st.sampled_from([-1e200, -0.1, 0.3, 1e200]),
+    st.sampled_from([1e-3, 1.0, 1e300]),
+    st.sampled_from([1.0, 2.0, 2.5, 30.0]),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tasks=st.lists(st.lists(EXTREME_SITE, min_size=1, max_size=5), min_size=1, max_size=4))
+def test_fit_faults_are_between_variance_errors(tasks):
+    summaries = [ExperimentSummary(*site) for task in tasks for site in task]
+    table = SiteTable([f"t{j}" for j in range(len(tasks))], np.cumsum([0, *map(len, tasks)]),
+                      *np.array([site for task in tasks for site in task]).T)
+    for mode in ("as_published", "moment_corrected"):
+        assert_fits_match(table, summaries, mode)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
