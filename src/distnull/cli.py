@@ -19,14 +19,15 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import re
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from itertools import chain, repeat
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -54,15 +55,6 @@ from .estimators import (
     _between_variance,
     summarize,
 )
-from .oracle import (
-    MIN_BIN_PAIRS,
-    SimConfig,
-    bin_pairs,
-    calibration_gap,
-    gap_direction,
-    simulate_raw_task,
-    task_pair_records,
-)
 from .power import (
     PowerQuery,
     beta_distributional,
@@ -72,6 +64,9 @@ from .power import (
 )
 from .replication import _b_max, _p_rep_column
 from .significance import _p_point, _p_sig_column, _t0
+
+if TYPE_CHECKING:  # the simulation harness is imported by the commands that use it
+    from .oracle import SimConfig
 
 IDENTIFIER = re.compile(r"[A-Za-z0-9_-]+")
 DEFAULT_ALPHAS = "0.1,0.05,0.01,0.005,0.001"
@@ -136,8 +131,58 @@ def _parse_real(text: str, column: str, line: int) -> float:
     return value
 
 
-def _read_csv(path: str) -> tuple[list[str], Sequence[int], dict[str, list[str]]]:
-    """The header, each row's line number, and each column's cells.
+# The columns ingest reads from an input file, where the header has them;
+# the first three hold identifiers, the others numbers.
+INPUT_COLUMNS = ("task", "site", "group", "value", "x", "y", "n", "mean", "variance", "df")
+# Rows converted at a time: a block's cells are the only per-cell strings alive.
+_BLOCK_ROWS = 1 << 12
+
+
+class _Column:
+    """One column of an input file, converted block by block as it is read:
+    identifiers to codes into ``names``, in order of first appearance
+    (``codes`` maps a name to its code), numbers by ``float``, NaN where a
+    cell is not one. ``faults`` keeps the text of each cell that fails its
+    check, by row, for its error message; ``faulty`` marks those rows."""
+
+    def __init__(self, ids: bool):
+        self.codes, self.faults, self.blocks, self.rows = {} if ids else None, {}, [], 0
+
+    def add(self, cells: list[str]) -> None:
+        if self.codes is None:
+            block = _floats(cells)
+            for i in np.flatnonzero(~np.isfinite(block)).tolist():
+                self.faults[self.rows + i] = cells[i]
+        else:
+            for name in dict.fromkeys(cells):
+                self.codes.setdefault(name, len(self.codes))
+            block = np.fromiter(map(self.codes.__getitem__, cells), np.intp, len(cells))
+        self.blocks.append(block)
+        self.rows += len(cells)
+
+    def close(self) -> _Column:
+        self.values, self.blocks = np.concatenate(self.blocks), []
+        self.names = None if self.codes is None else list(self.codes)
+        if self.names is not None:
+            bad = [code for code, name in enumerate(self.names) if not IDENTIFIER.fullmatch(name)]
+            self.faults = {i: self.names[self.values[i]]
+                           for i in np.flatnonzero(np.isin(self.values, bad)).tolist()}
+        self.faulty = np.zeros(self.rows, dtype=bool)
+        self.faulty[list(self.faults)] = True
+        return self
+
+    def check(self, row: int, column: str, line: int) -> None:
+        """Raise the error of the cell in ``row``, if it fails its check."""
+        if row in self.faults:
+            (_parse_real if self.names is None else _check_identifier)(self.faults[row], column, line)
+
+
+def _read_csv(path: str, columns: Sequence[str] = INPUT_COLUMNS
+              ) -> tuple[list[str], Sequence[int], dict[str, _Column]]:
+    """The header, each row's line number, and those of ``columns`` that the
+    header names, converted ``_BLOCK_ROWS`` rows at a time as they are read:
+    split on separators in a plain file (see ``_plain_ends``), by
+    ``csv.reader`` in any other.
 
     The whole file is decoded first, so a byte that is not UTF-8 is reported
     before any fault in the rows; a leading byte-order mark is dropped. Blank
@@ -145,74 +190,82 @@ def _read_csv(path: str) -> tuple[list[str], Sequence[int], dict[str, list[str]]
     repeated header name maps to its last column.
     """
     try:
-        with open(path, encoding="utf-8-sig", newline="") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        data.decode("utf-8-sig")  # the rows are decoded again, a block at a time
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
-    rows = _plain_rows(text)
-    if rows is None:
-        return _read_rows(path, text)
-    del text  # hold the file once at a time: as text, as lines, then as cells
-    width = rows[0].count(",") + 1
-    flat = ",".join(rows).split(",")
-    del rows
-    fields = flat[:width]
-    cells = [flat[j::width] for j in range(width, 2 * width)]
-    return fields, range(2, len(cells[0]) + 2), dict(zip(fields, cells))
+    ends = _plain_ends(data)
+    if ends is None:
+        lines: Sequence[int] = []
+        blocks = _reader_blocks(path, data.decode("utf-8-sig"), lines)
+        fields = next(blocks)
+    else:
+        fields, lines = data[:ends[0]].decode("utf-8-sig").split(","), range(2, len(ends) + 1)
+        cuts = np.append(ends[:-1:_BLOCK_ROWS], ends[-1]).tolist()
+        blocks = (data[start + 1:end].decode().replace("\n", ",").split(",")
+                  for start, end in zip(cuts, cuts[1:]))
+    typed = {name: (j, _Column(name in INPUT_COLUMNS[:3]))
+             for j, name in enumerate(fields) if name in columns}
+    for cells in blocks:
+        for j, column in typed.values():
+            column.add(cells[j::len(fields)])
+    if not lines:
+        raise ParseError(f"{path} has a header but no rows", line=1)
+    return fields, lines, {name: column.close() for name, (_, column) in typed.items()}
 
 
-def _plain_rows(text: str) -> list[str] | None:
-    """The lines of a file that splitting on separators reads as ``csv.reader``
-    does, else None: one with no quote or carriage return, a header of two or
-    more fields (so a blank line is no row) and rows, all as wide as the
-    header and within the csv module's field limit."""
-    if '"' in text or "\r" in text:
+def _plain_ends(data: bytes) -> np.ndarray | None:
+    """Where each line ends (at a newline or the file's end) of a file that
+    splitting on separators reads as ``csv.reader`` does, else None: with no
+    quote or carriage return, a header of two or more fields (so a blank line
+    is no row) and rows, all as wide, and no cell over the csv field limit.
+    A separator is one byte of UTF-8, and a cell has no fewer bytes than characters."""
+    if b'"' in data or b"\r" in data:
         return None
-    rows = text.split("\n")
-    if rows[-1] == "":
-        rows.pop()  # the final newline ends the last row
-    commas = rows[0].count(",") if len(rows) > 1 else 0
-    if (commas == 0 or set(map(str.count, rows, repeat(","))) != {commas}
-            or max(map(len, rows)) > csv.field_size_limit()):
+    octets = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero((octets == ord(",")) | (octets == ord("\n")))
+    newline = octets[seps] == ord("\n")
+    if not data.endswith(b"\n"):  # the file's end ends the last row
+        seps, newline = np.append(seps, len(data)), np.append(newline, True)
+    width = int(newline.argmax()) + 1
+    if width < 2 or seps.size % width or seps.size == width:
         return None
-    return rows
+    grid = newline.reshape(-1, width)
+    if (grid[:, :-1].any() or not grid[:, -1].all()
+            or np.diff(seps, prepend=-1).max() > csv.field_size_limit() + 1):
+        return None
+    return seps[width - 1::width]
 
 
-def _read_rows(path: str, text: str) -> tuple[list[str], list[int], dict[str, list[str]]]:
-    """``_read_csv`` for any file, one ``csv.reader`` row at a time."""
-    from io import StringIO
-
-    reader = csv.reader(StringIO(text, newline=""))
+def _reader_blocks(path: str, text: str, lines: list[int]) -> Iterator[list[str]]:
+    """The header of any file, read by ``csv.reader``, then its rows' cells,
+    ``_BLOCK_ROWS`` rows at a time; each row's line is appended to ``lines``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         fields = next(reader, None)
         if fields is None:
             raise ParseError(f"{path} is empty", line=1)
-        width = len(fields)
-        cells: list[list[str]] = [[] for _ in fields]
-        appends = [column.append for column in cells]
-        lines: list[int] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                side = "more" if len(row) > width else "fewer"
-                raise ParseError(
-                    f"row has {side} fields than the header", line=reader.line_num
-                )
+        yield fields
+        cells: list[str] = []
+        for row in filter(None, reader):  # a blank line is no row
+            if len(row) != len(fields):
+                side = "more" if len(row) > len(fields) else "fewer"
+                raise ParseError(f"row has {side} fields than the header", line=reader.line_num)
             lines.append(reader.line_num)
-            for append, cell in zip(appends, row):
-                append(cell)
+            cells += row
+            if len(lines) % _BLOCK_ROWS == 0:
+                yield cells
+                cells = []
+        yield cells
     except csv.Error as exc:  # e.g. a cell over the csv module's field limit
         raise ParseError(f"{path}: {exc}", line=reader.line_num) from exc
-    if not lines:
-        raise ParseError(f"{path} has a header but no rows", line=1)
-    return fields, lines, dict(zip(fields, cells))
 
 
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
-    # the text reader decodes in blocks, so the bad byte's line is unknown
+    # reported before any row is read, so without a line
     return ParseError(f"{path} is not UTF-8 text ({exc.reason})")
 
 
@@ -243,15 +296,8 @@ def _detect_shape(fields: Sequence[str], family: str | None) -> str:
 
 
 # The cells each row of a shape is checked for, in the order they are checked.
-_ROW_CHECKS = {
-    "summary": (
-        ("n", _parse_real), ("mean", _parse_real),
-        ("variance", _parse_real), ("df", _parse_real),
-    ),
-    "one_sample": (("value", _parse_real),),
-    "two_sample": (("group", _check_identifier), ("value", _parse_real)),
-}
-_XY_CHECKS = (("x", _parse_real), ("y", _parse_real))
+_ROW_CHECKS = {"summary": ("n", "mean", "variance", "df"), "one_sample": ("value",),
+               "two_sample": ("group", "value")}
 
 
 def _floats(cells: list[str]) -> np.ndarray:
@@ -269,60 +315,41 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def _invalid(values: list[str]) -> set[str]:
-    """The distinct values in ``values`` that are not identifiers."""
-    return {v for v in set(values) if not IDENTIFIER.fullmatch(v)}
-
-
 class _Cells:
-    """An input file in columns: cells as read, numeric columns as floats.
+    """The ``checked`` columns of a file, in the order a row's cells are checked;
+    ``faulty`` marks the rows holding a cell that fails, or is None."""
 
-    Every cell is checked in bulk; ``faulty`` marks the rows holding one
-    that fails its check, or is None when no row does.
-    """
-
-    def __init__(self, shape: str, lines: Sequence[int], cells: dict[str, list[str]]):
-        self.lines = lines
-        self.cells = cells
-        self.checks = _ROW_CHECKS.get(shape, _XY_CHECKS)
-        self.reals: dict[str, np.ndarray] = {}
-        faulty = np.zeros(len(lines), dtype=bool)
-        for column, check in self.checks:
-            if check is _parse_real:
-                self.reals[column] = _floats(cells[column])
-                faulty |= ~np.isfinite(self.reals[column])
-            else:
-                bad = _invalid(cells[column])
-                if bad:
-                    faulty |= np.array([cell in bad for cell in cells[column]])
+    def __init__(self, lines: Sequence[int], columns: dict[str, _Column], checked: Sequence[str]):
+        self.lines, self.columns = lines, columns
+        self.checked = [(name, columns[name]) for name in checked]
+        self.reals = {name: column.values for name, column in self.checked if column.names is None}
+        faulty = np.logical_or.reduce([column.faulty for _, column in self.checked])
         self.faulty = faulty if faulty.any() else None
 
     def check(self, rows: np.ndarray) -> None:
         """Raise the first error the row-by-row checks meet in ``rows``, if any."""
-        if self.faulty is None or not self.faulty[rows].any():
-            return
-        for i in rows:
-            for column, check in self.checks:
-                check(self.cells[column][i], column, self.lines[i])
+        for i in [] if self.faulty is None else rows[self.faulty[rows]].tolist():
+            for name, column in self.checked:
+                column.check(i, name, self.lines[i])
 
 
-def _codes(values: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct values in code-point order, and each value's index there."""
-    names = sorted(dict.fromkeys(values))
-    index = {name: code for code, name in enumerate(names)}
-    return names, np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+def _ranked(column: _Column) -> tuple[list[str], np.ndarray]:
+    """An identifier column's distinct names in code-point order, and each
+    row's index there."""
+    order = sorted(range(len(column.names)), key=column.names.__getitem__)
+    return [column.names[code] for code in order], np.argsort(order)[column.values]
 
 
-def _group(tasks: list[str], sites: list[str]) -> tuple[list[str], np.ndarray, list[str],
-                                                       np.ndarray, np.ndarray]:
-    """Sites sorted (task, site), from integer codes of the identifiers.
+def _group(task: _Column, site: _Column) -> tuple[list[str], np.ndarray, list[str],
+                                                  np.ndarray, np.ndarray]:
+    """Sites sorted (task, site), from the codes of the identifier columns.
 
     Returns the task names, each site's task code and site name, the row
     order that lists each site's rows in file order, and where each site's
     rows start in it.
     """
-    task_ids, task_codes = _codes(tasks)
-    site_ids, site_codes = _codes(sites)
+    task_ids, task_codes = _ranked(task)
+    site_ids, site_codes = _ranked(site)
     key = task_codes * len(site_ids) + site_codes
     order = np.argsort(key, kind="stable")  # stable: file order within a site
     ordered = key[order]
@@ -336,7 +363,7 @@ def _bulk_summaries(shape: str, cells: _Cells, order: np.ndarray,
                     starts: np.ndarray) -> tuple[np.ndarray, ...] | None:
     """Every site's (n, mean, variance, df) at once, for the summary,
     one-sample and paired shapes; None for other shapes, or where a cell
-    faults or a summary row repeats.
+    faults, a summary row repeats or a site has one value.
 
     One-sample and paired sites of equal row count are reduced together as
     rows of a 2-D block, which keeps the bits of ``summarize``.
@@ -348,10 +375,12 @@ def _bulk_summaries(shape: str, cells: _Cells, order: np.ndarray,
         if starts.size < order.size:
             return None
         return tuple(reals[column][order] for column in ("n", "mean", "variance", "df"))
-    values = (reals["value"] if shape == "one_sample" else reals["x"] - reals["y"])[order]
     counts = np.diff(starts, append=order.size)
+    if counts.min() < 2:  # numpy warns of a variance of one value
+        return None
+    values = (reals["value"] if shape == "one_sample" else reals["x"] - reals["y"])[order]
     mean, variance = np.empty(starts.size), np.empty(starts.size)
-    for count in np.unique(counts).tolist():
+    for count in sorted(set(counts.tolist())):
         block = np.flatnonzero(counts == count)
         rows = values[starts[block, None] + np.arange(count)]
         mean[block], variance[block] = rows.mean(axis=1), rows.var(axis=1, ddof=1)
@@ -367,22 +396,16 @@ def load_sites(path: str, family: str | None) -> tuple[str, SiteTable]:
     the sites are summarized one by one, which raises the first error: the
     one place left where an error is found by rerunning scalar code.
     """
-    fields, lines, cells = _read_csv(path)
+    fields, lines, columns = _read_csv(path)
     shape = _detect_shape(fields, family)
     if family is not None and shape != family:
-        raise ConfigurationError(
-            f"--family {family} does not apply to a {shape}-shaped file"
-        )
-    tasks, site_names = cells["task"], cells["site"]
-    task_ids, site_task, site_ids, order, starts = _group(tasks, site_names)
-    if _invalid(task_ids) or _invalid(site_ids):
-        for line, task, site in zip(lines, tasks, site_names):
-            _check_identifier(task, "task", line)
-            _check_identifier(site, "site", line)
+        raise ConfigurationError(f"--family {family} does not apply to a {shape}-shaped file")
+    _Cells(lines, columns, ("task", "site")).check(np.arange(len(lines)))
+    task_ids, site_task, site_ids, order, starts = _group(columns["task"], columns["site"])
 
-    columns = _Cells(shape, lines, cells)
+    cells = _Cells(lines, columns, _ROW_CHECKS.get(shape, ("x", "y")))
     offsets = np.searchsorted(site_task, np.arange(len(task_ids) + 1))
-    bulk = _bulk_summaries(shape, columns, order, starts)
+    bulk = _bulk_summaries(shape, cells, order, starts)
     if bulk is not None:
         sites = SiteTable(task_ids, offsets, *bulk, site_ids=site_ids)
         valid = (sites.n > 0) & (sites.variance > 0) & (sites.df > 0)
@@ -394,7 +417,7 @@ def load_sites(path: str, family: str | None) -> tuple[str, SiteTable]:
     with _located(lambda: f"task {task!r} site {site!r}"):
         for j, site, rows in zip(site_task.tolist(), site_ids, np.split(order, starts[1:])):
             task = task_ids[j]
-            summary, share = _build_summary(shape, task, site, columns, rows)
+            summary, share = _build_summary(shape, task, site, cells, rows)
             statistic_from_summary(summary)  # raises where the statistic is undefined
             summaries.append((summary.n, summary.mean, summary.sample_variance, summary.df))
             shares.append(math.nan if share is None else share)
@@ -405,39 +428,31 @@ def _build_summary(
     shape: str, task: str, site: str, table: _Cells, rows: np.ndarray
 ) -> tuple[ExperimentSummary, float | None]:
     """One site's rows as its canonical summary, with its two-group share."""
-    if shape == "summary":
-        if len(rows) > 1:
-            raise ParseError(
-                f"duplicate summary row for task {task!r} site {site!r}",
-                line=table.lines[rows[1]],
-            )
-        table.check(rows)
+    if shape == "summary" and len(rows) > 1:
+        raise ParseError(f"duplicate summary row for task {task!r} site {site!r}",
+                         line=table.lines[rows[1]])
+    table.check(rows)
+    if shape == "summary":  # its checked columns are n, mean, variance and df
         (row,) = rows
-        reals = table.reals
         try:
-            summary = ExperimentSummary(
-                n=float(reals["n"][row]),
-                mean=float(reals["mean"][row]),
-                sample_variance=float(reals["variance"][row]),
-                df=float(reals["df"][row]),
-            )
+            summary = ExperimentSummary(*(float(column[row]) for column in table.reals.values()))
         except DomainError as exc:
             raise ParseError(str(exc), line=table.lines[row]) from exc
         return summary, None
 
-    table.check(rows)
     if shape == "one_sample":
         return summarize(table.reals["value"][rows]), None
 
     if shape == "two_sample":
-        groups = [table.cells["group"][i] for i in rows]
-        ids = sorted(set(groups))
+        group = table.columns["group"]
+        groups = group.values[rows]
+        ids = sorted(set(groups.tolist()), key=group.names.__getitem__)
         if len(ids) != 2:
             raise ParseError(
                 f"task {task!r} site {site!r} has {len(ids)} groups; need exactly 2"
             )
         values = table.reals["value"][rows]
-        in_first = np.array([g == ids[0] for g in groups])
+        in_first = groups == ids[0]
         first, second = values[in_first], values[~in_first]
         share = first.size / (first.size + second.size)
         return unpaired_summary(first, second), share
@@ -455,12 +470,8 @@ def _build_summary(
         raise ParseError(
             "contingency x and y must be 0 or 1", line=table.lines[rows[binary.argmin()]]
         )
-    counts = ContingencyTable(
-        n11=int(np.count_nonzero((x == 1.0) & (y == 1.0))),
-        n10=int(np.count_nonzero((x == 1.0) & (y == 0.0))),
-        n01=int(np.count_nonzero((x == 0.0) & (y == 1.0))),
-        n00=int(np.count_nonzero((x == 0.0) & (y == 0.0))),
-    )
+    counts = ContingencyTable(*(int(np.count_nonzero((x == a) & (y == b)))
+                                for a, b in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))))
     share = (counts.n11 + counts.n10) / counts.total
     return contingency_regression(counts), share
 
@@ -469,49 +480,63 @@ def _build_summary(
 # variance-source resolution
 
 
-VarianceLookup = Callable[[str, str], tuple[float, float]]
+# Each site's (b_hat, nu0) columns, NaN where a site has no estimate.
+VarianceSource = Callable[[SiteTable], tuple[np.ndarray, np.ndarray]]
+ESTIMATE_COLUMNS = ("task", "site", "b_hat", "nu0")
 
 
-def _load_b_from(path: str) -> dict[tuple[str, str], tuple[float, float]]:
-    """Each (task, site)'s (b_hat, nu0) in an estimate file. Rows with an
-    empty b_hat (single-site or degenerate tasks) carry none; a b_hat needs
-    a nu0."""
-    fields, lines, cells = _read_csv(path)
-    needed = {"task", "site", "b_hat", "nu0"}
-    if not needed <= set(fields):
+def _load_b_from(path: str) -> VarianceSource:
+    """Each site's (b_hat, nu0) in an estimate file, joined on (task, site).
+    Rows with an empty b_hat (single-site or degenerate tasks) carry none; a
+    b_hat needs a nu0. The first faulty row raises its first error below."""
+    fields, lines, columns = _read_csv(path, ESTIMATE_COLUMNS)
+    if not set(ESTIMATE_COLUMNS) <= set(fields):
         raise ParseError(f"{path} lacks columns task,site,b_hat,nu0", line=1)
-    table: dict[tuple[str, str], tuple[float, float]] = {}
-    for line, task, site, b_text, nu0_text in zip(
-        lines, cells["task"], cells["site"], cells["b_hat"], cells["nu0"]
-    ):
-        _check_identifier(task, "task", line)
-        _check_identifier(site, "site", line)
-        if b_text == "":
-            continue  # skipped or degenerate rows carry no estimate
-        if (task, site) in table:
-            raise ParseError(
-                f"duplicate estimate for task {task!r} site {site!r}", line=line
-            )
-        b_hat = _parse_real(b_text, "b_hat", line)
-        nu0 = _parse_real(nu0_text, "nu0", line)
-        if b_hat <= 0:
-            raise ParseError(f"b_hat must be > 0, got {b_hat}", line=line)
+    task, site, b_hat, nu0 = map(columns.get, ESTIMATE_COLUMNS)
+    b, v = b_hat.values, nu0.values
+    given = np.ones(len(lines), dtype=bool)  # skipped or degenerate rows carry no estimate
+    given[[i for i, text in b_hat.faults.items() if text == ""]] = False
+    key = np.where(given, task.values * len(site.names) + site.values, -1)
+    repeated = given.copy()
+    repeated[np.unique(key, return_index=True)[1]] = False
+    with np.errstate(invalid="ignore"):
+        faulty = given & (repeated | b_hat.faulty | nu0.faulty | ~(b > 0) | ~(v >= 1))
+    faulty |= task.faulty | site.faulty
+    if faulty.any():
+        i = int(faulty.argmax())
+        line = lines[i]
+        task.check(i, "task", line)
+        site.check(i, "site", line)
+        if repeated[i]:
+            raise ParseError(f"duplicate estimate for task {task.names[task.values[i]]!r} "
+                             f"site {site.names[site.values[i]]!r}", line=line)
+        b_hat.check(i, "b_hat", line)
+        nu0.check(i, "nu0", line)
+        if b[i] <= 0:
+            raise ParseError(f"b_hat must be > 0, got {float(b[i])}", line=line)
         try:
-            _check_nu0(nu0)
+            _check_nu0(v[i])
         except DomainError as exc:
             raise ParseError(str(exc), line=line) from None
-        table[(task, site)] = (b_hat, nu0)
-    return table
+    order = np.argsort(key)  # the rows without an estimate first, at key -1
+    key, b, v = key[order], b[order], v[order]
+
+    def join(sites: SiteTable) -> tuple[np.ndarray, np.ndarray]:
+        task_of = np.array([task.codes.get(t, -1) for t in sites.task_ids], np.intp)[sites.task_of]
+        site_of = np.fromiter(map(site.codes.get, sites.site_ids, repeat(-1)), np.intp, len(sites))
+        wanted = np.where((task_of < 0) | (site_of < 0), -2, task_of * len(site.names) + site_of)
+        at = np.minimum(np.searchsorted(key, wanted), key.size - 1)
+        return tuple(np.where(key[at] == wanted, column[at], np.nan) for column in (b, v))
+
+    return join
 
 
-def resolve_variance(args: argparse.Namespace) -> VarianceLookup | None:
-    """Each site's (b_hat, nu0) lookup, NaN where --b-from has no estimate;
-    None for the point and bound variants."""
+def resolve_variance(args: argparse.Namespace) -> VarianceSource | None:
+    """The source of each site's (b_hat, nu0), NaN where --b-from has no
+    estimate; None for the point and bound variants."""
     variant = args.variant
-    has_b = args.b is not None
-    has_from = args.b_from is not None
-    has_bound = args.bound is not None
-    has_nu0 = args.nu0 is not None
+    has_b, has_from, has_bound, has_nu0 = (
+        value is not None for value in (args.b, args.b_from, args.bound, args.nu0))
 
     if variant in ("closed", "integral"):
         if has_bound:
@@ -521,12 +546,11 @@ def resolve_variance(args: argparse.Namespace) -> VarianceLookup | None:
         if has_b:
             if not has_nu0:
                 raise ConfigurationError("--b requires --nu0")
-            return lambda task, site: (args.b, args.nu0)
+            return lambda sites: (np.full(len(sites), args.b), np.full(len(sites), args.nu0))
         if has_from:
             if has_nu0:
                 raise ConfigurationError("--nu0 conflicts with --b-from")
-            table = _load_b_from(args.b_from)
-            return lambda task, site: table.get((task, site), (math.nan, math.nan))
+            return _load_b_from(args.b_from)
         raise ConfigurationError(
             f"--variant {variant} needs a variance source: --b with --nu0, or --b-from"
         )
@@ -582,13 +606,13 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 
 
 def _variance_columns(
-    lookup: VarianceLookup | None, sites: SiteTable, scale_e: float
+    source: VarianceSource | None, sites: SiteTable, scale_e: float
 ) -> tuple[np.ndarray, np.ndarray, dict[int, DistnullError]]:
-    """Each site's b_used and nu0, NaN where there is no lookup or no estimate,
+    """Each site's b_used and nu0, NaN where there is no source or no estimate,
     and the error of each site whose --b-from has no estimate."""
-    if lookup is None:
+    if source is None:
         return np.full(len(sites), np.nan), np.full(len(sites), np.nan), {}
-    b_hat, nu0 = np.array(list(map(lookup, _task_names(sites), sites.site_ids))).T
+    b_hat, nu0 = source(sites)
     missing = {i: ConfigurationError(f"--b-from has no estimate for {_where(sites, i)}")
                for i in np.flatnonzero(np.isnan(b_hat)).tolist()}
     with np.errstate(over="ignore"):  # an infinite b_used is rejected where it is used
@@ -603,7 +627,7 @@ def _fixed(args: argparse.Namespace) -> tuple[list[repeat], list[repeat]]:
 
 
 def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    lookup = resolve_variance(args)
+    source = resolve_variance(args)
     _, sites = load_sites(args.input, args.family)
     header = [
         "task", "site", "n", "df", "t", "effect", "t0", "alpha", "variant",
@@ -611,7 +635,7 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         "p_sig", "log10_p_sig", "direction", "significant",
     ]
     t, n, df = sites.t, sites.n, sites.df
-    b_used, nu0, missing = _variance_columns(lookup, sites, args.scale_e)
+    b_used, nu0, missing = _variance_columns(source, sites, args.scale_e)
     b = np.full(len(sites), args.bound) if args.variant == "bound" else b_used
     p_sig, faults = _p_sig_column(args.variant, t, n, df, b, nu0)
     # a site's --b-from lookup comes before its significance
@@ -658,7 +682,7 @@ def _replication_design(
 
 
 def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    lookup = resolve_variance(args)
+    source = resolve_variance(args)
     shape, sites = load_sites(args.input, args.family)
     header = [
         "task", "site", "n", "df", "t", "n_r", "df_r", "alpha", "variant",
@@ -667,7 +691,7 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     ]
     t, n, df = sites.t, sites.n, sites.df
     n_r, df_r = _replication_design(args, shape, sites.share)
-    b_used, nu0, missing = _variance_columns(lookup, sites, args.scale_e)
+    b_used, nu0, missing = _variance_columns(source, sites, args.scale_e)
     b = np.full(len(sites), args.bound) if args.variant == "bound" else b_used
     p_rep, faults = _p_rep_column(args.variant, t, n, df, b, nu0, args.alpha, n_r, df_r)
     diagnostics, cell_faults = _b_max(t, n, df, args.alpha)
@@ -683,6 +707,7 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
+    from .oracle import MIN_BIN_PAIRS, bin_pairs, calibration_gap, gap_direction, task_pair_records
     mode = _MODES[args.mode]
     _, sites = load_sites(args.input, args.family)
     (s0_sq, _, _), _ = _between_variance(sites, mode)
@@ -753,6 +778,7 @@ def cmd_power(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 
 
 def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
+    from .oracle import SimConfig
     try:
         with open(path, encoding="utf-8-sig") as handle:
             raw = json.load(handle)
@@ -783,6 +809,7 @@ def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
+    from .oracle import simulate_raw_task
     config = _load_sim_config(args.config, args.seed)
     header = ["task", "site", "value"]
     n = config.n_per_experiment

@@ -354,7 +354,10 @@ def _t_tail_block(x, nu) -> tuple[np.ndarray, np.ndarray]:
         u[far], w_err[far], shift[far] = 1.0, 0.0, 0.0
         power[far] = np.power(np.sqrt(nu[far]) / x[far], nu[far])
     whole = np.abs(shift) > 2.0**-26
+    # w^a below the normal range is taken with exp(shift), which may overflow, in log form
+    logged = whole & (power < np.finfo(float).tiny)
     power = np.where(whole, power * np.exp(shift), power)
+    power[logged] = np.exp(a[logged] * np.log(w[logged]) + shift[logged])
     power_lo = np.where(whole, 0.0, power * np.expm1(shift))
     # u·(1 + u_shift) = 1 - w·(1 + w_err/w), where 1 - w is exact for w >= 1/2
     u_shift = np.where(u > 0.0, (((1.0 - w) - u) - w_err) / u, 0.0)

@@ -214,7 +214,7 @@ def _task_spread(table: SiteTable, mode: VarianceMode) -> tuple[np.ndarray, np.n
     """
     tasks = len(table.task_ids)
     s0_sq, grand_mean = np.empty(tasks), np.empty(tasks)
-    for k in np.unique(table.k).tolist():
+    for k in sorted(set(table.k.tolist())):
         block = np.flatnonzero(table.k == k)
         rows = table.offsets[block, None] + np.arange(k)
         means = table.mean[rows]

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli, write_csv
-from distnull import cli, distributions, significance
+from distnull import cli, distributions, oracle, significance
 from distnull.adapters import statistic_from_summary
 from distnull.distributions import RULE_LEVELS
 from distnull.errors import NumericError
@@ -993,13 +993,13 @@ class TestCalibrate:
     def test_pairs_of_all_kept_tasks_come_from_one_call(self, tmp_path, monkeypatch):
         a, b = self.zero_between_variance_tasks()
         path = write_csv(tmp_path / "ab.csv", SUMMARY_HEADER, a + b)
-        calls, pairs = [], cli.task_pair_records
+        calls, pairs = [], oracle.task_pair_records
 
         def counted(sites, *args, **kwargs):
             calls.append(sites)
             return pairs(sites, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "task_pair_records", counted)
+        monkeypatch.setattr(oracle, "task_pair_records", counted)
         code, _, err = run_cli(["calibrate", "--mode", "moment", "--input", path])
         assert (code, err) == (0, "warning: task 'b' has S0^2 = 0; skipped\n")
         assert len(calls) == 1 and calls[0].task_ids == ["a"]
@@ -1128,6 +1128,20 @@ class TestCalibrate:
         ])
         assert (code, err) == (0, "")
         assert sum(int(r["pairs"]) for r in parse(out)) == 12
+
+    def test_target_site_of_huge_df_is_binned(self, tmp_path):
+        # the t tail at df = 1e200 and |t| of 1e84 or more was NaN (0·inf), and
+        # a NaN forecast broke the binning with a traceback
+        rows = [
+            ["a", "s0", "32", "0.1358874102905417", "1e-170", "31"],
+            ["a", "s1", "1000000", "-0.11663883274673548", "1e-300", "2.5"],
+            ["a", "s2", "38", "-1", "1.607375275723221", "37"],
+            ["a", "s3", "28", "0.06602070354144635", "3", "1e200"],
+        ]
+        path = write_csv(tmp_path / "huge.csv", SUMMARY_HEADER, rows)
+        code, out, err = run_cli(["calibrate", "--input", path])
+        assert (code, err) == (0, "")
+        assert sum(int(r["pairs"]) for r in parse(out)) == 4 * 3 * 5
 
     def test_alpha_list_validation(self, summary_file):
         # alphas are parsed before any data is read
@@ -1718,7 +1732,7 @@ class TestLazyIntegrate:
         "print(*loaded(), code)\n"
     )
 
-    def run_fresh(self, argv):
+    def run_fresh(self, argv, script=SCRIPT):
         # A fresh interpreter: this one has both modules loaded by the tests.
         import distnull
 
@@ -1728,7 +1742,7 @@ class TestLazyIntegrate:
              *filter(None, [env.get("PYTHONPATH")])]
         )
         return subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, *argv],
+            [sys.executable, "-c", script, *argv],
             env=env, capture_output=True, text=True, timeout=120,
         )
 
@@ -1793,3 +1807,49 @@ class TestLazyIntegrate:
         proc = self.run_fresh(["power", "--effect", "0.5", "--n", "30",
                                "--output", str(tmp_path / "out.csv")])
         assert (proc.stdout, proc.stderr) == ("False False\nFalse True 0\n", "")
+
+
+    # Prints the exit code, then whether numpy.ma and the simulation harness
+    # are loaded after running the command: each costs 10-15 ms of start-up.
+    MODULES = (
+        "import sys\n"
+        "import distnull.cli\n"
+        "code = distnull.cli.main(sys.argv[1:])\n"
+        "print(code, *(m in sys.modules for m in ('numpy.ma', 'distnull.oracle')))\n"
+    )
+
+    def loaded(self, argv, tmp_path):
+        proc = self.run_fresh([*argv, "--output", str(tmp_path / "out.csv")], self.MODULES)
+        assert proc.stderr == "", argv
+        return proc.stdout
+
+    @staticmethod
+    def four_sites(tmp_path):
+        """A one-sample file of two tasks x four sites, and its estimate file."""
+        rng = np.random.default_rng(11)
+        rows = [[f"t{t}", f"s{s}", repr(float(v))]
+                for t in range(2) for s in range(4) for v in rng.normal(0.4 + 0.1 * s, 1, 12)]
+        path = write_csv(tmp_path / "four.csv", ["task", "site", "value"], rows)
+        estimates = str(tmp_path / "estimates.csv")
+        assert run_cli(["estimate", "--input", path, "--output", estimates])[0] == 0
+        return path, estimates
+
+    def test_estimate_and_calibrate_never_load_numpy_ma(self, tmp_path):
+        # a bare np.unique imports numpy.ma on its first call
+        path, _ = self.four_sites(tmp_path)
+        assert self.loaded(["estimate", "--input", path], tmp_path) == "0 False False\n"
+        assert self.loaded(["calibrate", "--input", path], tmp_path) == "0 False True\n"
+
+    def test_only_calibrate_and_simulate_load_the_oracle(self, tmp_path):
+        path, estimates = self.four_sites(tmp_path)
+        for argv in (
+            ["estimate", "--input", path],
+            ["test", "--input", path, "--b-from", estimates],
+            ["predict", "--input", path, "--b-from", estimates, "--nr", "30"],
+            ["bmax", "--input", path],
+            ["power", "--effect", "0.5", "--n", "30"],
+        ):
+            assert self.loaded(argv, tmp_path).endswith(" False\n"), argv
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TestSimulate.CONFIG))
+        assert self.loaded(["simulate", "--config", str(config)], tmp_path) == "0 False True\n"

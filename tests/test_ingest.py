@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import pathlib
+import re
 import tempfile
 
 import numpy as np
@@ -24,8 +25,8 @@ from distnull.adapters import (
     regression,
     unpaired_summary,
 )
-from distnull.errors import ParseError
-from distnull.estimators import ExperimentSummary, summarize
+from distnull.errors import DistnullError, ParseError
+from distnull.estimators import ExperimentSummary, SiteTable, summarize
 
 RAW = "task,site,value\n"
 XY = "task,site,x,y\n"
@@ -251,6 +252,14 @@ def test_blank_lines_are_skipped(tmp_path):
     assert run_cli(["estimate", "--input", str(gappy)]) == (0, expected, "")
 
 
+def test_site_of_one_value_fails_without_a_warning(tmp_path):
+    # the bulk reducer took the variance of one value, which numpy warns of
+    path = tmp_path / "one.csv"
+    path.write_text(RAW + "a,l1,0.5\na,l2,1\na,l2,2\n", encoding="utf-8")
+    assert run_cli(["estimate", "--input", str(path)]) == (
+        4, "", "error: task 'a' site 'l1': need at least 2 measurements, got 1\n")
+
+
 B_FROM_CASES = {
     "b_hat_not_a_number": (
         B_FROM + "a,l1,x,2\n", "error: line 2: b_hat 'x' is not a number\n",
@@ -427,12 +436,47 @@ def _read_csv_streaming(path):
     return fields, lines, dict(zip(fields, cells))
 
 
-def _read_or_error(read, path):
+def _read_or_error(read, path, typed):
     try:
         fields, lines, cells = read(path)
     except ParseError as exc:
         return str(exc), exc.line
-    return fields, list(lines), cells
+    return fields, list(lines), typed(cells)
+
+
+def _number(text):
+    """A cell as ``float`` reads it, None where it is not a number or is NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return None if value != value else value
+
+
+def _reference_typed(cells):
+    """The reference's cells as ``cli._read_csv`` types them, NaN as None:
+    identifiers as codes into their names in order of first appearance,
+    numbers as floats, each with the text of every cell that fails its check."""
+    typed = {}
+    for name, column in cells.items():
+        if name in ("task", "site", "group"):
+            names = list(dict.fromkeys(column))
+            typed[name] = names, [names.index(cell) for cell in column], {
+                i: cell for i, cell in enumerate(column)
+                if not re.fullmatch(r"[A-Za-z0-9_-]+", cell)}
+        elif name in cli.INPUT_COLUMNS:
+            values = [_number(cell) for cell in column]
+            typed[name] = None, values, {
+                i: cell for i, (cell, value) in enumerate(zip(column, values))
+                if value is None or not np.isfinite(value)}
+    return typed
+
+
+def _read_typed(columns):
+    """``cli._read_csv``'s columns as plain lists, NaN as None."""
+    return {name: (column.names, [None if v != v else v for v in column.values.tolist()],
+                   column.faults)
+            for name, column in columns.items()}
 
 
 PLAIN_CELLS = st.text(alphabet="ab_-01.", max_size=3)
@@ -472,8 +516,8 @@ def test_reader_matches_streaming_reference(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "input.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        expected = _read_or_error(_read_csv_streaming, str(path))
-        assert _read_or_error(cli._read_csv, str(path)) == expected
+        expected = _read_or_error(_read_csv_streaming, str(path), _reference_typed)
+        assert _read_or_error(cli._read_csv, str(path), _read_typed) == expected
 
 
 def _stdout(argv):
@@ -557,3 +601,190 @@ def test_writer_matches_csv_writer(tmp_path, request, monkeypatch, fixture):
         writer.writerow(header)
         writer.writerows(rows)
         assert out.read_bytes() == reference.getvalue().encode("utf-8"), argv
+
+
+def _reference_rows(path):
+    """``_read_csv_streaming`` with a leading byte-order mark dropped, as
+    ingest drops it."""
+    fields, lines, cells = _read_csv_streaming(path)
+    if fields[0].startswith("﻿"):
+        fields = [fields[0][1:], *fields[1:]]
+        cells = {name.removeprefix("﻿"): column for name, column in cells.items()}
+    return fields, lines, cells
+
+
+def _reference_read(path, columns=cli.INPUT_COLUMNS):
+    """``cli._read_csv`` from the reference's cells, each column converted
+    whole, in one block."""
+    fields, lines, cells = _reference_rows(path)
+    typed = {}
+    for name, column in cells.items():
+        if name in columns:
+            typed[name] = cli._Column(name in ("task", "site", "group"))
+            typed[name].add(column)
+            typed[name].close()
+    return fields, lines, typed
+
+
+def _nan_as_none(column):
+    return [None if v != v else v for v in np.asarray(column, dtype=float).tolist()]
+
+
+def _error(exc):
+    return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _loaded(path, family):
+    """What ``load_sites`` makes of a file: its table, or its error."""
+    try:
+        shape, sites = cli.load_sites(path, family)
+    except DistnullError as exc:
+        return _error(exc)
+    columns = (sites.n, sites.mean, sites.variance, sites.df, sites.t, sites.effect, sites.share)
+    return (shape, sites.task_ids, sites.site_ids, sites.offsets.tolist(),
+            [_nan_as_none(column) for column in columns])
+
+
+# header and --family of each shape
+SHAPES = {
+    "one_sample": (RAW, None),
+    "two_sample": (TWO, None),
+    "summary": (SUMMARY, None),
+    "paired": (XY, "paired"),
+    "regression": (XY, "regression"),
+    "contingency": (XY, "contingency"),
+}
+NUMBERS = ["0.5", "1", "-2.25", "3e-1", "1_000", " 1.5", "7", "0.125"]
+BAD_NUMBERS = ["nan", "inf", "-inf", "", "zz", "1__0"]
+
+
+@st.composite
+def lines_of_text(draw, header, rows, faulty):
+    """The text of a file: its header and rows, with a byte-order mark,
+    blank lines, carriage returns, a quoted cell or no final newline as
+    drawn; with ``faulty``, some rows may be cut short."""
+    lines = [header.rstrip("\n")]
+    for row in rows:
+        if faulty and len(row) > 2 and draw(st.integers(0, 9)) == 0:
+            row = row[:-1]
+        if draw(st.integers(0, 7)) == 0:
+            lines.append("")
+        lines.append(",".join(row))
+    head, _, last = lines[-1].rpartition(",")
+    if head and draw(st.integers(0, 5)) == 0:  # a quoted cell, which only csv.reader reads
+        lines[-1] = f'{head},"{last}"'
+    text = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"])).join(lines)
+    if draw(st.booleans()):
+        text += "\n"
+    return ("﻿" if draw(st.integers(0, 4)) == 0 else "") + text
+
+
+@st.composite
+def input_files(draw):
+    """A small input file of any shape and its --family; with ``faulty``,
+    some cells fail their checks."""
+    shape = draw(st.sampled_from(sorted(SHAPES)))
+    header, family = SHAPES[shape]
+    faulty = draw(st.booleans())
+    tasks = st.sampled_from(["a", "b", "c10"] + (["", "b b"] if faulty else []))
+    sites = st.sampled_from(["l1", "l2", "l10"] + (["l%"] if faulty else []))
+    groups = st.sampled_from(["g1", "g2"] + (["g 3", "g3"] if faulty else []))
+    numbers = st.sampled_from(NUMBERS + (BAD_NUMBERS if faulty else []))
+    if shape == "contingency":
+        numbers = st.sampled_from(["0", "1", "1.0"] + (["2", "x"] if faulty else []))
+    cells = {"one_sample": [numbers], "two_sample": [groups, numbers],
+             "summary": [numbers] * 4}.get(shape, [numbers, numbers])
+    rows = draw(st.lists(st.tuples(tasks, sites, *cells), min_size=1, max_size=12))
+    return draw(lines_of_text(header, rows, faulty)), family
+
+
+def _write_text(tmp, text):
+    path = pathlib.Path(tmp) / "input.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    return str(path)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(file=input_files(), block=st.integers(1, 4))
+@example(file=(RAW + "a,l1,1\nb,l2,2\na,l1,3\nc,l1,4\nb,l2,5\nc,l1,zz\n", None), block=2)
+@example(file=(SUMMARY + "a,l1,30,0.5,1,29\nb,l1,30,0.5,1,29\na,l1,30,zz,1,29\n", None), block=2)
+def test_blocks_load_as_the_whole_file(file, block):
+    text, family = file
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = _write_text(tmp, text)
+        patch.setattr(cli, "_BLOCK_ROWS", block)
+        got = _loaded(path, family)
+        patch.setattr(cli, "_read_csv", _reference_read)
+        assert got == _loaded(path, family)
+
+
+def _reference_b_from(path):
+    """Each (task, site)'s (b_hat, nu0) in an estimate file, checked one row
+    at a time: identifiers, a duplicate, then b_hat and nu0 as numbers, then
+    b_hat > 0 and nu0 >= 1."""
+    fields, lines, cells = _reference_rows(path)
+    if not {"task", "site", "b_hat", "nu0"} <= set(fields):
+        raise ParseError(f"{path} lacks columns task,site,b_hat,nu0", line=1)
+    table = {}
+    for line, task, site, b_text, nu0_text in zip(
+        lines, cells["task"], cells["site"], cells["b_hat"], cells["nu0"]
+    ):
+        cli._check_identifier(task, "task", line)
+        cli._check_identifier(site, "site", line)
+        if b_text == "":
+            continue
+        if (task, site) in table:
+            raise ParseError(f"duplicate estimate for task {task!r} site {site!r}", line=line)
+        b_hat = cli._parse_real(b_text, "b_hat", line)
+        nu0 = cli._parse_real(nu0_text, "nu0", line)
+        if b_hat <= 0:
+            raise ParseError(f"b_hat must be > 0, got {b_hat}", line=line)
+        if not nu0 >= 1:
+            raise ParseError(f"nu0 must be finite and >= 1, got {nu0!r}", line=line)
+        table[(task, site)] = (b_hat, nu0)
+    return table
+
+
+# sites to join estimates to: every task and site the files name, and some they do not
+JOINED = SiteTable(["a", "b", "z"], [0, 4, 8, 9], *np.ones((4, 9)),
+                   site_ids=["l1", "l2", "l3", "l9"] * 2 + ["l1"])
+
+
+@st.composite
+def estimate_files(draw):
+    """A small estimate file; with ``faulty``, cells fail their checks and
+    (task, site) pairs repeat."""
+    faulty = draw(st.booleans())
+    tasks = st.sampled_from(["a", "b"] + (["a a"] if faulty else []))
+    sites = st.sampled_from(["l1", "l2", "l3"] + (["", "l%"] if faulty else []))
+    b_hats = st.sampled_from(["0.1", "2", "1_0", " 0.5", "", ""]
+                             + (["0", "-1", "x", "inf", "nan"] if faulty else []))
+    nu0s = st.sampled_from(["3", "5.5", "1"] + (["", "0.5", "nan", "q"] if faulty else []))
+    pairs = draw(st.lists(st.tuples(tasks, sites), min_size=1, max_size=10, unique=not faulty))
+    header = draw(st.sampled_from([B_FROM, "task,mode,site,b_hat,nu0\n"]))
+    rows = [(task, *(["as_published"] if "mode" in header else []), site,
+             draw(b_hats), draw(nu0s)) for task, site in pairs]
+    return draw(lines_of_text(header, rows, faulty))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(text=estimate_files(), block=st.integers(1, 4))
+@example(text=B_FROM + "a,l1,,\na,l1,0.2,2\nb,l2,inf,3\na,l1,0.3,2\n", block=1)
+@example(text=B_FROM + "a,l1,0.2,2\nb,l2,,\nb,l2,1_0,q\n", block=2)
+def test_b_from_blocks_read_as_the_row_by_row_checks(text, block):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = _write_text(tmp, text)
+        patch.setattr(cli, "_BLOCK_ROWS", block)
+        try:
+            got = [_nan_as_none(column) for column in cli._load_b_from(path)(JOINED)]
+        except DistnullError as exc:
+            got = _error(exc)
+        try:
+            table = _reference_b_from(path)
+        except DistnullError as exc:
+            expected = _error(exc)
+        else:
+            found = [table.get((JOINED.task_ids[j], site), (None, None))
+                     for j, site in zip(JOINED.task_of.tolist(), JOINED.site_ids)]
+            expected = [list(column) for column in zip(*found)]
+        assert got == expected

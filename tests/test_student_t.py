@@ -111,6 +111,35 @@ def test_tail_extremes_column_is_the_scalar():
     assert _t_cdf(-x, nu).tolist() == [t_cdf(-v, n) for v, n in zip(x, nu)]
 
 
+def log_tail_bound(x: float, nu: float) -> mpmath.mpf:
+    """log of (nu + x²)·f(x)/((nu - 1)·x), f the t density, which bounds
+    P(T_nu <= -x) at x > 0, nu > 1 from above, at 60 digits."""
+    with mpmath.workdps(60):
+        x, nu = mpmath.mpf(x), mpmath.mpf(nu)
+        log_density = (mpmath.loggamma((nu + 1) / 2) - mpmath.loggamma(nu / 2)
+                       - mpmath.log(mpmath.pi * nu) / 2 - (nu + 1) / 2 * mpmath.log1p(x * x / nu))
+        return log_density + mpmath.log(nu + x * x) - mpmath.log(nu - 1) - mpmath.log(x)
+
+
+# (nu, x) where w^a underflows and its correction exp(a·w_err/w) may overflow,
+# which made the tail 0·inf = NaN
+HUGE_DF = [(1e30, 1e10), (1e30, 1e20), (1e200, 5.64e85), (1e200, 1e20)]
+
+
+@pytest.mark.parametrize("nu, x", HUGE_DF)
+def test_huge_df_tail_underflows_to_zero(nu, x):
+    assert log_tail_bound(x, nu) < -1075 * math.log(2.0)  # rounds to 0
+    assert t_cdf(-x, nu) == 0.0
+    assert t_cdf(x, nu) == 1.0
+
+
+@pytest.mark.parametrize("nu, x", [(1e18, 37.0), (1e19, 37.0), (1e19, 37.5)])
+def test_huge_df_tail_where_w_a_underflows_alone(nu, x):
+    # w^a is below the normal range but exp(shift) lifts the tail above it;
+    # at 1e19 the tail was 0, at 1e18 off by 4e-11
+    assert t_cdf(-x, nu) == pytest.approx(float(reference_tail(x, nu)), rel=5e-13, abs=0.0)
+
+
 def reference_tail(x: float, nu: float) -> mpmath.mpf:
     """P(T_nu <= -|x|) = I_w(nu/2, 1/2)/2, w = nu/(nu + x²), at 40 digits."""
     with mpmath.workdps(40):
