@@ -12,6 +12,14 @@ always t = mean/sqrt(variance/n) from ``statistic_from_summary``:
   residual as the variance;
 - 2x2 contingency table: ``contingency_regression``, the slope mapping of
   its 0/1 expansion by exact count arithmetic.
+
+Each family's formula has one implementation, a column reducer over
+segments of values (``_unpaired``, ``_regressions``, ``_tables``, and
+``estimators._summaries``). It returns the summary columns and, as the
+kernels do, the error of each faulty segment, which the family's function
+builds on that segment alone when the error is read. CSV ingest runs the
+reducer over every site at once; each function checks its input and runs
+it on one segment.
 """
 
 from __future__ import annotations
@@ -22,13 +30,20 @@ from typing import Sequence
 
 import numpy as np
 
+from .distributions import _Faults
 from .errors import (
     DegeneratePredictorError,
     DegenerateVarianceError,
     DomainError,
     InsufficientDataError,
 )
-from .estimators import ExperimentSummary
+from .estimators import (
+    ExperimentSummary,
+    SiteTable,
+    _first_summary,
+    _segments,
+    _summary_valid,
+)
 from .significance import TestStatistic, _statistic
 
 __all__ = [
@@ -80,6 +95,14 @@ def statistic_from_summary(summary: ExperimentSummary) -> TestStatistic:
     )
 
 
+def _statistic_faults(table: SiteTable) -> _Faults:
+    """The error statistic_from_summary raises on each row of a site table
+    whose statistic is undefined."""
+    undefined = ~((table.variance > 0) & np.isfinite(table.t) & np.isfinite(table.effect))
+    return _Faults(undefined, lambda i: statistic_from_summary(table.summary(i)),
+                   np.arange(len(table)))
+
+
 def unpaired_summary(
     group_a: Sequence[float], group_b: Sequence[float]
 ) -> ExperimentSummary:
@@ -93,16 +116,33 @@ def unpaired_summary(
     b = np.asarray(group_b, dtype=float)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("group values must all be finite")
-    na, nb = a.size, b.size
-    if na < 2 or nb < 2:
+    if a.size < 2 or b.size < 2:
         raise InsufficientDataError("each group needs at least 2 values")
-    with np.errstate(all="ignore"):  # the summary rejects a slot left non-finite
-        sse = float(np.sum((a - a.mean()) ** 2)) + float(np.sum((b - b.mean()) ** 2))
-        mean = float(a.mean() - b.mean())
-    df = na + nb - 2
-    return ExperimentSummary(
-        n=na * nb / (na + nb), mean=mean, sample_variance=sse / df, df=df
-    )
+    values = np.concatenate((a, b), axis=None)
+    return _first_summary(_unpaired(values, np.zeros(1, np.intp), np.array([a.size]))[0])
+
+
+@np.errstate(all="ignore")  # a faulty segment is left non-finite
+def _unpaired(values: np.ndarray, starts: np.ndarray, first: np.ndarray):
+    """unpaired_summary over the segments of ``values`` that begin at
+    ``starts``, group a the first ``first`` values of each: the (n, mean,
+    variance, df) columns, and each faulty segment's error, built by
+    unpaired_summary on that segment alone."""
+    counts = np.diff(starts, append=values.size)
+    sizes = np.concatenate((first, counts - first))  # group a of every segment, then group b
+    means, sums = np.full(sizes.size, np.nan), np.full(sizes.size, np.nan)
+    for block, rows in _segments(np.concatenate((starts, starts + first)), sizes, 1):
+        groups = values[rows]
+        means[block] = groups.mean(axis=1)
+        groups -= means[block, None]
+        sums[block] = np.sum(groups ** 2, axis=1)
+    (na, nb), df = np.split(sizes, 2), counts - 2.0
+    columns = (na * nb / counts, np.subtract(*np.split(means, 2)), np.add(*np.split(sums, 2)) / df,
+               df)
+    return columns, _Faults(
+        (na < 2) | (nb < 2) | ~_summary_valid(*columns),
+        lambda start, split, end: unpaired_summary(values[start:split], values[split:end]),
+        starts, starts + first, starts + counts)
 
 
 def regression(xs: Sequence[float], ys: Sequence[float]) -> ExperimentSummary:
@@ -116,16 +156,31 @@ def regression(xs: Sequence[float], ys: Sequence[float]) -> ExperimentSummary:
         raise InsufficientDataError(f"need at least 3 points, got {x.size}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DomainError("values must all be finite")
-    n = int(x.size)
-    with np.errstate(all="ignore"):  # the summary rejects a slot left non-finite
-        dx = x - x.mean()
-        q = float(np.sum(dx * dx))
-        if q <= 0.0:
-            raise DegeneratePredictorError("predictor values are all equal (Q = 0)")
-        slope = float(np.sum(dx * y)) / q
-        residuals = y - y.mean() - slope * dx
-        sse = float(np.sum(residuals * residuals))
-    return ExperimentSummary(n=q, mean=slope, sample_variance=sse / (n - 2), df=n - 2)
+    columns, _ = _regressions(x, y, np.zeros(1, dtype=np.intp))
+    if columns[0][0] <= 0.0:  # Q
+        raise DegeneratePredictorError("predictor values are all equal (Q = 0)")
+    return _first_summary(columns)
+
+
+@np.errstate(all="ignore")  # a faulty segment is left non-finite
+def _regressions(x: np.ndarray, y: np.ndarray, starts: np.ndarray):
+    """regression over the segments of pairs (x, y) that begin at ``starts``,
+    by centred moments: the (Q, slope, variance, df) columns, and each
+    faulty segment's error, built by regression on that segment alone."""
+    counts = np.diff(starts, append=x.size)
+    q, slope, sse = (np.full(counts.size, np.nan) for _ in range(3))
+    for block, rows in _segments(starts, counts, 3):
+        dx, residuals = x[rows], y[rows]  # centred, in place
+        dx -= dx.mean(axis=1)[:, None]
+        q[block] = np.sum(dx * dx, axis=1)
+        slope[block] = np.sum(dx * residuals, axis=1) / q[block]
+        residuals -= residuals.mean(axis=1)[:, None]
+        residuals -= slope[block, None] * dx
+        sse[block] = np.sum(residuals * residuals, axis=1)
+    df = counts - 2.0
+    columns = (q, slope, sse / df, df)  # Q = 0 leaves the slope 0/0
+    return columns, _Faults(~_summary_valid(*columns), lambda start, end: regression(
+        x[start:end], y[start:end]), starts, starts + counts)
 
 
 def contingency_regression(table: ContingencyTable) -> ExperimentSummary:
@@ -139,20 +194,28 @@ def contingency_regression(table: ContingencyTable) -> ExperimentSummary:
     n = table.total
     if n < 3:
         raise InsufficientDataError(f"need at least 3 pairs, got {n}")
-    n1x = table.n11 + table.n10
-    n0x = table.n01 + table.n00
-    if n1x == 0 or n0x == 0:
+    if table.n11 + table.n10 == 0 or table.n01 + table.n00 == 0:
         raise DegeneratePredictorError(
             "predictor margin is degenerate (all pairs share one x value)"
         )
-    n1y = table.n11 + table.n01
-    n0y = table.n10 + table.n00
+    counts = np.array([[table.n11, table.n10, table.n01, table.n00]])
+    return _first_summary(_tables(counts)[0])
+
+
+@np.errstate(all="ignore")  # a faulty table is left non-finite
+def _tables(counts: np.ndarray):
+    """contingency_regression over rows of counts (n11, n10, n01, n00): the
+    (Q, slope, variance, df) columns, and each faulty table's error, built
+    by ContingencyTable and contingency_regression on that table alone."""
+    n11, n10, n01, n00 = counts.T.astype(float)
+    n1x, n0x, n1y, n0y = n11 + n10, n01 + n00, n11 + n01, n10 + n00
+    n = n1x + n0x
     q = n1x * n0x / n
-    sxy = table.n11 - n1x * n1y / n
-    slope = sxy / q
-    syy = n1y * n0y / n
-    sse = max(syy - slope * slope * q, 0.0)
-    return ExperimentSummary(n=q, mean=slope, sample_variance=sse / (n - 2), df=n - 2)
+    slope = (n11 - n1x * n1y / n) / q
+    sse = np.maximum(n1y * n0y / n - slope * slope * q, 0.0)
+    columns = (q, slope, sse / (n - 2.0), n - 2.0)  # N < 3 leaves df <= 0, a zero margin Q = 0
+    return columns, _Faults(~_summary_valid(*columns), lambda *cells: contingency_regression(
+        ContingencyTable(*cells)), *counts.T)
 
 
 def phi_coefficient(table: ContingencyTable) -> float:

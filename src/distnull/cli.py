@@ -24,6 +24,7 @@ import json
 import math
 import re
 import sys
+from collections import ChainMap
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from itertools import chain, repeat
@@ -31,29 +32,24 @@ from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
-from .adapters import (
-    ContingencyTable,
-    contingency_regression,
-    regression,
-    statistic_from_summary,
-    unpaired_summary,
-)
+from .adapters import _regressions, _statistic_faults, _tables, _unpaired
 from .distributions import (
     PROB_FLOOR, _check_alpha, _check_b_hat, _check_df, _check_finite, _check_nu0, _faults,
+    _Faults,
 )
 from .errors import (
     ConfigurationError,
     DistnullError,
     DomainError,
     ParseError,
-    _located,
     _raise_first,
 )
 from .estimators import (
     ExperimentSummary,
     SiteTable,
     _between_variance,
-    summarize,
+    _summaries,
+    _summary_valid,
 )
 from .power import (
     PowerQuery,
@@ -203,9 +199,11 @@ def _read_csv(path: str, columns: Sequence[str] = INPUT_COLUMNS
         blocks = _reader_blocks(path, data.decode("utf-8-sig"), lines)
         fields = next(blocks)
     else:
-        fields, lines = data[:ends[0]].decode("utf-8-sig").split(","), range(2, len(ends) + 1)
+        # a carriage return ends a line here, and is dropped (a no-op without one)
+        fields = data[:ends[0]].decode("utf-8-sig").replace("\r", "").split(",")
+        lines = range(2, len(ends) + 1)
         cuts = np.append(ends[:-1:_BLOCK_ROWS], ends[-1]).tolist()
-        blocks = (data[start + 1:end].decode().replace("\n", ",").split(",")
+        blocks = (data[start + 1:end].decode().replace("\r", "").replace("\n", ",").split(",")
                   for start, end in zip(cuts, cuts[1:]))
     typed = {name: (j, _Column(name in INPUT_COLUMNS[:3]))
              for j, name in enumerate(fields) if name in columns}
@@ -220,10 +218,11 @@ def _read_csv(path: str, columns: Sequence[str] = INPUT_COLUMNS
 def _plain_ends(data: bytes) -> np.ndarray | None:
     """Where each line ends (at a newline or the file's end) of a file that
     splitting on separators reads as ``csv.reader`` does, else None: with no
-    quote or carriage return, a header of two or more fields (so a blank line
-    is no row) and rows, all as wide, and no cell over the csv field limit.
-    A separator is one byte of UTF-8, and a cell has no fewer bytes than characters."""
-    if b'"' in data or b"\r" in data:
+    quote, a carriage return only directly before a newline, a header of two
+    or more fields (so a blank line is no row) and rows, all as wide, and no
+    cell over the csv field limit. A separator is one byte of UTF-8, and a
+    cell has no fewer bytes than characters (a carriage return counts as one)."""
+    if b'"' in data or b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         return None
     octets = np.frombuffer(data, dtype=np.uint8)
     seps = np.flatnonzero((octets == ord(",")) | (octets == ord("\n")))
@@ -332,6 +331,12 @@ class _Cells:
             for name, column in self.checked:
                 column.check(i, name, self.lines[i])
 
+    def site_faults(self, order: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> _Faults:
+        """The first cell error of each site i whose rows ``order[starts[i]:ends[i]]`` fail."""
+        faulty = (np.zeros(starts.size, dtype=bool) if self.faulty is None
+                  else np.logical_or.reduceat(self.faulty[order], starts))
+        return _Faults(faulty, lambda start, end: self.check(order[start:end]), starts, ends)
+
 
 def _ranked(column: _Column) -> tuple[list[str], np.ndarray]:
     """An identifier column's distinct names in code-point order, and each
@@ -358,43 +363,16 @@ def _group(task: _Column, site: _Column) -> tuple[list[str], np.ndarray, list[st
     return task_ids, site_task, [site_ids[c] for c in site_code.tolist()], order, starts
 
 
-@np.errstate(all="ignore")  # a faulty site is left non-finite, and rerun
-def _bulk_summaries(shape: str, cells: _Cells, order: np.ndarray,
-                    starts: np.ndarray) -> tuple[np.ndarray, ...] | None:
-    """Every site's (n, mean, variance, df) at once, for the summary,
-    one-sample and paired shapes; None for other shapes, or where a cell
-    faults, a summary row repeats or a site has one value.
-
-    One-sample and paired sites of equal row count are reduced together as
-    rows of a 2-D block, which keeps the bits of ``summarize``.
-    """
-    if cells.faulty is not None or shape not in ("summary", "one_sample", "paired"):
-        return None
-    reals = cells.reals
-    if shape == "summary":
-        if starts.size < order.size:
-            return None
-        return tuple(reals[column][order] for column in ("n", "mean", "variance", "df"))
-    counts = np.diff(starts, append=order.size)
-    if counts.min() < 2:  # numpy warns of a variance of one value
-        return None
-    values = (reals["value"] if shape == "one_sample" else reals["x"] - reals["y"])[order]
-    mean, variance = np.empty(starts.size), np.empty(starts.size)
-    for count in sorted(set(counts.tolist())):
-        block = np.flatnonzero(counts == count)
-        rows = values[starts[block, None] + np.arange(count)]
-        mean[block], variance[block] = rows.mean(axis=1), rows.var(axis=1, ddof=1)
-    return counts.astype(float), mean, variance, counts - 1.0
-
-
 def load_sites(path: str, family: str | None) -> tuple[str, SiteTable]:
     """Ingest a CSV into one site table of canonical summaries, sorted
     (task, site).
 
-    Returns the detected shape name alongside the table. Cells and sites are
-    checked in bulk; on a fault, or for a family without a bulk reducer,
-    the sites are summarized one by one, which raises the first error: the
-    one place left where an error is found by rerunning scalar code.
+    Returns the detected shape name alongside the table. Each shape has one
+    column reducer over all sites' rows, which hands back each faulty site's
+    error, built when read. A site's checks run in one order: a repeated
+    summary row, its cells in row order, the family's checks, the canonical
+    summary's slots, then its statistic. The first faulty site's error is
+    raised, and no other site's is built.
     """
     fields, lines, columns = _read_csv(path)
     shape = _detect_shape(fields, family)
@@ -403,77 +381,77 @@ def load_sites(path: str, family: str | None) -> tuple[str, SiteTable]:
     _Cells(lines, columns, ("task", "site")).check(np.arange(len(lines)))
     task_ids, site_task, site_ids, order, starts = _group(columns["task"], columns["site"])
 
+    def where(i: int) -> str:
+        return f"task {task_ids[site_task[i]]!r} site {site_ids[i]!r}"
+
     cells = _Cells(lines, columns, _ROW_CHECKS.get(shape, ("x", "y")))
+    (*summaries, share), faults = _reduce(shape, cells, order, starts, where)
     offsets = np.searchsorted(site_task, np.arange(len(task_ids) + 1))
-    bulk = _bulk_summaries(shape, cells, order, starts)
-    if bulk is not None:
-        sites = SiteTable(task_ids, offsets, *bulk, site_ids=site_ids)
-        valid = (sites.n > 0) & (sites.variance > 0) & (sites.df > 0)
-        for column in (sites.mean, sites.variance, sites.t, sites.effect):
-            valid &= np.isfinite(column)
-        if valid.all():
-            return shape, sites
-    summaries, shares = [], []
-    with _located(lambda: f"task {task!r} site {site!r}"):
-        for j, site, rows in zip(site_task.tolist(), site_ids, np.split(order, starts[1:])):
-            task = task_ids[j]
-            summary, share = _build_summary(shape, task, site, cells, rows)
-            statistic_from_summary(summary)  # raises where the statistic is undefined
-            summaries.append((summary.n, summary.mean, summary.sample_variance, summary.df))
-            shares.append(math.nan if share is None else share)
-    return shape, SiteTable(task_ids, offsets, *np.array(summaries).T, shares, site_ids)
+    sites = SiteTable(task_ids, offsets, *summaries, share, site_ids)
+    _raise_first(ChainMap(faults, _statistic_faults(sites)), where)
+    return shape, sites
 
 
-def _build_summary(
-    shape: str, task: str, site: str, table: _Cells, rows: np.ndarray
-) -> tuple[ExperimentSummary, float | None]:
-    """One site's rows as its canonical summary, with its two-group share."""
-    if shape == "summary" and len(rows) > 1:
-        raise ParseError(f"duplicate summary row for task {task!r} site {site!r}",
-                         line=table.lines[rows[1]])
-    table.check(rows)
+@np.errstate(all="ignore")  # a faulty site is left non-finite
+def _reduce(shape: str, cells: _Cells, order: np.ndarray, starts: np.ndarray,
+            where: Callable[[int], str]) -> tuple[tuple, ChainMap]:
+    """Every site's (n, mean, variance, df, share) columns by the reducer of
+    the shape, site i's rows being ``order[starts[i]:]`` up to the next
+    site's, and each faulty site's error, that of its first failing check."""
+    counts = np.diff(starts, append=order.size)
+    ends, sites, share = starts + counts, np.arange(starts.size), None
+    checks = [cells.site_faults(order, starts, ends)]
     if shape == "summary":  # its checked columns are n, mean, variance and df
-        (row,) = rows
-        try:
-            summary = ExperimentSummary(*(float(column[row]) for column in table.reals.values()))
-        except DomainError as exc:
-            raise ParseError(str(exc), line=table.lines[row]) from exc
-        return summary, None
+        first = order[starts]
+        columns = tuple(column[first] for column in cells.reals.values())
 
-    if shape == "one_sample":
-        return summarize(table.reals["value"][rows]), None
+        def repeated(i: int) -> NoReturn:
+            raise ParseError(f"duplicate summary row for {where(i)}",
+                             line=cells.lines[order[starts[i] + 1]])
 
-    if shape == "two_sample":
-        group = table.columns["group"]
-        groups = group.values[rows]
-        ids = sorted(set(groups.tolist()), key=group.names.__getitem__)
-        if len(ids) != 2:
-            raise ParseError(
-                f"task {task!r} site {site!r} has {len(ids)} groups; need exactly 2"
-            )
-        values = table.reals["value"][rows]
-        in_first = groups == ids[0]
-        first, second = values[in_first], values[~in_first]
-        share = first.size / (first.size + second.size)
-        return unpaired_summary(first, second), share
+        def slots(row: int, *summary: float) -> None:
+            try:
+                ExperimentSummary(*summary)
+            except DomainError as exc:
+                raise ParseError(str(exc), line=cells.lines[row]) from exc
 
-    x, y = table.reals["x"][rows], table.reals["y"][rows]
-    if shape == "paired":
-        return summarize(x - y), None
+        checks.insert(0, _Faults(counts > 1, repeated, sites))
+        faults = _Faults(~_summary_valid(*columns), slots, first, *columns)
+    elif shape == "two_sample":  # each site's rows by group, first in code-point order
+        names, group = _ranked(cells.columns["group"])
+        key = np.repeat(sites * len(names), counts) + group[order]
+        by_group = np.argsort(key, kind="stable")
+        key = key[by_group]
+        heads = np.flatnonzero(np.diff(key, prepend=-1))
+        groups = np.bincount(key[heads] // len(names), minlength=starts.size)
+        first = np.diff(heads, append=order.size)[np.searchsorted(heads, starts)]
 
-    if shape == "regression":
-        return regression(x, y), None
+        def group_count(i: int, k: int) -> NoReturn:
+            raise ParseError(f"{where(i)} has {k} groups; need exactly 2")
 
-    # contingency: 0/1 pairs aggregated to a 2x2 table
-    binary = ((x == 0.0) | (x == 1.0)) & ((y == 0.0) | (y == 1.0))
-    if not binary.all():
-        raise ParseError(
-            "contingency x and y must be 0 or 1", line=table.lines[rows[binary.argmin()]]
-        )
-    counts = ContingencyTable(*(int(np.count_nonzero((x == a) & (y == b)))
-                                for a, b in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))))
-    share = (counts.n11 + counts.n10) / counts.total
-    return contingency_regression(counts), share
+        checks.append(_Faults(groups != 2, group_count, sites, groups))
+        columns, faults = _unpaired(cells.reals["value"][order[by_group]], starts, first)
+        share = first / counts
+    elif shape == "one_sample":
+        columns, faults = _summaries(cells.reals["value"][order], starts)
+    elif shape == "paired":
+        columns, faults = _summaries(cells.reals["x"][order] - cells.reals["y"][order], starts)
+    elif shape == "regression":
+        columns, faults = _regressions(cells.reals["x"][order], cells.reals["y"][order], starts)
+    else:  # contingency: 0/1 pairs counted into each site's 2x2 table
+        x, y = cells.reals["x"][order], cells.reals["y"][order]
+        binary = ((x == 0.0) | (x == 1.0)) & ((y == 0.0) | (y == 1.0))
+        tables = np.bincount(np.repeat(sites, counts) * 4 + 2 * (x == 0.0) + (y == 0.0),
+                             minlength=4 * starts.size).reshape(-1, 4)
+
+        def non_binary(start: int, end: int) -> NoReturn:
+            raise ParseError("contingency x and y must be 0 or 1",
+                             line=cells.lines[order[start + binary[start:end].argmin()]])
+
+        checks.append(_Faults(~np.logical_and.reduceat(binary, starts), non_binary, starts, ends))
+        columns, faults = _tables(tables)
+        share = (tables[:, 0] + tables[:, 1]) / counts
+    return (*columns, share), ChainMap(*checks, faults)
 
 
 # ---------------------------------------------------------------------------

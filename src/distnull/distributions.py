@@ -11,7 +11,7 @@ checked strictly here.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Mapping
 from functools import cache, lru_cache
 
 import numpy as np
@@ -833,6 +833,29 @@ def _faults(faulty, check, *columns) -> dict[int, DistnullError]:
         except DistnullError as exc:
             faults[i] = exc
     return faults
+
+
+class _Faults(Mapping):
+    """``_faults`` built on demand: the ``faulty`` rows are its keys, and a
+    row's error, which ``check`` must raise, is built when it is read."""
+
+    def __init__(self, faulty, check, *columns):
+        self.faulty, self.check, self.columns = np.asarray(faulty, dtype=bool), check, columns
+
+    def __getitem__(self, row: int) -> DistnullError:
+        if not self.faulty[row]:
+            raise KeyError(row)
+        try:
+            self.check(*(np.broadcast_to(c, self.faulty.shape)[row].item() for c in self.columns))
+        except DistnullError as exc:
+            return exc
+        raise AssertionError(f"row {row} is marked faulty but passes its check")
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(np.flatnonzero(self.faulty).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.faulty))
 
 
 def _checked(column):

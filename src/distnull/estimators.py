@@ -16,7 +16,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .distributions import _check_nu0, _checked, _faults
+from .distributions import _check_nu0, _checked, _faults, _Faults
 from .errors import (
     DegenerateVarianceError,
     DistnullError,
@@ -64,6 +64,12 @@ class ExperimentSummary:
             )
         if not (math.isfinite(self.df) and self.df > 0):
             raise DomainError(f"df must be finite and > 0, got {self.df!r}")
+
+
+def _summary_valid(n, mean, variance, df) -> np.ndarray:
+    """Where ExperimentSummary accepts the slots of columns."""
+    return ((n > 0) & (n < np.inf) & np.isfinite(mean) & (variance >= 0) & (variance < np.inf)
+            & (df > 0) & (df < np.inf))
 
 
 @dataclass(frozen=True)
@@ -180,10 +186,36 @@ def summarize(values: Sequence[float]) -> ExperimentSummary:
         )
     if not np.all(np.isfinite(arr)):
         raise DomainError("values must all be finite")
-    n = int(arr.size)
-    with np.errstate(all="ignore"):  # the summary rejects a slot left non-finite
-        mean, variance = float(arr.mean()), float(arr.var(ddof=1))
-    return ExperimentSummary(n=n, mean=mean, sample_variance=variance, df=n - 1)
+    return _first_summary(_summaries(arr, np.zeros(1, dtype=np.intp))[0])
+
+
+def _first_summary(columns) -> ExperimentSummary:
+    """The summary in the first row of a reducer's columns."""
+    return ExperimentSummary(*(float(column[0]) for column in columns))
+
+
+def _segments(starts: np.ndarray, counts: np.ndarray, least: int):
+    """Per count of at least ``least``, its segments and each one's values'
+    index: a 2-D block, which numpy reduces along axis 1 with 1-D bits."""
+    for count in sorted(set(counts[counts >= least].tolist())):
+        block = np.flatnonzero(counts == count)
+        yield block, starts[block, None] + np.arange(count)
+
+
+@np.errstate(all="ignore")  # a faulty segment is left non-finite
+def _summaries(values: np.ndarray, starts: np.ndarray) -> tuple[tuple[np.ndarray, ...], _Faults]:
+    """summarize over the segments of ``values`` that begin at ``starts``:
+    the (n, mean, variance, df) columns, and each faulty segment's error,
+    built by summarize on that segment alone."""
+    counts = np.diff(starts, append=values.size)
+    mean, variance = np.full(counts.size, np.nan), np.full(counts.size, np.nan)
+    for block, rows in _segments(starts, counts, 2):
+        segments = values[rows]
+        mean[block], variance[block] = segments.mean(axis=1), segments.var(axis=1, ddof=1)
+    n = counts.astype(float)
+    columns = (n, mean, variance, n - 1.0)  # left invalid by one value, or one not finite
+    return columns, _Faults(~_summary_valid(*columns), lambda start, end: summarize(
+        values[start:end]), starts, starts + counts)
 
 
 def between_variance(task: TaskSet, mode: VarianceMode = "as_published") -> BetweenVariance:

@@ -23,17 +23,7 @@ from distnull.adapters import (
 )
 from distnull.distributions import t_cdf, t_density, t_quantile
 from distnull.estimators import between_variance, variance_ratio
-from distnull.oracle import (
-    SimConfig,
-    calibration_correlation,
-    desk_tasks,
-    estimator_bias,
-    replication_calibration,
-    sensitivity_sweep,
-    sensitivity_tasks,
-    simulate_tasks,
-    type1_calibration,
-)
+from distnull.oracle import SimConfig
 from distnull.power import PowerQuery, beta_distributional, power_ceiling
 from distnull.replication import (
     ReplicationQuery,
@@ -49,6 +39,16 @@ from distnull.significance import (
     p_sig_closed,
     p_sig_given_b,
     p_sig_integral,
+)
+from studies import (
+    calibration_correlation,
+    desk_tasks,
+    estimator_bias,
+    replication_calibration,
+    sensitivity_sweep,
+    sensitivity_tasks,
+    simulate_tasks,
+    type1_calibration,
 )
 
 

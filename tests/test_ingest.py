@@ -8,17 +8,19 @@ message, its line number and which of several faults is reported first.
 import csv
 import io
 import json
+import math
 import pathlib
 import re
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli, write_csv
-from distnull import cli
+from distnull import adapters, cli
 from distnull.adapters import (
     ContingencyTable,
     contingency_regression,
@@ -252,12 +254,26 @@ def test_blank_lines_are_skipped(tmp_path):
     assert run_cli(["estimate", "--input", str(gappy)]) == (0, expected, "")
 
 
+# (file text, --family, the error): sites whose reduction numpy would warn
+# of (the variance of one value, a slope over Q = 0), outside ``errstate``
+ONE_VALUE_SITES = [
+    (RAW + "a,l1,0.5\na,l2,1\na,l2,2\n", None,
+     "task 'a' site 'l1': need at least 2 measurements, got 1"),
+    (TWO + "a,l1,g1,0.5\na,l1,g2,1\na,l1,g2,2\n", None,
+     "task 'a' site 'l1': each group needs at least 2 values"),
+    (XY + "a,l1,1,0.5\na,l1,1,1\na,l1,1,2\n", "regression",
+     "task 'a' site 'l1': predictor values are all equal (Q = 0)"),
+    (XY + "a,l1,1,0\na,l1,1,1\na,l1,1,1\n", "contingency",
+     "task 'a' site 'l1': predictor margin is degenerate (all pairs share one x value)"),
+]
+
+
 def test_site_of_one_value_fails_without_a_warning(tmp_path):
-    # the bulk reducer took the variance of one value, which numpy warns of
     path = tmp_path / "one.csv"
-    path.write_text(RAW + "a,l1,0.5\na,l2,1\na,l2,2\n", encoding="utf-8")
-    assert run_cli(["estimate", "--input", str(path)]) == (
-        4, "", "error: task 'a' site 'l1': need at least 2 measurements, got 1\n")
+    for text, family, error in ONE_VALUE_SITES:
+        path.write_text(text, encoding="utf-8")
+        flags = ["--family", family] if family else []
+        assert run_cli(["estimate", "--input", str(path), *flags]) == (4, "", f"error: {error}\n")
 
 
 B_FROM_CASES = {
@@ -716,6 +732,157 @@ def test_blocks_load_as_the_whole_file(file, block):
         got = _loaded(path, family)
         patch.setattr(cli, "_read_csv", _reference_read)
         assert got == _loaded(path, family)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_crlf_file_takes_the_plain_path(tmp_path, monkeypatch, shape):
+    path = _random_file(tmp_path, shape, np.random.default_rng(len(shape)))
+    twin = tmp_path / "crlf.csv"
+    twin.write_bytes(pathlib.Path(path).read_bytes().replace(b"\n", b"\r\n"))
+    family = SHAPES[shape][1]
+
+    def refuse(*args):
+        raise AssertionError("a CRLF file was read by csv.reader")
+
+    monkeypatch.setattr(cli, "_reader_blocks", refuse)
+    assert _loaded(str(twin), family) == _loaded(path, family)
+
+
+# Values k/8, exactly floats, so that ``Fraction`` evaluates the formulas
+# on the very numbers the file holds.
+DYADIC = st.integers(-64, 64).map(lambda k: k / 8)
+
+
+@st.composite
+def exact_files(draw):
+    """A small valid file of a raw shape, rows shuffled, as (shape, header,
+    rows); each row's cells are its task, site and values."""
+    shape = draw(st.sampled_from(["one_sample", "two_sample", "paired", "regression",
+                                  "contingency"]))
+    rows = []
+    for task in draw(st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=2, unique=True)):
+        for site in draw(st.lists(st.sampled_from(["l1", "l2", "l10"]), min_size=1, max_size=3,
+                                  unique=True)):
+            if shape == "one_sample":
+                cells = [[v] for v in draw(st.lists(DYADIC, min_size=2, max_size=8))]
+            elif shape == "two_sample":
+                cells = [[group, v] for group in ("g2", "g1")
+                         for v in draw(st.lists(DYADIC, min_size=2, max_size=6))]
+            elif shape == "contingency":  # every cell filled, so no fit is perfect
+                extra = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=8))
+                cells = [[x, y] for x, y in [(1, 1), (1, 0), (0, 1), (0, 0), *extra]]
+            else:
+                cells = [list(pair) for pair in
+                         draw(st.lists(st.tuples(DYADIC, DYADIC), min_size=3, max_size=8))]
+            rows += [[task, site, *(c if isinstance(c, str) else repr(c) for c in row)]
+                     for row in cells]
+    header = {"one_sample": RAW, "two_sample": TWO}.get(shape, XY)
+    return shape, header, draw(st.permutations(rows))
+
+
+def _exact_site(shape, rows):
+    """A site's (n, mean, variance, df, share) by the README formulas, in
+    exact arithmetic, with its SSE and total sum of squares."""
+    values = [[Fraction(cell) for cell in row[2 + (shape == "two_sample"):]] for row in rows]
+    share = None
+    if shape in ("one_sample", "paired"):
+        ds = [row[0] - row[-1] if shape == "paired" else row[0] for row in values]
+        n = len(ds)
+        mean = sum(ds) / n
+        sse, total, df = sum((d - mean) ** 2 for d in ds), sum(d * d for d in ds), n - 1
+    elif shape == "two_sample":
+        groups = {}
+        for row, (v,) in zip(rows, values):
+            groups.setdefault(row[2], []).append(v)
+        first, second = (groups[name] for name in sorted(groups))
+        means = [sum(g) / len(g) for g in (first, second)]
+        sse = sum((v - m) ** 2 for g, m in zip((first, second), means) for v in g)
+        total = sum(v * v for g in (first, second) for v in g)
+        n, mean = Fraction(len(first) * len(second), len(rows)), means[0] - means[1]
+        df, share = len(rows) - 2, Fraction(len(first), len(rows))
+    else:
+        xs, ys = [x for x, _ in values], [y for _, y in values]
+        xbar, ybar = sum(xs) / len(xs), sum(ys) / len(ys)
+        n = sum((x - xbar) ** 2 for x in xs)
+        assume(n > 0)
+        mean = sum((x - xbar) * y for x, y in zip(xs, ys)) / n
+        sse = sum((y - ybar - mean * (x - xbar)) ** 2 for x, y in zip(xs, ys))
+        total, df = sum(y * y for y in ys), len(rows) - 2
+        if shape == "contingency":
+            share = Fraction(sum(xs), len(xs))
+    return (n, mean, sse / df, df, share), sse, total
+
+
+def _close(got, exact, scale=0.0):
+    """``got`` within 1e-12 of ``exact``, relative to the larger of |exact| and ``scale``."""
+    return abs(got - float(exact)) <= 1e-12 * max(abs(float(exact)), scale)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(file=exact_files())
+def test_loaded_columns_match_exact_arithmetic(file):
+    shape, header, rows = file
+    grouped = {}
+    for row in rows:
+        grouped.setdefault((row[0], row[1]), []).append(row)
+    expected = []
+    for key in sorted(grouped):
+        summary, sse, total = _exact_site(shape, grouped[key])
+        # below this the two-pass formulas lose their relative accuracy
+        assume(sse > 0 and sse >= Fraction(1, 10**6) * total)
+        expected.append(summary)
+    family = shape if shape in ("paired", "regression", "contingency") else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_text(tmp, header + "".join(",".join(row) + "\n" for row in rows))
+        _, sites = cli.load_sites(path, family)
+    for i, (n, mean, variance, df, share) in enumerate(expected):
+        t_squared = mean * mean * n / variance
+        t = math.copysign(math.sqrt(float(t_squared)), mean)
+        # a mean or t near 0 is held to its standard error, and to 1
+        error = math.sqrt(float(variance / n))
+        assert _close(sites.n[i], n) and _close(sites.df[i], df), (i, shape)
+        assert _close(sites.mean[i], mean, error) and _close(sites.t[i], t, 1.0), (i, shape)
+        assert _close(sites.variance[i], variance), (i, shape)
+        assert (np.isnan(sites.share[i]) if share is None else _close(sites.share[i], share))
+
+
+def _counted(calls, function):
+    """``function``, appending the arguments of each call to ``calls``."""
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    return counted
+
+
+# (file text, --family): two valid sites, then one whose variance is 0
+LATE_FAULTS = {
+    "two_sample": (TWO + "".join(f"a,{site},{group},{v}\n" for site, values in (
+        ("l1", "1234"), ("l2", "2468"), ("l3", "5555")) for group, v in zip("gghh", values)),
+        None),
+    "regression": (XY + "".join(f"a,{site},{x},{y}\n" for site, ys in (
+        ("l1", "132"), ("l2", "314"), ("l3", "246")) for x, y in zip("123", ys)), "regression"),
+    "contingency": (XY + "".join(f"a,{site},{x},{y}\n" for site, pairs in (
+        ("l1", ["11", "10", "01", "00"]), ("l2", ["11", "10", "01", "00", "11"]),
+        ("l3", ["11", "00", "11"])) for x, y in pairs), "contingency"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LATE_FAULTS))
+def test_only_the_faulty_sites_error_is_built(tmp_path, monkeypatch, shape):
+    # the sites before the faulty one are reduced in bulk, never one by one
+    text, family = LATE_FAULTS[shape]
+    path = tmp_path / "late.csv"
+    path.write_text(text, encoding="utf-8")
+    built, statistics = [], []
+    monkeypatch.setattr(ExperimentSummary, "__post_init__",
+                        _counted(built, ExperimentSummary.__post_init__))
+    monkeypatch.setattr(adapters, "statistic_from_summary",
+                        _counted(statistics, adapters.statistic_from_summary))
+    flags = ["--family", family] if family else []
+    assert run_cli(["estimate", "--input", str(path), *flags]) == (
+        4, "", "error: task 'a' site 'l3': sample variance is zero; t-statistic undefined\n")
+    assert (len(built), len(statistics)) == (1, 1)
 
 
 def _reference_b_from(path):

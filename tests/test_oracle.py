@@ -19,23 +19,25 @@ from distnull.oracle import (
     CalibrationBin,
     SimConfig,
     bin_pairs,
-    calibration_correlation,
     calibration_gap,
-    desk_tasks,
-    estimator_bias,
     gap_direction,
-    replication_calibration,
-    sensitivity_sweep,
-    sensitivity_tasks,
     simulate_raw_task,
-    simulate_task,
-    simulate_tasks,
     task_pair_records,
-    type1_calibration,
 )
 from distnull.adapters import statistic_from_summary
 from distnull.replication import ReplicationQuery, p_rep_closed
 from distnull.significance import p_sig_closed
+from studies import (
+    calibration_correlation,
+    desk_tasks,
+    estimator_bias,
+    replication_calibration,
+    sensitivity_sweep,
+    sensitivity_tasks,
+    simulate_task,
+    simulate_tasks,
+    type1_calibration,
+)
 
 
 def small_config(**overrides) -> SimConfig:

@@ -37,7 +37,8 @@ from distnull.estimators import (
     between_variance,
     summarize,
 )
-from distnull.oracle import SimConfig, _simulated_table, simulate_raw_task
+from distnull.oracle import SimConfig, simulate_raw_task
+from studies import _simulated_table
 
 SHAPES = ("summary", "one_sample", "two_sample", "paired", "regression", "contingency")
 HEADERS = {
