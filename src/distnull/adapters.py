@@ -24,7 +24,6 @@ it on one segment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,7 +51,6 @@ __all__ = [
     "unpaired_summary",
     "regression",
     "contingency_regression",
-    "phi_coefficient",
 ]
 
 
@@ -216,20 +214,3 @@ def _tables(counts: np.ndarray):
     columns = (q, slope, sse / (n - 2.0), n - 2.0)  # N < 3 leaves df <= 0, a zero margin Q = 0
     return columns, _Faults(~_summary_valid(*columns), lambda *cells: contingency_regression(
         ContingencyTable(*cells)), *counts.T)
-
-
-def phi_coefficient(table: ContingencyTable) -> float:
-    """phi = (n11·n00 − n10·n01)/√(n1x·n0x·n1y·n0y) ∈ [−1, 1].
-
-    Equals the Pearson correlation of the expanded 0/1 pairs.
-    """
-    n1x = table.n11 + table.n10
-    n0x = table.n01 + table.n00
-    n1y = table.n11 + table.n01
-    n0y = table.n10 + table.n00
-    denom = n1x * n0x * n1y * n0y
-    if denom == 0:
-        raise DegeneratePredictorError(
-            "phi undefined: a margin of the table is zero"
-        )
-    return (table.n11 * table.n00 - table.n10 * table.n01) / math.sqrt(denom)

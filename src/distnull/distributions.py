@@ -1,9 +1,9 @@
 """Distribution kernels and numerical utilities.
 
-The Student t CDF, quantile and density (computed here, for a value or a
-column), the noncentral t CDF, the certified fixed-node rule for
-expectations over F-distributed ratios, adaptive quadrature (the
-noncentral t fallback), and the root of b_max's stationary quintic.
+The Student t CDF and critical values (computed here, for a value or a
+column), the certified fixed-node rule for expectations over F-distributed
+ratios, the noncentral t as one such expectation, and the root of b_max's
+stationary quintic.
 Everything downstream builds on these surfaces, so their domains are
 checked strictly here.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Mapping
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,21 +27,11 @@ __all__ = [
     "PROB_FLOOR",
     "clamp_probability",
     "t_cdf",
-    "t_density",
-    "t_quantile",
     "noncentral_t_cdf",
     "f_expectation",
     "integrate",
     "find_positive_root",
 ]
-
-
-@cache
-def _special():
-    """scipy.special, imported on first use: only the noncentral t needs it."""
-    from scipy import special
-
-    return special
 
 
 # Reported probabilities are clamped to [PROB_FLOOR, 1] so that log10
@@ -358,6 +348,17 @@ def _t_tail_block(x, nu) -> tuple[np.ndarray, np.ndarray]:
     logged = whole & (power < np.finfo(float).tiny)
     power = np.where(whole, power * np.exp(shift), power)
     power[logged] = np.exp(a[logged] * np.log(w[logged]) + shift[logged])
+    # there shift carries most of w^a's exponent once nu passes about 2**55,
+    # and its rounding error with it; where q = x²/nu < 2**-20, w^a is
+    # exp(-(x²/2)·log1p(q)/q) instead, with x²/2 in double-double and
+    # log1p(q)/q = 1 - q/2 + q²/3 - q³/4
+    near = whole & (sq < 2.0**-20 * nu)
+    if near.any():
+        q, x_sq_half = sq[near] / nu[near], 0.5 * sq[near]
+        low = x_sq_half * q * (0.5 - q * (1.0 / 3.0 - 0.25 * q)) - 0.5 * sq_err[near]
+        # apart only where exp(-x²/2) does not underflow, so exp(low) not overflow
+        power[near] = np.where(x_sq_half < 746.0, np.exp(low) * np.exp(-x_sq_half),
+                               np.exp(low - x_sq_half))
     power_lo = np.where(whole, 0.0, power * np.expm1(shift))
     # u·(1 + u_shift) = 1 - w·(1 + w_err/w), where 1 - w is exact for w >= 1/2
     u_shift = np.where(u > 0.0, (((1.0 - w) - u) - w_err) / u, 0.0)
@@ -456,26 +457,6 @@ def t_cdf(x: float, nu: float) -> float:
     return float(_t_cdf(x, nu))
 
 
-def t_density(x: float, nu: float) -> float:
-    """Student t density with ``nu`` degrees of freedom at ``x``."""
-    x = _check_finite(x, "x")
-    nu = _check_df(nu)
-    return _beta_factors(nu)[0] / math.sqrt(nu) * math.exp(-0.5 * (nu + 1.0) * math.log1p(x * x / nu))
-
-
-def t_quantile(p: float, nu: float) -> float:
-    """Inverse Student t CDF: the x with t_cdf(x, nu) = p, for 0 < p < 1."""
-    p = float(p)
-    nu = _check_df(nu)
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"quantile level must lie strictly in (0, 1), got {p!r}")
-    if p == 0.5:
-        return 0.0
-    # 1 - p is exact for p > 1/2
-    x = float(_t_tail_quantile(min(p, 1.0 - p), nu)[0])
-    return -x if p < 0.5 else x
-
-
 # Critical values by (alpha, df), the oldest dropped beyond _CRITICAL_SIZE.
 _CRITICAL: dict[tuple[float, float], float] = {}
 _CRITICAL_SIZE = 4096
@@ -501,50 +482,60 @@ def _critical_values(alpha: float, df) -> np.ndarray:
     return values[inverse]
 
 
-def _chi2_log_pdf(v: float, nu: float) -> float:
-    return (
-        (nu / 2.0 - 1.0) * math.log(v)
-        - v / 2.0
-        - (nu / 2.0) * math.log(2.0)
-        - _special().gammaln(nu / 2.0)
-    )
+_SQRT_HALF = math.sqrt(0.5)
+# The relative tolerance the noncentral t's rule certifies: a thousandth of
+# RULE_RTOL, so that its 12 printed digits hold
+_NONCENTRAL_RTOL = 1e-13
+
+
+def _normal_lower(z: np.ndarray) -> np.ndarray:
+    """Phi(z) elementwise, from math.erfc, which keeps the lower tail's digits."""
+    return 0.5 * np.array([math.erfc(-v * _SQRT_HALF) for v in z.tolist()])
+
+
+def _noncentral_t_mass(lo: float, hi: float, nu: float, theta: float,
+                       outside: bool = False) -> float:
+    """P(lo <= T <= hi) for T noncentral t with ``nu`` degrees of freedom and
+    noncentrality ``theta``, or P(T outside [lo, hi]) if ``outside``; lo may be
+    -inf.
+
+    T = (Z + theta)/r with Z standard normal and r² = V/nu, V ~ chi-square(nu)
+    independent of Z, so the mass is E[Phi(hi·r - theta) - Phi(lo·r - theta)],
+    one expectation over V/nu ~ F(nu, inf) on f_expectation's rule, with no
+    difference of two CDFs. At each node the mass of [l, h] = [lo·r - theta,
+    hi·r - theta] is taken, after mirroring it to h > -l, as Phi(h) - Phi(l)
+    where h <= 0 and as 1 - Phi(l) - Phi(-h) where not: each Phi from the tail
+    it is smallest in, so no node cancels more than its own value. The mass
+    outside is Phi(l) + Phi(-h), a sum of positive terms. The rule is
+    patient, since the kernel changes over a width of about 2/theta in
+    log V, and certifies the mass to _NONCENTRAL_RTOL relative (absolute
+    below PROB_FLOOR); it raises its NumericError where it cannot.
+    """
+
+    def kernel(rows, b):
+        r = np.sqrt(b)
+        # r is 0 where b underflows, and -inf·0 is NaN
+        low = lo * r - theta if lo > -math.inf else np.full_like(r, -math.inf)
+        high = hi * r - theta
+        flip = low > -high
+        low, high = np.where(flip, -high, low), np.where(flip, -low, high)
+        below, beyond = _normal_lower(low), _normal_lower(-np.abs(high))
+        if outside:
+            return below + np.where(high > 0.0, beyond, 1.0 - beyond)
+        return np.where(high > 0.0, (1.0 - below) - beyond, beyond - below)
+
+    mass = _checked(_f_expectations(kernel, [((nu, math.inf),)], _NONCENTRAL_RTOL, patient=True))
+    return min(1.0, max(0.0, float(mass[0])))
 
 
 def noncentral_t_cdf(x: float, nu: float, theta: float) -> float:
-    """Noncentral t CDF with ``nu`` degrees of freedom and noncentrality ``theta``.
-
-    Delegates to the series implementation; if that returns a non-finite
-    value the scale-mixture representation
-
-        P(T <= x) = E_V[ Phi(x * sqrt(V/nu) - theta) ],   V ~ chi-square(nu)
-
-    is integrated numerically instead.
-    """
+    """Noncentral t CDF with ``nu`` degrees of freedom and noncentrality ``theta``:
+    P(T <= x) = E[Phi(x·sqrt(V/nu) - theta)], V ~ chi-square(nu), by
+    _noncentral_t_mass."""
     x = _check_finite(x, "x")
     nu = _check_df(nu)
     theta = _check_finite(theta, "theta")
-
-    value = float(_special().nctdtr(nu, theta, x))
-    if math.isfinite(value):
-        return min(1.0, max(0.0, value))
-    ndtr = _special().ndtr
-
-    def mixture(v: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        return float(ndtr(x * math.sqrt(v / nu) - theta)) * math.exp(
-            _chi2_log_pdf(v, nu)
-        )
-
-    try:
-        value = integrate(mixture, 0.0, math.inf)
-    except NumericError as exc:
-        raise NumericError(
-            f"noncentral t CDF failed to converge at x={x}, nu={nu}, theta={theta}",
-            best_estimate=exc.best_estimate,
-            error_bound=exc.error_bound,
-        ) from exc
-    return min(1.0, max(0.0, value))
+    return _noncentral_t_mass(-math.inf, x, nu, theta)
 
 
 # The fixed-node rule of f_expectation: the relative tolerance it certifies,
@@ -577,11 +568,14 @@ def _f_rule(d1: float, d2: float, level: int):
     Returns (nodes, weights, mode, (below, above)), the last pair bounding
     the mass beyond the range's ends, which lie within one coarsest step
     of the outermost nodes, by the linear tail bounds of the log density.
+    d2 = inf is the law of V/d1, V ~ chi-square(d1) (_chi2_rule).
     Raises NumericError where the rule cannot represent F(d1, d2): s rounds
     to 0 or 1, a bound is not finite, the grid exceeds _RULE_NODES, or a
     weight is not finite, as where 1 - s rounds to 1 and the first log1p
     meets -1.
     """
+    if d2 == math.inf:
+        return _chi2_rule(d1, level)
     try:
         sigma = math.sqrt(2.0 / d1 + 2.0 / d2)
         a, c = 0.5 * d1, 0.5 * d2
@@ -613,6 +607,62 @@ def _f_rule(d1: float, d2: float, level: int):
         )
     if not np.isfinite(weights).all():
         raise NumericError(f"the quadrature rule cannot represent F({d1!r}, {d2!r})")
+    return np.exp(y), weights, -k_lo, outside
+
+
+# 1/n! for n = 2..17: e^y - 1 - y = y²·(1/2! + y/3! + ...), to double
+# precision at |y| < 1/2
+_EXCESS = tuple(1.0 / math.factorial(n) for n in range(2, 18))
+
+
+def _exp_excess(y):
+    """e^y - 1 - y elementwise, from its series where |y| < 1/2, so that
+    it keeps its digits where y is small."""
+    series = np.zeros_like(y)
+    for c in reversed(_EXCESS):
+        series = series * y + c
+    return np.where(np.abs(y) < 0.5, y * y * series, np.expm1(y) - y)
+
+
+def _chi2_rule(nu: float, level: int):
+    """_f_rule for b = V/nu, V ~ chi-square(nu), the F(nu, inf) law.
+
+    With a = nu/2, y = log b has the log-concave density exp(log(a)/2 +
+    c - f(y)), f(y) = a·(e^y - 1 - y), c = -log(2 pi)/2 - R(a) and R the
+    Stirling remainder, whose mode is y = 0; sigma = 1/sqrt(a), so the
+    weight h·sigma times the density is h·exp(c - f(y)), normalised at any
+    nu without a factor that over- or underflows. The range's ends are
+    one coarsest step beyond where f(y) >= a·m, m = (c + 740)/a, so that
+    every weight within a step of them is below exp(-740): that is on the
+    right at sqrt(2m) or log(2m + 2), as e^y - 1 - y exceeds y²/2 and e^y/2
+    there, and on the left at the root t of t²/(2 + t) = m, as e^-t - 1 + t
+    >= t²/(2 + t). By f's convexity the mass beyond an end y_e is at most
+    the density there over |f'(y_e)|. Only the right end is capped, at
+    log b = _RULE_LOG_MAX: on the left b falls to 0 where it underflows,
+    so a value is certified down to PROB_FLOOR at any nu >= 1; a kernel of
+    this law takes b = 0.
+    """
+    a = 0.5 * nu
+    sigma = math.sqrt(2.0 / nu)
+    log_weight = -_HALF_LOG_2PI - _stirling_remainder(a)
+    try:
+        m = (log_weight + 740.0) / a
+        step = sigma * _RULE_STEP
+        y_hi = min(_RULE_LOG_MAX, min(math.sqrt(2.0 * m), math.log(2.0 * (m + 1.0))) + step)
+        y_lo = -(0.5 * (m + math.sqrt(m * (m + 8.0))) + step)
+        ends = np.array([y_lo, y_hi])
+        # density over |f'| is sigma·exp(log_weight - f)/|expm1(y)|
+        outside = tuple((sigma * np.exp(log_weight - a * _exp_excess(ends))
+                         / np.abs(np.expm1(ends))).tolist())
+        k_lo, k_hi = math.ceil(y_lo / step), math.floor(y_hi / step)
+        size = (k_hi - k_lo) << level
+    except (ValueError, OverflowError):
+        size = math.inf
+    if not (size < _RULE_NODES and math.isfinite(sum(outside))):
+        raise NumericError(f"the quadrature rule cannot represent F({nu!r}, inf)")
+    h = _RULE_STEP / 2**level
+    y = sigma * h * np.arange(k_lo << level, (k_hi << level) + 1)
+    weights = h * np.exp(log_weight - a * _exp_excess(y))
     return np.exp(y), weights, -k_lo, outside
 
 
@@ -658,8 +708,9 @@ def _carried(values, old, new):
     return known, mask
 
 
-def _rule(dfs):
-    """The rule of f_expectation for one expectation, as a generator.
+def _rule(dfs, rtol=RULE_RTOL, patient=False):
+    """The rule of f_expectation for one expectation, as a generator; with
+    ``rtol`` and ``patient`` as _f_expectations'.
 
     It yields each tensor grid whose weighted kernel sum it needs, as
     (grids, known, mask): ``grids`` holds each axis's (nodes, weights). A
@@ -668,13 +719,14 @@ def _rule(dfs):
     refinement's comes with None for both and is sent back its sum. The
     generator returns the certified value, or raises the rule's errors.
     """
-    dfs = [(_check_df(d1, "d1"), _check_df(d2, "d2")) for d1, d2 in dfs]
+    dfs = [(_check_df(d1, "d1"), math.inf if d2 == math.inf else _check_df(d2, "d2"))
+           for d1, d2 in dfs]
     k = len(dfs)
     scale, spans, level_0 = 1.0, None, None
     while True:
         # cut the z-ranges for values near scale; start over if a cut moves,
         # keeping the level-0 values the new cut shares with the old
-        wanted = [_f_span(d1, d2, RULE_RTOL * scale / (64 * k)) for d1, d2 in dfs]
+        wanted = [_f_span(d1, d2, rtol * scale / (64 * k)) for d1, d2 in dfs]
         if wanted != spans:
             known, mask = _carried(level_0, spans, wanted)
             spans = wanted
@@ -685,15 +737,17 @@ def _rule(dfs):
         if scale > PROB_FLOOR and value < 0.5 * scale:
             scale = max(value, PROB_FLOOR)
             continue
-        tolerance = max(RULE_RTOL * value, PROB_FLOOR)
+        tolerance = max(rtol * value, PROB_FLOOR)
         axis = next((i for i in range(k) if not changes[i] <= 0.5 * tolerance / k), None)
         if axis is None:
             break
         # refining cannot help a kernel that is not finite, nor, once the
         # value is known to 10%, a tolerance below the mass beyond the cap,
         # nor an axis whose change, shrinking per halving as it last did,
-        # misses its share after the halvings left (at once with none left)
-        slow = changes[axis] * shrinks[axis] ** (RULE_LEVELS - levels[axis])
+        # misses its share after the halvings left (at once with none left),
+        # unless the rule is patient
+        slow = 0.0 if patient and levels[axis] < RULE_LEVELS else (
+            changes[axis] * shrinks[axis] ** (RULE_LEVELS - levels[axis]))
         if math.isnan(value) or (truncation > tolerance and max(changes) <= 0.1 * value) or (
             slow > 0.5 * tolerance / k
         ):
@@ -709,7 +763,7 @@ def _rule(dfs):
         shrinks[axis] = min(1.0, abs(value - previous) / changes[axis])
         changes[axis] = abs(value - previous)
     error = truncation + sum(changes)
-    if not error <= max(RULE_RTOL * value, PROB_FLOOR):
+    if not error <= max(rtol * value, PROB_FLOOR):
         raise NumericError(
             "quadrature did not reach requested tolerance",
             best_estimate=value,
@@ -777,7 +831,8 @@ def _grid_sums(kernel, requests) -> list[tuple[float, np.ndarray | None]]:
             for total, held in zip(totals, values)]
 
 
-def _f_expectations(kernel, dfs) -> tuple[np.ndarray, dict[int, DistnullError]]:
+def _f_expectations(kernel, dfs, rtol=RULE_RTOL, patient=False
+                    ) -> tuple[np.ndarray, dict[int, DistnullError]]:
     """f_expectation for many rows at once: row i's expectation is over the
     F laws ``dfs[i]``, of ``kernel(rows, *nodes)``, which gives the kernel
     values of the rows ``rows`` at the nodes ``nodes``, flat and alike.
@@ -786,7 +841,14 @@ def _f_expectations(kernel, dfs) -> tuple[np.ndarray, dict[int, DistnullError]]:
     open row needs, evaluates the kernel over them together, and advances
     each row. Rows join while a round holds under _RULE_ROUND values, so a
     round's values stay bounded. Returns the values, NaN where the rule
-    raises, and the error of each such row.
+    raises, and the error of each such row. The values are certified to
+    ``rtol`` relative, as f_expectation's are to RULE_RTOL.
+
+    A kernel may change over a width far below the coarsest step, as the
+    noncentral t's does in V where theta is large beside sqrt(nu): until the
+    step resolves that width, its change shrinks per halving only as a step
+    function's does. A ``patient`` rule spends every one of RULE_LEVELS
+    halvings on an axis before it gives up on it.
     """
     values = np.full(len(dfs), np.nan)
     faults: dict[int, DistnullError] = {}
@@ -807,7 +869,7 @@ def _f_expectations(kernel, dfs) -> tuple[np.ndarray, dict[int, DistnullError]]:
         size = sum(math.prod(len(nodes) for nodes, _ in grids)
                    for _, (grids, _, _) in active.values())
         while joined < len(dfs) and size < _RULE_ROUND:
-            advance(joined, _rule(dfs[joined]), None)
+            advance(joined, _rule(dfs[joined], rtol, patient), None)
             if joined in active:
                 size += math.prod(len(nodes) for nodes, _ in active[joined][1][0])
             joined += 1
@@ -868,7 +930,8 @@ def _checked(column):
 
 
 def f_expectation(kernel: Callable[..., np.ndarray], *dfs: tuple[float, float]) -> float:
-    """E[kernel(b_1, ..., b_k)] for independent b_i ~ F(d1_i, d2_i); dfs holds the (d1_i, d2_i).
+    """E[kernel(b_1, ..., b_k)] for independent b_i ~ F(d1_i, d2_i); dfs holds the (d1_i, d2_i),
+    and d2_i = inf is the law of V/d1_i, V ~ chi-square(d1_i).
 
     ``kernel`` takes one broadcastable node array per axis and returns
     values in [0, 1]. The rule is the trapezoid rule in z_i = log(b_i)/sigma_i
@@ -893,6 +956,8 @@ def f_expectation(kernel: Callable[..., np.ndarray], *dfs: tuple[float, float]) 
 
 def integrate(f: Callable[[float], float], lower: float, upper: float) -> float:
     """Adaptive quadrature of ``f`` over [lower, upper]; upper may be inf.
+    No command calls it; the tests use it as a reference, and perfbench's
+    span table wraps it.
 
     Semi-infinite ranges are mapped onto [0, 1) through x = lower + u/(1-u)
     before subdividing. Raises NumericError (carrying the best estimate and
@@ -925,7 +990,7 @@ def integrate(f: Callable[[float], float], lower: float, upper: float) -> float:
 
 def _adaptive(f: Callable[[float], float], a: float, b: float) -> float:
     # Imported on first use: scipy.integrate adds about a quarter second to
-    # every start, and most commands never integrate.
+    # every start, and no command integrates.
     from scipy.integrate import quad
 
     result = quad(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import _check_alpha, _critical, noncentral_t_cdf
+from .distributions import _check_alpha, _check_df, _critical, _noncentral_t_mass
 from .errors import DomainError
 
 __all__ = [
@@ -51,9 +51,9 @@ class PowerQuery:
 
 
 def _beta_at_noncentrality(theta: float, df: float, alpha: float) -> float:
+    """The noncentral-t mass between the critical values, as one expectation."""
     t_crit = _critical(alpha, df)
-    beta = noncentral_t_cdf(t_crit, df, theta) - noncentral_t_cdf(-t_crit, df, theta)
-    return min(1.0, max(0.0, beta))
+    return _noncentral_t_mass(-t_crit, t_crit, df, theta)
 
 
 def beta_point(q: PowerQuery) -> float:
@@ -84,14 +84,8 @@ def power_ceiling(effect: float, df: float, alpha: float) -> float:
     effect = float(effect)
     if not math.isfinite(effect):
         raise DomainError(f"effect must be finite, got {effect!r}")
-    t_crit = _critical(_check_alpha(alpha), df)
-    theta = abs(effect)
-    value = (
-        1.0
-        - noncentral_t_cdf(t_crit, df, theta)
-        + noncentral_t_cdf(-t_crit, df, theta)
-    )
-    return min(1.0, max(0.0, value))
+    t_crit = _critical(_check_alpha(alpha), _check_df(df, "df"))
+    return _noncentral_t_mass(-t_crit, t_crit, df, abs(effect), outside=True)
 
 
 def required_sample_size(effect: float, alpha: float, target_power: float) -> int:

@@ -5,6 +5,10 @@ Each drives the package's own functions over tasks simulated by
 predictor-target replication calibration on a Many-Labs-scale ladder of
 tasks, the sensitivity of that calibration to a misscaled between-variance
 estimate, and the bias of both between-variance estimators.
+
+It also holds the Student t density and quantile and the phi coefficient
+of a 2x2 table, which only the tests call: the commands need the t's tail
+and critical values, and the contingency slope.
 """
 
 from __future__ import annotations
@@ -15,8 +19,15 @@ from typing import Sequence
 
 import numpy as np
 
-from distnull.distributions import _checked
-from distnull.errors import DomainError
+from distnull.adapters import ContingencyTable
+from distnull.distributions import (
+    _beta_factors,
+    _check_df,
+    _check_finite,
+    _checked,
+    _t_tail_quantile,
+)
+from distnull.errors import DegeneratePredictorError, DomainError
 from distnull.estimators import SiteTable, TaskSet, VarianceMode
 from distnull.oracle import (
     DESK_ALPHA_LEVELS,
@@ -313,3 +324,40 @@ def estimator_bias(config: SimConfig, reps: int) -> list[BiasRow]:
             )
         )
     return rows
+
+
+def t_density(x: float, nu: float) -> float:
+    """Student t density with ``nu`` degrees of freedom at ``x``."""
+    x = _check_finite(x, "x")
+    nu = _check_df(nu)
+    return _beta_factors(nu)[0] / math.sqrt(nu) * math.exp(-0.5 * (nu + 1.0) * math.log1p(x * x / nu))
+
+
+def t_quantile(p: float, nu: float) -> float:
+    """Inverse Student t CDF: the x with t_cdf(x, nu) = p, for 0 < p < 1."""
+    p = float(p)
+    nu = _check_df(nu)
+    if not (0.0 < p < 1.0):
+        raise DomainError(f"quantile level must lie strictly in (0, 1), got {p!r}")
+    if p == 0.5:
+        return 0.0
+    # 1 - p is exact for p > 1/2
+    x = float(_t_tail_quantile(min(p, 1.0 - p), nu)[0])
+    return -x if p < 0.5 else x
+
+
+def phi_coefficient(table: ContingencyTable) -> float:
+    """phi = (n11·n00 − n10·n01)/√(n1x·n0x·n1y·n0y) ∈ [−1, 1].
+
+    Equals the Pearson correlation of the expanded 0/1 pairs.
+    """
+    n1x = table.n11 + table.n10
+    n0x = table.n01 + table.n00
+    n1y = table.n11 + table.n01
+    n0y = table.n10 + table.n00
+    denom = n1x * n0x * n1y * n0y
+    if denom == 0:
+        raise DegeneratePredictorError(
+            "phi undefined: a margin of the table is zero"
+        )
+    return (table.n11 * table.n00 - table.n10 * table.n01) / math.sqrt(denom)

@@ -17,11 +17,10 @@ import scipy.stats
 from conftest import run_cli, write_csv
 from distnull.adapters import (
     ContingencyTable,
-    phi_coefficient,
     regression,
     statistic_from_summary,
 )
-from distnull.distributions import t_cdf, t_density, t_quantile
+from distnull.distributions import t_cdf
 from distnull.estimators import between_variance, variance_ratio
 from distnull.oracle import SimConfig
 from distnull.power import PowerQuery, beta_distributional, power_ceiling
@@ -44,10 +43,13 @@ from studies import (
     calibration_correlation,
     desk_tasks,
     estimator_bias,
+    phi_coefficient,
     replication_calibration,
     sensitivity_sweep,
     sensitivity_tasks,
     simulate_tasks,
+    t_density,
+    t_quantile,
     type1_calibration,
 )
 

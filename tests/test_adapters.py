@@ -13,7 +13,6 @@ from scipy import stats as sstats
 from distnull.adapters import (
     ContingencyTable,
     contingency_regression,
-    phi_coefficient,
     regression,
     statistic_from_summary,
     unpaired_summary,
@@ -26,6 +25,7 @@ from distnull.errors import (
 )
 from distnull.estimators import ExperimentSummary, summarize
 from distnull.significance import p_point
+from studies import phi_coefficient
 
 
 class TestOneSample:

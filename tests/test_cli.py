@@ -1674,9 +1674,9 @@ class TestFaultsComputedOnce:
         path.write_text("\n".join([",".join(SUMMARY_HEADER), *rows, ""]))
         started, rule = [], distributions._rule
 
-        def counted(dfs):
+        def counted(dfs, *options):
             started.append(tuple(dfs))
-            return rule(dfs)
+            return rule(dfs, *options)
 
         monkeypatch.setattr(distributions, "_rule", counted)
         assert run_cli([*argv, "--input", str(path)]) == (code, "", err)
@@ -1691,9 +1691,9 @@ class TestFaultsComputedOnce:
         ])
         started, rule = [], distributions._rule
 
-        def counted(dfs):
+        def counted(dfs, *options):
             started.append(tuple(dfs))
-            return rule(dfs)
+            return rule(dfs, *options)
 
         monkeypatch.setattr(distributions, "_rule", counted)
         assert run_cli(["calibrate", "--variant", "integral", "--input", path]) == (
@@ -1802,11 +1802,20 @@ class TestLazyIntegrate:
             proc = self.run_fresh([*argv, "--input", path, "--output", out])
             assert (proc.stdout, proc.stderr) == ("False False\nFalse False 0\n", ""), argv
 
-    def test_power_loads_scipy_special(self, tmp_path):
-        # power's noncentral t is scipy's nctdtr.
-        proc = self.run_fresh(["power", "--effect", "0.5", "--n", "30",
-                               "--output", str(tmp_path / "out.csv")])
-        assert (proc.stdout, proc.stderr) == ("False False\nFalse True 0\n", "")
+    def test_power_never_loads_scipy(self, tmp_path):
+        # power's noncentral t is an expectation on the package's own rule
+        script = (
+            "import sys\n"
+            "import distnull.cli\n"
+            "code = distnull.cli.main(sys.argv[1:])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = str(tmp_path / "out.csv")
+        for argv in (["power", "--effect", "0.5", "--n", "30"],
+                     ["power", "--effect", "0.5", "--n", "30", "--df", "20", "--b", "0.1",
+                      "--target-power", "0.8"]):
+            proc = self.run_fresh([*argv, "--output", out], script)
+            assert (proc.stdout, proc.stderr) == ("0 []\n", ""), argv
 
 
     # Prints the exit code, then whether numpy.ma and the simulation harness

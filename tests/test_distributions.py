@@ -25,10 +25,9 @@ from distnull.distributions import (
     integrate,
     noncentral_t_cdf,
     t_cdf,
-    t_density,
-    t_quantile,
 )
 from distnull.errors import DomainError, NumericError
+from studies import t_density, t_quantile
 
 # The quantile is solved from the lower tail, so it keeps the 40-digit
 # values' digits as the CDF does.
@@ -99,12 +98,27 @@ class TestNoncentralT:
         values = [noncentral_t_cdf(1.5, 15, nc) for nc in (0.0, 0.5, 1.5, 3.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_quadrature_fallback_where_the_series_is_nan(self):
+    def test_huge_df_is_the_normal_limit(self):
+        # scipy's nctdtr is NaN here
         x, nu, theta = -1.0658444367636162, 51740241.72645678, 15.398216730890246
-        assert math.isnan(scipy.special.nctdtr(nu, theta, x))
         # at this nu the law is within 1e-9 of its nu -> inf limit N(theta, 1)
         assert noncentral_t_cdf(x, nu, theta) == pytest.approx(
             scipy.special.ndtr(x - theta), abs=1e-9
+        )
+
+    # (x, P(T <= x)) at nu = 207.22, theta = 8.4715, where scipy's nctdtr is
+    # NaN at the first two and 2.6e-7 off at the third; 40-digit mpmath
+    # integral over log(V/nu) of V's density times Phi(x·sqrt(V/nu) - theta)
+    DEEP_TAIL = [
+        (-2.2218, "1.094981718779722843584612436095627639259e-26"),
+        (-2.0, "1.00673447722438617920868630551720492881e-25"),
+        (-1.0, "1.554675783454293731294296864753339691444e-21"),
+    ]
+
+    @pytest.mark.parametrize("x, expected", DEEP_TAIL)
+    def test_deep_tail_against_mpmath(self, x, expected):
+        assert noncentral_t_cdf(x, 207.22, 8.4715) == pytest.approx(
+            float(expected), rel=1e-12, abs=0.0
         )
 
 
@@ -118,6 +132,15 @@ class TestFRule:
         assert nodes[4 * mode] == 1.0
         assert math.fsum(weights) == pytest.approx(1.0, rel=1e-12)
         assert math.fsum(nodes * weights) == pytest.approx(d2 / (d2 - 2.0), rel=1e-11)
+
+    @pytest.mark.parametrize("nu", [1.0, 3.0, 207.22, 5.17e7, 1e200, 2.0**600])
+    def test_chi_square_law_sums_to_one_and_reproduces_the_mean(self, nu):
+        # d2 = inf: b = V/nu, V ~ chi-square(nu), whose mean is 1
+        nodes, weights, mode, (below, above) = _f_rule(nu, math.inf, 2)
+        assert nodes[4 * mode] == 1.0
+        assert math.fsum(weights) == pytest.approx(1.0, rel=1e-14)
+        assert math.fsum(nodes * weights) == pytest.approx(1.0, rel=1e-14)
+        assert 0.0 <= below < 1e-76 and above == 0.0
 
     def test_levels_nest(self):
         coarse, _, mode, _ = _f_rule(10.0, 24.0, 0)

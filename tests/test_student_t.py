@@ -140,6 +140,27 @@ def test_huge_df_tail_where_w_a_underflows_alone(nu, x):
     assert t_cdf(-x, nu) == pytest.approx(float(reference_tail(x, nu)), rel=5e-13, abs=0.0)
 
 
+# (nu, x, P(T_nu <= -x)) where w = nu/(nu + x²) rounds to 1, so that all of
+# w^a's exponent, about -x²/2, is formed apart from w: mpmath's betainc at
+# 1e20, the normal law (within 1e-94 of the t's) above
+HUGE_DF_TAILS = [
+    (1e20, 5.0, "2.866515718791939121569362e-7"),
+    (1e20, 20.0, "2.753624118606234802025769e-89"),
+    (1e20, 37.0, "5.725571222524603688466217e-300"),
+    *((nu, x, tail) for nu in (1e100, distributions._NU_NORMAL) for x, tail in (
+        (5.0, "2.866515718791939116737523e-7"),
+        (20.0, "2.753624118606233695075623e-89"),
+        (37.0, "5.725571222524576822683193e-300"),
+    )),
+]
+
+
+@pytest.mark.parametrize("nu, x, expected", HUGE_DF_TAILS)
+def test_huge_df_tail_keeps_its_digits(nu, x, expected):
+    # the exponent was rounded as a float: 1.1e-13 off at nu = 1e100, x = 37
+    assert t_cdf(-x, nu) == pytest.approx(float(expected), rel=3e-15, abs=0.0)
+
+
 def reference_tail(x: float, nu: float) -> mpmath.mpf:
     """P(T_nu <= -|x|) = I_w(nu/2, 1/2)/2, w = nu/(nu + x²), at 40 digits."""
     with mpmath.workdps(40):
