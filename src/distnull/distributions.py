@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Mapping
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -543,8 +543,9 @@ def noncentral_t_cdf(x: float, nu: float, theta: float) -> float:
 # the cap on |log b| that keeps b, 1/b and their squares finite, the
 # number of kernel values summed as one block (256 KiB of float64), the
 # most kernel values evaluated at once, over all the expectations the rule
-# runs in lockstep (2 MiB of float64), and the most nodes one axis's rule
-# may hold (32 MiB of float64).
+# runs in lockstep (2 MiB of float64), the most nodes one axis's rule may
+# hold (32 MiB of float64), and the share of rtol times the value's scale
+# that a rule over two or more axes may skip of its level-0 grid's weight.
 RULE_RTOL = 1e-10
 RULE_LEVELS = 10
 _RULE_STEP = 0.5
@@ -552,6 +553,7 @@ _RULE_LOG_MAX = 354.0
 _RULE_BLOCK = 1 << 15
 _RULE_ROUND = 1 << 18
 _RULE_NODES = 1 << 22
+_RULE_SKIP = 5e-4
 
 
 @lru_cache(maxsize=64)
@@ -694,18 +696,32 @@ def _f_grid(dfs: tuple[float, float], span, level: int):
     return nodes[window], weights[window]
 
 
-def _carried(values, old, new):
+def _carried(values, kept, old, new):
     """The level-0 kernel values held for the spans ``old``, placed in a grid
     over the spans ``new``, which contain them (a cut only widens as the
-    scale falls), and the mask of the places they fill."""
+    scale falls), and the mask of the places they fill: those of the nodes
+    the old cut ``kept`` (all of them where it is None), since a skipped
+    node holds no value. Every other place holds 0."""
     shape = tuple(hi - lo + 1 for lo, hi, _ in new)
-    known, mask = np.empty(shape), np.zeros(shape, dtype=bool)
+    known, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
     if values is not None:
         inside = tuple(slice(held_lo - lo, held_hi - lo + 1)
                        for (held_lo, held_hi, _), (lo, _, _) in zip(old, new))
         known[inside] = values
-        mask[inside] = True
+        mask[inside] = True if kept is None else kept
     return known, mask
+
+
+def _skip_floor(weights, budget):
+    """The floor below which a node of the tensor grid of the axis weights
+    ``weights`` is skipped: the least kept product of its weights, such that
+    the products below it sum to at most ``budget``; and the grid's mask of
+    the nodes it keeps."""
+    products = reduce(np.multiply.outer, weights)
+    ordered = np.sort(products, axis=None)
+    count = int(np.searchsorted(np.cumsum(ordered), budget, side="right"))
+    floor = float(ordered[min(count, ordered.size - 1)])
+    return floor, products >= floor
 
 
 def _rule(dfs, rtol=RULE_RTOL, patient=False):
@@ -713,27 +729,48 @@ def _rule(dfs, rtol=RULE_RTOL, patient=False):
     ``rtol`` and ``patient`` as _f_expectations'.
 
     It yields each tensor grid whose weighted kernel sum it needs, as
-    (grids, known, mask): ``grids`` holds each axis's (nodes, weights). A
-    level-0 grid comes with the kernel values it already has, in ``known``
-    where ``mask`` is set, and is sent back its sum and all its values; a
-    refinement's comes with None for both and is sent back its sum. The
+    (grids, floor, known, mask): ``grids`` holds each axis's (nodes,
+    weights), and a node whose weights' product is below ``floor`` is
+    skipped: it counts as 0 and is not evaluated. A level-0 grid comes with
+    the kernel values it already has, in ``known`` where ``mask`` is set; a
+    refinement's comes with None for both. Each grid is sent back its sum
+    and the weight it skipped, a level-0 grid also all its values. The
     generator returns the certified value, or raises the rule's errors.
+
+    Over two or more axes, each cut sets a floor on the products of the
+    level-0 weights, such that the nodes below it weigh at most
+    _RULE_SKIP·rtol·scale, and keeps it until that weight passes ten times
+    the budget of a lower scale. At levels (l_1, ..., l_k) the floor is
+    scaled by 2**-(l_1 + ... + l_k), as each node's weights are, so a node
+    is skipped at every level or at none. The kernel lies in [0, 1], so the
+    error bound adds the skipped weight of every grid the value combines to
+    the truncated mass and the last changes.
+
+    Over two axes, once b's first halving meets its share, c is halved at
+    b's level 0. If that change meets its share too, the value is T(1, 0) +
+    T(0, 1) - T(0, 0), the combination technique (Griebel, Schneider &
+    Zenger 1992), with no node at odd positions on both axes evaluated.
+    Otherwise only those nodes are added, and the rule goes on from T(1, 1).
     """
     dfs = [(_check_df(d1, "d1"), math.inf if d2 == math.inf else _check_df(d2, "d2"))
            for d1, d2 in dfs]
     k = len(dfs)
-    scale, spans, level_0 = 1.0, None, None
+    scale, spans, level_0, kept, origin = 1.0, None, None, None, None
     while True:
         # cut the z-ranges for values near scale; start over if a cut moves,
-        # keeping the level-0 values the new cut shares with the old
+        # or if its floor skips too much weight for the scale, keeping the
+        # level-0 values the new cut shares with the old
         wanted = [_f_span(d1, d2, rtol * scale / (64 * k)) for d1, d2 in dfs]
-        if wanted != spans:
-            known, mask = _carried(level_0, spans, wanted)
+        budget = _RULE_SKIP * rtol * scale
+        if wanted != spans or origin[1] > 10.0 * budget:
+            known, mask = _carried(level_0, kept, spans, wanted)
             spans = wanted
             truncation = sum(span[2] for span in spans)
             grids = [_f_grid(d, span, 0) for d, span in zip(dfs, spans)]
+            floor, kept = (0.0, None) if k == 1 else _skip_floor([w for _, w in grids], budget)
             levels, changes, shrinks = [0] * k, [math.inf] * k, [0.0] * k
-            value, level_0 = yield grids, known, mask
+            value, skipped, level_0 = yield grids, floor, known, mask
+            origin = value, skipped
         if scale > PROB_FLOOR and value < 0.5 * scale:
             scale = max(value, PROB_FLOOR)
             continue
@@ -752,17 +789,35 @@ def _rule(dfs, rtol=RULE_RTOL, patient=False):
             slow > 0.5 * tolerance / k
         ):
             break
-        levels[axis] += 1
-        finer = _f_grid(dfs[axis], spans[axis], levels[axis])
-        # halving an axis's step halves the weights of the nodes it keeps
-        added = list(grids)
-        added[axis] = (finer[0][1::2], finer[1][1::2])
         previous = value
-        value = 0.5 * previous + (yield added, None, None)[0]
+        finer = _f_grid(dfs[axis], spans[axis], levels[axis] + 1)
+        odd = (finer[0][1::2], finer[1][1::2])
+        if k == 2 and axis == 1 and levels == [1, 0]:
+            side, side_skipped, _ = yield [_f_grid(dfs[0], spans[0], 0), odd], \
+                math.ldexp(floor, -1), None, None
+            across = 0.5 * origin[0] + side
+            if abs(across - origin[0]) <= 0.5 * tolerance / k:
+                changes[1] = abs(across - origin[0])
+                value += across - origin[0]
+                skipped += (0.5 * origin[1] + side_skipped) + origin[1]
+                break
+            corner, corner_skipped, _ = yield [(grids[0][0][1::2], grids[0][1][1::2]), odd], \
+                math.ldexp(floor, -2), None, None
+            # at b's level 1 the c-odd nodes at b's level-0 nodes weigh half
+            value = 0.5 * (previous + side) + corner
+            skipped = 0.5 * (skipped + side_skipped) + corner_skipped
+        else:
+            # halving an axis's step halves the weights of the nodes it keeps
+            added = list(grids)
+            added[axis] = odd
+            total, added_skipped, _ = yield added, math.ldexp(floor, -sum(levels) - 1), None, None
+            value = 0.5 * previous + total
+            skipped = 0.5 * skipped + added_skipped
+        levels[axis] += 1
         grids[axis] = finer
         shrinks[axis] = min(1.0, abs(value - previous) / changes[axis])
         changes[axis] = abs(value - previous)
-    error = truncation + sum(changes)
+    error = truncation + sum(changes) + skipped
     if not error <= max(rtol * value, PROB_FLOOR):
         raise NumericError(
             "quadrature did not reach requested tolerance",
@@ -772,63 +827,90 @@ def _rule(dfs, rtol=RULE_RTOL, patient=False):
     return value
 
 
-def _grid_sums(kernel, requests) -> list[tuple[float, np.ndarray | None]]:
-    """Each (row, (grids, known, mask)) request's weighted kernel sum and, for
-    one with a mask, its grid's kernel values.
+def _block_plan(grids, floor, mask, cut):
+    """For the block of whole rows ``cut`` of a request's grid: the flat
+    positions of the values to evaluate, or None for all of them, and the
+    mask of the nodes the floor keeps with the products of their weights,
+    or None for both where the floor is 0."""
+    keep = product = None
+    if floor > 0.0:
+        product = reduce(np.multiply.outer, [grids[0][1][cut], *(w for _, w in grids[1:])])
+        keep = product >= floor
+    if mask is not None:
+        return np.flatnonzero(~mask[cut] if keep is None else keep & ~mask[cut]), keep, product
+    if keep is None or keep.all():
+        return None, keep, product
+    return np.flatnonzero(keep), keep, product
 
-    A grid is cut into blocks of whole rows of its first axis, about
-    _RULE_BLOCK values each, and a block's sum is its values times the
-    other axes' weights, last axis first, times the first axis's: the same
-    floats in the same order whatever else is evaluated. The kernel runs
-    once over the values not known of as many blocks, of any requests, as
-    _RULE_ROUND values hold, and each block is summed from a fresh copy.
+
+def _grid_sums(kernel, requests) -> list[tuple[float, float, np.ndarray | None]]:
+    """Each (row, (grids, floor, known, mask)) request's weighted kernel sum,
+    the weight of the nodes it skips and, for one with a mask, its grid's
+    kernel values.
+
+    A node whose weights' product is below ``floor`` is skipped: it is not
+    evaluated, and counts as 0 unless ``known`` holds its value; nor is a
+    node ``mask`` marks as known evaluated. A grid is cut into blocks of whole
+    rows of its first axis, about _RULE_BLOCK values each, and a block's
+    sum is its values times the other axes' weights, last axis first,
+    times the first axis's: the same floats in the same order whatever else
+    is evaluated. The kernel runs once over the values to evaluate of as
+    many blocks, of any requests, as _RULE_ROUND values hold, and each
+    block is summed from a fresh copy.
     """
     blocks = []
-    for slot, (_, (grids, _, mask)) in enumerate(requests):
+    for slot, (_, (grids, floor, _, mask)) in enumerate(requests):
         first = len(grids[0][0])
         inner = math.prod(len(nodes) for nodes, _ in grids[1:])
         rows = max(1, _RULE_BLOCK // max(1, inner))
         for start in range(0, first, rows):
             cut = slice(start, start + rows)
-            todo = None if mask is None else np.flatnonzero(~mask[cut])
+            # planned again when evaluated, so that no call holds the
+            # positions of every block of a large grid at once
+            todo = _block_plan(grids, floor, mask, cut)[0]
             size = (min(first, start + rows) - start) * inner if todo is None else todo.size
-            blocks.append((slot, cut, todo, size))
-    totals = [0.0] * len(requests)
+            blocks.append((slot, cut, size))
+    totals, skips = [0.0] * len(requests), [0.0] * len(requests)
     values = [[] for _ in requests]
     start = 0
     while start < len(blocks):
-        stop, size = start + 1, blocks[start][3]
-        while stop < len(blocks) and size + blocks[stop][3] <= _RULE_ROUND:
-            size += blocks[stop][3]
+        stop, size = start + 1, blocks[start][2]
+        while stop < len(blocks) and size + blocks[stop][2] <= _RULE_ROUND:
+            size += blocks[stop][2]
             stop += 1
         group = blocks[start:stop]
-        nodes = []
-        for slot, cut, todo, _ in group:
-            grids = requests[slot][1][0]
+        nodes, plans = [], []
+        for slot, cut, _ in group:
+            grids, floor, _, mask = requests[slot][1]
+            plans.append(_block_plan(grids, floor, mask, cut))
             axes = np.ix_(grids[0][0][cut], *(nodes for nodes, _ in grids[1:]))
             shape = np.broadcast_shapes(*(a.shape for a in axes))
             axes = [np.broadcast_to(a, shape).ravel() for a in axes]
+            todo = plans[-1][0]
             nodes.append(axes if todo is None else [a[todo] for a in axes])
-        rows = np.repeat([requests[slot][0] for slot, _, _, _ in group], [b[3] for b in group])
-        out = kernel(rows, *map(np.concatenate, zip(*nodes)))
+        rows = np.repeat([requests[slot][0] for slot, _, _ in group], [b[2] for b in group])
+        out = kernel(rows, *map(np.concatenate, zip(*nodes))) if size else np.empty(0)
         offset = 0
-        for slot, cut, todo, size in group:
-            grids, known, _ = requests[slot][1]
+        for (slot, cut, size), (todo, keep, product) in zip(group, plans):
+            grids, _, known, _ = requests[slot][1]
             new = out[offset:offset + size]
             offset += size
+            shape = (len(grids[0][0][cut]), *(len(nodes) for nodes, _ in grids[1:]))
             if todo is None:
-                shape = (len(grids[0][0][cut]), *(len(nodes) for nodes, _ in grids[1:]))
                 block = new.reshape(shape).copy()
             else:
-                block = known[cut].copy()
+                block = np.zeros(shape) if known is None else known[cut].copy()
                 block.reshape(-1)[todo] = new
-                values[slot].append(block)
+                if known is not None:
+                    values[slot].append(block)
+            if keep is not None:
+                skips[slot] += float(np.sum(product, where=~keep))
             for _, weights in reversed(grids[1:]):
                 block = block @ weights
             totals[slot] += float(block @ grids[0][1][cut])
         start = stop
-    return [(total, np.concatenate(held) if held else None)
-            for total, held in zip(totals, values)]
+    return [(total, skipped, np.concatenate(held) if held else None)
+            for total, skipped, held in zip(totals, skips, values)]
 
 
 def _f_expectations(kernel, dfs, rtol=RULE_RTOL, patient=False
@@ -842,7 +924,9 @@ def _f_expectations(kernel, dfs, rtol=RULE_RTOL, patient=False
     each row. Rows join while a round holds under _RULE_ROUND values, so a
     round's values stay bounded. Returns the values, NaN where the rule
     raises, and the error of each such row. The values are certified to
-    ``rtol`` relative, as f_expectation's are to RULE_RTOL.
+    ``rtol`` relative, as f_expectation's are to RULE_RTOL; a row over two
+    or more F laws skips the nodes of negligible weight and counts their
+    weight in its error bound (_rule).
 
     A kernel may change over a width far below the coarsest step, as the
     noncentral t's does in V where theta is large beside sqrt(nu): until the
@@ -867,7 +951,7 @@ def _f_expectations(kernel, dfs, rtol=RULE_RTOL, patient=False
     joined = 0
     while True:
         size = sum(math.prod(len(nodes) for nodes, _ in grids)
-                   for _, (grids, _, _) in active.values())
+                   for _, (grids, *_) in active.values())
         while joined < len(dfs) and size < _RULE_ROUND:
             advance(joined, _rule(dfs[joined], rtol, patient), None)
             if joined in active:
@@ -941,15 +1025,20 @@ def f_expectation(kernel: Callable[..., np.ndarray], *dfs: tuple[float, float]) 
     kernel is at most 1, is below RULE_RTOL/64 of the value. Then one axis
     at a time has its step halved, reusing the nodes it had, until the
     change in the value is below that axis's share of RULE_RTOL/2 of the
-    value. The result is certified to RULE_RTOL relative (absolute below
+    value. Over two or more axes the rule skips the nodes whose weights'
+    product is negligible, about a hundredth of the tolerance's weight a
+    grid at most, and over two it certifies a value at both axes' first
+    halvings without the nodes odd on both (_rule); the error bound adds
+    the weight it skips. The result is certified to RULE_RTOL relative (absolute below
     PROB_FLOOR). NumericError, with the best estimate and its error bound,
     is raised when an axis would need more than RULE_LEVELS halvings (as
     soon as its change, shrinking per halving as it last did, would still
-    miss its share there), or when the F mass outside the nodes exceeds
-    the value's tolerance: the mass beyond |log b| = 354, below 1e-76 and,
-    for d2 >= 5, below 1e-300, plus for every (d1, d2) the mass where the
-    weights underflow, up to about 1e-320 per axis, so a value near 0 can
-    fail at any d2. This is one row of _f_expectations.
+    miss its share there), or when the F mass outside the nodes, with the
+    weight skipped, exceeds the value's tolerance: the mass beyond
+    |log b| = 354, below 1e-76 and, for d2 >= 5, below 1e-300, plus for
+    every (d1, d2) the mass where the weights underflow, up to about
+    1e-320 per axis, so a value near 0 can fail at any d2. This is one row
+    of _f_expectations.
     """
     return float(_checked(_f_expectations(lambda rows, *nodes: kernel(*nodes), [dfs]))[0])
 

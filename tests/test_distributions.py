@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 import scipy.special
 
+from distnull import distributions
 from distnull.distributions import (
     PROB_FLOOR,
     RULE_RTOL,
+    _f_expectations,
     _f_rule,
     clamp_probability,
     f_expectation,
@@ -196,6 +198,94 @@ class TestFExpectation:
         with pytest.raises(NumericError):
             f_expectation(step, (5.0, 7.0))
         assert sum(evaluated) < 1000
+
+
+# The two F laws of the rule's two-axis tests
+TWO_LAWS = ((39.0, 7.0), (39.0, 39.0))
+
+
+def counted(kernel, *dfs):
+    """f_expectation of kernel(b, c) over two F laws, and the (b, c) nodes of
+    each kernel call, one array of rows per call."""
+    calls = []
+
+    def recording(b, c):
+        calls.append(np.stack([b, c], axis=1))
+        return kernel(b, c)
+
+    return f_expectation(recording, *dfs), calls
+
+
+def on_level_0(nodes, dfs):
+    """Whether each node's b and each node's c is a level-0 node of its law."""
+    return [np.isin(nodes[:, axis], _f_rule(*law, 0)[0]) for axis, law in enumerate(dfs)]
+
+
+def logistic(b, c, slope, tilt):
+    """A kernel that turns from 0 to 1 across log c + tilt·log b = 0."""
+    return 1.0 / (1.0 + np.exp(-slope * (np.log(c) + tilt * np.log(b))))
+
+
+class TestTwoAxisRule:
+    """The rule over two F laws: the combination step, and the nodes of
+    negligible weight it skips."""
+
+    def test_first_halvings_evaluate_no_corner_node(self):
+        # certified at b's and c's first halvings, the row evaluates the
+        # level-0 grid, the b-odd nodes at c's level-0 nodes and the c-odd
+        # nodes at b's, less the skipped ones, and no node odd on both axes
+        value, calls = counted(lambda b, c: 1.0 / (1.0 + b * c), *TWO_LAWS)
+        nodes = np.concatenate(calls)
+        assert len(np.unique(nodes, axis=0)) == len(nodes)
+        b_0, c_0 = on_level_0(nodes, TWO_LAWS)
+        assert (b_0 | c_0).all()
+        assert (~b_0).any() and (~c_0).any()
+        assert all(np.isin(nodes[:, axis], _f_rule(*law, 1)[0]).all()
+                   for axis, law in enumerate(TWO_LAWS))
+        # the three grids in full, from the nodes each axis shows
+        sizes = [(len(np.unique(nodes[on, axis])), len(np.unique(nodes[~on, axis])))
+                 for axis, on in enumerate((b_0, c_0))]
+        (b_even, b_odd), (c_even, c_odd) = sizes
+        assert len(nodes) < b_even * c_even + b_odd * c_even + b_even * c_odd
+        reference = _f_expectations(lambda rows, b, c: 1.0 / (1.0 + b * c), [TWO_LAWS],
+                                    1e-12, patient=True)[0][0]
+        assert value == pytest.approx(reference, rel=RULE_RTOL)
+
+    def test_a_row_past_the_combination_step_evaluates_no_node_twice(self):
+        # c's first halving misses its share, so the row adds the corner
+        # nodes and halves c again, reusing every node it has
+        value, calls = counted(lambda b, c: logistic(b, c, 8.0, 0.1), *TWO_LAWS)
+        nodes = np.concatenate(calls)
+        assert len(np.unique(nodes, axis=0)) == len(nodes)
+        b_0, c_0 = on_level_0(nodes, TWO_LAWS)
+        assert (~b_0 & ~c_0).any()
+        assert not np.isin(nodes[:, 1], _f_rule(*TWO_LAWS[1], 1)[0]).all()
+        reference = _f_expectations(lambda rows, b, c: logistic(b, c, 8.0, 0.1), [TWO_LAWS],
+                                    1e-12, patient=True)[0][0]
+        assert value == pytest.approx(reference, rel=RULE_RTOL)
+
+    @pytest.mark.parametrize("dfs", [TWO_LAWS, ((2.0, 1.0), (2.0, 1.0))])
+    def test_constant_kernels(self, dfs):
+        assert counted(lambda b, c: np.ones_like(b), *dfs)[0] == pytest.approx(1.0, rel=RULE_RTOL)
+        value, calls = counted(lambda b, c: np.full_like(b, 1e-6), *dfs)
+        assert value == pytest.approx(1e-6, rel=RULE_RTOL)
+        # the value widens the cut made at scale 1, and the wider cut
+        # evaluates nodes inside the old one that the old one skipped, but
+        # none it evaluated
+        first, wider = calls[0], calls[1]
+        inside = ((wider >= first.min(axis=0)) & (wider <= first.max(axis=0))).all(axis=1)
+        assert inside.any()
+        nodes = np.concatenate(calls)
+        assert len(np.unique(nodes, axis=0)) == len(nodes)
+
+    def test_error_bound_counts_the_skipped_weight(self, monkeypatch):
+        # a cut allowed to skip four times the tolerance's weight leaves out
+        # more than the value may miss, and the rule must not certify it
+        monkeypatch.setattr(distributions, "_RULE_SKIP", 4.0)
+        with pytest.raises(NumericError) as raised:
+            f_expectation(lambda b, c: np.ones_like(b), *TWO_LAWS)
+        missed = 1.0 - raised.value.best_estimate
+        assert raised.value.error_bound >= missed > 2.0 * RULE_RTOL
 
 
 class TestIntegrate:

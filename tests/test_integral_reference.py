@@ -15,14 +15,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from distnull.distributions import RULE_RTOL
+from distnull import distributions
+from distnull.distributions import (
+    PROB_FLOOR, RULE_RTOL, _critical, _f_expectations, _t_cdf,
+)
 from distnull.errors import NumericError
-from distnull.replication import ReplicationQuery, p_rep_closed, p_rep_integral
+from distnull.replication import ReplicationQuery, _kernel_argument, p_rep_closed, p_rep_integral
 from distnull.significance import TestStatistic, p_sig_closed, p_sig_integral
 
 # (t, n, nu, b_hat, nu0) -> mpmath value of p_sig_integral
@@ -165,6 +169,53 @@ def test_p_rep_integral_properties(t, n, b_hat, nu0, n_r):
     assert p_rep_integral(flipped, b_hat, nu0) == p
     ref = _p_rep_quad(t, n, n - 1, b_hat, nu0, 0.05, n_r, n_r - 1)
     assert _close_to_quad(p, ref), (p, ref)
+
+
+# --- against the same rule at 1e-12 ----------------------------------------
+
+
+def _p_rep_patient(t, n, nu, b_hat, nu0, alpha, n_r, df_r):
+    """p_rep_integral's expectation on the rule at 1e-12 relative, patient;
+    NaN where it cannot certify that."""
+    t_crit = _critical(alpha, df_r)
+
+    def kernel(rows, b, c):
+        return _t_cdf(_kernel_argument(abs(t), b * b_hat, n, n_r, t_crit, c), df_r)
+
+    return float(_f_expectations(kernel, [((nu, nu0), (nu, df_r))], 1e-12, patient=True)[0][0])
+
+
+def test_heavy_p_rep_integral_row_matches_a_patient_rule(monkeypatch):
+    # a row over F(2, 1) x F(2, 1) whose rule reaches levels 5 and 4; the
+    # constant is _p_rep_patient's value for it, and the plain tensor rule
+    # evaluated 5 542 789 kernel values here
+    values = []
+    tail = distributions._t_tail
+
+    def counting(x, nu):
+        values.append(np.size(x))
+        return tail(x, nu)
+
+    monkeypatch.setattr(distributions, "_t_tail", counting)
+    q = ReplicationQuery(TestStatistic.from_t(9.04, 3, 2), 2, 1, 0.1)
+    assert p_rep_integral(q, 1.0, 1.0) == pytest.approx(0.13712077388642627, rel=RULE_RTOL, abs=0)
+    assert sum(values) <= 0.75 * 5_542_789
+
+
+# rows from 5 up, since rows at df = 2 or df_r = 1 take seconds
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(t=T, n=st.integers(5, 400), b_hat=B_HAT, nu0=NU0, n_r=st.integers(5, 400),
+       alpha=st.sampled_from([0.1, 0.05, 0.001]))
+def test_p_rep_integral_matches_a_patient_rule(t, n, b_hat, nu0, n_r, alpha):
+    q = ReplicationQuery(TestStatistic.from_t(t, n, n - 1), n_r, n_r - 1, alpha)
+    try:
+        value = p_rep_integral(q, b_hat, nu0)
+    except NumericError:
+        # the rule gave up on an axis whose change shrinks too slowly, where
+        # the patient rule would go on
+        return
+    reference = _p_rep_patient(t, n, n - 1, b_hat, nu0, alpha, n_r, n_r - 1)
+    assert value == pytest.approx(reference, rel=RULE_RTOL + 1e-12, abs=PROB_FLOOR)
 
 
 # --- integral -> closed convergence -------------------------------------------
