@@ -25,7 +25,7 @@ import math
 import re
 import sys
 from collections import ChainMap
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import partial
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, NoReturn
@@ -34,8 +34,7 @@ import numpy as np
 
 from .adapters import _regressions, _statistic_faults, _tables, _unpaired
 from .distributions import (
-    PROB_FLOOR, _check_alpha, _check_b_hat, _check_df, _check_finite, _check_nu0, _faults,
-    _Faults,
+    PROB_FLOOR, _check_alpha, _check_b_hat, _check_df, _check_finite, _check_nu0, _Faults,
 )
 from .errors import (
     ConfigurationError,
@@ -571,7 +570,7 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         b_hat = np.where(estimated, s0_sq / sites.variance, np.nan)
         z = np.where(estimated, (sites.mean - grand_mean[of]) / np.sqrt(s0_sq), np.nan)
     # a b_hat that overflows or underflows is one that --b-from rejects
-    _raise_first(_faults(np.isin(b_hat, (0, np.inf)), _check_b_hat, b_hat), partial(_where, sites))
+    _raise_first(_Faults(np.isin(b_hat, (0, np.inf)), _check_b_hat, b_hat), partial(_where, sites))
     note = np.where(multi[of], np.where(estimated, "", "degenerate_variance"),
                     "skipped_single_site")
     columns = [
@@ -585,16 +584,18 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 
 def _variance_columns(
     source: VarianceSource | None, sites: SiteTable, scale_e: float
-) -> tuple[np.ndarray, np.ndarray, dict[int, DistnullError]]:
+) -> tuple[np.ndarray, np.ndarray, Mapping[int, DistnullError]]:
     """Each site's b_used and nu0, NaN where there is no source or no estimate,
     and the error of each site whose --b-from has no estimate."""
     if source is None:
         return np.full(len(sites), np.nan), np.full(len(sites), np.nan), {}
     b_hat, nu0 = source(sites)
-    missing = {i: ConfigurationError(f"--b-from has no estimate for {_where(sites, i)}")
-               for i in np.flatnonzero(np.isnan(b_hat)).tolist()}
+
+    def missing(i: int) -> NoReturn:
+        raise ConfigurationError(f"--b-from has no estimate for {_where(sites, i)}")
+
     with np.errstate(over="ignore"):  # an infinite b_used is rejected where it is used
-        return b_hat * scale_e, nu0, missing
+        return b_hat * scale_e, nu0, _Faults(np.isnan(b_hat), missing, np.arange(len(sites)))
 
 
 def _fixed(args: argparse.Namespace) -> tuple[list[repeat], list[repeat]]:
@@ -617,7 +618,7 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     b = np.full(len(sites), args.bound) if args.variant == "bound" else b_used
     p_sig, faults = _p_sig_column(args.variant, t, n, df, b, nu0)
     # a site's --b-from lookup comes before its significance
-    _raise_first({**faults, **missing}, partial(_where, sites))
+    _raise_first(ChainMap(missing, faults), partial(_where, sites))
     pp = p_sig if args.variant == "point" else _p_point(t, df)[0]
     negative = t < 0
     significant = p_sig <= args.alpha
@@ -674,7 +675,7 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     p_rep, faults = _p_rep_column(args.variant, t, n, df, b, nu0, args.alpha, n_r, df_r)
     diagnostics, cell_faults = _b_max(t, n, df, args.alpha)
     # a site's --b-from lookup comes before its forecast, and that before its b_max cells
-    _raise_first({**cell_faults, **faults, **missing}, partial(_where, sites))
+    _raise_first(ChainMap(missing, faults, cell_faults), partial(_where, sites))
     fixed, scale = _fixed(args)
     out = [
         _task_names(sites), sites.site_ids, *map(_reals, (n, df, t, n_r, df_r)), *fixed,
@@ -794,8 +795,11 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     sites = [f"site{j:04d}" for j in range(config.k_experiments) for _ in range(n)]
     out = []
     for stream in range(config.n_tasks):
-        values = _reals(simulate_raw_task(config, stream).ravel())
-        out.extend(zip(repeat(f"task{stream:04d}"), sites, values))
+        task, draws = f"task{stream:04d}", simulate_raw_task(config, stream)
+        if not np.isfinite(draws).all():
+            raise DomainError(
+                f"task {task!r}: draws must be finite; mu0, sigma0 or sigma is too large")
+        out.extend(zip(repeat(task), sites, _reals(draws.ravel())))
     return header, out
 
 

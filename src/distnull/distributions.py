@@ -965,34 +965,24 @@ def _f_expectations(kernel, dfs, rtol=RULE_RTOL, patient=False
             advance(row, rule, reply)
 
 
-def _faults(faulty, check, *columns) -> dict[int, DistnullError]:
-    """Each ``faulty`` row's error: what ``check`` raises on the row's element
-    of each column, as floats; a float column stands for every row."""
-    rows = np.flatnonzero(faulty).tolist()
-    if not rows:
-        return {}
-    columns = [np.broadcast_to(c, np.shape(faulty)).ravel().tolist() for c in columns]
-    faults = {}
-    for i in rows:
-        try:
-            check(*(c[i] for c in columns))
-        except DistnullError as exc:
-            faults[i] = exc
-    return faults
-
-
 class _Faults(Mapping):
-    """``_faults`` built on demand: the ``faulty`` rows are its keys, and a
-    row's error, which ``check`` must raise, is built when it is read."""
+    """Each ``faulty`` row's error, built when it is read: what ``check``
+    raises on the row's element of each column, as a Python scalar. A column
+    broadcasts against ``faulty``, so a float stands for every row, and a
+    0-d ``faulty``, as a scalar call passes, has the one row 0."""
 
     def __init__(self, faulty, check, *columns):
         self.faulty, self.check, self.columns = np.asarray(faulty, dtype=bool), check, columns
 
+    def __contains__(self, row) -> bool:
+        return 0 <= row < self.faulty.size and bool(self.faulty.flat[row])
+
     def __getitem__(self, row: int) -> DistnullError:
-        if not self.faulty[row]:
+        if row not in self:
             raise KeyError(row)
+        cells = [np.broadcast_to(c, self.faulty.shape).flat[row].item() for c in self.columns]
         try:
-            self.check(*(np.broadcast_to(c, self.faulty.shape)[row].item() for c in self.columns))
+            self.check(*cells)
         except DistnullError as exc:
             return exc
         raise AssertionError(f"row {row} is marked faulty but passes its check")

@@ -7,8 +7,7 @@ Each class carries the exit code the CLI returns for it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable, Mapping
 
 
 class DistnullError(Exception):
@@ -80,27 +79,13 @@ class NumericError(DistnullError):
         self.error_bound = error_bound
 
 
-@contextmanager
-def _located(where: Callable[[], str]) -> Iterator[None]:
-    """Prefix a domain or numeric error raised inside with ``where()``.
-
-    ``where`` is read only when an error arrives: wrapped around a whole
-    loop, it reads the loop's variables, so the loop pays nothing per item;
-    wrapped around the raise of a column kernel's fault, it names the
-    fault's site or task. The error keeps its class and attributes, such
-    as a NumericError's estimate.
-    """
-    try:
-        yield
-    except (DomainError, NumericError) as exc:
-        exc.args = (f"{where()}: {exc}",)
-        raise
-
-
-def _raise_first(faults: dict[int, DistnullError], where: Callable[[int], str]) -> None:
-    """Raise the fault of the first faulty row or task, if any, prefixed
-    with ``where`` of its index."""
+def _raise_first(faults: Mapping[int, DistnullError], where: Callable[[int], str]) -> None:
+    """Raise the fault of the first faulty row or task, if any; a domain or
+    numeric error is prefixed with ``where`` of its index, and keeps its
+    class and attributes, such as a NumericError's estimate."""
     if faults:
         first = min(faults)
-        with _located(lambda: where(first)):
-            raise faults[first]
+        exc = faults[first]
+        if isinstance(exc, (DomainError, NumericError)):
+            exc.args = (f"{where(first)}: {exc}",)
+        raise exc

@@ -10,16 +10,16 @@ ratio b = S0^2 / S^2.
 from __future__ import annotations
 
 import math
+from collections import ChainMap
 from dataclasses import dataclass
 from functools import partial
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .distributions import _check_nu0, _checked, _faults, _Faults
+from .distributions import _check_nu0, _checked, _Faults
 from .errors import (
     DegenerateVarianceError,
-    DistnullError,
     DomainError,
     InsufficientDataError,
 )
@@ -271,7 +271,7 @@ def _task_spread(table: SiteTable, mode: VarianceMode) -> tuple[np.ndarray, np.n
 
 def _between_variance(
     table: SiteTable, mode: VarianceMode
-) -> tuple[tuple[np.ndarray, ...], dict[int, DistnullError]]:
+) -> tuple[tuple[np.ndarray, ...], ChainMap]:
     """between_variance over every task of a table: its (s0_sq, nu0,
     grand_mean) columns, NaN in the tasks without a fit, and the error of
     each faulty task, as between_variance raises it: that of the task's
@@ -281,14 +281,13 @@ def _between_variance(
         raise DomainError(f"unknown mode {mode!r}")
     s0_sq, grand_mean = _task_spread(table, mode)
     nu0, multi = table.k - 1.0, table.k >= 2
-    faults = _faults(multi & ~(np.isfinite(s0_sq) & np.isfinite(grand_mean)),
-                     partial(BetweenVariance, mode=mode), s0_sq, nu0, grand_mean)
+    fit = _Faults(multi & ~(np.isfinite(s0_sq) & np.isfinite(grand_mean)),
+                  partial(BetweenVariance, mode=mode), s0_sq, nu0, grand_mean)
     low = np.flatnonzero(multi[table.task_of] & (table.df <= 2.0))
     tasks, first = np.unique(table.task_of[low], return_index=True)
-    for j, df in zip(tasks.tolist(), table.df[low[first]].tolist()):
-        faults[j] = DomainError(
-            f"every experiment needs df > 2 (noise-correction moment undefined at df={df!r})"
-        )
+    faults = ChainMap({j: DomainError(
+        f"every experiment needs df > 2 (noise-correction moment undefined at df={df!r})"
+    ) for j, df in zip(tasks.tolist(), table.df[low[first]].tolist())}, fit)
     valid = multi & ~np.isin(np.arange(multi.size), list(faults))
     return tuple(np.where(valid, column, np.nan) for column in (s0_sq, nu0, grand_mean)), faults
 

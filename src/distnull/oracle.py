@@ -13,14 +13,17 @@ sensitivity and estimator bias) live beside the tests that run them, in
 from __future__ import annotations
 
 import math
+import numbers
+from collections import ChainMap
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .distributions import _check_alpha, _faults
-from .errors import DistnullError, DomainError, _raise_first
+from .distributions import _check_alpha, _Faults
+from .errors import DomainError, _raise_first
 from .estimators import (
     BetweenVariance,
     SiteTable,
@@ -61,6 +64,11 @@ PAIR_DTYPE = np.dtype([
 ])
 
 
+def _typed(value, kind: type) -> bool:
+    """Whether a config value is of ``kind``; a bool, which passes as 0 or 1, is not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Generative parameters for simulated tasks.
@@ -82,24 +90,28 @@ class SimConfig:
     variance_scale_e: float = 1.0
 
     def __post_init__(self) -> None:
+        reals = {name: getattr(self, name)
+                 for name in ("mu0", "sigma0", "sigma", "variance_scale_e")}
+        for name, value in [*reals.items(), *(("alpha level", a) for a in self.alpha_levels)]:
+            if not _typed(value, numbers.Real):
+                raise DomainError(f"{name} must be a number, got {value!r}")
         if not math.isfinite(self.mu0):
             raise DomainError(f"mu0 must be finite, got {self.mu0!r}")
         if not (math.isfinite(self.sigma0) and self.sigma0 >= 0):
-            raise DomainError(f"sigma0 must be >= 0, got {self.sigma0!r}")
+            raise DomainError(f"sigma0 must be finite and >= 0, got {self.sigma0!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise DomainError(f"sigma must be > 0, got {self.sigma!r}")
-        if self.n_per_experiment < 2:
-            raise DomainError("n_per_experiment must be >= 2")
-        if self.k_experiments < 2:
-            raise DomainError("k_experiments must be >= 2")
-        if self.n_tasks < 1:
-            raise DomainError("n_tasks must be >= 1")
+            raise DomainError(f"sigma must be finite and > 0, got {self.sigma!r}")
+        for name, least in (("n_per_experiment", 2), ("k_experiments", 2), ("n_tasks", 1)):
+            value = getattr(self, name)
+            if not (_typed(value, numbers.Integral) and value >= least):
+                raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
         for a in self.alpha_levels:
             _check_alpha(a, "alpha level")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise DomainError("seed must be a 64-bit unsigned integer")
+        if not (_typed(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not (math.isfinite(self.variance_scale_e) and self.variance_scale_e > 0):
-            raise DomainError("variance_scale_e must be > 0")
+            raise DomainError(
+                f"variance_scale_e must be finite and > 0, got {self.variance_scale_e!r}")
 
     @property
     def b_true(self) -> float:
@@ -133,6 +145,7 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a draw that overflows is left non-finite
 def simulate_raw_task(config: SimConfig, stream: int) -> np.ndarray:
     """Raw draws of one task: array of shape (K, N), row per experiment."""
     rng = _stream_rng(config.seed, stream)
@@ -145,25 +158,27 @@ def simulate_raw_task(config: SimConfig, stream: int) -> np.ndarray:
 
 def _fit(
     table: SiteTable, mode: VarianceMode, scale_e: float = 1.0
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict[int, DistnullError]]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ChainMap]:
     """Each task's between-variance S0^2 scaled by ``scale_e``, each site's
     b-hat and nu0 from it, and the error of each faulty task: its fit's,
     else its scaled fit's overflow, else its first site's statistic error."""
-    (s0_sq, nu0, grand_mean), faults = _between_variance(table, mode)
+    (s0_sq, nu0, grand_mean), fit_faults = _between_variance(table, mode)
     with np.errstate(over="ignore", divide="ignore"):  # faulty cells are reported below
         scaled = scale_e * s0_sq
         b_hat = scaled[table.task_of] / table.variance
-    faults.update(_faults(np.isfinite(s0_sq) & ~np.isfinite(scaled),
-                          partial(BetweenVariance, mode=mode), scaled, nu0, grand_mean))
+    overflow = _Faults(np.isfinite(s0_sq) & ~np.isfinite(scaled),
+                       partial(BetweenVariance, mode=mode), scaled, nu0, grand_mean)
+    faults = ChainMap({}, fit_faults, overflow)
     _first_of_task(faults, table.task_of, _statistic_faults(table))
     return (scaled, b_hat, nu0[table.task_of]), faults
 
 
-def _first_of_task(faults: dict, task_of: np.ndarray, row_faults: dict) -> None:
+def _first_of_task(faults: ChainMap, task_of: np.ndarray, row_faults: Mapping) -> None:
     """Add to ``faults``, by task, the first of ``row_faults`` (by row) in
     each task that has no fault yet; ``task_of`` maps a row to its task."""
-    for i, exc in sorted(row_faults.items()):
-        faults.setdefault(int(task_of[i]), exc)
+    for i in sorted(row_faults):
+        if task_of[i] not in faults:
+            faults[int(task_of[i])] = row_faults[i]
 
 
 def _pairs(table: SiteTable) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from .distributions import (
     _critical_values,
     _checked,
     _f_expectations,
-    _faults,
+    _Faults,
     _stationary_roots,
     _t_cdf,
     t_cdf,
@@ -131,7 +131,7 @@ def _p_rep_given_b(t, n, b, alpha: float, n_r, df_r, c=1.0):
     arg = _kernel_argument(np.abs(t), b, n, n_r, _critical_values(alpha, df_r), c)
     valid = (b > 0.0) & (b < np.inf) & np.isfinite(arg)
     p = np.where(valid, np.clip(_t_cdf(arg, df_r), 0.0, 1.0), np.nan)
-    return p, _faults(np.isnan(p), _check_given_b, b, arg, df_r)
+    return p, _Faults(np.isnan(p), _check_given_b, b, arg, df_r)
 
 
 def p_rep_curve(q: ReplicationQuery, b_values) -> np.ndarray:
@@ -214,7 +214,7 @@ def _p_rep_closed(t, n, b_hat, nu0, alpha: float, n_r, df_r):
     arg = _closed_argument(t, n, b_hat, nu0, _critical_values(alpha, df_r), n_r)
     valid = (nu0 > 2.0) & (nu0 < np.inf) & (b_hat > 0.0) & (b_hat < np.inf) & np.isfinite(arg)
     p = np.where(valid, np.clip(_t_cdf(arg, df_r), 0.0, 1.0), np.nan)
-    return p, _faults(np.isnan(p), _check_closed, nu0, b_hat, arg, df_r)
+    return p, _Faults(np.isnan(p), _check_closed, nu0, b_hat, arg, df_r)
 
 
 def p_rep_closed(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
@@ -252,7 +252,7 @@ def _b_max(t, n, df, alpha: float):
     b = z_max / n
     valid = (b > 0.0) & (b < np.inf) & (z_max <= tau * (1.0 + 1e-12))
     return (tuple(np.where(valid, column, np.nan) for column in (tau, z_max, b)),
-            _faults(~valid & (t != 0.0), BmaxResult, tau, z_max, b))
+            _Faults(~valid & (t != 0.0), BmaxResult, tau, z_max, b))
 
 
 def b_max(stat: TestStatistic, alpha: float) -> BmaxResult:

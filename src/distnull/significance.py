@@ -9,6 +9,8 @@ here discounts |t| by the extra spread that wandering induces.
 from __future__ import annotations
 
 import math
+from collections import ChainMap
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 
@@ -21,7 +23,7 @@ from .distributions import (
     _check_nu0,
     _checked,
     _f_expectations,
-    _faults,
+    _Faults,
     _t_tail,
     clamp_probability,
 )
@@ -88,10 +90,10 @@ def _statistic(n, mean, variance) -> tuple[np.ndarray, np.ndarray]:
     return effect * np.sqrt(n), effect
 
 
-def _p_point(t, df) -> tuple[np.ndarray, dict[int, DistnullError]]:
+def _p_point(t, df) -> tuple[np.ndarray, Mapping[int, DistnullError]]:
     """p_point over columns of t and df, and its faults."""
     p = np.clip(2.0 * _t_tail(t, df)[0], PROB_FLOOR, 1.0)
-    return p, _faults(np.isnan(p), clamp_probability, p)
+    return p, _Faults(np.isnan(p), clamp_probability, p)
 
 
 def p_point(stat: TestStatistic) -> float:
@@ -116,14 +118,14 @@ def _check_given_b(b: float, p: float) -> None:
 
 
 @np.errstate(all="ignore")  # rows outside the domain are computed too
-def _p_sig_given_b(t, n, df, b) -> tuple[np.ndarray, dict[int, DistnullError]]:
+def _p_sig_given_b(t, n, df, b) -> tuple[np.ndarray, Mapping[int, DistnullError]]:
     """p_sig_given_b over columns of t, N, df and b, and its faults; b * N may
     overflow to its limit inf."""
     b = np.asarray(b, dtype=float)
     x = t / np.sqrt(1.0 + np.multiply(b, n))
     p = np.where((b >= 0.0) & (b < np.inf), np.clip(2.0 * _t_tail(x, df)[0], PROB_FLOOR, 1.0),
                  np.nan)
-    return p, _faults(np.isnan(p), _check_given_b, b, p)
+    return p, _Faults(np.isnan(p), _check_given_b, b, p)
 
 
 def p_sig_bound(stat: TestStatistic, bound: float) -> float:
@@ -135,12 +137,12 @@ def p_sig_bound(stat: TestStatistic, bound: float) -> float:
     return p_sig_given_b(stat, _check_df(bound, "bound"))
 
 
-def _at_bound(kernel, bound) -> tuple[np.ndarray, dict[int, DistnullError]]:
+def _at_bound(kernel, bound) -> tuple[np.ndarray, Mapping[int, DistnullError]]:
     """A known-b kernel, ``kernel(b)``, at a column of bounds, with the faults
     of p_sig_bound and p_rep_bound, which first check the bound."""
     valid = (bound > 0.0) & (bound < np.inf)
     values, faults = kernel(np.where(valid, bound, np.nan))
-    return values, {**faults, **_faults(~valid, partial(_check_df, name="bound"), bound)}
+    return values, ChainMap(_Faults(~valid, partial(_check_df, name="bound"), bound), faults)
 
 
 @np.errstate(over="ignore")  # b_hat * N and b * spread may overflow to their limit inf
@@ -155,7 +157,7 @@ def _sig_rule(t, n, df, b_hat, nu0):
     return _f_expectations(kernel, [((d, v),) for d, v in zip(df.tolist(), nu0.tolist())])
 
 
-def _integral_rows(rule, *columns) -> tuple[np.ndarray, dict[int, DistnullError]]:
+def _integral_rows(rule, *columns) -> tuple[np.ndarray, Mapping[int, DistnullError]]:
     """``rule``, _sig_rule or _rep_rule, over the rows of columns (t, N, df,
     b_hat, nu0, ...) whose b_hat and nu0 the integral forms accept: its
     values, NaN elsewhere, and every row's faults, elsewhere those of
@@ -166,12 +168,11 @@ def _integral_rows(rule, *columns) -> tuple[np.ndarray, dict[int, DistnullError]
     values = np.full(valid.shape, np.nan)
     values[valid], rule_faults = rule(*(x[valid] for x in columns))
     rows = np.flatnonzero(valid).tolist()
-    faults = {rows[k]: exc for k, exc in rule_faults.items()}
-    faults.update(_faults(~valid, lambda b, v: (_check_b_hat(b), _check_nu0(v)), b_hat, nu0))
-    return values, faults
+    domain = _Faults(~valid, lambda b, v: (_check_b_hat(b), _check_nu0(v)), b_hat, nu0)
+    return values, ChainMap(domain, {rows[k]: exc for k, exc in rule_faults.items()})
 
 
-def _p_sig_integral(t, n, df, b_hat, nu0) -> tuple[np.ndarray, dict[int, DistnullError]]:
+def _p_sig_integral(t, n, df, b_hat, nu0) -> tuple[np.ndarray, Mapping[int, DistnullError]]:
     """p_sig_integral over columns of t, N, df, b_hat and nu0, and its faults."""
     p, faults = _integral_rows(_sig_rule, t, n, df, b_hat, nu0)
     return np.clip(p, PROB_FLOOR, 1.0), faults
@@ -203,13 +204,13 @@ def t0_statistic(stat: TestStatistic, b_hat: float) -> float:
 
 
 @np.errstate(all="ignore")  # rows outside the domain are computed too
-def _p_sig_closed(t, n, b_hat, nu0) -> tuple[np.ndarray, dict[int, DistnullError]]:
+def _p_sig_closed(t, n, b_hat, nu0) -> tuple[np.ndarray, Mapping[int, DistnullError]]:
     """p_sig_closed over columns of t, N, b_hat and nu0, and its faults."""
     t, n, b_hat, nu0 = (np.asarray(x, dtype=float) for x in (t, n, b_hat, nu0))
     p = np.clip(2.0 * _t_tail(_t0(t, n, b_hat), nu0)[0], PROB_FLOOR, 1.0)
     valid = (nu0 >= 1.0) & (nu0 < np.inf) & (b_hat > 0.0) & (b_hat < np.inf)
     p = np.where(valid, p, np.nan)
-    return p, _faults(np.isnan(p), lambda v, b, p: (
+    return p, _Faults(np.isnan(p), lambda v, b, p: (
         _check_nu0(v), _check_b_hat(b), clamp_probability(p)), nu0, b_hat, p)
 
 
@@ -223,7 +224,8 @@ def p_sig_closed(stat: TestStatistic, b_hat: float, nu0: float) -> float:
     return float(_checked(_p_sig_closed(stat.t, stat.n, b_hat, nu0)))
 
 
-def _p_sig_column(variant: str, t, n, df, b, nu0) -> tuple[np.ndarray, dict[int, DistnullError]]:
+def _p_sig_column(variant: str, t, n, df, b, nu0
+                  ) -> tuple[np.ndarray, Mapping[int, DistnullError]]:
     """The p_sig of a test variant (point, bound, closed or integral) over
     columns, where ``b`` is the bound for ``bound`` and b_hat otherwise, and
     each faulty row's error, as the variant's public function raises it."""

@@ -1289,6 +1289,32 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", "--config", config])
         assert code == 3
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"n_per_experiment": 10.5}, "n_per_experiment must be an integer >= 2, got 10.5"),
+        ({"k_experiments": 2.5}, "k_experiments must be an integer >= 2, got 2.5"),
+        ({"n_tasks": 1.5}, "n_tasks must be an integer >= 1, got 1.5"),
+        ({"seed": True}, "seed must be a 64-bit unsigned integer, got True"),
+        ({"alpha_levels": [0.05, "x"]}, "alpha level must be a number, got 'x'"),
+        ({"sigma0": "0.2"}, "sigma0 must be a number, got '0.2'"),
+        ({"mu0": False}, "mu0 must be a number, got False"),
+        ({"variance_scale_e": 1e400}, "variance_scale_e must be finite and > 0, got inf"),
+    ])
+    def test_each_key_is_checked_and_named(self, tmp_path, overrides, message):
+        config = self.write_config(tmp_path, **overrides)
+        assert run_cli(["simulate", "--config", config]) == (
+            3, "", f"error: {config}: {message}\n")
+
+    def test_draws_that_overflow_are_not_written(self, tmp_path):
+        config = self.write_config(tmp_path, mu0=1e308, sigma=1e308, n_tasks=1, k_experiments=4,
+                                   n_per_experiment=50)
+        raw = tmp_path / "raw.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["simulate", "--config", config, "--output", str(raw)]) == (
+                4, "", "error: task 'task0000': draws must be finite; mu0, sigma0 or sigma is "
+                "too large\n")
+        assert not raw.exists()
+
 
 class TestBmax:
     def test_columns_and_zero_t(self, tmp_path):
@@ -1699,6 +1725,39 @@ class TestFaultsComputedOnce:
         assert run_cli(["calibrate", "--variant", "integral", "--input", path]) == (
             5, "", "error: task 'a': the quadrature rule cannot represent F(1e+150, 1.0)\n")
         assert started == [((1e150, 1.0),), ((29.0, 1.0),), ((29.0, 1.0),), ((29.0, 1.0),)]
+
+    @staticmethod
+    def count_closed_checks(monkeypatch) -> list:
+        from distnull import replication
+        calls, check = [], replication._check_closed
+
+        def counted(*cells):
+            calls.append(cells)
+            check(*cells)
+
+        monkeypatch.setattr(replication, "_check_closed", counted)
+        return calls
+
+    def test_predict_builds_only_the_error_it_raises(self, tmp_path, monkeypatch):
+        # every one of the 200 sites faults at nu0 = 2; one error is built
+        path = write_csv(tmp_path / "sites.csv", SUMMARY_HEADER, [
+            [f"t{j}", f"s{i}", "30", "0.5", "1", "29"] for j in range(50) for i in range(4)])
+        calls = self.count_closed_checks(monkeypatch)
+        argv = ["predict", "--b", "1", "--nu0", "2", "--nr", "30", "--input", path]
+        assert run_cli(argv) == (
+            4, "", "error: task 't0' site 's0': nu0 must be > 2 for the closed form, got 2.0\n")
+        assert len(calls) == 1
+
+    def test_calibrate_builds_one_error_per_faulty_task(self, tmp_path, monkeypatch):
+        # K = 3 gives nu0 = 2: every forecast of both tasks faults, at every
+        # alpha; each task keeps its first, and only those are built
+        path = write_csv(tmp_path / "sites.csv", SUMMARY_HEADER, [
+            [task, f"s{i}", "30", mean, "1", "29"]
+            for task in ("a", "b") for i, mean in enumerate(("0.1", "0.5", "0.9"))])
+        calls = self.count_closed_checks(monkeypatch)
+        assert run_cli(["calibrate", "--input", path]) == (
+            4, "", "error: task 'a': nu0 must be > 2 for the closed form, got 2.0\n")
+        assert len(calls) == 2
 
 
 class TestDeterminism:

@@ -360,3 +360,32 @@ class TestClampProbability:
 
     def test_interior_untouched(self):
         assert clamp_probability(0.37) == 0.37
+
+
+class TestFaults:
+    def test_zero_dimensional_mask_is_row_zero(self):
+        # a scalar call passes 0-d masks and columns
+        faults = distributions._Faults(np.isnan(np.float64(np.nan)), clamp_probability,
+                                       np.float64(np.nan))
+        assert (list(faults), len(faults), 0 in faults, 1 in faults) == ([0], 1, True, False)
+        assert str(faults[0]) == "probability is NaN"
+        with pytest.raises(KeyError):
+            faults[1]
+
+    def test_columns_broadcast_against_the_mask(self):
+        seen = []
+
+        def check(b, p):
+            seen.append((b, p))
+            raise DomainError(f"row with b={b!r}")
+
+        faults = distributions._Faults([False, True, True], check, 2.0, np.array([0.1, 0.2, 0.3]))
+        assert str(faults[2]) == "row with b=2.0"
+        assert seen == [(2.0, 0.3)]  # only the row read is checked
+        with pytest.raises(KeyError):
+            faults[0]
+
+    def test_faulty_row_that_passes_its_check_is_a_bug(self):
+        faults = distributions._Faults([True], clamp_probability, [0.5])
+        with pytest.raises(AssertionError, match="row 0 is marked faulty but passes its check"):
+            faults[0]
