@@ -34,7 +34,8 @@ import numpy as np
 
 from .adapters import _regressions, _statistic_faults, _tables, _unpaired
 from .distributions import (
-    PROB_FLOOR, _check_alpha, _check_b_hat, _check_df, _check_finite, _check_nu0, _Faults,
+    PROB_FLOOR, _check_alpha, _check_at_least, _check_b_hat, _check_df, _check_finite, _check_nu0,
+    _Faults,
 )
 from .errors import (
     ConfigurationError,
@@ -64,7 +65,6 @@ if TYPE_CHECKING:  # the simulation harness is imported by the commands that use
     from .oracle import SimConfig
 
 IDENTIFIER = re.compile(r"[A-Za-z0-9_-]+")
-DEFAULT_ALPHAS = "0.1,0.05,0.01,0.005,0.001"
 
 _MODES = {"as-published": "as_published", "moment": "moment_corrected"}
 
@@ -686,7 +686,10 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    from .oracle import MIN_BIN_PAIRS, bin_pairs, calibration_gap, gap_direction, task_pair_records
+    from .oracle import (
+        DESK_ALPHA_LEVELS, MIN_BIN_PAIRS, bin_pairs, calibration_gap, gap_direction,
+        task_pair_records,
+    )
     mode = _MODES[args.mode]
     _, sites = load_sites(args.input, args.family)
     (s0_sq, _, _), _ = _between_variance(sites, mode)
@@ -698,7 +701,8 @@ def cmd_calibrate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]
     kept = (sites.k >= 2) & (s0_sq != 0.0)  # a faulty fit is NaN: kept, to raise its error
     if not kept.any():
         raise DomainError("no task with >= 2 sites and S0^2 > 0; nothing to calibrate")
-    bins = bin_pairs(task_pair_records(sites.select(kept), args.alphas, mode, args.scale_e,
+    alphas = DESK_ALPHA_LEVELS if args.alphas is None else args.alphas
+    bins = bin_pairs(task_pair_records(sites.select(kept), alphas, mode, args.scale_e,
                                        args.variant))
     gap = calibration_gap(bins)
     direction = "" if gap is None else gap_direction(gap)
@@ -852,12 +856,6 @@ def _check_level(alpha: float, upper: float = 1.0) -> float:
     return alpha
 
 
-def _check_at_least(value: float, low: float, name: str) -> float:
-    if not (math.isfinite(value) and value >= low):
-        raise DomainError(f"{name} must be finite and >= {low:g}, got {value!r}")
-    return value
-
-
 _SCALE_E = partial(_check_df, name="scale_e")
 _BMAX_ALPHA = partial(_check_level, upper=0.5)  # the b_max cells need alpha < 0.5
 _VARIANCE_SOURCE = {
@@ -989,7 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="binned forecast-vs-outcome table")
     _add_io(p)
     _add_family(p)
-    p.add_argument("--alphas", default=DEFAULT_ALPHAS)
+    p.add_argument("--alphas")
     p.add_argument("--variant", choices=("closed", "integral"), default="closed")
     p.add_argument("--mode", choices=tuple(_MODES), default="as-published")
     p.add_argument("--scale-e", dest="scale_e", type=float, default=1.0)

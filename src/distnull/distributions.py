@@ -77,11 +77,15 @@ def _check_b_hat(b_hat: float) -> float:
     return b_hat
 
 
+def _check_at_least(value: float, low: float, name: str) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value >= low):
+        raise DomainError(f"{name} must be finite and >= {low:g}, got {value!r}")
+    return value
+
+
 def _check_nu0(nu0: float) -> float:
-    nu0 = float(nu0)
-    if not (math.isfinite(nu0) and nu0 >= 1.0):
-        raise DomainError(f"nu0 must be finite and >= 1, got {nu0!r}")
-    return nu0
+    return _check_at_least(nu0, 1.0, "nu0")
 
 
 def _check_finite(x: float, name: str) -> float:
@@ -1182,10 +1186,7 @@ def _stationary_roots(tau) -> np.ndarray:
 def find_positive_root(tau: float) -> float:
     """The positive root z_max <= τ of b_max's quintic z²(z+1)³ = τ²(1 + 3z/2)²,
     within one ulp, at a finite τ > 0."""
-    tau = float(tau)
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise DomainError(f"tau must be finite and > 0, got {tau!r}")
-    z, certified = _solve_stationary(tau)
+    z, certified = _solve_stationary(_check_df(tau, "tau"))
     if not certified:
         raise NumericError("b_max's root was not certified", best_estimate=float(z))
     return float(z)

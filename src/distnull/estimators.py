@@ -9,15 +9,16 @@ ratio b = S0^2 / S^2.
 
 from __future__ import annotations
 
-import math
 from collections import ChainMap
 from dataclasses import dataclass
 from functools import partial
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .distributions import _check_nu0, _checked, _Faults
+from .distributions import (
+    _check_at_least, _check_df, _check_finite, _check_nu0, _checked, _Faults,
+)
 from .errors import (
     DegenerateVarianceError,
     DomainError,
@@ -54,16 +55,10 @@ class ExperimentSummary:
     df: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.n) and self.n > 0):
-            raise DomainError(f"n must be finite and > 0, got {self.n!r}")
-        if not math.isfinite(self.mean):
-            raise DomainError(f"mean must be finite, got {self.mean!r}")
-        if not (math.isfinite(self.sample_variance) and self.sample_variance >= 0):
-            raise DomainError(
-                f"sample_variance must be finite and >= 0, got {self.sample_variance!r}"
-            )
-        if not (math.isfinite(self.df) and self.df > 0):
-            raise DomainError(f"df must be finite and > 0, got {self.df!r}")
+        _check_df(self.n, "n")
+        _check_finite(self.mean, "mean")
+        _check_at_least(self.sample_variance, 0.0, "sample_variance")
+        _check_df(self.df, "df")
 
 
 def _summary_valid(n, mean, variance, df) -> np.ndarray:
@@ -166,13 +161,15 @@ class BetweenVariance:
     mode: VarianceMode
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.s0_sq) and self.s0_sq >= 0):
-            raise DomainError(f"s0_sq must be finite and >= 0, got {self.s0_sq!r}")
+        _check_at_least(self.s0_sq, 0.0, "s0_sq")
         _check_nu0(self.nu0)
-        if not math.isfinite(self.grand_mean):
-            raise DomainError(f"grand_mean must be finite, got {self.grand_mean!r}")
-        if self.mode not in ("as_published", "moment_corrected"):
-            raise DomainError(f"unknown mode {self.mode!r}")
+        _check_finite(self.grand_mean, "grand_mean")
+        _check_mode(self.mode)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in get_args(VarianceMode):
+        raise DomainError(f"unknown mode {mode!r}")
 
 
 def summarize(values: Sequence[float]) -> ExperimentSummary:
@@ -277,8 +274,7 @@ def _between_variance(
     each faulty task, as between_variance raises it: that of the task's
     first site with df <= 2, else BetweenVariance's check of a non-finite
     fit. A task with K < 2 has no fit and no fault."""
-    if mode not in ("as_published", "moment_corrected"):
-        raise DomainError(f"unknown mode {mode!r}")
+    _check_mode(mode)
     s0_sq, grand_mean = _task_spread(table, mode)
     nu0, multi = table.k - 1.0, table.k >= 2
     fit = _Faults(multi & ~(np.isfinite(s0_sq) & np.isfinite(grand_mean)),

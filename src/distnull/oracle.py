@@ -12,7 +12,6 @@ sensitivity and estimator bias) live beside the tests that run them, in
 
 from __future__ import annotations
 
-import math
 import numbers
 from collections import ChainMap
 from collections.abc import Mapping
@@ -22,7 +21,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .distributions import _check_alpha, _Faults
+from .distributions import _check_alpha, _check_at_least, _check_df, _check_finite, _Faults
 from .errors import DomainError, _raise_first
 from .estimators import (
     BetweenVariance,
@@ -95,12 +94,9 @@ class SimConfig:
         for name, value in [*reals.items(), *(("alpha level", a) for a in self.alpha_levels)]:
             if not _typed(value, numbers.Real):
                 raise DomainError(f"{name} must be a number, got {value!r}")
-        if not math.isfinite(self.mu0):
-            raise DomainError(f"mu0 must be finite, got {self.mu0!r}")
-        if not (math.isfinite(self.sigma0) and self.sigma0 >= 0):
-            raise DomainError(f"sigma0 must be finite and >= 0, got {self.sigma0!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise DomainError(f"sigma must be finite and > 0, got {self.sigma!r}")
+        _check_finite(self.mu0, "mu0")
+        _check_at_least(self.sigma0, 0.0, "sigma0")
+        _check_df(self.sigma, "sigma")
         for name, least in (("n_per_experiment", 2), ("k_experiments", 2), ("n_tasks", 1)):
             value = getattr(self, name)
             if not (_typed(value, numbers.Integral) and value >= least):
@@ -109,13 +105,7 @@ class SimConfig:
             _check_alpha(a, "alpha level")
         if not (_typed(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (math.isfinite(self.variance_scale_e) and self.variance_scale_e > 0):
-            raise DomainError(
-                f"variance_scale_e must be finite and > 0, got {self.variance_scale_e!r}")
-
-    @property
-    def b_true(self) -> float:
-        return (self.sigma0 / self.sigma) ** 2
+        _check_df(self.variance_scale_e, "variance_scale_e")
 
 
 @dataclass(frozen=True)
@@ -133,12 +123,6 @@ class CalibrationBin:
     def gap(self) -> float:
         """observed_rate − mean_forecast."""
         return self.observed_rate - self.mean_forecast
-
-    @property
-    def standard_error(self) -> float:
-        """Binomial standard error of the observed rate."""
-        p = self.observed_rate
-        return math.sqrt(p * (1.0 - p) / self.pair_count)
 
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -215,8 +199,7 @@ def task_pair_records(
     significance in site order, then each alpha's forecasts in pair order;
     the first faulty task raises its error, prefixed with its task.
     """
-    if not (math.isfinite(scale_e) and scale_e > 0):
-        raise DomainError(f"scale_e must be > 0, got {scale_e!r}")
+    _check_df(scale_e, "scale_e")
     if variant not in ("closed", "integral"):
         raise DomainError(f"unknown forecast variant {variant!r}")
     table = tasks if isinstance(tasks, SiteTable) else SiteTable.from_tasks([tasks])

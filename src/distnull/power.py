@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import _check_alpha, _check_df, _critical, _noncentral_t_mass
+from .distributions import (
+    _check_alpha, _check_at_least, _check_df, _check_finite, _critical, _noncentral_t_mass,
+)
 from .errors import DomainError
 
 __all__ = [
@@ -39,15 +41,12 @@ class PowerQuery:
     b: float | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.effect):
-            raise DomainError(f"effect must be finite, got {self.effect!r}")
-        if not (math.isfinite(self.n) and self.n >= 2):
-            raise DomainError(f"n must be finite and >= 2, got {self.n!r}")
-        if not (math.isfinite(self.df) and self.df > 0):
-            raise DomainError(f"df must be finite and > 0, got {self.df!r}")
+        _check_finite(self.effect, "effect")
+        _check_at_least(self.n, 2.0, "n")
+        _check_df(self.df, "df")
         _check_alpha(self.alpha)
-        if self.b is not None and not (math.isfinite(self.b) and self.b > 0):
-            raise DomainError(f"b must be finite and > 0 when given, got {self.b!r}")
+        if self.b is not None:
+            _check_df(self.b, "b")
 
 
 def _beta_at_noncentrality(theta: float, df: float, alpha: float) -> float:
@@ -81,9 +80,7 @@ def power_ceiling(effect: float, df: float, alpha: float) -> float:
     1 − T_nu(t_crit; |delta|) + T_nu(−t_crit; |delta|): the bN→inf limit
     of 1 − beta_distributional. Exceeds 0.5 only when |delta| > t_crit.
     """
-    effect = float(effect)
-    if not math.isfinite(effect):
-        raise DomainError(f"effect must be finite, got {effect!r}")
+    effect = _check_finite(effect, "effect")
     t_crit = _critical(_check_alpha(alpha), _check_df(df, "df"))
     return _noncentral_t_mass(-t_crit, t_crit, df, abs(effect), outside=True)
 
@@ -95,9 +92,7 @@ def required_sample_size(effect: float, alpha: float, target_power: float) -> in
     increasing in N for effect != 0, so a doubling search bracket plus
     bisection suffices.
     """
-    effect = float(effect)
-    if not math.isfinite(effect):
-        raise DomainError(f"effect must be finite, got {effect!r}")
+    effect = _check_finite(effect, "effect")
     _check_alpha(alpha)
     _check_alpha(target_power, "target_power")
 

@@ -19,6 +19,7 @@ from .distributions import (
     _check_alpha,
     _check_b_hat,
     _check_df,
+    _check_finite,
     _check_nu0,
     _critical,
     _critical_values,
@@ -63,13 +64,10 @@ class ReplicationQuery:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.n_r) and self.n_r > 0):
-            raise DomainError(f"n_r must be finite and > 0, got {self.n_r!r}")
-        if not (math.isfinite(self.df_r) and self.df_r > 0):
-            raise DomainError(f"df_r must be finite and > 0, got {self.df_r!r}")
+        _check_df(self.n_r, "n_r")
+        _check_df(self.df_r, "df_r")
         _check_alpha(self.alpha)
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise DomainError(f"c must be finite and > 0, got {self.c!r}")
+        _check_df(self.c, "c")
 
 
 @dataclass(frozen=True)
@@ -82,9 +80,7 @@ class BmaxResult:
 
     def __post_init__(self) -> None:
         for name in ("tau", "z_max", "b_max"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+            _check_df(getattr(self, name), name)
         if self.z_max > self.tau * (1.0 + 1e-12):
             raise DomainError(
                 f"z_max={self.z_max!r} exceeds tau={self.tau!r}"
@@ -280,13 +276,8 @@ def killeen_p_rep(effect: float, n: float) -> float:
     The bracket is non-positive for N <= 4, where the value clamps to
     Phi(0) = 0.5.
     """
-    effect = float(effect)
-    n = float(n)
-    if not math.isfinite(effect):
-        raise DomainError(f"effect must be finite, got {effect!r}")
-    if not (math.isfinite(n) and n > 0):
-        raise DomainError(f"n must be finite and > 0, got {n!r}")
-    bracket = 1.0 - 4.0 / n
+    effect = _check_finite(effect, "effect")
+    bracket = 1.0 - 4.0 / _check_df(n, "n")
     if bracket <= 0.0:
         return 0.5
     # Phi(x) = erfc(-x/sqrt(2))/2

@@ -20,6 +20,7 @@ from .distributions import (
     PROB_FLOOR,
     _check_b_hat,
     _check_df,
+    _check_finite,
     _check_nu0,
     _checked,
     _f_expectations,
@@ -55,14 +56,12 @@ class TestStatistic:
     effect: float
 
     def __post_init__(self) -> None:
-        for name in ("t", "n", "df", "effect"):
+        checks = {"t": _check_finite, "n": _check_df, "df": _check_df, "effect": _check_finite}
+        for name, check in checks.items():
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not isinstance(v, (int, float)):  # float() would accept the string '1.5'
                 raise DomainError(f"{name} must be finite, got {v!r}")
-        if self.n <= 0:
-            raise DomainError(f"n must be > 0, got {self.n!r}")
-        if self.df <= 0:
-            raise DomainError(f"df must be > 0, got {self.df!r}")
+            check(v, name)
         if abs(self.t - self.effect * math.sqrt(self.n)) > 1e-12 * max(1.0, abs(self.t)):
             raise DomainError(
                 f"inconsistent statistic: t={self.t!r} but "
@@ -71,9 +70,7 @@ class TestStatistic:
 
     @classmethod
     def from_t(cls, t: float, n: float, df: float) -> "TestStatistic":
-        n = float(n)
-        if not (math.isfinite(n) and n > 0):
-            raise DomainError(f"n must be finite and > 0, got {n!r}")
+        n = _check_df(n, "n")
         return cls(t=float(t), n=n, df=float(df), effect=float(t) / math.sqrt(n))
 
     @classmethod

@@ -211,7 +211,7 @@ def type1_calibration(
     estimated = _checked(_p_sig_closed(t, n, b_hats, nu0))
     arrays = {
         "point": _p_point(t, df)[0],
-        "true_b": _checked(_p_sig_given_b(t, n, df, config.b_true)),
+        "true_b": _checked(_p_sig_given_b(t, n, df, (config.sigma0 / config.sigma) ** 2)),
         "estimated_b": estimated,
     }
     rows = []

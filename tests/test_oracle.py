@@ -123,10 +123,6 @@ class TestSimulation:
         with pytest.raises(DomainError):
             small_config(variance_scale_e=0.0)
 
-    def test_b_true(self):
-        config = small_config(sigma0=0.3, sigma=1.5)
-        assert config.b_true == pytest.approx(0.04, rel=1e-12)
-
 
 class TestType1Calibration:
     def test_requires_null(self):
@@ -292,17 +288,6 @@ class TestBinning:
         assert top.upper == 1.0
         assert top.mean_forecast == pytest.approx(0.9995, rel=1e-12)
 
-    def test_standard_error(self):
-        b = CalibrationBin(
-            lower=0.0,
-            upper=0.025,
-            pair_count=2,
-            mean_forecast=0.01,
-            observed_rate=0.5,
-            predictor_significant=False,
-        )
-        assert b.standard_error == pytest.approx(math.sqrt(0.25 / 2), rel=1e-12)
-
     def test_custom_width(self):
         bins = bin_pairs(pairs((0.3, False, True)), bin_width=0.25)
         assert bins[0].lower == 0.25
@@ -433,7 +418,7 @@ class TestPresets:
             assert config.alpha_levels == DESK_ALPHA_LEVELS
             assert config.sigma == 1.0
             assert 170 <= config.n_per_experiment <= 210
-            assert 0.039 <= config.b_true <= 0.131
+            assert 0.039 <= (config.sigma0 / config.sigma) ** 2 <= 0.131
             assert config.seed == 20250801
         assert desk_tasks(seed=7)[0].seed == 7
 
