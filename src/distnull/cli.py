@@ -34,8 +34,8 @@ import numpy as np
 
 from .adapters import _regressions, _statistic_faults, _tables, _unpaired
 from .distributions import (
-    PROB_FLOOR, _check_alpha, _check_at_least, _check_b_hat, _check_df, _check_finite, _check_nu0,
-    _Faults,
+    PROB_FLOOR, _at_least, _check_alpha, _check_at_least, _check_b_hat, _check_df, _check_finite,
+    _check_nu0, _Faults, _positive,
 )
 from .errors import (
     ConfigurationError,
@@ -476,8 +476,7 @@ def _load_b_from(path: str) -> VarianceSource:
     key = np.where(given, task.values * len(site.names) + site.values, -1)
     repeated = given.copy()
     repeated[np.unique(key, return_index=True)[1]] = False
-    with np.errstate(invalid="ignore"):
-        faulty = given & (repeated | b_hat.faulty | nu0.faulty | ~(b > 0) | ~(v >= 1))
+    faulty = given & (repeated | b_hat.faulty | nu0.faulty | ~_positive(b) | ~_at_least(v, 1.0))
     faulty |= task.faulty | site.faulty
     if faulty.any():
         i = int(faulty.argmax())
@@ -570,7 +569,8 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         b_hat = np.where(estimated, s0_sq / sites.variance, np.nan)
         z = np.where(estimated, (sites.mean - grand_mean[of]) / np.sqrt(s0_sq), np.nan)
     # a b_hat that overflows or underflows is one that --b-from rejects
-    _raise_first(_Faults(np.isin(b_hat, (0, np.inf)), _check_b_hat, b_hat), partial(_where, sites))
+    faulty = estimated & ~_positive(b_hat)
+    _raise_first(_Faults(faulty, _check_b_hat, b_hat), partial(_where, sites))
     note = np.where(multi[of], np.where(estimated, "", "degenerate_variance"),
                     "skipped_single_site")
     columns = [

@@ -52,9 +52,19 @@ QUAD_REL_TOL = 1e-7
 QUAD_LIMIT = 200
 
 
+def _positive(x):
+    """Whether x is finite and > 0, for a float or elementwise over a column."""
+    return (x > 0.0) & (x < np.inf)
+
+
+def _at_least(x, low: float):
+    """Whether x is finite and >= low, for a float or elementwise over a column."""
+    return (x >= low) & (x < np.inf)
+
+
 def _check_df(nu: float, name: str = "nu") -> float:
     nu = float(nu)
-    if not (math.isfinite(nu) and nu > 0):
+    if not _positive(nu):
         raise DomainError(f"{name} must be finite and > 0, got {nu!r}")
     return nu
 
@@ -68,7 +78,7 @@ def _check_alpha(alpha: float, name: str = "alpha", upper: float = 1.0) -> float
 
 def _check_b_hat(b_hat: float) -> float:
     b_hat = float(b_hat)
-    if not (math.isfinite(b_hat) and b_hat > 0.0):
+    if not _positive(b_hat):
         raise DegenerateVarianceError(
             f"b_hat must be finite and > 0, got {b_hat!r}; the distributional "
             "forms are undefined at zero between-experiment variance (use the "
@@ -79,13 +89,24 @@ def _check_b_hat(b_hat: float) -> float:
 
 def _check_at_least(value: float, low: float, name: str) -> float:
     value = float(value)
-    if not (math.isfinite(value) and value >= low):
+    if not _at_least(value, low):
         raise DomainError(f"{name} must be finite and >= {low:g}, got {value!r}")
     return value
 
 
 def _check_nu0(nu0: float) -> float:
     return _check_at_least(nu0, 1.0, "nu0")
+
+
+def _estimated(b_hat, nu0):
+    """Whether _check_estimate passes, for floats or elementwise over columns."""
+    return _at_least(nu0, 1.0) & _positive(b_hat)
+
+
+def _check_estimate(b_hat: float, nu0: float) -> None:
+    """Every distributional form's checks of an estimate (b_hat, nu0), nu0's first."""
+    _check_nu0(nu0)
+    _check_b_hat(b_hat)
 
 
 def _check_finite(x: float, name: str) -> float:
@@ -300,11 +321,12 @@ def _t_tail(x, nu) -> tuple[np.ndarray, np.ndarray]:
     x = np.where(valid, x, 0.0)
     if nu.ndim:
         nu = np.broadcast_to(nu, shape).ravel()
-        valid &= (nu > 0.0) & (nu < np.inf)
+        valid &= _positive(nu)
         nu = np.where(valid, np.minimum(nu, _NU_NORMAL), 1.0)
     else:
-        valid &= bool(0.0 < nu < np.inf)
-        nu = min(float(nu), _NU_NORMAL) if 0.0 < nu < np.inf else 1.0
+        positive = bool(_positive(nu))
+        valid &= positive
+        nu = min(float(nu), _NU_NORMAL) if positive else 1.0
     tail, scale = np.empty(x.size), np.empty(x.size)
     for start in range(0, x.size, _T_BLOCK):
         block = slice(start, start + _T_BLOCK)
@@ -1178,7 +1200,7 @@ def _stationary_roots(tau) -> np.ndarray:
     """find_positive_root's root over a column of τ; NaN where τ is not finite
     and > 0, or the root is not certified."""
     tau = np.asarray(tau, dtype=float)
-    valid = (tau > 0.0) & (tau < np.inf)
+    valid = _positive(tau)
     z, certified = _solve_stationary(np.where(valid, tau, 1.0))
     return np.where(valid & certified, z, np.nan)
 

@@ -17,7 +17,7 @@ from typing import Literal, Sequence, get_args
 import numpy as np
 
 from .distributions import (
-    _check_at_least, _check_df, _check_finite, _check_nu0, _checked, _Faults,
+    _at_least, _check_at_least, _check_df, _check_finite, _check_nu0, _checked, _Faults, _positive,
 )
 from .errors import (
     DegenerateVarianceError,
@@ -63,8 +63,7 @@ class ExperimentSummary:
 
 def _summary_valid(n, mean, variance, df) -> np.ndarray:
     """Where ExperimentSummary accepts the slots of columns."""
-    return ((n > 0) & (n < np.inf) & np.isfinite(mean) & (variance >= 0) & (variance < np.inf)
-            & (df > 0) & (df < np.inf))
+    return _positive(n) & np.isfinite(mean) & _at_least(variance, 0.0) & _positive(df)
 
 
 @dataclass(frozen=True)

@@ -16,19 +16,9 @@ from functools import partial
 import numpy as np
 
 from .distributions import (
-    _check_alpha,
-    _check_b_hat,
-    _check_df,
-    _check_finite,
-    _check_nu0,
-    _critical,
-    _critical_values,
-    _checked,
-    _f_expectations,
-    _Faults,
-    _stationary_roots,
-    _t_cdf,
-    t_cdf,
+    _check_alpha, _check_b_hat, _check_df, _check_finite, _check_nu0, _critical,
+    _critical_values, _checked, _estimated, _f_expectations, _Faults, _positive,
+    _stationary_roots, _t_cdf, t_cdf,
 )
 from .errors import DomainError
 from .significance import TestStatistic, _at_bound, _integral_rows
@@ -112,7 +102,7 @@ def p_rep_given_b(q: ReplicationQuery, b: float) -> float:
 
 def _check_given_b(b: float, arg: float, df_r: float) -> None:
     """p_rep_given_b's checks, the last of the kernel's argument and df_r by t_cdf."""
-    if not (math.isfinite(b) and b > 0.0):
+    if not _positive(b):
         raise DomainError(
             f"b must be finite and > 0, got {b!r}; use the bound form or "
             "b_max guidance when b is unknown"
@@ -125,7 +115,7 @@ def _p_rep_given_b(t, n, b, alpha: float, n_r, df_r, c=1.0):
     one alpha, and its faults."""
     b = np.asarray(b, dtype=float)
     arg = _kernel_argument(np.abs(t), b, n, n_r, _critical_values(alpha, df_r), c)
-    valid = (b > 0.0) & (b < np.inf) & np.isfinite(arg)
+    valid = _positive(b) & np.isfinite(arg)
     p = np.where(valid, np.clip(_t_cdf(arg, df_r), 0.0, 1.0), np.nan)
     return p, _Faults(np.isnan(p), _check_given_b, b, arg, df_r)
 
@@ -208,7 +198,7 @@ def _p_rep_closed(t, n, b_hat, nu0, alpha: float, n_r, df_r):
     alpha, and its faults."""
     t, n, b_hat, nu0, n_r = (np.asarray(x, dtype=float) for x in (t, n, b_hat, nu0, n_r))
     arg = _closed_argument(t, n, b_hat, nu0, _critical_values(alpha, df_r), n_r)
-    valid = (nu0 > 2.0) & (nu0 < np.inf) & (b_hat > 0.0) & (b_hat < np.inf) & np.isfinite(arg)
+    valid = _estimated(b_hat, nu0) & (nu0 > 2.0) & np.isfinite(arg)
     p = np.where(valid, np.clip(_t_cdf(arg, df_r), 0.0, 1.0), np.nan)
     return p, _Faults(np.isnan(p), _check_closed, nu0, b_hat, arg, df_r)
 
@@ -246,7 +236,7 @@ def _b_max(t, n, df, alpha: float):
     tau = np.abs(t) / _critical_values(alpha, df)
     z_max = _stationary_roots(tau)
     b = z_max / n
-    valid = (b > 0.0) & (b < np.inf) & (z_max <= tau * (1.0 + 1e-12))
+    valid = _positive(b) & (z_max <= tau * (1.0 + 1e-12))
     return (tuple(np.where(valid, column, np.nan) for column in (tau, z_max, b)),
             _Faults(~valid & (t != 0.0), BmaxResult, tau, z_max, b))
 

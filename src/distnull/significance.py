@@ -17,15 +17,8 @@ from functools import partial
 import numpy as np
 
 from .distributions import (
-    PROB_FLOOR,
-    _check_b_hat,
-    _check_df,
-    _check_finite,
-    _check_nu0,
-    _checked,
-    _f_expectations,
-    _Faults,
-    _t_tail,
+    PROB_FLOOR, _at_least, _check_at_least, _check_b_hat, _check_df, _check_estimate,
+    _check_finite, _checked, _estimated, _f_expectations, _Faults, _positive, _t_tail,
     clamp_probability,
 )
 from .errors import DistnullError, DomainError
@@ -109,8 +102,7 @@ def p_sig_given_b(stat: TestStatistic, b: float) -> float:
 
 def _check_given_b(b: float, p: float) -> None:
     """p_sig_given_b's checks of b and of its value."""
-    if not (math.isfinite(b) and b >= 0.0):
-        raise DomainError(f"b must be finite and >= 0, got {b!r}")
+    _check_at_least(b, 0.0, "b")
     clamp_probability(p)
 
 
@@ -120,8 +112,7 @@ def _p_sig_given_b(t, n, df, b) -> tuple[np.ndarray, Mapping[int, DistnullError]
     overflow to its limit inf."""
     b = np.asarray(b, dtype=float)
     x = t / np.sqrt(1.0 + np.multiply(b, n))
-    p = np.where((b >= 0.0) & (b < np.inf), np.clip(2.0 * _t_tail(x, df)[0], PROB_FLOOR, 1.0),
-                 np.nan)
+    p = np.where(_at_least(b, 0.0), np.clip(2.0 * _t_tail(x, df)[0], PROB_FLOOR, 1.0), np.nan)
     return p, _Faults(np.isnan(p), _check_given_b, b, p)
 
 
@@ -137,7 +128,7 @@ def p_sig_bound(stat: TestStatistic, bound: float) -> float:
 def _at_bound(kernel, bound) -> tuple[np.ndarray, Mapping[int, DistnullError]]:
     """A known-b kernel, ``kernel(b)``, at a column of bounds, with the faults
     of p_sig_bound and p_rep_bound, which first check the bound."""
-    valid = (bound > 0.0) & (bound < np.inf)
+    valid = _positive(bound)
     values, faults = kernel(np.where(valid, bound, np.nan))
     return values, ChainMap(_Faults(~valid, partial(_check_df, name="bound"), bound), faults)
 
@@ -158,14 +149,13 @@ def _integral_rows(rule, *columns) -> tuple[np.ndarray, Mapping[int, DistnullErr
     """``rule``, _sig_rule or _rep_rule, over the rows of columns (t, N, df,
     b_hat, nu0, ...) whose b_hat and nu0 the integral forms accept: its
     values, NaN elsewhere, and every row's faults, elsewhere those of
-    _check_b_hat and then _check_nu0."""
+    _check_estimate."""
     columns = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in columns))
-    b_hat, nu0 = columns[3], columns[4]
-    valid = (nu0 >= 1.0) & (nu0 < np.inf) & (b_hat > 0.0) & (b_hat < np.inf)
+    valid = _estimated(columns[3], columns[4])
     values = np.full(valid.shape, np.nan)
     values[valid], rule_faults = rule(*(x[valid] for x in columns))
     rows = np.flatnonzero(valid).tolist()
-    domain = _Faults(~valid, lambda b, v: (_check_b_hat(b), _check_nu0(v)), b_hat, nu0)
+    domain = _Faults(~valid, _check_estimate, columns[3], columns[4])
     return values, ChainMap(domain, {rows[k]: exc for k, exc in rule_faults.items()})
 
 
@@ -205,10 +195,9 @@ def _p_sig_closed(t, n, b_hat, nu0) -> tuple[np.ndarray, Mapping[int, DistnullEr
     """p_sig_closed over columns of t, N, b_hat and nu0, and its faults."""
     t, n, b_hat, nu0 = (np.asarray(x, dtype=float) for x in (t, n, b_hat, nu0))
     p = np.clip(2.0 * _t_tail(_t0(t, n, b_hat), nu0)[0], PROB_FLOOR, 1.0)
-    valid = (nu0 >= 1.0) & (nu0 < np.inf) & (b_hat > 0.0) & (b_hat < np.inf)
-    p = np.where(valid, p, np.nan)
-    return p, _Faults(np.isnan(p), lambda v, b, p: (
-        _check_nu0(v), _check_b_hat(b), clamp_probability(p)), nu0, b_hat, p)
+    p = np.where(_estimated(b_hat, nu0), p, np.nan)
+    return p, _Faults(np.isnan(p), lambda b, v, p: (
+        _check_estimate(b, v), clamp_probability(p)), b_hat, nu0, p)
 
 
 def p_sig_closed(stat: TestStatistic, b_hat: float, nu0: float) -> float:
