@@ -369,6 +369,12 @@ def _t_tail_block(x, nu) -> tuple[np.ndarray, np.ndarray]:
     if far.any():
         u[far], w_err[far], shift[far] = 1.0, 0.0, 0.0
         power[far] = np.power(np.sqrt(nu[far]) / x[far], nu[far])
+    # w, or sqrt(nu)/x where x² nears overflow, underflows to 0 at nu below
+    # 2**-79, where w^a = exp(a·log w) is 1 to double precision, as
+    # |a·log w| < 2**-60
+    lost = (w == 0.0) & (nu < 2.0**-79)
+    if lost.any():
+        power[lost], w_err[lost], shift[lost] = 1.0, 0.0, 0.0
     whole = np.abs(shift) > 2.0**-26
     # w^a below the normal range is taken with exp(shift), which may overflow, in log form
     logged = whole & (power < np.finfo(float).tiny)
@@ -483,29 +489,15 @@ def t_cdf(x: float, nu: float) -> float:
     return float(_t_cdf(x, nu))
 
 
-# Critical values by (alpha, df), the oldest dropped beyond _CRITICAL_SIZE.
-_CRITICAL: dict[tuple[float, float], float] = {}
-_CRITICAL_SIZE = 4096
-
-
 def _critical(alpha: float, df: float) -> float:
     """Two-sided critical value of a level-alpha t test: the x with T_df(-x) = alpha/2."""
-    value = _CRITICAL.get((alpha, df))
-    return float(_critical_values(alpha, [df])[0]) if value is None else value
+    return float(_critical_values(alpha, [df])[0])
 
 
 def _critical_values(alpha: float, df) -> np.ndarray:
-    """_critical over an array of df, with one solve over the distinct df not cached."""
+    """_critical over an array of df, with one solve over the distinct df."""
     distinct, inverse = np.unique(df, return_inverse=True)
-    values = np.array([_CRITICAL.get((alpha, d), math.nan) for d in distinct.tolist()])
-    missing = np.isnan(values)
-    if missing.any():
-        values[missing] = _t_tail_quantile(alpha / 2.0, distinct[missing])
-        _CRITICAL.update(zip([(alpha, d) for d in distinct[missing].tolist()],
-                             values[missing].tolist()))
-        for key in list(_CRITICAL)[:max(len(_CRITICAL) - _CRITICAL_SIZE, 0)]:
-            del _CRITICAL[key]
-    return values[inverse]
+    return _t_tail_quantile(alpha / 2.0, distinct)[inverse]
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -586,56 +578,63 @@ _RULE_SKIP = 5e-4
 def _f_rule(d1: float, d2: float, level: int):
     """Trapezoid nodes and weights for b ~ F(d1, d2) at step _RULE_STEP/2**level.
 
-    In y = log b the F law has the log-concave density exp(log_mode -
-    d1/2 * log1p((1 - s)*expm1(-y)) - d2/2 * log1p(s*expm1(y))), s = d1/(d1 +
-    d2), whose mode is y = 0 and whose curvature scale there is sigma =
-    sqrt(2/d1 + 2/d2); in this form no two large terms cancel. Nodes sit
-    at y = sigma*z on the grid z = k*h, over the z-range where a weight can
-    be represented and |y| stays under the cap; every level holds the one
-    before at its even positions, and y = 0 is at index mode * 2**level.
-    Returns (nodes, weights, mode, (below, above)), the last pair bounding
-    the mass beyond the range's ends, which lie within one coarsest step
-    of the outermost nodes, by the linear tail bounds of the log density.
-    d2 = inf is the law of V/d1, V ~ chi-square(d1) (_chi2_rule).
-    Raises NumericError where the rule cannot represent F(d1, d2): s rounds
-    to 0 or 1, a bound is not finite, the grid exceeds _RULE_NODES, or a
-    weight is not finite, as where 1 - s rounds to 1 and the first log1p
-    meets -1.
+    In y = log b the law (_f_law, or _chi2_law at d2 = inf) is log-concave
+    with its mode at y = 0 and curvature scale sigma there. Nodes sit at
+    y = sigma*z on the grid z = k*h, over the law's y-range; every level
+    holds the one before at its even positions, and y = 0 is at index
+    mode * 2**level. Returns (nodes, weights, mode, (below, above)), the
+    last pair bounding the mass beyond the range's ends, which lie within
+    one coarsest step of the outermost nodes.
+    Raises NumericError where the rule cannot represent the law: a step of
+    the law's fails, as where s rounds to 0 or 1, a bound is not finite,
+    the grid exceeds _RULE_NODES, or a weight is not finite, as where 1 - s
+    rounds to 1 and the first log1p meets -1.
     """
-    if d2 == math.inf:
-        return _chi2_rule(d1, level)
     try:
-        sigma = math.sqrt(2.0 / d1 + 2.0 / d2)
-        a, c = 0.5 * d1, 0.5 * d2
-        s = d1 / (d1 + d2)
-        # log of the density at y = 0; Stirling's series cancels the O(d)
-        # terms of the beta normaliser analytically
-        log_mode = (
-            _stirling_remainder(a + c) - _stirling_remainder(a) - _stirling_remainder(c)
-            - math.log(sigma) - _HALF_LOG_2PI
-        )
-        # log density <= upper - c*y for y > 0 and <= lower + a*y for y < 0
-        upper = log_mode - (a + c) * math.log(s)
-        lower = log_mode - (a + c) * math.log1p(-s)
-        y_hi = min(_RULE_LOG_MAX, (upper + 740.0) / c)
-        y_lo = max(-_RULE_LOG_MAX, -(lower + 740.0) / a)
+        sigma, y_lo, y_hi, outside, weight = _chi2_law(d1) if d2 == math.inf else _f_law(d1, d2)
         k_lo = math.ceil(y_lo / (sigma * _RULE_STEP))
         k_hi = math.floor(y_hi / (sigma * _RULE_STEP))
-        outside = (math.exp(lower + a * y_lo) / a, math.exp(upper - c * y_hi) / c)
         size = (k_hi - k_lo) << level
     except (ValueError, OverflowError):
         size = math.inf
-    if not (size < _RULE_NODES and math.isfinite(sum(outside))):
-        raise NumericError(f"the quadrature rule cannot represent F({d1!r}, {d2!r})")
-    h = _RULE_STEP / 2**level
-    y = sigma * h * np.arange(k_lo << level, (k_hi << level) + 1)
-    with np.errstate(all="ignore"):
-        weights = h * sigma * np.exp(
-            log_mode - a * np.log1p((1.0 - s) * np.expm1(-y)) - c * np.log1p(s * np.expm1(y))
-        )
-    if not np.isfinite(weights).all():
-        raise NumericError(f"the quadrature rule cannot represent F({d1!r}, {d2!r})")
-    return np.exp(y), weights, -k_lo, outside
+    if size < _RULE_NODES and math.isfinite(sum(outside)):
+        h = _RULE_STEP / 2**level
+        y = sigma * h * np.arange(k_lo << level, (k_hi << level) + 1)
+        with np.errstate(all="ignore"):
+            weights = weight(h, y)
+        if np.isfinite(weights).all():
+            return np.exp(y), weights, -k_lo, outside
+    raise NumericError(f"the quadrature rule cannot represent F({d1!r}, {d2!r})")
+
+
+def _f_law(d1: float, d2: float):
+    """F(d1, d2) in y = log b for _f_rule: sigma, the y-range's ends, the
+    masses beyond them, and the weight function of (h, y).
+
+    The density is exp(log_mode - d1/2 * log1p((1 - s)*expm1(-y)) - d2/2 *
+    log1p(s*expm1(y))), s = d1/(d1 + d2), whose mode is y = 0 and whose
+    curvature scale there is sigma = sqrt(2/d1 + 2/d2); in this form no two
+    large terms cancel. The range is where a weight can be represented and
+    |y| stays under the cap, and the masses beyond it are bounded by the
+    linear tail bounds of the log density.
+    """
+    sigma = math.sqrt(2.0 / d1 + 2.0 / d2)
+    a, c = 0.5 * d1, 0.5 * d2
+    s = d1 / (d1 + d2)
+    # log of the density at y = 0; Stirling's series cancels the O(d)
+    # terms of the beta normaliser analytically
+    log_mode = (
+        _stirling_remainder(a + c) - _stirling_remainder(a) - _stirling_remainder(c)
+        - math.log(sigma) - _HALF_LOG_2PI
+    )
+    # log density <= upper - c*y for y > 0 and <= lower + a*y for y < 0
+    upper = log_mode - (a + c) * math.log(s)
+    lower = log_mode - (a + c) * math.log1p(-s)
+    y_hi = min(_RULE_LOG_MAX, (upper + 740.0) / c)
+    y_lo = max(-_RULE_LOG_MAX, -(lower + 740.0) / a)
+    outside = (math.exp(lower + a * y_lo) / a, math.exp(upper - c * y_hi) / c)
+    return sigma, y_lo, y_hi, outside, lambda h, y: h * sigma * np.exp(
+        log_mode - a * np.log1p((1.0 - s) * np.expm1(-y)) - c * np.log1p(s * np.expm1(y)))
 
 
 # 1/n! for n = 2..17: e^y - 1 - y = y²·(1/2! + y/3! + ...), to double
@@ -652,8 +651,8 @@ def _exp_excess(y):
     return np.where(np.abs(y) < 0.5, y * y * series, np.expm1(y) - y)
 
 
-def _chi2_rule(nu: float, level: int):
-    """_f_rule for b = V/nu, V ~ chi-square(nu), the F(nu, inf) law.
+def _chi2_law(nu: float):
+    """_f_law for b = V/nu, V ~ chi-square(nu), the F(nu, inf) law.
 
     With a = nu/2, y = log b has the log-concave density exp(log(a)/2 +
     c - f(y)), f(y) = a·(e^y - 1 - y), c = -log(2 pi)/2 - R(a) and R the
@@ -673,25 +672,15 @@ def _chi2_rule(nu: float, level: int):
     a = 0.5 * nu
     sigma = math.sqrt(2.0 / nu)
     log_weight = -_HALF_LOG_2PI - _stirling_remainder(a)
-    try:
-        m = (log_weight + 740.0) / a
-        step = sigma * _RULE_STEP
-        y_hi = min(_RULE_LOG_MAX, min(math.sqrt(2.0 * m), math.log(2.0 * (m + 1.0))) + step)
-        y_lo = -(0.5 * (m + math.sqrt(m * (m + 8.0))) + step)
-        ends = np.array([y_lo, y_hi])
-        # density over |f'| is sigma·exp(log_weight - f)/|expm1(y)|
-        outside = tuple((sigma * np.exp(log_weight - a * _exp_excess(ends))
-                         / np.abs(np.expm1(ends))).tolist())
-        k_lo, k_hi = math.ceil(y_lo / step), math.floor(y_hi / step)
-        size = (k_hi - k_lo) << level
-    except (ValueError, OverflowError):
-        size = math.inf
-    if not (size < _RULE_NODES and math.isfinite(sum(outside))):
-        raise NumericError(f"the quadrature rule cannot represent F({nu!r}, inf)")
-    h = _RULE_STEP / 2**level
-    y = sigma * h * np.arange(k_lo << level, (k_hi << level) + 1)
-    weights = h * np.exp(log_weight - a * _exp_excess(y))
-    return np.exp(y), weights, -k_lo, outside
+    m = (log_weight + 740.0) / a
+    step = sigma * _RULE_STEP
+    y_hi = min(_RULE_LOG_MAX, min(math.sqrt(2.0 * m), math.log(2.0 * (m + 1.0))) + step)
+    y_lo = -(0.5 * (m + math.sqrt(m * (m + 8.0))) + step)
+    ends = np.array([y_lo, y_hi])
+    # density over |f'| is sigma·exp(log_weight - f)/|expm1(y)|
+    outside = tuple((sigma * np.exp(log_weight - a * _exp_excess(ends))
+                     / np.abs(np.expm1(ends))).tolist())
+    return sigma, y_lo, y_hi, outside, lambda h, y: h * np.exp(log_weight - a * _exp_excess(y))
 
 
 @lru_cache(maxsize=64)

@@ -242,9 +242,8 @@ def _task_spread(table: SiteTable, mode: VarianceMode) -> tuple[np.ndarray, np.n
     """
     tasks = len(table.task_ids)
     s0_sq, grand_mean = np.empty(tasks), np.empty(tasks)
-    for k in sorted(set(table.k.tolist())):
-        block = np.flatnonzero(table.k == k)
-        rows = table.offsets[block, None] + np.arange(k)
+    for block, rows in _segments(table.offsets[:-1], table.k, 1):
+        k = rows.shape[1]
         means = table.mean[rows]
         centre = means.mean(axis=1)
         s_m_sq = np.sum((means - centre[:, None]) ** 2, axis=1) / (k - 1)

@@ -21,7 +21,7 @@ from .distributions import (
     _stationary_roots, _t_cdf, t_cdf,
 )
 from .errors import DomainError
-from .significance import TestStatistic, _at_bound, _integral_rows
+from .significance import TestStatistic, _at_bound, _integral_rows, _t0
 
 __all__ = [
     "ReplicationQuery",
@@ -182,7 +182,7 @@ def _closed_argument(t, n, b_hat, nu0, t_crit, n_r):
     """The closed form's T_{nu_r} argument, elementwise, also on Python floats."""
     bn = np.multiply(b_hat, n)
     scale = np.sqrt(bn * n_r / (n + n_r))
-    return scale * (np.abs(t) / np.sqrt(bn) - t_crit * np.sqrt(1.0 / bn + nu0 / (nu0 - 2.0)))
+    return scale * (np.abs(_t0(t, n, b_hat)) - t_crit * np.sqrt(1.0 / bn + nu0 / (nu0 - 2.0)))
 
 
 def _check_closed(nu0: float, b_hat: float, arg: float, df_r: float) -> None:
@@ -210,8 +210,11 @@ def p_rep_closed(q: ReplicationQuery, b_hat: float, nu0: float) -> float:
               − T⁻¹_{nu_r}(1−α/2)·sqrt(1/(b̂N) + nu0/(nu0−2)) ] )
 
     Requires nu0 > 2 (the nu0/(nu0−2) term is the mean of the inverse
-    chi-square factor absorbing the uncertainty in b̂).
+    chi-square factor absorbing the uncertainty in b̂) and c = 1 (the
+    regime in which the form is derived).
     """
+    if q.c != 1.0:
+        raise DomainError(f"c must be 1 for the closed form, got {q.c!r}")
     return float(_checked(_p_rep_closed(q.stat.t, q.stat.n, b_hat, nu0, q.alpha, q.n_r, q.df_r)))
 
 

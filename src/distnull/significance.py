@@ -81,9 +81,9 @@ def _statistic(n, mean, variance) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _p_point(t, df) -> tuple[np.ndarray, Mapping[int, DistnullError]]:
-    """p_point over columns of t and df, and its faults."""
-    p = np.clip(2.0 * _t_tail(t, df)[0], PROB_FLOOR, 1.0)
-    return p, _Faults(np.isnan(p), clamp_probability, p)
+    """p_point over columns of t and df, and its faults: _p_sig_given_b at
+    b = 0, where t/sqrt(1 + b·1) is t exactly."""
+    return _p_sig_given_b(t, 1.0, df, 0.0)
 
 
 def p_point(stat: TestStatistic) -> float:
@@ -190,14 +190,14 @@ def t0_statistic(stat: TestStatistic, b_hat: float) -> float:
     return float(_t0(stat.t, stat.n, _check_b_hat(b_hat)))
 
 
-@np.errstate(all="ignore")  # rows outside the domain are computed too
 def _p_sig_closed(t, n, b_hat, nu0) -> tuple[np.ndarray, Mapping[int, DistnullError]]:
-    """p_sig_closed over columns of t, N, b_hat and nu0, and its faults."""
-    t, n, b_hat, nu0 = (np.asarray(x, dtype=float) for x in (t, n, b_hat, nu0))
-    p = np.clip(2.0 * _t_tail(_t0(t, n, b_hat), nu0)[0], PROB_FLOOR, 1.0)
-    p = np.where(_estimated(b_hat, nu0), p, np.nan)
-    return p, _Faults(np.isnan(p), lambda b, v, p: (
-        _check_estimate(b, v), clamp_probability(p)), b_hat, nu0, p)
+    """p_sig_closed over columns of t, N, b_hat and nu0, and its faults: _p_point
+    of t0 on nu0 degrees of freedom, on the rows whose estimate is checked."""
+    b_hat, nu0 = np.asarray(b_hat, dtype=float), np.asarray(nu0, dtype=float)
+    valid = _estimated(b_hat, nu0)
+    p, faults = _p_point(_t0(t, n, b_hat), nu0)
+    domain = _Faults(~valid, _check_estimate, b_hat, nu0)
+    return np.where(valid, p, np.nan), ChainMap(domain, faults)
 
 
 def p_sig_closed(stat: TestStatistic, b_hat: float, nu0: float) -> float:

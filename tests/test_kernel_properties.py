@@ -77,6 +77,8 @@ def test_significance_kernels(t, n, b, b2, nu0):
         assert 0.0 <= p <= 1.0
         assert kernel(flipped) == p
     assert p_sig_given_b(stat, 0.0) == p_point(stat)
+    assert p_sig_closed(stat, b, nu0) == p_point(
+        TestStatistic.from_t(t0_statistic(stat, b), 1.0, nu0))
     assert p_sig_bound(stat, b) == p_sig_given_b(stat, b)
     low, high = sorted((b, b2))
     assert p_sig_given_b(stat, low) <= p_sig_given_b(stat, high)

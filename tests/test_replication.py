@@ -152,6 +152,13 @@ class TestClosedForm:
         with pytest.raises(DegenerateVarianceError):
             p_rep_closed(q, 0.0, 20)
 
+    @pytest.mark.parametrize("c", [0.25, 4.0, 1.0 + 2.0**-52])
+    def test_only_c_one(self, c):
+        # the closed form is derived at c = 1, so it cannot answer another c
+        q = ReplicationQuery(TestStatistic.from_t(3.0, 40, 39), 40, 39, 0.05, c=c)
+        with pytest.raises(DomainError, match=f"c must be 1 for the closed form, got {c!r}"):
+            p_rep_closed(q, 0.05, 9)
+
     def test_increasing_in_t(self):
         values = [
             p_rep_closed(query(t, 50, 50, 49), 0.2, 20)

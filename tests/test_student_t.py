@@ -89,16 +89,6 @@ def test_critical_values_column_is_the_scalar():
         assert _critical_values(alpha, np.array(nus)).tolist() == [_critical(alpha, v) for v in nus]
 
 
-def test_critical_value_cache_is_bounded():
-    # a column of more distinct df than the cache holds still gets every
-    # value, and the first df, dropped from the cache, is solved alone again
-    nus = 1.0 + np.arange(distributions._CRITICAL_SIZE + 100) / 16.0
-    column = _critical_values(0.01, nus)
-    assert len(distributions._CRITICAL) == distributions._CRITICAL_SIZE
-    assert (0.01, nus[0]) not in distributions._CRITICAL
-    assert column[[0, -1]].tolist() == [_critical(0.01, nus[0]), _critical(0.01, nus[-1])]
-
-
 @pytest.mark.parametrize("nu, x, expected", TAILS)
 def test_tail_extremes(nu, x, expected):
     tail = float(expected)
@@ -109,6 +99,32 @@ def test_tail_extremes(nu, x, expected):
 def test_tail_extremes_column_is_the_scalar():
     nu, x = (np.array(column) for column in list(zip(*TAILS))[:2])
     assert _t_cdf(-x, nu).tolist() == [t_cdf(-v, n) for v, n in zip(x, nu)]
+
+
+def mp_lower_tail(x: float, nu: float) -> mpmath.mpf:
+    """P(T_nu <= -|x|) = I_w(nu/2, 1/2)/2, w = nu/(nu + x²), at 50 digits."""
+    with mpmath.workdps(50):
+        nu, x = mpmath.mpf(nu), mpmath.mpf(x)
+        w = nu / (nu + x * x)
+        return mpmath.betainc(nu / 2, mpmath.mpf(1) / 2, 0, w, regularized=True) / 2
+
+
+@pytest.mark.parametrize("nu", [5e-324, 1e-323, 1e-100])
+@pytest.mark.parametrize("x", [1.5, 1e10, 1e300])
+def test_tail_where_w_underflows(nu, x):
+    # w = nu/(nu + x²) underflows to 0, and where x² nears overflow so does
+    # sqrt(nu)/x; w^(nu/2) is still 1 to double precision
+    tail = float(mp_lower_tail(x, nu))
+    assert t_cdf(-x, nu) == pytest.approx(tail, rel=1e-15, abs=0.0)
+    assert t_cdf(x, nu) == 1.0 - t_cdf(-x, nu)
+
+
+def test_tail_where_w_underflows_column_is_the_scalar():
+    x = np.array([0.0, 1e-200, 1.5, 1e10])
+    tail = _t_tail(x, 5e-324)[0]
+    assert tail.tolist() == [float(_t_tail(v, 5e-324)[0]) for v in x.tolist()]
+    assert tail.tolist() == _t_tail(x, np.full(x.size, 5e-324))[0].tolist()
+    assert tail == pytest.approx([float(mp_lower_tail(v, 5e-324)) for v in x], rel=1e-15)
 
 
 def log_tail_bound(x: float, nu: float) -> mpmath.mpf:
