@@ -511,8 +511,8 @@ def resolve_variance(args: argparse.Namespace) -> VarianceSource | None:
     """The source of each site's (b_hat, nu0), NaN where --b-from has no
     estimate; None for the point and bound variants."""
     variant = args.variant
-    has_b, has_from, has_bound, has_nu0 = (
-        value is not None for value in (args.b, args.b_from, args.bound, args.nu0))
+    has_b, has_from, has_bound, has_nu0, has_scale = (value is not None for value in (
+        args.b, args.b_from, args.bound, args.nu0, args.scale_e))
 
     if variant in ("closed", "integral"):
         if has_bound:
@@ -532,11 +532,11 @@ def resolve_variance(args: argparse.Namespace) -> VarianceSource | None:
         )
 
     if variant == "bound":
-        if has_b or has_from or has_nu0:
+        if has_b or has_from or has_nu0 or has_scale:
             raise ConfigurationError("--variant bound uses --bound only")
         if not has_bound:
             raise ConfigurationError("--variant bound requires --bound")
-    elif has_b or has_from or has_bound or has_nu0:  # point
+    elif has_b or has_from or has_bound or has_nu0 or has_scale:  # point
         raise ConfigurationError("--variant point takes no variance source flags")
     return None
 
@@ -583,26 +583,28 @@ def cmd_estimate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 
 
 def _variance_columns(
-    source: VarianceSource | None, sites: SiteTable, scale_e: float
-) -> tuple[np.ndarray, np.ndarray, Mapping[int, DistnullError]]:
+    source: VarianceSource | None, sites: SiteTable, scale_e: float | None
+) -> tuple[np.ndarray, np.ndarray, Mapping[int, DistnullError], str]:
     """Each site's b_used and nu0, NaN where there is no source or no estimate,
-    and the error of each site whose --b-from has no estimate."""
+    the error of each site whose --b-from has no estimate, and the scale_e
+    cell: the factor on the estimate (default 1), empty without a source."""
     if source is None:
-        return np.full(len(sites), np.nan), np.full(len(sites), np.nan), {}
+        return np.full(len(sites), np.nan), np.full(len(sites), np.nan), {}, ""
     b_hat, nu0 = source(sites)
+    scale_e = 1.0 if scale_e is None else scale_e
 
     def missing(i: int) -> NoReturn:
         raise ConfigurationError(f"--b-from has no estimate for {_where(sites, i)}")
 
     with np.errstate(over="ignore"):  # an infinite b_used is rejected where it is used
-        return b_hat * scale_e, nu0, _Faults(np.isnan(b_hat), missing, np.arange(len(sites)))
+        b_used = b_hat * scale_e
+    return b_used, nu0, _Faults(np.isnan(b_hat), missing, np.arange(len(sites))), _real(scale_e)
 
 
-def _fixed(args: argparse.Namespace) -> tuple[list[repeat], list[repeat]]:
-    """The (alpha, variant) and (bound, scale_e) cells, the same on every row."""
+def _fixed(args: argparse.Namespace) -> tuple[list[repeat], repeat]:
+    """The (alpha, variant) and bound cells, the same on every row."""
     bound = _real(args.bound) if args.variant == "bound" else ""
-    return [repeat(_real(args.alpha)), repeat(args.variant)], [
-        repeat(bound), repeat(_real(args.scale_e))]
+    return [repeat(_real(args.alpha)), repeat(args.variant)], repeat(bound)
 
 
 def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
@@ -614,7 +616,7 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         "p_sig", "log10_p_sig", "direction", "significant",
     ]
     t, n, df = sites.t, sites.n, sites.df
-    b_used, nu0, missing = _variance_columns(source, sites, args.scale_e)
+    b_used, nu0, missing, scale_e = _variance_columns(source, sites, args.scale_e)
     b = np.full(len(sites), args.bound) if args.variant == "bound" else b_used
     p_sig, faults = _p_sig_column(args.variant, t, n, df, b, nu0)
     # a site's --b-from lookup comes before its significance
@@ -624,10 +626,10 @@ def cmd_test(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     significant = p_sig <= args.alpha
     if args.direction is not None:
         significant &= negative == (args.direction == "negative")
-    fixed, scale = _fixed(args)
+    fixed, bound = _fixed(args)
     columns = [
         _task_names(sites), sites.site_ids, *map(_reals, (n, df, t, sites.effect)),
-        _reals(_t0(t, n, b_used)), *fixed, _reals(b_used), _reals(nu0), *scale,
+        _reals(_t0(t, n, b_used)), *fixed, _reals(b_used), _reals(nu0), bound, repeat(scale_e),
         _probs(pp), _log10s(pp), _probs(p_sig), _log10s(p_sig),
         np.where(negative, "negative", "positive").tolist(),
         np.where(significant, "true", "false").tolist(),
@@ -670,16 +672,16 @@ def cmd_predict(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
     ]
     t, n, df = sites.t, sites.n, sites.df
     n_r, df_r = _replication_design(args, shape, sites.share)
-    b_used, nu0, missing = _variance_columns(source, sites, args.scale_e)
+    b_used, nu0, missing, scale_e = _variance_columns(source, sites, args.scale_e)
     b = np.full(len(sites), args.bound) if args.variant == "bound" else b_used
     p_rep, faults = _p_rep_column(args.variant, t, n, df, b, nu0, args.alpha, n_r, df_r)
     diagnostics, cell_faults = _b_max(t, n, df, args.alpha)
     # a site's --b-from lookup comes before its forecast, and that before its b_max cells
     _raise_first(ChainMap(missing, faults, cell_faults), partial(_where, sites))
-    fixed, scale = _fixed(args)
+    fixed, bound = _fixed(args)
     out = [
         _task_names(sites), sites.site_ids, *map(_reals, (n, df, t, n_r, df_r)), *fixed,
-        _reals(b_used), _reals(nu0), *scale, _probs(p_rep), _log10s(p_rep),
+        _reals(b_used), _reals(nu0), bound, repeat(scale_e), _probs(p_rep), _log10s(p_rep),
         *map(_reals, diagnostics),
     ]
     return header, list(zip(*out))
@@ -778,11 +780,6 @@ def _load_sim_config(path: str, seed_override: int | None) -> SimConfig:
         raise ConfigurationError(
             "unknown config keys: " + ",".join(sorted(unknown))
         )
-    if "alpha_levels" in raw:
-        levels = raw["alpha_levels"]
-        if not isinstance(levels, list):
-            raise ConfigurationError("alpha_levels must be a list")
-        raw["alpha_levels"] = tuple(levels)
     if seed_override is not None:
         raw["seed"] = seed_override
     try:
@@ -922,8 +919,8 @@ def _add_variance_source(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--bound", type=float, help="variance-ratio bound B")
     parser.add_argument(
-        "--scale-e", dest="scale_e", type=float, default=1.0,
-        help="multiply the b-hat estimate by e before use (default 1)",
+        "--scale-e", dest="scale_e", type=float,
+        help="multiply the b-hat estimate by e before use (closed and integral; default 1)",
     )
 
 

@@ -645,10 +645,14 @@ _EXCESS = tuple(1.0 / math.factorial(n) for n in range(2, 18))
 def _exp_excess(y):
     """e^y - 1 - y elementwise, from its series where |y| < 1/2, so that
     it keeps its digits where y is small."""
-    series = np.zeros_like(y)
+    out = np.expm1(y) - y
+    small = np.abs(y) < 0.5
+    x = y[small]
+    series = np.zeros_like(x)
     for c in reversed(_EXCESS):
-        series = series * y + c
-    return np.where(np.abs(y) < 0.5, y * y * series, np.expm1(y) - y)
+        series = series * x + c
+    out[small] = x * x * series
+    return out
 
 
 def _chi2_law(nu: float):
@@ -739,7 +743,7 @@ def _skip_floor(weights, budget):
     return floor, products >= floor
 
 
-def _rule(dfs, rtol=RULE_RTOL, patient=False):
+def _rule(dfs, rtol, patient):
     """The rule of f_expectation for one expectation, as a generator; with
     ``rtol`` and ``patient`` as _f_expectations'.
 
@@ -858,6 +862,30 @@ def _block_plan(grids, floor, mask, cut):
     return np.flatnonzero(keep), keep, product
 
 
+def _block_groups(requests):
+    """Every request's blocks as (slot, cut, count, plan), ``count`` values
+    to evaluate by their _block_plan, in groups of consecutive blocks of at
+    most _RULE_ROUND values (a larger block alone), each with its size. A
+    block is planned once, as its group is built, so that no group holds the
+    positions of every block of a large grid."""
+    group, size = [], 0
+    for slot, (_, (grids, floor, _, mask)) in enumerate(requests):
+        first = len(grids[0][0])
+        inner = math.prod(len(nodes) for nodes, _ in grids[1:])
+        rows = max(1, _RULE_BLOCK // max(1, inner))
+        for start in range(0, first, rows):
+            cut = slice(start, start + rows)
+            plan = _block_plan(grids, floor, mask, cut)
+            count = (min(first, start + rows) - start) * inner if plan[0] is None else plan[0].size
+            if group and size + count > _RULE_ROUND:
+                yield group, size
+                group, size = [], 0
+            group.append((slot, cut, count, plan))
+            size += count
+    if group:
+        yield group, size
+
+
 def _grid_sums(kernel, requests) -> list[tuple[float, float, np.ndarray | None]]:
     """Each (row, (grids, floor, known, mask)) request's weighted kernel sum,
     the weight of the nodes it skips and, for one with a mask, its grid's
@@ -869,47 +897,26 @@ def _grid_sums(kernel, requests) -> list[tuple[float, float, np.ndarray | None]]
     rows of its first axis, about _RULE_BLOCK values each, and a block's
     sum is its values times the other axes' weights, last axis first,
     times the first axis's: the same floats in the same order whatever else
-    is evaluated. The kernel runs once over the values to evaluate of as
-    many blocks, of any requests, as _RULE_ROUND values hold, and each
-    block is summed from a fresh copy.
+    is evaluated. The kernel runs once over the values to evaluate of each
+    group of _block_groups, and each block is summed from a fresh copy.
     """
-    blocks = []
-    for slot, (_, (grids, floor, _, mask)) in enumerate(requests):
-        first = len(grids[0][0])
-        inner = math.prod(len(nodes) for nodes, _ in grids[1:])
-        rows = max(1, _RULE_BLOCK // max(1, inner))
-        for start in range(0, first, rows):
-            cut = slice(start, start + rows)
-            # planned again when evaluated, so that no call holds the
-            # positions of every block of a large grid at once
-            todo = _block_plan(grids, floor, mask, cut)[0]
-            size = (min(first, start + rows) - start) * inner if todo is None else todo.size
-            blocks.append((slot, cut, size))
     totals, skips = [0.0] * len(requests), [0.0] * len(requests)
     values = [[] for _ in requests]
-    start = 0
-    while start < len(blocks):
-        stop, size = start + 1, blocks[start][2]
-        while stop < len(blocks) and size + blocks[stop][2] <= _RULE_ROUND:
-            size += blocks[stop][2]
-            stop += 1
-        group = blocks[start:stop]
-        nodes, plans = [], []
-        for slot, cut, _ in group:
-            grids, floor, _, mask = requests[slot][1]
-            plans.append(_block_plan(grids, floor, mask, cut))
+    for group, size in _block_groups(requests):
+        nodes = []
+        for slot, cut, _, (todo, _, _) in group:
+            grids = requests[slot][1][0]
             axes = np.ix_(grids[0][0][cut], *(nodes for nodes, _ in grids[1:]))
             shape = np.broadcast_shapes(*(a.shape for a in axes))
             axes = [np.broadcast_to(a, shape).ravel() for a in axes]
-            todo = plans[-1][0]
             nodes.append(axes if todo is None else [a[todo] for a in axes])
-        rows = np.repeat([requests[slot][0] for slot, _, _ in group], [b[2] for b in group])
+        rows = np.repeat([requests[slot][0] for slot, *_ in group], [b[2] for b in group])
         out = kernel(rows, *map(np.concatenate, zip(*nodes))) if size else np.empty(0)
         offset = 0
-        for (slot, cut, size), (todo, keep, product) in zip(group, plans):
+        for slot, cut, count, (todo, keep, product) in group:
             grids, _, known, _ = requests[slot][1]
-            new = out[offset:offset + size]
-            offset += size
+            new = out[offset:offset + count]
+            offset += count
             shape = (len(grids[0][0][cut]), *(len(nodes) for nodes, _ in grids[1:]))
             if todo is None:
                 block = new.reshape(shape).copy()
@@ -923,7 +930,6 @@ def _grid_sums(kernel, requests) -> list[tuple[float, float, np.ndarray | None]]
             for _, weights in reversed(grids[1:]):
                 block = block @ weights
             totals[slot] += float(block @ grids[0][1][cut])
-        start = stop
     return [(total, skipped, np.concatenate(held) if held else None)
             for total, skipped, held in zip(totals, skips, values)]
 

@@ -21,7 +21,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .distributions import _check_alpha, _check_at_least, _check_df, _check_finite, _Faults
+from .distributions import _check_at_least, _check_df, _check_finite, _Faults
 from .errors import DomainError, _raise_first
 from .estimators import (
     BetweenVariance,
@@ -47,7 +47,9 @@ __all__ = [
 ]
 
 DESK_ALPHA_LEVELS = (0.1, 0.05, 0.01, 0.005, 0.001)
-# Bins with fewer pairs are reported but left out of calibration summaries.
+# Forecasts are binned at width 1/_BINS; bins with fewer than
+# MIN_BIN_PAIRS pairs are reported but left out of calibration summaries.
+_BINS = 40
 MIN_BIN_PAIRS = 40
 
 ForecastVariant = Literal["closed", "integral"]
@@ -74,8 +76,6 @@ class SimConfig:
 
     One task = k_experiments experiments of n_per_experiment measurements
     each, sharing the effect distribution N(mu0, sigma0^2).
-    ``variance_scale_e`` multiplies the estimated between-experiment
-    variance in downstream analysis (it does not change the data).
     """
 
     mu0: float = 0.0
@@ -84,14 +84,11 @@ class SimConfig:
     n_per_experiment: int = 190
     k_experiments: int = 25
     n_tasks: int = 16
-    alpha_levels: tuple[float, ...] = DESK_ALPHA_LEVELS
     seed: int = 20250801
-    variance_scale_e: float = 1.0
 
     def __post_init__(self) -> None:
-        reals = {name: getattr(self, name)
-                 for name in ("mu0", "sigma0", "sigma", "variance_scale_e")}
-        for name, value in [*reals.items(), *(("alpha level", a) for a in self.alpha_levels)]:
+        for name in ("mu0", "sigma0", "sigma"):
+            value = getattr(self, name)
             if not _typed(value, numbers.Real):
                 raise DomainError(f"{name} must be a number, got {value!r}")
         _check_finite(self.mu0, "mu0")
@@ -101,16 +98,14 @@ class SimConfig:
             value = getattr(self, name)
             if not (_typed(value, numbers.Integral) and value >= least):
                 raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
-        for a in self.alpha_levels:
-            _check_alpha(a, "alpha level")
         if not (_typed(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        _check_df(self.variance_scale_e, "variance_scale_e")
 
 
 @dataclass(frozen=True)
 class CalibrationBin:
-    """One forecast bin of width 1/40 for one predictor-significance group."""
+    """One forecast bin, [lower, upper) of width 1/40, for one
+    predictor-significance group; the last bin also holds forecasts of 1."""
 
     lower: float
     upper: float
@@ -239,25 +234,27 @@ def task_pair_records(
     return records.reshape(-1)[np.argsort(pair_task, kind="stable")]
 
 
-def bin_pairs(records: np.ndarray, bin_width: float = 1.0 / 40.0) -> list[CalibrationBin]:
-    """Group a pair table into forecast bins per predictor-significance group.
+def bin_pairs(records: np.ndarray) -> list[CalibrationBin]:
+    """Group a pair table into forecast bins of width 1/40 per
+    predictor-significance group, in group then forecast order; a bin
+    without pairs is left out.
 
     Each bin's forecasts are summed in record order.
     """
-    n_bins = int(round(1.0 / bin_width))
+    width = 1.0 / _BINS
     forecast = records["forecast"]
-    index = np.minimum((forecast / bin_width).astype(np.int64), n_bins - 1)
-    key = records["predictor_significant"] * n_bins + index
+    index = np.minimum((forecast / width).astype(np.int64), _BINS - 1)
+    key = records["predictor_significant"] * _BINS + index
     counts = np.bincount(key)
     sums = np.bincount(key, weights=forecast)
     successes = np.bincount(key, weights=records["success"])
     bins = []
     for k in np.flatnonzero(counts):
-        sig, index = divmod(int(k), n_bins)
+        sig, index = divmod(int(k), _BINS)
         bins.append(
             CalibrationBin(
-                lower=index * bin_width,
-                upper=(index + 1) * bin_width,
+                lower=index * width,
+                upper=(index + 1) * width,
                 pair_count=int(counts[k]),
                 mean_forecast=float(sums[k] / counts[k]),
                 observed_rate=float(successes[k] / counts[k]),
@@ -267,15 +264,13 @@ def bin_pairs(records: np.ndarray, bin_width: float = 1.0 / 40.0) -> list[Calibr
     return bins
 
 
-def calibration_gap(
-    bins: Sequence[CalibrationBin], min_pairs: int = MIN_BIN_PAIRS
-) -> float | None:
-    """Pair-weighted mean gap over bins with >= ``min_pairs`` pairs.
+def calibration_gap(bins: Sequence[CalibrationBin]) -> float | None:
+    """Pair-weighted mean gap over bins with >= MIN_BIN_PAIRS pairs.
 
     Positive means forecasts underestimated replication; None when no bin
     has enough pairs.
     """
-    included = [b for b in bins if b.pair_count >= min_pairs]
+    included = [b for b in bins if b.pair_count >= MIN_BIN_PAIRS]
     if not included:
         return None
     weight = sum(b.pair_count for b in included)

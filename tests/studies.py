@@ -89,7 +89,6 @@ def _ladder(
     rows: Sequence[tuple[float, float, int]],
     seed: int,
     k_experiments: int,
-    alpha_levels: tuple[float, ...],
 ) -> tuple[SimConfig, ...]:
     configs = []
     for ratio, b, n in rows:
@@ -102,7 +101,6 @@ def _ladder(
                 n_per_experiment=n,
                 k_experiments=k_experiments,
                 n_tasks=1,
-                alpha_levels=alpha_levels,
                 seed=seed,
             )
         )
@@ -127,7 +125,7 @@ def desk_tasks(seed: int = 20250801) -> tuple[SimConfig, ...]:
         (12.0, 0.11, 175), (12.5, 0.05, 195), (13.0, 0.08, 185),
         (13.5, 0.10, 205), (14.0, 0.07, 190),
     )
-    return _ladder(rows, seed, 25, DESK_ALPHA_LEVELS)
+    return _ladder(rows, seed, 25)
 
 
 def sensitivity_tasks(seed: int = 20250801) -> tuple[SimConfig, ...]:
@@ -144,11 +142,11 @@ def sensitivity_tasks(seed: int = 20250801) -> tuple[SimConfig, ...]:
     """
     small_sites = SimConfig(
         mu0=4.4, sigma0=0.02, sigma=1.0, n_per_experiment=6,
-        k_experiments=6, n_tasks=120, alpha_levels=(0.001,), seed=seed,
+        k_experiments=6, n_tasks=120, seed=seed,
     )
     moderate_sites = SimConfig(
         mu0=1.5, sigma0=0.02, sigma=1.0, n_per_experiment=41,
-        k_experiments=6, n_tasks=120, alpha_levels=(0.001,), seed=seed,
+        k_experiments=6, n_tasks=120, seed=seed,
     )
     return (small_sites, moderate_sites)
 
@@ -195,9 +193,11 @@ def simulate_tasks(configs: SimConfig | Sequence[SimConfig]) -> list[TaskSet]:
 
 def type1_calibration(
     config: SimConfig,
+    alpha_levels: Sequence[float] = DESK_ALPHA_LEVELS,
     mode: VarianceMode = "as_published",
 ) -> list[Type1Row]:
-    """Null rejection rates of the point, known-b, and estimated-b tests.
+    """Null rejection rates of the point, known-b, and estimated-b tests at
+    each of ``alpha_levels``.
 
     Requires mu0 = 0 (the distributional null). Every experiment is
     tested three ways: p_point, p_sig_given_b at the true b, and
@@ -215,7 +215,7 @@ def type1_calibration(
         "estimated_b": estimated,
     }
     rows = []
-    for alpha in config.alpha_levels:
+    for alpha in alpha_levels:
         for variant, values in arrays.items():
             rows.append(
                 Type1Row(
@@ -230,35 +230,31 @@ def type1_calibration(
 
 def replication_calibration(
     configs: SimConfig | Sequence[SimConfig],
-    alpha_levels: Sequence[float] | None = None,
+    alpha_levels: Sequence[float] = DESK_ALPHA_LEVELS,
     mode: VarianceMode = "as_published",
     variant: ForecastVariant = "closed",
-    scale_e: float | None = None,
+    scale_e: float = 1.0,
 ) -> list[CalibrationBin]:
-    """Predictor-target calibration bins over simulated tasks.
+    """Predictor-target calibration bins over simulated tasks, with each
+    task's S0² estimate scaled by ``scale_e``.
 
     ``configs`` is a single config (its n_tasks tasks) or one config per
     task; pairs are pooled across tasks and alpha levels before binning.
     """
-    tables = []
-    for config, streams in _config_streams(configs):
-        alphas = alpha_levels if alpha_levels is not None else config.alpha_levels
-        e = scale_e if scale_e is not None else config.variance_scale_e
-        table = _simulated_table(config, streams)
-        tables.append(
-            task_pair_records(table, alphas, mode=mode, scale_e=e, variant=variant)
-        )
+    tables = [
+        task_pair_records(_simulated_table(config, streams), alpha_levels, mode=mode,
+                          scale_e=scale_e, variant=variant)
+        for config, streams in _config_streams(configs)
+    ]
     return bin_pairs(np.concatenate(tables))
 
 
-def calibration_correlation(
-    bins: Sequence[CalibrationBin], min_pairs: int = MIN_BIN_PAIRS
-) -> float:
+def calibration_correlation(bins: Sequence[CalibrationBin]) -> float:
     """Pearson correlation of mean forecast vs observed rate over included bins."""
-    included = [b for b in bins if b.pair_count >= min_pairs]
+    included = [b for b in bins if b.pair_count >= MIN_BIN_PAIRS]
     if len(included) < 3:
         raise DomainError(
-            f"need at least 3 bins with >= {min_pairs} pairs, got {len(included)}"
+            f"need at least 3 bins with >= {MIN_BIN_PAIRS} pairs, got {len(included)}"
         )
     x = np.array([b.mean_forecast for b in included])
     y = np.array([b.observed_rate for b in included])
@@ -269,10 +265,9 @@ def calibration_correlation(
 
 def sensitivity_sweep(
     configs: SimConfig | Sequence[SimConfig],
+    alpha_levels: Sequence[float] = DESK_ALPHA_LEVELS,
     scales: Sequence[float] = (0.5, 0.75, 1.25, 1.5),
-    alpha_levels: Sequence[float] | None = None,
     mode: VarianceMode = "as_published",
-    min_pairs: int = MIN_BIN_PAIRS,
 ) -> list[ScaleCalibration]:
     """Re-run the calibration with the S0² estimate scaled by each e.
 
@@ -283,13 +278,11 @@ def sensitivity_sweep(
     """
     out = []
     for scale in scales:
-        bins = replication_calibration(
-            configs, alpha_levels=alpha_levels, mode=mode, scale_e=scale
-        )
-        mean_gap = calibration_gap(bins, min_pairs)
+        bins = replication_calibration(configs, alpha_levels, mode=mode, scale_e=scale)
+        mean_gap = calibration_gap(bins)
         if mean_gap is None:
-            raise DomainError(f"no bins with >= {min_pairs} pairs at e={scale}")
-        gaps = [b.gap for b in bins if b.pair_count >= min_pairs]
+            raise DomainError(f"no bins with >= {MIN_BIN_PAIRS} pairs at e={scale}")
+        gaps = [b.gap for b in bins if b.pair_count >= MIN_BIN_PAIRS]
         out.append(
             ScaleCalibration(
                 scale=scale,

@@ -389,7 +389,7 @@ NUMERIC_FLAG_CASES = [
     (["predict", "--nr", "1.5", "--b", "0.1", "--nu0", "7"], "--nr"),
     (["predict", "--nr", "40", "--df-r", "0", "--b", "0.1", "--nu0", "7"], "--df-r"),
     (["bmax", "--alpha", "0.6"], "--alpha"),
-    (["test", "--variant", "point", "--scale-e", "0"], "--scale-e"),
+    (["test", "--b", "0.1", "--nu0", "7", "--scale-e", "0"], "--scale-e"),
     (["predict", "--nr", "inf", "--b", "0.1", "--nu0", "7"], "--nr"),
     (["predict", "--nr", "40", "--df-r", "nan", "--b", "0.1", "--nu0", "7"],
      "--df-r"),
@@ -415,7 +415,21 @@ NUMERIC_FLAG_CASES = [
 ]
 
 
+# --scale-e scales an estimate of b, which the point and bound variants do not use
+SCALE_E_WITHOUT_ESTIMATE = [
+    (["test", "--variant", "point"], "--variant point takes no variance source flags"),
+    (["test", "--variant", "bound", "--bound", "0.5"], "--variant bound uses --bound only"),
+    (["predict", "--nr", "40", "--variant", "bound", "--bound", "0.5"],
+     "--variant bound uses --bound only"),
+]
+
+
 class TestNumericFlags:
+    @pytest.mark.parametrize("argv, message", SCALE_E_WITHOUT_ESTIMATE)
+    def test_scale_e_needs_an_estimate(self, tmp_path, argv, message):
+        missing = ["--input", str(tmp_path / "missing.csv")]
+        assert run_cli(argv + ["--scale-e", "2"] + missing) == (3, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv, flag", NUMERIC_FLAG_CASES)
     def test_rejected_before_input_is_read(self, tmp_path, argv, flag):
         # the input file does not exist: a flag check that ran after
@@ -638,6 +652,7 @@ class TestTest:
         assert code == 0
         for row in parse(out):
             assert row["t0"] == "" and row["b_used"] == "" and row["nu0_used"] == ""
+            assert row["scale_e"] == ""
             assert row["p_sig"] == row["p_point"]
 
     def test_bound_variant_is_p_sig_bound_per_site(self, summary_file):
@@ -655,7 +670,7 @@ class TestTest:
         )
         assert code == 0
         for row in parse(out):
-            assert row["bound"] == "0.5"
+            assert row["bound"] == "0.5" and row["scale_e"] == ""
             assert row["b_used"] == "" and row["variant"] == "bound"
             assert float(row["p_sig"]) > float(row["p_point"])
 
@@ -677,7 +692,7 @@ class TestTest:
 
     def test_scale_e_must_be_positive(self, summary_file):
         code, _, err = run_cli(
-            ["test", "--input", summary_file, "--variant", "point",
+            ["test", "--input", summary_file, "--b", "0.1", "--nu0", "7",
              "--scale-e", "-1"]
         )
         assert code == 3
@@ -871,7 +886,8 @@ class TestPredict:
         for i, row in enumerate(rows):
             query = ReplicationQuery(sites.statistic(i), 40.0, 39.0, 0.05)
             assert [row["p_rep"]] == cli._probs([p_rep_bound(query, 0.3)])
-            assert (row["bound"], row["b_used"], row["nu0_used"]) == ("0.3", "", "")
+            assert (row["bound"], row["b_used"], row["nu0_used"], row["scale_e"]) == (
+                "0.3", "", "", "")
 
     def test_integral_value_near_zero_is_uncertified_at_nu0_5(self, summary_file):
         # the F(25, 5) and F(25, 29) weights that underflow outside the
@@ -1219,7 +1235,6 @@ class TestSimulate:
         "n_per_experiment": 5,
         "k_experiments": 3,
         "n_tasks": 2,
-        "alpha_levels": [0.05],
         "seed": 5,
     }
 
@@ -1284,6 +1299,13 @@ class TestSimulate:
         assert expected[0] == 0
         assert run_cli(["simulate", "--config", str(bom)]) == expected
 
+    @pytest.mark.parametrize("key, value", [("alpha_levels", [0.05]), ("variance_scale_e", 1.0)])
+    def test_analysis_keys_are_unknown(self, tmp_path, key, value):
+        # the studies that varied them take them as arguments
+        config = self.write_config(tmp_path, **{key: value})
+        assert run_cli(["simulate", "--config", config]) == (
+            3, "", f"error: unknown config keys: {key}\n")
+
     def test_invalid_config_value(self, tmp_path):
         config = self.write_config(tmp_path, sigma0=-1.0)
         code, _, err = run_cli(["simulate", "--config", config])
@@ -1294,10 +1316,9 @@ class TestSimulate:
         ({"k_experiments": 2.5}, "k_experiments must be an integer >= 2, got 2.5"),
         ({"n_tasks": 1.5}, "n_tasks must be an integer >= 1, got 1.5"),
         ({"seed": True}, "seed must be a 64-bit unsigned integer, got True"),
-        ({"alpha_levels": [0.05, "x"]}, "alpha level must be a number, got 'x'"),
+        ({"sigma": "1.0"}, "sigma must be a number, got '1.0'"),
         ({"sigma0": "0.2"}, "sigma0 must be a number, got '0.2'"),
         ({"mu0": False}, "mu0 must be a number, got False"),
-        ({"variance_scale_e": 1e400}, "variance_scale_e must be finite and > 0, got inf"),
     ])
     def test_each_key_is_checked_and_named(self, tmp_path, overrides, message):
         config = self.write_config(tmp_path, **overrides)
@@ -1633,6 +1654,15 @@ class TestExtremeInputs:
         assert (code, out) == (5, "")
         assert err.startswith("error: task 'a' site 's0': quadrature did not reach")
         assert err.endswith("error bound inf)\n")
+
+    @pytest.mark.parametrize("df", [1e-30, 1e-200, 1e-300])
+    def test_power_at_a_tiny_df_writes_one_error_line(self, df):
+        # the chi-square law's left end is huge or infinite there, and the
+        # tail bound at it is computed without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["power", "--effect", "1", "--n", "30", "--df", repr(df)]) == (
+                5, "", f"error: the quadrature rule cannot represent F({df!r}, inf)\n")
 
     COMMANDS = (
         ["estimate"], ["estimate", "--mode", "moment"],

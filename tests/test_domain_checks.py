@@ -74,7 +74,7 @@ ENTRY_POINTS = {
     ),
     "SimConfig": (
         SimConfig, {},
-        {"mu0": "finite", "sigma0": NONNEGATIVE, "sigma": POSITIVE, "variance_scale_e": POSITIVE},
+        {"mu0": "finite", "sigma0": NONNEGATIVE, "sigma": POSITIVE},
     ),
     "task_pair_records": (
         task_pair_records, dict(tasks=TASK, alphas=(0.05,)), {"scale_e": POSITIVE},

@@ -577,7 +577,7 @@ def test_line_endings_read_alike(tmp_path, request, fixture, newline):
 
 
 SIM_CONFIG = {"mu0": 1.0, "sigma0": 0.3, "n_per_experiment": 5, "k_experiments": 3,
-              "n_tasks": 2, "alpha_levels": [0.05], "seed": 5}
+              "n_tasks": 2, "seed": 5}
 # every command, with flags that succeed on both fixtures
 WRITER_COMMANDS = [
     ["estimate"],

@@ -14,7 +14,6 @@ from distnull.estimators import (
     variance_ratio,
 )
 from distnull.oracle import (
-    DESK_ALPHA_LEVELS,
     PAIR_DTYPE,
     CalibrationBin,
     SimConfig,
@@ -48,7 +47,6 @@ def small_config(**overrides) -> SimConfig:
         n_per_experiment=20,
         k_experiments=6,
         n_tasks=6,
-        alpha_levels=(0.05,),
         seed=9,
     )
     base.update(overrides)
@@ -117,11 +115,7 @@ class TestSimulation:
         with pytest.raises(DomainError):
             small_config(n_tasks=0)
         with pytest.raises(DomainError):
-            small_config(alpha_levels=(0.05, 1.0))
-        with pytest.raises(DomainError):
             small_config(seed=-1)
-        with pytest.raises(DomainError):
-            small_config(variance_scale_e=0.0)
 
 
 class TestType1Calibration:
@@ -136,10 +130,9 @@ class TestType1Calibration:
             n_per_experiment=50,
             k_experiments=25,
             n_tasks=40,
-            alpha_levels=(0.05,),
             seed=3,
         )
-        rows = type1_calibration(config)
+        rows = type1_calibration(config, (0.05,))
         assert len(rows) == 3
         rates = {row.variant: row for row in rows}
         assert set(rates) == {"point", "true_b", "estimated_b"}
@@ -288,11 +281,6 @@ class TestBinning:
         assert top.upper == 1.0
         assert top.mean_forecast == pytest.approx(0.9995, rel=1e-12)
 
-    def test_custom_width(self):
-        bins = bin_pairs(pairs((0.3, False, True)), bin_width=0.25)
-        assert bins[0].lower == 0.25
-        assert bins[0].upper == 0.5
-
 
 def synthetic_bin(mean_forecast, observed_rate, pair_count=40):
     return CalibrationBin(
@@ -352,14 +340,14 @@ class TestCalibrationCorrelation:
 class TestCalibrationPipeline:
     def test_pair_count_conservation(self):
         config = small_config()
-        bins = replication_calibration(config)
+        bins = replication_calibration(config, (0.05,))
         k = config.k_experiments
         assert sum(b.pair_count for b in bins) == config.n_tasks * k * (k - 1)
 
     def test_scale_e_changes_bins(self):
         config = small_config()
-        base = replication_calibration(config)
-        scaled = replication_calibration(config, scale_e=1.5)
+        base = replication_calibration(config, (0.05,))
+        scaled = replication_calibration(config, (0.05,), scale_e=1.5)
         assert [b.mean_forecast for b in base] != [b.mean_forecast for b in scaled]
 
     def test_sensitivity_sweep_smoke(self):
@@ -368,9 +356,8 @@ class TestCalibrationPipeline:
             sigma0=0.02,
             n_per_experiment=6,
             n_tasks=10,
-            alpha_levels=(0.001,),
         )
-        rows = sensitivity_sweep(config, scales=(0.5, 1.5))
+        rows = sensitivity_sweep(config, (0.001,), scales=(0.5, 1.5))
         assert [r.scale for r in rows] == [0.5, 1.5]
         for row in rows:
             assert math.isfinite(row.mean_gap)
@@ -415,7 +402,6 @@ class TestPresets:
         for config in configs:
             assert config.n_tasks == 1
             assert config.k_experiments == 25
-            assert config.alpha_levels == DESK_ALPHA_LEVELS
             assert config.sigma == 1.0
             assert 170 <= config.n_per_experiment <= 210
             assert 0.039 <= (config.sigma0 / config.sigma) ** 2 <= 0.131
@@ -435,7 +421,6 @@ class TestPresets:
         for config in (small, moderate):
             assert config.k_experiments == 6
             assert config.n_tasks == 120
-            assert config.alpha_levels == (0.001,)
             assert config.sigma0 == 0.02
         assert small.n_per_experiment == 6
         assert moderate.n_per_experiment == 41
@@ -468,7 +453,6 @@ class TestNullUniformity:
             n_per_experiment=190,
             k_experiments=400,
             n_tasks=100,
-            alpha_levels=(0.05,),
             seed=17,
         )
         values = []
